@@ -16,13 +16,6 @@ and enforces two floors:
     `--min-threads-speedup` (default 2.0) times the single-threaded
     aggregate throughput — enforced only when the recorded host has >= 4
     hardware threads (informational otherwise, e.g. on a 1-core CI box);
-  * batched native execution: at every measured width >=
-    `--native-floor-lanes` (default 8), the dlopen'ed step_batch kernel's
-    per-lane ns/step must be at least `--min-native-speedup` (default 1.5)
-    times better than N independent scalar NativeModel instances. These
-    entries come from BENCH_native_batch.json (bench_native_batch_sweep,
-    folded in via --extra-json); the check is skipped when no entries are
-    present — e.g. a CI box without a C++ compiler on PATH;
   * lane-health scan overhead: the periodic non-finite slot-file scan
     behind lane quarantine, amortized over its default interval, must
     cost at most `--max-scan-pct` (default 2.0) percent of one RC20
@@ -33,31 +26,18 @@ and enforces two floors:
     a warm interpreter job on the persistent service must be at least
     `--min-service-warm-speedup` (default 0.9) times as fast as calling
     simulate_sweep per job (i.e. beat the per-call executor rebuild,
-    within measurement tolerance); a warm native job must beat the cold
-    first job (which pays the external kernel compile) by at least
-    `--min-service-native-speedup` (default 2.0) — the cheap proxy for
-    "warm repeats skip the compiler and shard construction"; and job
-    latency must stay stable: p99 <= `--max-service-p99-ratio`
-    (default 6.0) times p50 for both the single-client warm series and
-    the N-client concurrent series;
-  * in-process JIT compile latency (entries from BENCH_jit.json /
-    bench_jit_compile_latency via --extra-json): the cold ORC materialize
-    must be at least `--min-orc-compile-speedup` (default 10.0) times
-    cheaper than the external emit-compile-dlopen roundtrip, and the ORC
-    kernel's steady-state per-lane ns/step must stay within
-    `--max-orc-step-ratio` (default 2.0) of the external kernel's. Each
-    sub-check skips when its arm is absent (AMSVP_WITH_LLVM=OFF build, or
-    no C++ compiler on PATH);
+    within measurement tolerance); and job latency must stay stable:
+    p99 <= `--max-service-p99-ratio` (default 6.0) times p50 for both the
+    single-client warm series and the N-client concurrent series;
   * dynamic-width parity (entries from BENCH_dynamic_width.json /
     bench_dynamic_width_sweep via --extra-json): at each odd batch width
     (7, 17, 33) the per-lane ns/step must stay within
     `--max-dynamic-width-ratio` (default 1.4) of the neighbouring pinned
     row-multiple width (8, 16, 32) on the interpreter and orc arms — the
     runtime LaneLayout guarantee that non-pinned widths ride the same
-    padded vector rows instead of falling off a scalar cliff. The native
-    (external-compiler) arm is printed informationally only, since the
-    system compiler's vectorizer is outside our control. Skipped per arm
-    when entries are absent.
+    padded vector rows instead of falling off a scalar cliff. Skipped per
+    arm when entries are absent (the orc arm on AMSVP_WITH_LLVM=OFF
+    builds).
 
 With `--history <path>` every run is appended to a JSONL file and each
 metric is compared against the best value ever recorded there: regressions
@@ -122,45 +102,14 @@ def threaded_sweep_table(results):
     return table
 
 
-def native_batch_table(results):
-    """(lanes, mode) -> per-lane ns/step of the native batch bench."""
-    table = {}
-    for entry in results:
-        if entry.get("name") != "native_batch_sweep":
-            continue
-        table[(int(entry["lanes"]), entry["mode"])] = float(entry["ns_per_step_per_lane"])
-    return table
-
-
 def sweep_service_table(results):
-    """(mode, stat) -> measured value of the service load bench."""
+    """(mode, stat) -> ns per job of the service load bench."""
     table = {}
     for entry in results:
         if entry.get("name") != "sweep_service_load":
             continue
-        value = entry.get("ns_per_job", entry.get("cold_job_ns"))
-        if value is not None:
-            table[(entry["mode"], entry["stat"])] = float(value)
-    return table
-
-
-def jit_compile_table(results):
-    """mode -> cold-compile ns of the JIT latency bench."""
-    table = {}
-    for entry in results:
-        if entry.get("name") != "jit_compile_latency" or "ns_per_compile" not in entry:
-            continue
-        table[entry["mode"]] = float(entry["ns_per_compile"])
-    return table
-
-
-def jit_step_parity_table(results):
-    """mode -> per-lane ns/step of the JIT latency bench's parity arms."""
-    table = {}
-    for entry in results:
-        if entry.get("name") != "jit_step_parity":
-            continue
-        table[entry["mode"]] = float(entry["ns_per_step_per_lane"])
+        if "ns_per_job" in entry:
+            table[(entry["mode"], entry["stat"])] = float(entry["ns_per_job"])
     return table
 
 
@@ -285,28 +234,12 @@ def main():
     parser.add_argument("--max-scan-pct", type=float, default=2.0,
                         help="allowed amortized lane-health-scan cost as a percentage of "
                              "one batch step at width 32 (default: 2.0)")
-    parser.add_argument("--min-native-speedup", type=float, default=1.5,
-                        help="required native-batch-vs-scalar-native per-lane speedup "
-                             "(default: 1.5)")
-    parser.add_argument("--native-floor-lanes", type=int, default=8,
-                        help="enforce the native batch floor at widths >= this (default: 8)")
     parser.add_argument("--min-service-warm-speedup", type=float, default=0.9,
                         help="required warm-service vs per-call-rebuild interpreter job "
                              "speedup (default: 0.9 — beat the rebuild within tolerance)")
-    parser.add_argument("--min-service-native-speedup", type=float, default=2.0,
-                        help="required warm vs cold native service job speedup "
-                             "(default: 2.0; the cold job pays the kernel compile)")
     parser.add_argument("--max-service-p99-ratio", type=float, default=6.0,
                         help="allowed p99/p50 job-latency ratio for the service load "
                              "series (default: 6.0)")
-    parser.add_argument("--min-orc-compile-speedup", type=float, default=10.0,
-                        help="cold in-process ORC compile must be this many times "
-                             "cheaper than the external-compiler roundtrip "
-                             "(BENCH_jit.json; skipped when either arm is absent)")
-    parser.add_argument("--max-orc-step-ratio", type=float, default=2.0,
-                        help="ORC kernel per-lane ns/step may be at most this many "
-                             "times the external kernel's (skipped when either "
-                             "arm is absent)")
     # Default headroom: an odd width pays intrinsic ghost-lane work of
     # padded/width (x17 runs the padded-20 kernel: floor 20/17 = 1.18), so
     # 1.4 leaves ~19% for CI timing noise while still catching the 2-4x
@@ -443,33 +376,9 @@ def main():
             print(f"WARN: no results in extra json {path}")
         tracked.extend(extra)
 
-    # Batched native execution floor. The entries arrive through
-    # --extra-json (BENCH_native_batch.json); an empty table means the
-    # bench had nothing to measure (no compiler) — skip, don't fail.
-    native = native_batch_table(tracked)
-    for lanes in sorted({lanes for lanes, _ in native}):
-        try:
-            scalar = native[(lanes, "scalar")]
-            batched = native[(lanes, "batch")]
-        except KeyError as missing:
-            print(f"error: missing native_batch_sweep result {missing}", file=sys.stderr)
-            failures += 1
-            continue
-        speedup = scalar / batched
-        enforced = lanes >= args.native_floor_lanes
-        status = "ok" if (not enforced or speedup >= args.min_native_speedup) else "FAIL"
-        floor = (f"required >= {args.min_native_speedup:.2f}x" if enforced
-                 else "informational")
-        print(f"native x{lanes}: scalar-native {scalar:.1f} ns/step/lane, "
-              f"batch-native {batched:.1f} ns/step/lane, speedup {speedup:.2f}x "
-              f"({floor}) [{status}]")
-        if enforced and speedup < args.min_native_speedup:
-            failures += 1
-
-    # Sweep-service warm-path floors and latency stability. Entries arrive
+    # Sweep-service warm-path floor and latency stability. Entries arrive
     # through --extra-json (BENCH_service.json); an empty table means the
-    # load bench did not run — skip. Native arms are additionally absent on
-    # compiler-less hosts, so each sub-check guards its own entries.
+    # load bench did not run — skip.
     service = sweep_service_table(tracked)
     if service:
         percall = service.get(("percall_interp", "p50"))
@@ -486,17 +395,7 @@ def main():
                   f"(required >= {args.min_service_warm_speedup:.2f}x) [{status}]")
             if speedup < args.min_service_warm_speedup:
                 failures += 1
-        cold = service.get(("native_cold", "first"))
-        native_warm = service.get(("native_warm", "p50"))
-        if cold is not None and native_warm is not None:
-            speedup = cold / native_warm
-            status = "ok" if speedup >= args.min_service_native_speedup else "FAIL"
-            print(f"service warm native: cold {cold / 1e6:.1f} ms/job, "
-                  f"warm {native_warm / 1e6:.3f} ms/job, speedup {speedup:.1f}x "
-                  f"(required >= {args.min_service_native_speedup:.2f}x) [{status}]")
-            if speedup < args.min_service_native_speedup:
-                failures += 1
-        for series in ("warm_interp", "concurrent_interp", "native_warm"):
+        for series in ("warm_interp", "concurrent_interp"):
             p50 = service.get((series, "p50"))
             p99 = service.get((series, "p99"))
             if p50 is None or p99 is None or p50 <= 0.0:
@@ -509,39 +408,11 @@ def main():
             if ratio > args.max_service_p99_ratio:
                 failures += 1
 
-    # In-process JIT compile-latency floor and step-parity cap. Entries
-    # arrive through --extra-json (BENCH_jit.json); each sub-check needs
-    # both of its arms — the orc arm is absent on AMSVP_WITH_LLVM=OFF
-    # builds, the external arm on compiler-less hosts.
-    jit_compile = jit_compile_table(tracked)
-    orc_ns = jit_compile.get("orc")
-    external_ns = jit_compile.get("external")
-    if orc_ns is not None and external_ns is not None and orc_ns > 0.0:
-        speedup = external_ns / orc_ns
-        status = "ok" if speedup >= args.min_orc_compile_speedup else "FAIL"
-        print(f"jit cold compile: external {external_ns / 1e6:.1f} ms, "
-              f"orc {orc_ns / 1e6:.1f} ms, speedup {speedup:.1f}x "
-              f"(required >= {args.min_orc_compile_speedup:.1f}x) [{status}]")
-        if speedup < args.min_orc_compile_speedup:
-            failures += 1
-    parity = jit_step_parity_table(tracked)
-    orc_step = parity.get("orc")
-    native_step = parity.get("native")
-    if orc_step is not None and native_step is not None and native_step > 0.0:
-        ratio = orc_step / native_step
-        status = "ok" if ratio <= args.max_orc_step_ratio else "FAIL"
-        print(f"jit step parity: orc {orc_step:.2f} ns/step/lane, "
-              f"external {native_step:.2f} ns/step/lane, ratio {ratio:.2f} "
-              f"(allowed <= {args.max_orc_step_ratio:.1f}) [{status}]")
-        if ratio > args.max_orc_step_ratio:
-            failures += 1
-
     # Dynamic-width parity: an odd width must cost close to its pinned
     # row-multiple neighbour per lane. Entries arrive through --extra-json
-    # (BENCH_dynamic_width.json); the bench drops whole arms on hosts
-    # without a compiler / an LLVM build, so each (mode, pair) guards its
-    # own entries. The native arm is informational: same generated code
-    # shape, but the external compiler's vectorizer is not ours to gate.
+    # (BENCH_dynamic_width.json); the bench drops the orc arm on
+    # AMSVP_WITH_LLVM=OFF builds, so each (mode, pair) guards its own
+    # entries.
     dynwidth = dynamic_width_table(tracked)
     for mode in sorted({mode for mode, _ in dynwidth}):
         for odd, pinned in ((7, 8), (17, 16), (33, 32)):
@@ -550,13 +421,11 @@ def main():
             if odd_ns is None or pinned_ns is None or pinned_ns <= 0.0:
                 continue
             ratio = odd_ns / pinned_ns
-            enforced = mode in ("interpreter", "orc")
-            status = "ok" if (not enforced or ratio <= args.max_dynamic_width_ratio) else "FAIL"
-            cap = (f"allowed <= {args.max_dynamic_width_ratio:.2f}" if enforced
-                   else "informational")
+            status = "ok" if ratio <= args.max_dynamic_width_ratio else "FAIL"
             print(f"dynamic width {mode} x{odd}: {odd_ns:.1f} ns/step/lane vs "
-                  f"x{pinned} {pinned_ns:.1f}, ratio {ratio:.2f} ({cap}) [{status}]")
-            if enforced and ratio > args.max_dynamic_width_ratio:
+                  f"x{pinned} {pinned_ns:.1f}, ratio {ratio:.2f} "
+                  f"(allowed <= {args.max_dynamic_width_ratio:.2f}) [{status}]")
+            if ratio > args.max_dynamic_width_ratio:
                 failures += 1
 
     if args.history:

@@ -1,6 +1,6 @@
 // Dynamic (non-pinned) batch widths: per-lane step cost at odd widths
 // 7/17/33 against the neighbouring pinned row-multiple widths 8/16/32,
-// for all three backends. Before the runtime::LaneLayout refactor an odd
+// for the interpreter and the ORC JIT. Before the runtime::LaneLayout refactor an odd
 // width ran a runtime-trip scalar lane loop per instruction (the
 // vectorizer only reliably fired on the pinned constant-trip widths); with
 // the padded AoSoA rows every width rounds up to whole vector rows and
@@ -11,11 +11,8 @@
 //
 // `--json <path>` emits results for bench/compare.py, whose
 // --max-dynamic-width-ratio gate enforces odd-width / pinned-neighbour
-// per-lane ratios on the interpreter and ORC arms (the external-compiler
-// arm is informational: same generated code shape, but the system
-// compiler's vectorizer is outside our control). Arms degrade gracefully:
-// no C++ compiler → native arm skipped, AMSVP_WITH_LLVM=OFF → ORC arm
-// skipped, with a note printed and compare.py skipping absent pairs.
+// per-lane ratios on both arms. AMSVP_WITH_LLVM=OFF skips the ORC arm,
+// with a note printed and compare.py skipping absent pairs.
 #include <algorithm>
 #include <chrono>
 #include <memory>
@@ -23,8 +20,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "codegen/native_batch.hpp"
-#include "codegen/native_model.hpp"
 #include "codegen/orc_jit.hpp"
 #include "runtime/batch_model.hpp"
 
@@ -109,16 +104,6 @@ int main(int argc, char** argv) {
         runtime::ModelLayout::compile(rc20->model, runtime::EvalStrategy::kFused);
 
     std::string error;
-    std::shared_ptr<const codegen::NativeBatchProgram> native_program;
-    if (codegen::native_compilation_available()) {
-        native_program = codegen::NativeBatchProgram::compile(rc20->model, &error);
-        if (native_program == nullptr) {
-            std::printf("# external kernel compile failed (%s): native arm skipped.\n",
-                        error.c_str());
-        }
-    } else {
-        std::printf("# no C++ compiler on PATH: native arm skipped.\n");
-    }
     std::shared_ptr<const codegen::OrcJitProgram> orc_program;
     if (codegen::orc_available()) {
         orc_program = codegen::OrcJitProgram::compile(layout, &error);
@@ -137,11 +122,6 @@ int main(int argc, char** argv) {
         arms.push_back(
             {"interpreter", lanes,
              std::make_unique<runtime::BatchCompiledModel>(layout, lanes)});
-        if (native_program != nullptr) {
-            arms.push_back(
-                {"native", lanes,
-                 std::make_unique<codegen::NativeBatchModel>(native_program, lanes)});
-        }
         if (orc_program != nullptr) {
             arms.push_back({"orc", lanes,
                             std::make_unique<codegen::OrcBatchModel>(orc_program, lanes)});
@@ -165,8 +145,8 @@ int main(int argc, char** argv) {
         }
         return 0.0;
     };
-    std::printf("%-26s %6s %18s %18s %18s\n", "dynamic_width (RC20)", "lanes",
-                "interp ns/st/lane", "native ns/st/lane", "orc ns/st/lane");
+    std::printf("%-26s %6s %18s %18s\n", "dynamic_width (RC20)", "lanes",
+                "interp ns/st/lane", "orc ns/st/lane");
     // Each odd width next to its pinned row-multiple neighbour, so the
     // cliff (or its absence) is visible line by line.
     for (const Arm& arm : arms) {
@@ -176,8 +156,7 @@ int main(int argc, char** argv) {
              {"ns_per_step_per_lane", arm.best_ns / static_cast<double>(arm.lanes)}});
     }
     for (const int lanes : kWidths) {
-        std::printf("%-26s %6d %18.1f %18.1f %18.1f\n", "", lanes,
-                    per_lane("interpreter", lanes), per_lane("native", lanes),
+        std::printf("%-26s %6d %18.1f %18.1f\n", "", lanes, per_lane("interpreter", lanes),
                     per_lane("orc", lanes));
     }
     std::printf("\n");

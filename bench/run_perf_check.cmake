@@ -3,7 +3,8 @@
 # Invoked as:
 #   cmake -DBENCH_EXE=... -DPYTHON_EXE=... -DCOMPARE_PY=... -DJSON_OUT=...
 #         [-DTABLE1_EXE=... -DTABLE1_JSON=...]
-#         [-DNATIVE_EXE=... -DNATIVE_JSON=...] -P run_perf_check.cmake
+#         [-DDYNWIDTH_EXE=... -DDYNWIDTH_JSON=...]
+#         [-DSERVICE_EXE=... -DSERVICE_JSON=...] -P run_perf_check.cmake
 execute_process(COMMAND ${BENCH_EXE} --json ${JSON_OUT} RESULT_VARIABLE bench_rc)
 if(NOT bench_rc EQUAL 0)
   message(FATAL_ERROR "bench_micro_kernels failed (rc=${bench_rc})")
@@ -20,17 +21,6 @@ if(TABLE1_EXE)
   set(extra_args --extra-json ${TABLE1_JSON})
 endif()
 
-# Optionally run the batched-native bench: compare.py enforces the
-# batch-native vs scalar-native per-lane floor from its entries (and skips
-# it when the bench found no compiler and emitted an empty result set).
-if(NATIVE_EXE)
-  execute_process(COMMAND ${NATIVE_EXE} --json ${NATIVE_JSON} RESULT_VARIABLE native_rc)
-  if(NOT native_rc EQUAL 0)
-    message(FATAL_ERROR "bench_native_batch_sweep failed (rc=${native_rc})")
-  endif()
-  list(APPEND extra_args --extra-json ${NATIVE_JSON})
-endif()
-
 # Optionally run the dynamic-width bench: compare.py enforces the
 # odd-width vs pinned-neighbour per-lane ratio (--max-dynamic-width-ratio)
 # on the interpreter and ORC arms — the LaneLayout vector-row guarantee
@@ -44,28 +34,14 @@ if(DYNWIDTH_EXE)
 endif()
 
 # Optionally run the sweep-service load bench: compare.py enforces the
-# warm-path floors (warm-vs-per-call interpreter, warm-vs-cold native) and
-# the p99/p50 latency-stability gate from its entries (native arms are
-# skipped by the bench itself on compiler-less hosts).
+# warm-vs-per-call interpreter floor and the p99/p50 latency-stability gate
+# from its entries.
 if(SERVICE_EXE)
   execute_process(COMMAND ${SERVICE_EXE} --json ${SERVICE_JSON} RESULT_VARIABLE service_rc)
   if(NOT service_rc EQUAL 0)
     message(FATAL_ERROR "bench_sweep_service_load failed (rc=${service_rc})")
   endif()
   list(APPEND extra_args --extra-json ${SERVICE_JSON})
-endif()
-
-# Optionally run the JIT compile-latency bench: compare.py enforces the
-# in-process ORC cold compile at least --min-orc-compile-speedup times
-# cheaper than the external-compiler roundtrip, plus the step-parity cap
-# (each floor skipped when the bench omitted an arm: LLVM-less build, or
-# no C++ compiler on PATH).
-if(JIT_EXE)
-  execute_process(COMMAND ${JIT_EXE} --json ${JIT_JSON} RESULT_VARIABLE jit_rc)
-  if(NOT jit_rc EQUAL 0)
-    message(FATAL_ERROR "bench_jit_compile_latency failed (rc=${jit_rc})")
-  endif()
-  list(APPEND extra_args --extra-json ${JIT_JSON})
 endif()
 
 # The history file accumulates one JSONL line per run next to the JSON

@@ -1,22 +1,17 @@
 // Load generator for runtime::SweepService: N concurrent closed-loop
 // client threads (each submits a job, waits for its future, submits the
 // next) hammering one service, reporting sustained sweeps/sec and p50/p99
-// job latency, plus the two warm-path comparisons the service exists for:
-//
-//  * warm interpreter repeat vs per-call rebuild: a warm service job (cached
-//    layout, pooled executors, persistent worker pool) against calling
-//    simulate_sweep directly, which rebuilds the executors every call;
-//  * warm native repeat vs cold first job: the cold job pays the external
-//    compiler (~hundreds of ms); the warm repeat must skip the compile AND
-//    the shard construction entirely.
+// job latency, plus the warm-path comparison the service exists for: a
+// warm interpreter repeat (cached layout, pooled executors, persistent
+// worker pool) against calling simulate_sweep directly, which rebuilds the
+// executors every call.
 //
 // `--json <path>` emits results for bench/compare.py, which enforces the
-// warm-path floors and a p99-vs-p50 latency-stability gate, and folds
-// everything into the BENCH_history.jsonl trajectory. The native arms
-// degrade gracefully (skipped, and so is their floor) when no C++ compiler
-// is on PATH. Closed-loop clients keep the gate meaningful on small hosts:
-// queue depth is bounded by the client count, so percentiles measure
-// service overhead, not unbounded backlog.
+// warm-path floor and a p99-vs-p50 latency-stability gate, and folds
+// everything into the BENCH_history.jsonl trajectory. Closed-loop clients
+// keep the gate meaningful on small hosts: queue depth is bounded by the
+// client count, so percentiles measure service overhead, not unbounded
+// backlog.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -24,7 +19,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "codegen/native_jit.hpp"
 #include "runtime/simulate.hpp"
 #include "runtime/sweep_service.hpp"
 
@@ -191,46 +185,6 @@ int main(int argc, char** argv) {
                 {"stat", "sustained"}},
                {{"clients", static_cast<double>(clients)},
                 {"ns_per_job", sustained_ns_per_job}});
-
-    // --- Arm 4: native cold vs warm (skipped without a compiler) ---
-    if (codegen::detail::jit_available()) {
-        runtime::SweepService native_service;  // private cache: truly cold
-        const auto cold_start = Clock::now();
-        (void)native_service.run(make_job(rc20->model, kWidth, duration,
-                                          runtime::SweepBackend::kNative));
-        const double cold_ns = ns_since(cold_start);
-
-        std::vector<double> native_warm_ns;
-        native_warm_ns.reserve(static_cast<std::size_t>(jobs_per_client));
-        for (int j = 0; j < jobs_per_client; ++j) {
-            const auto start = Clock::now();
-            (void)native_service.run(make_job(rc20->model, kWidth, duration,
-                                              runtime::SweepBackend::kNative));
-            native_warm_ns.push_back(ns_since(start));
-        }
-        const double native_warm_p50 = percentile(native_warm_ns, 50.0);
-        const double native_warm_p99 = percentile(native_warm_ns, 99.0);
-        std::printf("%-28s %12.1f %12s %12s  (includes kernel compile)\n",
-                    "  native cold first job", cold_ns / 1e3, "-", "-");
-        std::printf("%-28s %12.1f %12.1f %12.0f  (%.0fx vs cold)\n", "  native warm",
-                    native_warm_p50 / 1e3, native_warm_p99 / 1e3, 1e9 / native_warm_p50,
-                    cold_ns / native_warm_p50);
-
-        // `cold_job_ns` (not ns_per_*) keeps the compiler-dominated cold
-        // number out of the best-run history tracking — it feeds only the
-        // explicit warm-vs-cold floor.
-        report.add({{"name", "sweep_service_load"}, {"mode", "native_cold"},
-                    {"stat", "first"}},
-                   {{"cold_job_ns", cold_ns}});
-        report.add({{"name", "sweep_service_load"}, {"mode", "native_warm"},
-                    {"stat", "p50"}},
-                   {{"ns_per_job", native_warm_p50}});
-        report.add({{"name", "sweep_service_load"}, {"mode", "native_warm"},
-                    {"stat", "p99"}},
-                   {{"ns_per_job", native_warm_p99}});
-    } else {
-        std::printf("# no C++ compiler on PATH: native cold/warm arms skipped.\n");
-    }
     std::printf("\n");
 
     if (!report.write(json_path)) {

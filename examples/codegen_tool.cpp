@@ -3,14 +3,12 @@
 // the paper's abstract promises, as a usable utility.
 //
 // Usage:
-//   codegen_tool [--target cpp|sc-de|sc-tdf] [--output V(pos,neg)] [--batch]
+//   codegen_tool [--target cpp|sc-de|sc-tdf] [--output V(pos,neg)]
 //                [--keep-temps] [file.vams]
 //   codegen_tool --builtin rc1|rc20|2in|oa        # bundled paper circuits
 //
-// --batch (C++ target) also emits the step_batch(double*, int) kernel that
-// steps N instances in one strided slot file — the entry point the native
-// sweep backend compiles and dlopens. --keep-temps (C++ target) also
-// compile-checks the emission with the in-process JIT and keeps every
+// --keep-temps (C++ target) also compile-checks the emission with the
+// system compiler (the path codegen::NativeModel takes) and keeps every
 // build artifact (.cpp/.so/.log) for inspection — the debugging loop for
 // "the generated model does not compile" reports. Reading from stdin is
 // the default when no file is given.
@@ -50,7 +48,7 @@ namespace {
 void usage() {
     std::fprintf(stderr,
                  "usage: codegen_tool [--target cpp|sc-de|sc-tdf] [--backend cpp|orc]\n"
-                 "                    [--output pos,neg] [--batch] [--keep-temps]\n"
+                 "                    [--output pos,neg] [--keep-temps]\n"
                  "                    [--vector-width] [--verify] [--lint]\n"
                  "                    [--builtin rc<N>|2in|oa|sf] [file.vams]\n"
                  "\n"
@@ -68,7 +66,6 @@ int main(int argc, char** argv) {
 
     codegen::Target target = codegen::Target::kCpp;
     bool orc_backend = false;
-    codegen::CodegenOptions codegen_options;
     std::string output_pos = "out";
     std::string output_neg = "gnd";
     std::string source;
@@ -125,8 +122,6 @@ int main(int argc, char** argv) {
                 usage();
                 return 2;
             }
-        } else if (arg == "--batch") {
-            codegen_options.batch_kernel = true;
         } else if (arg == "--vector-width") {
             vector_width_report = true;
         } else if (arg == "--keep-temps") {
@@ -194,14 +189,13 @@ int main(int argc, char** argv) {
 
     if (run_verify) {
         // Analysis mode replaces emission: verify the IR itself, then every
-        // lowering a backend would consume — the emit plan (scalar + batch
-        // statement streams) and, when this build has LLVM, the ORC IR.
+        // lowering a backend would consume — the emit plan's statement
+        // stream and, when this build has LLVM, the ORC IR.
         const auto layout =
             runtime::ModelLayout::compile(*model, runtime::EvalStrategy::kFused);
         support::DiagnosticEngine analysis_diags;
         bool ok = analysis::verify_layout(*layout, analysis_diags);
         codegen::CodegenOptions plan_options;
-        plan_options.batch_kernel = true;
         plan_options.layout = layout;
         const auto plan = codegen::detail::build_plan(*model, plan_options);
         ok = analysis::verify_emit_plan(*layout, plan, analysis_diags) && ok;
@@ -278,7 +272,7 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    const std::string generated = codegen::generate(*model, target, codegen_options);
+    const std::string generated = codegen::generate(*model, target);
     std::fputs(generated.c_str(), stdout);
 
     if (keep_temps) {

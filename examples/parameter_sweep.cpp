@@ -113,13 +113,12 @@ int main() {
                 1e3 * static_cast<double>(last_settled) * decay_model->timestep,
                 1e3 * static_cast<double>(sharded.steps) * decay_model->timestep);
 
-    // 4. The same sharded sweep through the native backend: the C++
-    //    emitter's step_batch kernel is compiled with the system compiler
-    //    and dlopen'ed once, then every shard steps through that machine
-    //    code — no interpreter in the loop. Results are bit-identical to
-    //    the interpreter backend; when no compiler is on PATH the sweep
-    //    falls back and says so in SweepResult::diagnostics.
-    options.backend = runtime::SweepBackend::kNative;
+    // 4. The same sharded sweep through the machine-code backend this build
+    //    prefers: with LLVM the fused program is JIT-compiled in process
+    //    (ORC) once, then every shard steps through that machine code — no
+    //    interpreter in the loop. Results are bit-identical to the
+    //    interpreter backend; a build without LLVM simply interprets.
+    options.backend = runtime::preferred_native_backend();
     const auto native = runtime::simulate_sweep(
         *decay_model, {{"u0", [](double) { return 0.0; }}}, wide, 1.5, options);
     bool identical = native.settled_at == sharded.settled_at;
@@ -130,10 +129,12 @@ int main() {
             }
         }
     }
-    std::printf("\n--- Native-backend sweep (dlopen'ed step_batch kernel) -----\n"
+    std::printf("\n--- Machine-code sweep (%s) ---\n"
                 "  %d lanes, %zu steps: %s the interpreter backend\n",
-                kWide, native.steps,
-                identical ? "bit-identical to" : "DIVERGED from");
+                options.backend == runtime::SweepBackend::kNativeOrc
+                    ? "ORC JIT kernel"
+                    : "built without LLVM: interpreter",
+                kWide, native.steps, identical ? "bit-identical to" : "DIVERGED from");
     if (!identical) {
         return 1;
     }
@@ -150,7 +151,7 @@ int main() {
     job.stimuli = {{"u0", [](double) { return 0.0; }}};
     job.lanes = wide;
     job.duration_seconds = 1.5;
-    job.options = options;  // native backend, sharded, steady retirement
+    job.options = options;  // machine-code backend, sharded, steady retirement
     auto first_future = service.submit(job);    // cold: compiles + builds
     const auto served_cold = first_future.get();
     const auto served_warm = service.run(job);  // warm: caches + pools
@@ -171,12 +172,13 @@ int main() {
     std::printf("\n--- Sweep service (persistent cache + executor pools) ------\n"
                 "  2 jobs served: %s direct simulate_sweep\n"
                 "  executors built %llu, reused %llu; layout compiles %llu; "
-                "kernel compiles %llu (%.2f s saved warm)\n",
+                "ORC compiles %llu, hits %llu (%.1f ms saved warm)\n",
                 service_identical ? "bit-identical to" : "DIVERGED from",
                 static_cast<unsigned long long>(stats.executors_built),
                 static_cast<unsigned long long>(stats.executors_reused),
                 static_cast<unsigned long long>(stats.cache.layout_misses),
-                static_cast<unsigned long long>(stats.cache.program_misses),
-                stats.cache.compile_seconds_saved);
+                static_cast<unsigned long long>(stats.cache.orc_misses),
+                static_cast<unsigned long long>(stats.cache.orc_hits),
+                stats.cache.orc_compile_seconds_saved * 1e3);
     return service_identical ? 0 : 1;
 }

@@ -21,13 +21,9 @@ std::size_t count_occurrences(const std::string& text, const std::string& needle
     return count;
 }
 
-/// The name the renderer gives `slot`: a model slot's variable name, a
-/// scratch register's `_t<n>` local, or (strided mode) its slot-file row.
-std::string slot_name(const codegen::detail::EmitPlan& plan, std::int32_t slot,
-                      bool strided) {
-    if (strided) {
-        return "s[" + std::to_string(slot) + " * S + l]";
-    }
+/// The name the renderer gives `slot`: a model slot's variable name or a
+/// scratch register's `_t<n>` local.
+std::string slot_name(const codegen::detail::EmitPlan& plan, std::int32_t slot) {
     if (slot < static_cast<std::int32_t>(plan.slot_names.size())) {
         return plan.slot_names[static_cast<std::size_t>(slot)];
     }
@@ -35,32 +31,21 @@ std::string slot_name(const codegen::detail::EmitPlan& plan, std::int32_t slot,
            std::to_string(slot - static_cast<std::int32_t>(plan.slot_names.size()));
 }
 
-/// Check one rendered statement stream (scalar or batch) against the IR.
+/// Check the rendered statement stream against the IR.
 void check_statements(const ProgramView& view, const codegen::detail::EmitPlan& plan,
-                      const std::vector<std::string>& statements, bool strided,
                       support::DiagnosticEngine& diags) {
-    const char* stream = strided ? "batch statement" : "statement";
+    const std::vector<std::string>& statements = plan.assignments;
     if (statements.size() != view.code->size()) {
-        diags.error({}, std::string(stream) + " count " +
-                            std::to_string(statements.size()) +
+        diags.error({}, "statement count " + std::to_string(statements.size()) +
                             " != instruction count " +
                             std::to_string(view.code->size()));
         return;
     }
-    const std::string loop_prefix = "for (int l = 0; l < L; ++l) ";
     for (std::size_t i = 0; i < statements.size(); ++i) {
         const expr::FusedInstr& instr = (*view.code)[i];
-        std::string text = statements[i];
-        const std::string prefix =
-            "instr #" + std::to_string(i) + ": " + stream + " ";
-        if (strided) {
-            if (text.rfind(loop_prefix, 0) != 0) {
-                diags.error({}, prefix + "missing its lane loop: \"" + text + "\"");
-                continue;
-            }
-            text = text.substr(loop_prefix.size());
-        }
-        const std::string expected_dst = slot_name(plan, instr.dst, strided) + " = ";
+        const std::string& text = statements[i];
+        const std::string prefix = "instr #" + std::to_string(i) + ": statement ";
+        const std::string expected_dst = slot_name(plan, instr.dst) + " = ";
         if (text.rfind(expected_dst, 0) != 0) {
             diags.error({}, prefix + "does not assign dst slot " +
                                 std::to_string(instr.dst) + " (expected \"" +
@@ -72,7 +57,7 @@ void check_statements(const ProgramView& view, const codegen::detail::EmitPlan& 
             if (view.is_constant_slot(slot)) {
                 return;  // pooled constants inline as literals
             }
-            const std::string name = slot_name(plan, slot, strided);
+            const std::string name = slot_name(plan, slot);
             if (rhs.find(name) == std::string::npos) {
                 diags.error({}, prefix + "never reads operand " +
                                     std::to_string(role) + " (slot " +
@@ -91,10 +76,7 @@ bool verify_emit_plan(const runtime::ModelLayout& layout,
     const std::size_t before = diags.error_count();
     const ProgramView view = view_of(layout);
 
-    check_statements(view, plan, plan.assignments, /*strided=*/false, diags);
-    if (!plan.batch_statements.empty()) {
-        check_statements(view, plan, plan.batch_statements, /*strided=*/true, diags);
-    }
+    check_statements(view, plan, diags);
 
     std::set<std::int32_t> scratch_regs;
     for (const expr::FusedInstr& instr : *view.code) {
@@ -117,18 +99,6 @@ bool verify_emit_plan(const runtime::ModelLayout& layout,
         diags.error({}, "rotation statement count " +
                             std::to_string(plan.rotations.size()) +
                             " != history slot count " + std::to_string(history_slots));
-    }
-    if (!plan.batch_statements.empty() &&
-        plan.batch_rotations.size() != history_slots) {
-        diags.error({}, "batch rotation statement count " +
-                            std::to_string(plan.batch_rotations.size()) +
-                            " != history slot count " + std::to_string(history_slots));
-    }
-    if (plan.total_slot_count != view.total_slot_count()) {
-        diags.error({}, "plan total_slot_count " +
-                            std::to_string(plan.total_slot_count) +
-                            " != layout slot count " +
-                            std::to_string(view.total_slot_count()));
     }
     return diags.error_count() == before;
 }

@@ -10,12 +10,11 @@
 // `codegen_tool --verify`.
 //
 //  * verify_emit_plan: the C++/SystemC emitters' EmitPlan must carry one
-//    statement per fused instruction (scalar and batch forms), each
-//    assigning the instruction's dst under the documented addressing
-//    (named model slots / `_t<n>` scratch locals / `s[<slot> * S + l]`
-//    strided rows), mentioning every non-constant read operand, with one
-//    scratch local per distinct scratch register and one rotation
-//    statement per history slot.
+//    statement per fused instruction, each assigning the instruction's dst
+//    under the documented naming (named model slots / `_t<n>` scratch
+//    locals), mentioning every non-constant read operand, with one scratch
+//    local per distinct scratch register and one rotation statement per
+//    history slot.
 //  * verify_orc_lowering: the ORC JIT's unoptimized IR must store exactly
 //    once per instruction in both entry points, and its batch kernel's
 //    vector rows must be exactly LaneLayout::kVectorRow doubles wide.

@@ -50,25 +50,12 @@ struct CodegenOptions {
     /// fused interpreter slot-for-slot. Also forces the `_abstime` member
     /// so the time slot is observable.
     bool slot_accessor = false;
-    /// C++ target only: also emit a batched entry point
-    /// `<type>_step_batch(double* s, int batch)` that steps `batch`
-    /// instances stored in one padded strided slot file (slot i of lane l
-    /// at s[i * S + l], S = batch rounded up to whole vector rows — the
-    /// runtime::LaneLayout / BatchCompiledModel layout, fused scratch
-    /// slots included; `<type>_batch_slot_count` gives the per-lane slot
-    /// count). The kernel renders the same fused instruction stream as
-    /// step(), one inner lane loop per instruction, with pinned widths
-    /// 1/4/8/16/32 mirroring FusedProgram::execute_batch — so a
-    /// native-compiled sweep is bit-identical to the batch interpreter lane
-    /// by lane. The caller owns the slot file and writes inputs and the
-    /// $abstime row before each call.
-    bool batch_kernel = false;
     /// Pre-compiled layout to render (must be the kFused compile of the
     /// model being emitted). When null the emitter compiles one itself;
-    /// passing the layout lets a caller that also *executes* against it —
-    /// the native batch path — share a single compile, making the emitted
-    /// slot indices and the runtime layout the same object by
-    /// construction.
+    /// passing the layout lets a caller that also checks or executes
+    /// against it — `codegen_tool --verify`, the conformance tests — share
+    /// a single compile, making the emitted slot indices and the runtime
+    /// layout the same object by construction.
     std::shared_ptr<const runtime::ModelLayout> layout;
 };
 

@@ -6,69 +6,6 @@ namespace amsvp::codegen {
 
 using detail::EmitPlan;
 
-namespace {
-
-/// The batched entry point (CodegenOptions::batch_kernel): `batch`
-/// instances in one padded strided slot file (slot i of lane l at
-/// s[i * S + l] with S = batch rounded up to whole 4-double vector rows —
-/// the runtime::LaneLayout / BatchCompiledModel layout, fused scratch rows
-/// included; padding lanes are never read or written). One statement per
-/// fused instruction with an inner lane loop over the live lanes, pinned
-/// widths 1/4/8/16/32 dispatched exactly like FusedProgram::execute_batch,
-/// so native sweeps match the batch interpreter bit-for-bit lane by lane.
-/// The caller owns the slot file: inputs and the $abstime row are written
-/// before each call, outputs read from their slot rows after it.
-std::string emit_step_batch(const EmitPlan& plan) {
-    const std::string& name = plan.type_name;
-    std::string out;
-    out += "\n// Batched entry point: steps `batch` instances stored in one padded\n";
-    out += "// strided slot file (slot i of lane l at s[i * S + l], S = batch rounded\n";
-    out += "// up to whole 4-double vector rows; " +
-           std::to_string(plan.total_slot_count) + " slots per lane,\n";
-    out += "// scratch included). The caller writes input slots and the $abstime row\n";
-    out += "// (slot " + std::to_string(plan.time_slot) +
-           ") before each call; history rotates in here.\n";
-    out += "inline constexpr int " + name + "_batch_slot_count = " +
-           std::to_string(plan.total_slot_count) + ";\n";
-    out += "\ntemplate <int kStaticBatch>\n";
-    out += "inline void " + name + "_step_batch_impl(double* s, int batch) {\n";
-    out += "    const int B = kStaticBatch > 0 ? kStaticBatch : batch;\n";
-    out += "    // Padded slot-row stride (runtime::LaneLayout::padded_width). Pinned\n";
-    out += "    // widths loop exactly their lane count; dynamic widths loop whole\n";
-    out += "    // padded rows — the ghost lanes compute as throwaway instances, so\n";
-    out += "    // there is no scalar tail and odd widths cost their row-multiple\n";
-    out += "    // neighbour's step.\n";
-    out += "    const int S = kStaticBatch > 0 ? ((kStaticBatch + 3) & ~3) : ((batch + 3) & ~3);\n";
-    out += "    const int L = kStaticBatch > 0 ? B : S;\n";
-    out += "    (void)batch;\n";
-    for (const std::string& stmt : plan.batch_statements) {
-        out += "    " + stmt + "\n";
-    }
-    if (!plan.batch_rotations.empty()) {
-        out += "    // History rotation, deepest first.\n";
-        for (const std::string& stmt : plan.batch_rotations) {
-            out += "    " + stmt + "\n";
-        }
-    }
-    out += "}\n";
-    out += "\n// Pinned lane counts for the common sweep widths (straight-line SIMD\n";
-    out += "// instead of a runtime-trip-count loop), dynamic fallback otherwise —\n";
-    out += "// the same dispatch the batch interpreter uses.\n";
-    out += "inline void " + name + "_step_batch(double* s, int batch) {\n";
-    out += "    switch (batch) {\n";
-    for (const int width : {1, 4, 8, 16, 32}) {
-        const std::string w = std::to_string(width);
-        out += "        case " + w + ": " + name + "_step_batch_impl<" + w + ">(s, " + w +
-               "); return;\n";
-    }
-    out += "        default: " + name + "_step_batch_impl<0>(s, batch); return;\n";
-    out += "    }\n";
-    out += "}\n";
-    return out;
-}
-
-}  // namespace
-
 // Plain C++ target (Fig. 7b of the paper): a dependency-free struct whose
 // step() evaluates the fused signal-flow program once and rotates the
 // history. The statements are the fused register-machine instructions —
@@ -149,9 +86,6 @@ std::string emit_cpp(const abstraction::SignalFlowModel& model, const CodegenOpt
         out += "    }\n";
     }
     out += "};\n";
-    if (options.batch_kernel) {
-        out += emit_step_batch(plan);
-    }
     return out;
 }
 

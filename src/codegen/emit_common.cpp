@@ -39,28 +39,19 @@ std::string literal(double value) {
     return s;
 }
 
-/// Renders fused instructions as C++ statements — over named variables
-/// (the scalar step() body) or over a strided batch slot file (the
-/// step_batch kernel: slot i of lane l at `s[i * S + l]`, where S is the
-/// runtime::LaneLayout padded row stride the kernel computes from the lane
-/// count; statements meant to sit inside a per-instruction lane loop).
+/// Renders fused instructions as C++ statements over named variables (the
+/// scalar step() body): model slots as named members, scratch registers as
+/// `_t<n>` locals, pooled constants as literals.
 ///
 /// Every statement performs exactly the arithmetic of the corresponding
 /// interpreter case in FusedProgram::execute_impl — same operations, same
 /// order, each rounding separately — so a generated model compiled with
-/// -ffp-contract=off matches the fused interpreter bit-for-bit (lane by
-/// lane, in the batch form).
+/// -ffp-contract=off matches the fused interpreter bit-for-bit.
 class ProgramRenderer {
 public:
-    enum class Addressing {
-        kNamed,    ///< model slots as named members, scratch as `_t<n>` locals
-        kStrided,  ///< every slot as `s[<slot> * S + l]` (batch kernel)
-    };
-
     ProgramRenderer(const FusedProgram& program, const std::vector<std::string>& slot_names,
-                    int time_slot, Addressing addressing = Addressing::kNamed)
-        : program_(program), slot_names_(slot_names), time_slot_(time_slot),
-          addressing_(addressing) {
+                    int time_slot)
+        : program_(program), slot_names_(slot_names), time_slot_(time_slot) {
         for (const auto& [slot, value] : program.constants()) {
             const_values_.emplace(slot, value);
         }
@@ -183,14 +174,10 @@ private:
         if (slot == time_slot_) {
             time_read_ = true;
         }
-        // Pooled constants inline as literals in both addressing modes (the
-        // batch kernel never materializes the constant-pool rows).
+        // Pooled constants inline as literals.
         const auto it = const_values_.find(slot);
         if (it != const_values_.end()) {
             return literal(it->second);
-        }
-        if (addressing_ == Addressing::kStrided) {
-            return "s[" + std::to_string(slot) + " * S + l]";
         }
         if (slot < static_cast<std::int32_t>(slot_names_.size())) {
             return slot_names_[static_cast<std::size_t>(slot)];
@@ -229,7 +216,6 @@ private:
     const FusedProgram& program_;
     const std::vector<std::string>& slot_names_;
     int time_slot_;
-    Addressing addressing_;
     std::unordered_map<std::int32_t, double> const_values_;
     bool time_read_ = false;
 };
@@ -271,7 +257,7 @@ EmitPlan build_plan(const SignalFlowModel& model, const CodegenOptions& options)
     }
 
     // Single mid-level IR: the same fused compile the interpreter executes
-    // (reused when the caller already holds it — the native batch path).
+    // (reused when the caller already holds it).
     const auto layout = options.layout != nullptr
                             ? options.layout
                             : runtime::ModelLayout::compile(model,
@@ -296,8 +282,6 @@ EmitPlan build_plan(const SignalFlowModel& model, const CodegenOptions& options)
     }
     plan.scratch_locals = renderer.scratch_declarations();
     plan.uses_time = renderer.time_was_read() || options.slot_accessor;
-    plan.total_slot_count = static_cast<int>(layout->slot_count());
-    plan.time_slot = layout->time_slot();
 
     // History rotation straight from the runtime layout, deepest first —
     // the same order CompiledModel::step rotates in.
@@ -306,31 +290,6 @@ EmitPlan build_plan(const SignalFlowModel& model, const CodegenOptions& options)
             const std::string to = history_name(s.id, k);
             const std::string from = (k == 1) ? s.id : history_name(s.id, k - 1);
             plan.rotations.push_back(to + " = " + from + ";");
-        }
-    }
-
-    if (options.batch_kernel) {
-        // The strided form of the same program: each statement re-renders
-        // with slot-file addressing and gets its own lane loop, exactly the
-        // shape of FusedProgram::execute_impl's per-instruction loops. The
-        // loops run to L — the full padded row for dynamic widths, so ghost
-        // lanes compute as throwaway instances instead of leaving the
-        // compiler a non-row-multiple trip count to peel a tail for.
-        ProgramRenderer strided(layout->fused_program(), plan.slot_names,
-                                layout->time_slot(),
-                                ProgramRenderer::Addressing::kStrided);
-        for (const FusedInstr& instr : layout->fused_program().instructions()) {
-            plan.batch_statements.push_back("for (int l = 0; l < L; ++l) " +
-                                            strided.statement(instr));
-        }
-        // Rotation rows from the runtime layout (lane loops instead of the
-        // interpreter's row memcpy — same elements, same order).
-        for (const runtime::ModelLayout::SymbolSlots& r : layout->rotations()) {
-            for (int k = r.depth; k >= 1; --k) {
-                plan.batch_rotations.push_back(
-                    "for (int l = 0; l < L; ++l) s[" + std::to_string(r.base + k) +
-                    " * S + l] = s[" + std::to_string(r.base + k - 1) + " * S + l];");
-            }
         }
     }
     return plan;

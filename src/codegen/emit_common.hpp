@@ -62,25 +62,6 @@ struct EmitPlan {
     /// the optional slot_value() accessor used for slot-for-slot
     /// differentials against the in-process runtime.
     std::vector<std::string> slot_names;
-
-    /// Slots one instance occupies in the strided batch slot file: model
-    /// slots plus fused scratch (== runtime ModelLayout::slot_count()).
-    int total_slot_count = 0;
-    /// Slot of $abstime (the batch kernel's caller writes the time row).
-    int time_slot = -1;
-    /// Batched form of the program, filled only when
-    /// CodegenOptions::batch_kernel is set: one `for (int l = 0; l < L;
-    /// ++l) ...` statement per fused instruction over a padded strided slot
-    /// file `double* s` with runtime::LaneLayout row stride `S` (slot i of
-    /// lane l at s[i * S + l]); L is the lane count for pinned widths and
-    /// the whole padded row for dynamic ones (ghost lanes compute as
-    /// throwaway instances, never observed).
-    /// Scratch registers address their strided slot-file rows, pooled
-    /// constants inline as literals — the per-lane arithmetic is exactly
-    /// the scalar statement stream's.
-    std::vector<std::string> batch_statements;
-    /// Strided history rotation loops, deepest first per symbol.
-    std::vector<std::string> batch_rotations;
 };
 
 [[nodiscard]] EmitPlan build_plan(const abstraction::SignalFlowModel& model,

@@ -14,6 +14,7 @@
 #include <llvm/IR/Intrinsics.h>
 #include <llvm/IR/Verifier.h>
 #include <llvm/Passes/PassBuilder.h>
+#include <llvm/Support/DynamicLibrary.h>
 #include <llvm/Support/Error.h>
 #include <llvm/Support/TargetSelect.h>
 #include <llvm/Support/raw_ostream.h>
@@ -33,6 +34,12 @@ void ensure_native_target() {
         llvm::InitializeNativeTarget();
         llvm::InitializeNativeTargetAsmPrinter();
         llvm::InitializeNativeTargetAsmParser();
+        // Open this process's symbol table here, once: every ORC compile
+        // resolves libm through it, and LLVM builds that registry lazily on
+        // first use, guarded only by LLVM's own (uninstrumented) code — so
+        // concurrent first compiles would otherwise look racy to a
+        // -DAMSVP_TSAN=ON build.
+        llvm::sys::DynamicLibrary::LoadLibraryPermanently(nullptr);
     });
 }
 
@@ -414,8 +421,8 @@ private:
     }
 
     /// Rotate history rows after the program, deepest row first — the IR
-    /// image of BatchCompiledModel::step's memcpy loop (and the external
-    /// kernel's): row (base+k) <- row (base+k-1), one padded row each
+    /// image of BatchCompiledModel::step's memcpy loop: row (base+k) <-
+    /// row (base+k-1), one padded row each
     /// (copying the pad columns is harmless — they are zero on both sides).
     void emit_history_rotations() {
         llvm::Value* row_bytes =
@@ -550,8 +557,7 @@ std::optional<LoweredIrText> lower_to_ir_text(
 namespace amsvp::codegen {
 
 // Built without LLVM: the lowering surface stays linkable so callers can
-// probe availability at runtime; the external-compiler path remains the
-// native backend.
+// probe availability at runtime; sweeps run on the fused interpreter.
 
 bool llvm_backend_available() { return false; }
 

@@ -14,13 +14,13 @@
 // Both write nothing but the slot file, execute the program, then rotate
 // history rows (llvm.memcpy, deepest row first) exactly like
 // BatchCompiledModel::step — the caller writes inputs and the $abstime row
-// first, as with the external-compiler kernel.
+// first.
 //
 // Bit-exactness contract (the acceptance bar is bit-for-bit equality with
 // EvalStrategy::kFused): no fast-math flags anywhere, no `contract` flags
-// (the in-IR analogue of the -ffp-contract=off both the interpreter and
-// the external kernel build with — LLVM only forms FMAs when the flags
-// allow it), libm calls (exp/log/log10/sin/cos/tan/pow) emitted as plain
+// (the in-IR analogue of the -ffp-contract=off the interpreter and the
+// generated C++ build with — LLVM only forms FMAs when the flags allow
+// it), libm calls (exp/log/log10/sin/cos/tan/pow) emitted as plain
 // declared calls marked nobuiltin so the pass pipeline cannot substitute
 // approximations, and ORC resolves them against this process's own libm —
 // the very functions the interpreter calls. sqrt and fabs lower to the
@@ -29,7 +29,7 @@
 //
 // This header is LLVM-free: when the library is built without LLVM
 // (AMSVP_WITH_LLVM=OFF) the implementations degrade to "unavailable"
-// stubs and the external-compiler path stays the native backend.
+// stubs and sweeps run on the fused interpreter.
 #pragma once
 
 #include <memory>

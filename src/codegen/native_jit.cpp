@@ -19,15 +19,14 @@ namespace amsvp::codegen::detail {
 
 namespace {
 
-std::atomic<std::uint64_t> g_compile_invocations{0};
-
-}  // namespace
-
-std::uint64_t compile_invocations() {
-    return g_compile_invocations.load(std::memory_order_relaxed);
-}
-
-namespace {
+/// Guard constants of every compile: the wall-clock limit per compiler
+/// invocation (its whole process group is killed on expiry), the total
+/// tries of the compile→dlopen→dlsym sequence, and the sleep before the
+/// retry. Every failure mode is retried — a deterministic one just fails
+/// identically twice.
+constexpr int kCompileTimeoutMs = 60000;
+constexpr int kCompileAttempts = 2;
+constexpr int kRetryBackoffMs = 100;
 
 /// Owns every temp path of one compile attempt until success: any early
 /// return removes whatever still stands. release() hands a path over (the
@@ -196,17 +195,16 @@ std::unique_ptr<JitLibrary> JitLibrary::compile_once(
                             shell_quote(so_path) + " " + shell_quote(src_path) + " 2> " +
                             shell_quote(log_path);
     CommandResult compiled;
-    g_compile_invocations.fetch_add(1, std::memory_order_relaxed);
     if (support::fault::should_fire("jit.compile")) {
         std::ofstream(log_path) << "injected fault: jit.compile\n";
         compiled.exit_code = 1;
     } else {
-        compiled = run_guarded_command(cmd, options.timeout_ms);
+        compiled = run_guarded_command(cmd, kCompileTimeoutMs);
     }
     if (compiled.timed_out) {
         if (error != nullptr) {
             *error = "compilation of generated model timed out after " +
-                     std::to_string(options.timeout_ms) + " ms";
+                     std::to_string(kCompileTimeoutMs) + " ms";
         }
         return nullptr;
     }
@@ -275,22 +273,19 @@ std::unique_ptr<JitLibrary> JitLibrary::compile(
         }
         return nullptr;
     }
-    const int attempts = options.attempts < 1 ? 1 : options.attempts;
     std::string last_error;
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-        if (attempt > 0 && options.backoff_ms > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(options.backoff_ms << (attempt - 1)));
+    for (int attempt = 0; attempt < kCompileAttempts; ++attempt) {
+        if (attempt > 0) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(kRetryBackoffMs));
         }
-        if (auto library = compile_once(source, required_symbols, &last_error, options,
-                                        /*keep_failure_log=*/attempt == attempts - 1)) {
+        if (auto library =
+                compile_once(source, required_symbols, &last_error, options,
+                             /*keep_failure_log=*/attempt == kCompileAttempts - 1)) {
             return library;
         }
     }
     if (error != nullptr) {
-        *error = attempts > 1
-                     ? last_error + " (after " + std::to_string(attempts) + " attempts)"
-                     : last_error;
+        *error = last_error + " (after " + std::to_string(kCompileAttempts) + " attempts)";
     }
     return nullptr;
 }

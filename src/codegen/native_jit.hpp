@@ -1,19 +1,19 @@
 // Shared plumbing for runtime-compiled models: write generated C++ to a
 // temp file, compile it with the system compiler into a shared object,
-// dlopen it and resolve the entry points. Both native executors — the
-// scalar NativeModel and the batched NativeBatchModel — go through this one
-// path, so the temp-file lifecycle (including every failure path) and the
-// compile command live in exactly one place.
+// dlopen it and resolve the entry points. The scalar NativeModel and
+// `codegen_tool --keep-temps` both go through this one path, so the
+// temp-file lifecycle (including every failure path) and the compile
+// command live in exactly one place.
 //
 // Robustness: the compiler runs under a guarded runner (its own process
 // group, wall-clock timeout, SIGKILL on expiry) instead of a bare
-// std::system, and the whole compile→dlopen→dlsym sequence retries with
-// backoff (JitOptions::attempts) so a transient failure — an OOM-killed
-// cc1plus, a full /tmp racing a cleanup — cannot permanently knock the
-// native backend out. On a final compile failure the thrown-back error
-// message carries the first ~2 KB of the compiler's stderr plus the .log
-// path. Deterministic fault sites "jit.compile", "jit.dlopen" and
-// "jit.dlsym" (support/fault.hpp) let tests exercise each failure leg.
+// std::system, and the whole compile→dlopen→dlsym sequence is tried twice
+// with a short backoff, so one transient failure — an OOM-killed cc1plus,
+// a full /tmp racing a cleanup — does not knock the native model out. On
+// a final compile failure the error message carries the first ~2 KB of
+// the compiler's stderr plus the .log path. Deterministic fault sites
+// "jit.compile", "jit.dlopen" and "jit.dlsym" (support/fault.hpp) let
+// tests exercise each failure leg.
 //
 // Temp-file contract: a compile attempt creates up to three files next to
 // each other (<stem>.cpp, <stem>.so, <stem>.log). On success only the .so
@@ -26,7 +26,6 @@
 // artifacts can be inspected; the error message then names the source too.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,28 +44,8 @@ namespace amsvp::codegen::detail {
 /// True when a usable `c++` compiler is on PATH (cached after first call).
 [[nodiscard]] bool jit_available();
 
-/// Process-wide count of external-compiler invocations attempted by
-/// JitLibrary::compile (each retry counts; an injected jit.compile fault
-/// counts as the invocation it models). Warm-path guarantees — "a repeat
-/// sweep of a cached model runs zero compiles" — are asserted as a zero
-/// delta of this counter across the operation under test.
-[[nodiscard]] std::uint64_t compile_invocations();
-
-/// Knobs for one JitLibrary::compile call. The defaults suit interactive
-/// use; long-running sweep services may want a tighter timeout and more
-/// attempts (see runtime::SweepOptions, which forwards its jit_* fields
-/// here).
+/// Knobs for one JitLibrary::compile call.
 struct JitOptions {
-    /// Wall-clock limit per compiler invocation, after which its whole
-    /// process group is killed and the attempt counts as failed (and
-    /// retryable). <= 0 means no limit.
-    int timeout_ms = 60000;
-    /// Total tries of the full compile→dlopen→dlsym sequence (>= 1). Every
-    /// failure mode is retried — a deterministic one just fails identically
-    /// `attempts` times and costs `attempts - 1` extra compiler runs.
-    int attempts = 2;
-    /// Sleep before retry k is `backoff_ms << (k - 1)` (100, 200, 400, ...).
-    int backoff_ms = 100;
     /// Keep every temp file (.cpp/.so/.log) on success and failure alike.
     bool keep_temps = false;
 };
@@ -87,7 +66,7 @@ struct CommandResult {
 class JitLibrary {
 public:
     /// Compile `source` and resolve `required_symbols` (all of them),
-    /// retrying per `options`. On failure returns nullptr with `error` set
+    /// retrying once on failure. On failure returns nullptr with `error` set
     /// to the *last* attempt's diagnostic (including captured compiler
     /// stderr for compile errors), leaving no temp files behind except the
     /// compiler log on a compilation error — or everything, with

@@ -84,7 +84,7 @@ runtime::ExecutorFactory native_executor_factory() {
         if (!warned.exchange(true)) {
             std::fprintf(stderr,
                          "amsvp: native model execution unavailable (%s); "
-                         "falling back to the bytecode interpreter\n",
+                         "falling back to the fused interpreter\n",
                          error.c_str());
         }
         return std::make_unique<runtime::CompiledModel>(model);

@@ -79,8 +79,9 @@ private:
 /// True when a usable `c++` compiler is on PATH (cached after first call).
 [[nodiscard]] bool native_compilation_available();
 
-/// Executor factory: native when a compiler is available, bytecode fallback
-/// otherwise (a note is printed once on fallback).
+/// Executor factory: a NativeModel when the compile succeeds, otherwise a
+/// runtime::CompiledModel on the default fused interpreter (bit-identical,
+/// just slower; a note is printed once on fallback).
 [[nodiscard]] runtime::ExecutorFactory native_executor_factory();
 
 }  // namespace amsvp::codegen

@@ -198,8 +198,8 @@ std::shared_ptr<const OrcJitProgram> OrcJitProgram::compile(
 #else  // !AMSVP_HAS_LLVM
 
 // ---------------------------------------------------------------------------
-// Stub build (AMSVP_WITH_LLVM=OFF): compile() reports unavailability; the
-// external-compiler path (native_batch.hpp) stays the native backend.
+// Stub build (AMSVP_WITH_LLVM=OFF): compile() reports unavailability and
+// sweeps that asked for kNativeOrc run on the fused interpreter.
 
 class OrcJitProgram::Engine {};
 

@@ -1,30 +1,27 @@
-// In-process ORC JIT execution of the fused program: the native backend
-// without the external-compiler roundtrip.
+// In-process ORC JIT execution of the fused program: the library's one
+// machine-code sweep engine.
 //
 // OrcJitProgram lowers a model's fused instruction stream to LLVM IR
 // (llvm_lowering.hpp), runs the fixed pass pipeline and materializes the
 // step kernels through LLJIT — all inside this process, no compiler on
-// PATH, no temp files, no dlopen. Cold compiles are milliseconds instead
-// of the external path's ~0.5 s, which is what unclogs the SweepService
-// cold path. Results are bit-identical to EvalStrategy::kFused (and
-// therefore to the external kernel): the lowering never enables
-// fast-math or FP contraction, and libm calls resolve to this very
+// PATH, no temp files, no dlopen. A cold compile costs milliseconds.
+// Results are bit-identical to EvalStrategy::kFused: the lowering never
+// enables fast-math or FP contraction, and libm calls resolve to this very
 // process's libm.
 //
-// OrcBatchModel mirrors codegen::NativeBatchModel exactly: a
-// BatchCompiledModel whose step() drives the JITed kernel over the same
-// strided slot file, slotting into make_shard / fallback-shard /
-// quarantine / warm-pool machinery unchanged. One materialized program
-// serves any number of shards and threads concurrently — the kernel is a
-// pure function of the slot file.
+// OrcBatchModel is a BatchCompiledModel whose step() drives the JITed
+// kernel over the same padded slot file, slotting into the make_shard /
+// fallback-shard / quarantine / warm-pool machinery unchanged. One
+// materialized program serves any number of shards and threads
+// concurrently — the kernel is a pure function of the slot file.
 //
 // Built with AMSVP_WITH_LLVM=OFF, orc_available() is false and compile()
-// returns nullptr with an explanatory error; the external-compiler path
-// (native_batch.hpp) remains the no-LLVM native fallback.
+// returns nullptr with an explanatory error; a kNativeOrc sweep then runs
+// on the fused interpreter and says so in SweepResult::diagnostics.
 //
 // Fault site "jit.orc_materialize" (support/fault.hpp) models a
 // materialization failure so tests can exercise the graceful fallback to
-// the interpreter shard.
+// the interpreter.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +42,7 @@ namespace orc_detail {
 /// materialize; an injected jit.orc_materialize fault counts as the
 /// attempt it models). Warm-path guarantees — "a repeat sweep of a cached
 /// model runs zero JIT compiles" — are asserted as a zero delta of this
-/// counter, the ORC twin of detail::compile_invocations().
+/// counter.
 [[nodiscard]] std::uint64_t orc_compile_invocations();
 
 }  // namespace orc_detail
@@ -77,8 +74,10 @@ public:
     /// $abstime slot first; history rotates inside).
     void step(double* slots) const { step_fn_(slots); }
 
-    /// Step `batch` lanes of a strided slot file — same contract as
-    /// NativeBatchProgram::step_batch.
+    /// Step `batch` lanes of a padded slot file (layout()->slot_count()
+    /// rows of runtime::LaneLayout::padded_width(batch) doubles). The
+    /// caller writes inputs and the $abstime row first; history rotates
+    /// inside.
     void step_batch(double* slots, int batch) const { step_batch_fn_(slots, batch); }
 
     [[nodiscard]] const std::shared_ptr<const runtime::ModelLayout>& layout() const {
@@ -98,8 +97,9 @@ private:
     std::shared_ptr<const runtime::ModelLayout> layout_;
 };
 
-/// A BatchCompiledModel stepped by the ORC-JITed kernel — the ORC twin of
-/// NativeBatchModel, inheriting the whole slot-file API unchanged.
+/// A BatchCompiledModel stepped by the ORC-JITed kernel, inheriting the
+/// whole slot-file API — reset, set_input, set_value, output_lanes,
+/// compact_lanes, scan_lane_health — unchanged.
 class OrcBatchModel final : public runtime::BatchCompiledModel {
 public:
     /// Convenience: compile the kernels and batch them. Returns nullptr

@@ -4,10 +4,9 @@
 // capture, steady-state retirement with in-place lane compaction — is
 // backend-agnostic: it drives this interface, and the backend decides what
 // a step costs. Two implementations exist: BatchCompiledModel (the fused
-// batch interpreter) and codegen::NativeBatchModel (the same strided slot
-// file stepped by a dlopen'ed, runtime-compiled step_batch kernel). Both
-// are bit-identical lane for lane, so SweepOptions::backend is a pure
-// performance choice.
+// batch interpreter) and codegen::OrcBatchModel (the same padded slot file
+// stepped by an in-process ORC-JITed kernel). Both are bit-identical lane
+// for lane, so SweepOptions::backend is a pure performance choice.
 //
 // make_shard() is the dependency inversion that keeps the worker-pool path
 // backend-agnostic too: a shard is "a narrower sibling of this executor"
@@ -88,7 +87,7 @@ public:
 
     /// A shard for degraded operation when make_shard() fails mid-sweep:
     /// same lane semantics, but allowed to trade speed for independence
-    /// from the failing resource (the native backend hands back a fused
+    /// from the failing resource (the ORC backend hands back a fused
     /// *interpreter* shard over the same layout — no JIT artifact needed —
     /// which is bit-identical by construction). Defaults to make_shard().
     [[nodiscard]] virtual std::unique_ptr<BatchExecutor> make_fallback_shard(

@@ -102,8 +102,8 @@ public:
     [[nodiscard]] double value_of(int lane, const expr::Symbol& symbol) const;
 
     /// Raw slot value of one lane (testing: slot-for-slot differentials
-    /// between the interpreter and the native step_batch kernel, which
-    /// share the strided layout).
+    /// between the interpreter and the ORC batch kernel, which share the
+    /// padded layout).
     [[nodiscard]] double slot_value(int lane, int slot) const {
         return slots_.at(at(slot, lane));
     }
@@ -118,8 +118,9 @@ public:
 
     /// One slot-major pass over the slot file classifying every lane (see
     /// BatchExecutor::scan_lane_health). Shared by both backends — the
-    /// native NativeBatchModel inherits it, since the kernels share this
-    /// strided slot file — so quarantine decisions are identical everywhere.
+    /// ORC-stepped codegen::OrcBatchModel inherits it, since the kernels
+    /// share this slot file — so quarantine decisions are identical
+    /// everywhere.
     void scan_lane_health(double divergence_limit,
                           std::vector<LaneStatus>& status) const override;
 

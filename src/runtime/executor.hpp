@@ -1,7 +1,8 @@
 // Abstract execution interface for signal-flow models.
 //
 // Two implementations exist:
-//  * runtime::CompiledModel — in-process bytecode (always available);
+//  * runtime::CompiledModel — the in-process fused interpreter (always
+//    available);
 //  * codegen::NativeModel   — the generated C++ compiled by the system
 //    compiler and loaded via dlopen (the paper's actual deployment path).
 //

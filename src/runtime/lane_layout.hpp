@@ -29,10 +29,8 @@
 //   * BatchCompiledModel's slot file (reset / set_input / slot_value /
 //     compact_lanes / scan_lane_health; shard_lanes boundaries stay
 //     row-aligned via kLaneChunk = 2 * kVectorRow),
-//   * the C++ emitter's step_batch kernel (stride `S = padded_width(B)`,
-//     dynamic lane loops to S),
 //   * the ORC lowering (explicit <4 x double> rows over every padded row).
-// All four address lanes through this header, so the layout can only
+// All three address lanes through this header, so the layout can only
 // change in one place.
 #pragma once
 
@@ -44,8 +42,7 @@ struct LaneLayout {
     /// Hardware vector row width in doubles. 4 doubles = 256 bits — one
     /// AVX/AVX2 register, two SSE2/NEON registers; wider ISAs simply use
     /// two rows per operation. Every explicit-vector path (interpreter
-    /// rows, emitted kernels, ORC <4 x double> IR) is derived from this
-    /// constant.
+    /// rows, ORC <4 x double> IR) is derived from this constant.
     static constexpr int kVectorRow = 4;
 
     /// Lane stride of one slot row: the lane count rounded up to a whole

@@ -8,11 +8,9 @@
 #include <optional>
 #include <stdexcept>
 
-// The native sweep backend lives in codegen (it owns the emitters and the
-// dlopen plumbing); this .cpp-level dependency is one-way — no codegen
-// header includes runtime/simulate.hpp — and keeps backend selection a
-// plain SweepOptions field instead of a registration scheme.
-#include "codegen/native_batch.hpp"
+// The ORC backend lives in codegen; this .cpp-level dependency is one-way —
+// no codegen header includes runtime/simulate.hpp — and keeps backend
+// selection a plain SweepOptions field instead of a registration scheme.
 #include "codegen/orc_jit.hpp"
 #include "runtime/sweep_service.hpp"
 #include "support/check.hpp"
@@ -69,7 +67,7 @@ TransientResult simulate_transient(ModelExecutor& compiled,
 }
 
 SweepBackend preferred_native_backend() {
-    return codegen::orc_available() ? SweepBackend::kNativeOrc : SweepBackend::kNative;
+    return codegen::orc_available() ? SweepBackend::kNativeOrc : SweepBackend::kInterpreter;
 }
 
 SweepResult simulate_sweep(const abstraction::SignalFlowModel& model,
@@ -77,68 +75,17 @@ SweepResult simulate_sweep(const abstraction::SignalFlowModel& model,
                            const std::vector<SweepLane>& lanes, double duration_seconds,
                            const SweepOptions& options) {
     // All compile artifacts come from the process-wide ModelCache: repeat
-    // sweeps of one model skip the FusedCompiler re-run and — on the native
-    // backends — the kernel compile (ORC materialization or the external
-    // compiler invocation), even without a SweepService. Results are
+    // sweeps of one model skip the FusedCompiler re-run and — on kNativeOrc
+    // — the ORC materialization, even without a SweepService. Results are
     // unaffected (layouts and programs are immutable); only cold-start cost
     // changes.
-    ModelCache& cache = ModelCache::global();
-    const std::string fingerprint = model_fingerprint(model);
-    std::string native_error;
-    std::vector<std::string> compile_notes;
-    ModelCache::CompileInfo info;
-    if (options.backend == SweepBackend::kNativeOrc) {
-        if (auto orc = cache.orc_program_for(model, fingerprint, &native_error, &info)) {
-            codegen::OrcBatchModel batch(std::move(orc), static_cast<int>(lanes.size()));
-            SweepResult result = simulate_sweep(batch, model.inputs, shared_stimuli,
-                                                lanes, duration_seconds, options);
-            if (options.compile_diagnostics) {
-                result.diagnostics.push_back(detail::compile_note("orc jit", info));
-            }
-            return result;
-        }
-        if (!codegen::orc_available()) {
-            // Built without LLVM: the external-compiler kernel is the
-            // native fallback before the interpreter.
-            std::string external_error;
-            if (auto program =
-                    cache.program_for(model, fingerprint, options, &external_error, &info)) {
-                codegen::NativeBatchModel native(std::move(program),
-                                                 static_cast<int>(lanes.size()));
-                SweepResult result = simulate_sweep(native, model.inputs, shared_stimuli,
-                                                    lanes, duration_seconds, options);
-                if (options.compile_diagnostics) {
-                    result.diagnostics.push_back(
-                        detail::compile_note("native kernel", info));
-                }
-                return result;
-            }
-            native_error += "; " + external_error;
-        }
-    } else if (options.backend == SweepBackend::kNative) {
-        if (auto program = cache.program_for(model, fingerprint, options, &native_error,
-                                             &info)) {
-            codegen::NativeBatchModel native(std::move(program),
-                                             static_cast<int>(lanes.size()));
-            SweepResult result = simulate_sweep(native, model.inputs, shared_stimuli,
-                                                lanes, duration_seconds, options);
-            if (options.compile_diagnostics) {
-                result.diagnostics.push_back(detail::compile_note("native kernel", info));
-            }
-            return result;
-        }
-    }
-    BatchCompiledModel batch(cache.layout_for(model, fingerprint),
-                             static_cast<int>(lanes.size()));
-    SweepResult result = simulate_sweep(batch, model.inputs, shared_stimuli, lanes,
-                                        duration_seconds, options);
-    if (!native_error.empty()) {
-        // No stderr note: the degradation is data, not chatter — headless
-        // and service callers read it here (and in ServiceStats).
-        result.diagnostics.insert(result.diagnostics.begin(),
-                                  "native sweep backend unavailable (" + native_error +
-                                      "); ran on the batch interpreter");
-    }
+    const detail::SweepEngine engine = detail::choose_sweep_engine(
+        ModelCache::global(), model, model_fingerprint(model), options);
+    const std::unique_ptr<BatchExecutor> batch =
+        engine.make_executor(static_cast<int>(lanes.size()));
+    SweepResult result =
+        simulate_sweep(*batch, model.inputs, shared_stimuli, lanes, duration_seconds, options);
+    engine.annotate(result);
     return result;
 }
 
@@ -163,7 +110,7 @@ bool within_steady_band(double value, double anchor, double tolerance) {
 /// the same code and bit-identical by construction (lane results do not
 /// depend on batch width; see batch_model_test). It drives the abstract
 /// BatchExecutor surface, so the same loop serves the fused interpreter
-/// and the dlopen'ed native kernel — including the lane-health scan and
+/// and the ORC-JITed kernel — including the lane-health scan and
 /// quarantine, which read the slot file and so behave identically on both
 /// backends.
 ///
@@ -435,8 +382,8 @@ SweepResult run_sweep(BatchExecutor& batch,
     }
 
     // Worker-pool mode: each shard is its own executor over the shared
-    // compile artifact — make_shard keeps the backend, so native sweeps
-    // shard through the same dlopen'ed kernel — stepped by one worker; no
+    // compile artifact — make_shard keeps the backend, so ORC sweeps shard
+    // through the same materialized kernel — stepped by one worker; no
     // mutable state is shared between shards, so the only synchronization
     // is the join. The caller's full-width batch is left reset and
     // untouched — which is what makes the single-threaded retry below a
@@ -478,7 +425,7 @@ SweepResult run_sweep(BatchExecutor& batch,
             model->reset();
         } catch (const std::exception& e) {
             // Degrade this shard instead of failing the sweep: the fallback
-            // executor (interpreter for the native backend) is bit-identical,
+            // executor (interpreter for the ORC backend) is bit-identical,
             // so only this shard's throughput suffers.
             model = batch.make_fallback_shard(range.count);
             poolable = false;

@@ -65,50 +65,41 @@ struct SweepResult {
     /// bit-identically to a sweep that never contained the poisoned lane.
     std::vector<LaneHealth> lane_health;
     /// Human-readable notes about degraded-mode recoveries the sweep took
-    /// (native→interpreter backend fallback, per-shard fallback executors,
+    /// (ORC→interpreter backend fallback, per-shard fallback executors,
     /// worker-failure single-threaded retry). Empty on an untroubled run.
     std::vector<std::string> diagnostics;
 };
 
-/// Execution engine for simulate_sweep.
+/// Execution engine for simulate_sweep: the interpreter is the reference
+/// and the fallback, ORC produces the machine code.
 enum class SweepBackend {
     /// The in-process fused batch interpreter (BatchCompiledModel).
     kInterpreter,
-    /// Runtime-compiled machine code: the C++ emitter's step_batch kernel,
-    /// compiled with the system compiler and dlopen'ed once per model
-    /// (codegen::NativeBatchModel). Bit-identical to the interpreter lane
-    /// for lane — outputs and settled_at — at every batch width and thread
-    /// count; falls back to the interpreter when no compiler is on PATH or
-    /// compilation fails, reporting the degradation in
+    /// In-process LLVM ORC JIT: the fused instruction stream lowered to
+    /// LLVM IR and materialized through LLJIT (codegen::OrcJitProgram),
+    /// a cold compile of milliseconds. Bit-identical to the interpreter
+    /// lane for lane — outputs and settled_at — at every batch width and
+    /// thread count (the lowering never enables fast-math or FP
+    /// contraction and libm resolves in-process).
+    ///
+    /// When the program cannot be had — the library was built without
+    /// LLVM (AMSVP_WITH_LLVM=OFF), or materialization failed (e.g. the
+    /// injected jit.orc_materialize fault) — the sweep runs on the
+    /// interpreter and reports "native sweep backend unavailable" in
     /// SweepResult::diagnostics (no stderr chatter — headless and service
     /// callers observe the fallback programmatically).
     ///
-    /// Cost note: the model-compiling simulate_sweep overload serves the
-    /// kernel from the process-wide ModelCache (sweep_service.hpp), so only
-    /// the *first* sweep of a model pays the system-compiler invocation
-    /// (typically a few hundred ms); repeat sweeps of an already-seen model
-    /// reuse the dlopen'ed artifact. Long-lived callers juggling many
-    /// models and jobs should run a SweepService, which additionally pools
-    /// per-shard executors and a persistent worker pool.
-    kNative,
-    /// In-process LLVM ORC JIT: the fused instruction stream lowered to
-    /// LLVM IR and materialized through LLJIT (codegen::OrcJitProgram) —
-    /// machine-code stepping without the external-compiler roundtrip, so
-    /// a cold compile costs milliseconds instead of ~0.5 s. Bit-identical
-    /// to the interpreter lane for lane, like kNative (the lowering never
-    /// enables fast-math or FP contraction and libm resolves in-process).
-    /// When the library is built without LLVM (AMSVP_WITH_LLVM=OFF) this
-    /// backend degrades to the external-compiler path, then to the
-    /// interpreter — each degradation reported in
-    /// SweepResult::diagnostics; a runtime ORC failure (e.g. the injected
-    /// jit.orc_materialize fault) falls back to the interpreter directly.
-    /// Cached in the same ModelCache next to the external kernel.
+    /// The model-compiling simulate_sweep overload serves the program from
+    /// the process-wide ModelCache (sweep_service.hpp), so only the first
+    /// sweep of a model pays the materialization. Long-lived callers
+    /// juggling many models and jobs should run a SweepService, which
+    /// additionally pools per-shard executors and a persistent worker pool.
     kNativeOrc,
 };
 
-/// The native engine to prefer on this build: kNativeOrc when the library
-/// was built with LLVM (codegen::orc_available()), else kNative (external
-/// compiler). Callers that just want "machine code, please" use this
+/// The machine-code engine to prefer on this build: kNativeOrc when the
+/// library was built with LLVM (codegen::orc_available()), else
+/// kInterpreter. Callers that just want "machine code, please" use this
 /// instead of hard-coding a backend.
 [[nodiscard]] SweepBackend preferred_native_backend();
 
@@ -144,8 +135,8 @@ struct SweepOptions {
     int threads = 1;
     /// Execution engine. Honored by the model-compiling overload; the
     /// executor-reusing overload steps whatever executor it is handed (a
-    /// BatchCompiledModel runs interpreted, a codegen::NativeBatchModel
-    /// runs native — shards always match the executor's backend via
+    /// BatchCompiledModel runs interpreted, a codegen::OrcBatchModel runs
+    /// JITed machine code — shards always match the executor's backend via
     /// BatchExecutor::make_shard).
     SweepBackend backend = SweepBackend::kInterpreter;
 
@@ -163,21 +154,12 @@ struct SweepOptions {
     /// infinity. 0 checks non-finiteness only.
     double divergence_limit = 0.0;
 
-    /// Native-backend JIT guards, forwarded to codegen::detail::JitOptions
-    /// by the model-compiling overload: wall-clock timeout per compiler
-    /// invocation, total attempts of the compile→load sequence, and the
-    /// base backoff between attempts (doubling). On final failure the sweep
-    /// falls back to the interpreter and records a diagnostic.
-    int jit_timeout_ms = 60000;
-    int jit_attempts = 2;
-    int jit_backoff_ms = 100;
-
     /// Opt-in compile-cost notes in SweepResult::diagnostics: the
-    /// model-compiling overload (and SweepService) appends one line per
-    /// compile artifact the job touched — "cold compile <ms>" vs "cache
-    /// hit (saved ~<ms>)", per backend. Off by default so diagnostics
-    /// stay a pure degraded-mode channel (warm and cold runs of a healthy
-    /// job report identical, empty diagnostics).
+    /// model-compiling overload (and SweepService) appends one line for
+    /// the ORC program a kNativeOrc job ran on — "orc jit: cold compile
+    /// <ms>" vs "orc jit: cache hit (saved ~<ms>)". Off by default so
+    /// diagnostics stay a pure degraded-mode channel (warm and cold runs of
+    /// a healthy job report identical, empty diagnostics).
     bool compile_diagnostics = false;
 };
 
@@ -196,7 +178,7 @@ struct SweepOptions {
 /// also restores the constructed width after a previous sweep's
 /// steady-state compaction; the constructed batch width must equal
 /// lanes.size()). Any BatchExecutor works — the interpreter's
-/// BatchCompiledModel or the native codegen::NativeBatchModel — and the
+/// BatchCompiledModel or the ORC-JITed codegen::OrcBatchModel — and the
 /// sweep runs entirely through it. When `options.threads` yields more than
 /// one shard the sweep steps per-shard executors built by
 /// `batch.make_shard()` (same backend, own slot file) and `batch` itself
@@ -205,7 +187,7 @@ struct SweepOptions {
 /// steady-state retirement or lane quarantine — exactly as before.
 ///
 /// Fault tolerance: a shard whose construction fails is rebuilt via
-/// `make_fallback_shard()` (the native backend degrades that shard to the
+/// `make_fallback_shard()` (the ORC backend degrades that shard to the
 /// bit-identical interpreter); if a worker thread throws, the pool cancels
 /// the job and the whole sweep is re-run once on the calling thread using
 /// `batch` itself — a deterministic failure then propagates to the caller

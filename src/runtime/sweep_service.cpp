@@ -5,10 +5,9 @@
 #include <cstdio>
 #include <utility>
 
-// Same one-way .cpp-level dependency as simulate.cpp: the native batch
-// artifacts live in codegen, runtime headers never include codegen ones.
+// A one-way .cpp-level dependency: the ORC artifacts live in codegen, and
+// runtime headers never include codegen ones.
 #include "analysis/verifier.hpp"
-#include "codegen/native_batch.hpp"
 #include "codegen/orc_jit.hpp"
 #include "expr/printer.hpp"
 #include "runtime/lane_layout.hpp"
@@ -135,61 +134,6 @@ std::shared_ptr<const ModelLayout> ModelCache::layout_for(
     return locked_layout_for(model, fingerprint);
 }
 
-std::shared_ptr<const codegen::NativeBatchProgram> ModelCache::program_for(
-    const abstraction::SignalFlowModel& model, const SweepOptions& options,
-    std::string* error) {
-    return program_for(model, model_fingerprint(model), options, error);
-}
-
-std::shared_ptr<const codegen::NativeBatchProgram> ModelCache::program_for(
-    const abstraction::SignalFlowModel& model, const std::string& fingerprint,
-    const SweepOptions& options, std::string* error, CompileInfo* info) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    {
-        Entry& entry = locked_touch_entry(fingerprint);
-        if (entry.program != nullptr) {
-            ++stats_.program_hits;
-            stats_.compile_seconds_saved += entry.program_compile_seconds;
-            if (info != nullptr) {
-                info->hit = true;
-                info->seconds = entry.program_compile_seconds;
-            }
-            return entry.program;
-        }
-    }
-    std::shared_ptr<const ModelLayout> layout = locked_layout_for(model, fingerprint);
-    codegen::detail::JitOptions jit;
-    jit.timeout_ms = options.jit_timeout_ms;
-    jit.attempts = options.jit_attempts;
-    jit.backoff_ms = options.jit_backoff_ms;
-    const auto start = std::chrono::steady_clock::now();
-    std::string compile_error;
-    std::shared_ptr<const codegen::NativeBatchProgram> program =
-        codegen::NativeBatchProgram::compile(model, layout, &compile_error, jit);
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    stats_.compile_seconds += seconds;
-    if (info != nullptr) {
-        info->hit = false;
-        info->seconds = seconds;
-    }
-    if (program == nullptr) {
-        // NOT cached: the next request retries, so a transient failure (an
-        // injected jit.* fault, a killed compiler) cannot poison the entry.
-        ++stats_.program_failures;
-        if (error != nullptr) {
-            *error = compile_error.empty() ? "native batch compilation failed"
-                                           : compile_error;
-        }
-        return nullptr;
-    }
-    ++stats_.program_misses;
-    Entry& entry = locked_touch_entry(fingerprint);
-    entry.program = program;
-    entry.program_compile_seconds = seconds;
-    return program;
-}
-
 std::shared_ptr<const codegen::OrcJitProgram> ModelCache::orc_program_for(
     const abstraction::SignalFlowModel& model, std::string* error) {
     return orc_program_for(model, model_fingerprint(model), error);
@@ -224,7 +168,8 @@ std::shared_ptr<const codegen::OrcJitProgram> ModelCache::orc_program_for(
         info->seconds = seconds;
     }
     if (program == nullptr) {
-        // Same no-poison rule as the external kernel: failures retry.
+        // NOT cached: the next request retries, so a transient failure (an
+        // injected jit.orc_materialize fault) cannot poison the entry.
         ++stats_.orc_failures;
         if (error != nullptr) {
             *error = compile_error.empty() ? "orc jit compilation failed" : compile_error;
@@ -271,18 +216,53 @@ std::size_t ModelCache::size() const {
     return entries_.size();
 }
 
+// ---------------------------------------------------------------------------
+// Engine choice
+
 namespace detail {
 
-std::string compile_note(const char* backend, const ModelCache::CompileInfo& info) {
-    char text[128];
-    if (info.hit) {
-        std::snprintf(text, sizeof(text), "%s: cache hit (saved ~%.3f ms)", backend,
-                      info.seconds * 1e3);
-    } else {
-        std::snprintf(text, sizeof(text), "%s: cold compile %.3f ms", backend,
-                      info.seconds * 1e3);
+std::unique_ptr<BatchExecutor> SweepEngine::make_executor(int width) const {
+    if (orc_program != nullptr) {
+        return std::make_unique<codegen::OrcBatchModel>(orc_program, width);
     }
-    return text;
+    return std::make_unique<BatchCompiledModel>(layout, width);
+}
+
+void SweepEngine::annotate(SweepResult& result) const {
+    if (!fallback_note.empty()) {
+        result.diagnostics.insert(result.diagnostics.begin(), fallback_note);
+    }
+    if (!compile_note.empty()) {
+        result.diagnostics.push_back(compile_note);
+    }
+}
+
+SweepEngine choose_sweep_engine(ModelCache& cache, const abstraction::SignalFlowModel& model,
+                                const std::string& fingerprint, const SweepOptions& options) {
+    SweepEngine engine;
+    if (options.backend == SweepBackend::kNativeOrc) {
+        std::string error;
+        ModelCache::CompileInfo info;
+        engine.orc_program = cache.orc_program_for(model, fingerprint, &error, &info);
+        if (engine.orc_program != nullptr) {
+            engine.layout = engine.orc_program->layout();
+            if (options.compile_diagnostics) {
+                char text[128];
+                std::snprintf(text, sizeof(text),
+                              info.hit ? "orc jit: cache hit (saved ~%.3f ms)"
+                                       : "orc jit: cold compile %.3f ms",
+                              info.seconds * 1e3);
+                engine.compile_note = text;
+            }
+            return engine;
+        }
+        // No stderr note: the degradation is data, not chatter — headless
+        // and service callers read it in the diagnostics (and ServiceStats).
+        engine.fallback_note =
+            "native sweep backend unavailable (" + error + "); ran on the batch interpreter";
+    }
+    engine.layout = cache.layout_for(model, fingerprint);
+    return engine;
 }
 
 }  // namespace detail
@@ -300,23 +280,16 @@ int resolve_service_threads(int requested) {
 }  // namespace
 
 /// detail::SweepShardPool over the service's warm executor pools: one
-/// adapter per job, carrying the job's compile artifacts so a cold acquire
-/// can build the right backend at the requested width.
+/// adapter per job, carrying the job's engine so a cold acquire can build
+/// the right executor at the requested width.
 class SweepService::ShardPoolAdapter final : public detail::SweepShardPool {
 public:
     ShardPoolAdapter(SweepService& service, std::string key_prefix,
-                     std::shared_ptr<const ModelLayout> layout,
-                     std::shared_ptr<const codegen::NativeBatchProgram> program,
-                     std::shared_ptr<const codegen::OrcJitProgram> orc_program)
-        : service_(service),
-          key_prefix_(std::move(key_prefix)),
-          layout_(std::move(layout)),
-          program_(std::move(program)),
-          orc_program_(std::move(orc_program)) {}
+                     const detail::SweepEngine& engine)
+        : service_(service), key_prefix_(std::move(key_prefix)), engine_(engine) {}
 
     std::unique_ptr<BatchExecutor> acquire(int lane_count) override {
-        return service_.acquire_executor(key_prefix_, lane_count, layout_, program_,
-                                         orc_program_);
+        return service_.acquire_executor(key_prefix_, lane_count, engine_);
     }
 
     void release(std::unique_ptr<BatchExecutor> executor) override {
@@ -329,9 +302,7 @@ public:
 private:
     SweepService& service_;
     std::string key_prefix_;
-    std::shared_ptr<const ModelLayout> layout_;
-    std::shared_ptr<const codegen::NativeBatchProgram> program_;
-    std::shared_ptr<const codegen::OrcJitProgram> orc_program_;
+    const detail::SweepEngine& engine_;
 };
 
 SweepService::SweepService(ServiceOptions options)
@@ -409,58 +380,19 @@ void SweepService::dispatcher_loop() {
 
 SweepResult SweepService::execute(SweepJob& job) {
     const std::string fingerprint = model_fingerprint(job.model);
-    const std::shared_ptr<const ModelLayout> layout =
-        cache_->layout_for(job.model, fingerprint);
-
-    std::shared_ptr<const codegen::NativeBatchProgram> program;
-    std::shared_ptr<const codegen::OrcJitProgram> orc_program;
-    std::string native_error;
-    std::vector<std::string> compile_notes;
-    ModelCache::CompileInfo info;
-    if (job.options.backend == SweepBackend::kNativeOrc) {
-        orc_program = cache_->orc_program_for(job.model, fingerprint, &native_error, &info);
-        if (orc_program != nullptr) {
-            if (job.options.compile_diagnostics) {
-                compile_notes.push_back(detail::compile_note("orc jit", info));
-            }
-        } else if (!codegen::orc_available()) {
-            // Built without LLVM: the external-compiler kernel is the
-            // native fallback before the interpreter.
-            std::string external_error;
-            program = cache_->program_for(job.model, fingerprint, job.options,
-                                          &external_error, &info);
-            if (program != nullptr) {
-                native_error.clear();
-                if (job.options.compile_diagnostics) {
-                    compile_notes.push_back(detail::compile_note("native kernel", info));
-                }
-            } else {
-                native_error += "; " + external_error;
-            }
-        }
-        if (orc_program == nullptr && program == nullptr) {
-            native_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        }
-    } else if (job.options.backend == SweepBackend::kNative) {
-        program = cache_->program_for(job.model, fingerprint, job.options, &native_error,
-                                      &info);
-        if (program == nullptr) {
-            native_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        } else if (job.options.compile_diagnostics) {
-            compile_notes.push_back(detail::compile_note("native kernel", info));
-        }
+    const detail::SweepEngine engine =
+        detail::choose_sweep_engine(*cache_, job.model, fingerprint, job.options);
+    if (!engine.fallback_note.empty()) {
+        native_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     }
 
     // Interpreter-fallback jobs pool under the interpreter key: if the next
-    // job's compile succeeds it must NOT be handed an interpreter executor
-    // (and an ORC job must never be handed an external-kernel one).
+    // job's compile succeeds it must NOT be handed an interpreter executor.
     const std::string key_prefix =
-        fingerprint + (orc_program != nullptr  ? "|orc|"
-                       : program != nullptr    ? "|native|"
-                                               : "|interp|");
-    std::unique_ptr<BatchExecutor> primary = acquire_executor(
-        key_prefix, static_cast<int>(job.lanes.size()), layout, program, orc_program);
-    ShardPoolAdapter shard_pool(*this, key_prefix, layout, program, orc_program);
+        fingerprint + (engine.orc_program != nullptr ? "|orc|" : "|interp|");
+    std::unique_ptr<BatchExecutor> primary =
+        acquire_executor(key_prefix, static_cast<int>(job.lanes.size()), engine);
+    ShardPoolAdapter shard_pool(*this, key_prefix, engine);
 
     // Any failure below throws through to the dispatcher: `primary` (and
     // every shard run_sweep acquired) is destroyed instead of released.
@@ -468,26 +400,12 @@ SweepResult SweepService::execute(SweepJob& job) {
         detail::run_sweep(*primary, job.model.inputs, job.stimuli, job.lanes,
                           job.duration_seconds, job.options, &shard_pool, &pool_);
     release_executor(key_prefix, std::move(primary));
-
-    if (!native_error.empty()) {
-        // Same note, same position as the model-compiling simulate_sweep
-        // overload — service results stay bit-identical, diagnostics
-        // included.
-        result.diagnostics.insert(result.diagnostics.begin(),
-                                  "native sweep backend unavailable (" + native_error +
-                                      "); ran on the batch interpreter");
-    }
-    for (std::string& note : compile_notes) {
-        result.diagnostics.push_back(std::move(note));
-    }
+    engine.annotate(result);
     return result;
 }
 
 std::unique_ptr<BatchExecutor> SweepService::acquire_executor(
-    const std::string& key_prefix, int width,
-    const std::shared_ptr<const ModelLayout>& layout,
-    const std::shared_ptr<const codegen::NativeBatchProgram>& program,
-    const std::shared_ptr<const codegen::OrcJitProgram>& orc_program) {
+    const std::string& key_prefix, int width, const detail::SweepEngine& engine) {
     const std::string key = key_prefix + std::to_string(width);
     const auto it = idle_.find(key);
     if (it != idle_.end() && !it->second.empty()) {
@@ -497,15 +415,10 @@ std::unique_ptr<BatchExecutor> SweepService::acquire_executor(
         return executor;
     }
     executors_built_.fetch_add(1, std::memory_order_relaxed);
-    slot_doubles_built_.fetch_add(LaneLayout::slot_file_size(layout->slot_count(), width),
-                                  std::memory_order_relaxed);
-    if (orc_program != nullptr) {
-        return std::make_unique<codegen::OrcBatchModel>(orc_program, width);
-    }
-    if (program != nullptr) {
-        return std::make_unique<codegen::NativeBatchModel>(program, width);
-    }
-    return std::make_unique<BatchCompiledModel>(layout, width);
+    slot_doubles_built_.fetch_add(
+        LaneLayout::slot_file_size(engine.layout->slot_count(), width),
+        std::memory_order_relaxed);
+    return engine.make_executor(width);
 }
 
 void SweepService::release_executor(const std::string& key_prefix,

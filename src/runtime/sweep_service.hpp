@@ -1,18 +1,21 @@
 // Persistent sweep service: Monte-Carlo as a served workload.
 //
 // A single simulate_sweep call pays cold-start costs that dominate short
-// jobs — the FusedCompiler run, the native backend's external-compiler
-// invocation (~0.5 s per model), and a fresh slot file per shard. This
-// header owns the machinery that makes repeat sweeps warm:
+// jobs — the FusedCompiler run, the ORC materialization (tens of ms per
+// model), and a fresh slot file per shard. This header owns the machinery
+// that makes repeat sweeps warm:
 //
 //  * model_fingerprint(): a deterministic canonical text of a
 //    SignalFlowModel — same program, same fingerprint — used as the cache
 //    key everywhere below;
 //  * ModelCache: a thread-safe fingerprint-keyed cache of the two shared,
 //    immutable compile artifacts (runtime::ModelLayout and
-//    codegen::NativeBatchProgram). The model-compiling simulate_sweep
+//    codegen::OrcJitProgram). The model-compiling simulate_sweep
 //    overload serves from ModelCache::global(), so even service-less
 //    callers skip recompiles after the first sweep of a model;
+//  * detail::choose_sweep_engine(): the one place a job's engine — ORC or
+//    the interpreter — is picked, shared by simulate_sweep and the
+//    service so both run and report a job identically;
 //  * SweepService: a long-lived object owning a ModelCache, warm pools of
 //    pre-built per-shard executors (reset between jobs instead of
 //    reconstructed), one persistent support::ThreadPool shared across
@@ -23,11 +26,12 @@
 // construction: the service drives the same detail::run_sweep engine
 // (simulate.hpp) over executors of the same backend, width and layout; the
 // cache only removes *redundant* work (recompiles, reconstructions), never
-// reorders the arithmetic. All the PR-6 fault-tolerance paths flow through
-// unchanged — JIT retry/backoff, fallback shards, the single-threaded
-// worker-failure retry — and a failed job never poisons the cache or a
-// pooled executor: compile failures are not cached (the next job retries),
-// and executors touched by a failing job are dropped, not released.
+// reorders the arithmetic. The fault-tolerance paths flow through
+// unchanged — the ORC→interpreter fallback, fallback shards, the
+// single-threaded worker-failure retry — and a failed job never poisons the
+// cache or a pooled executor: compile failures are not cached (the next job
+// retries), and executors touched by a failing job are dropped, not
+// released.
 #pragma once
 
 #include <condition_variable>
@@ -46,7 +50,6 @@
 #include "support/thread_pool.hpp"
 
 namespace amsvp::codegen {
-class NativeBatchProgram;
 class OrcJitProgram;
 }  // namespace amsvp::codegen
 
@@ -60,40 +63,32 @@ namespace amsvp::runtime {
 [[nodiscard]] std::string model_fingerprint(const abstraction::SignalFlowModel& model);
 
 /// Thread-safe fingerprint-keyed cache of the per-model compile artifacts:
-/// the kFused ModelLayout and (native backend) the dlopen'ed
-/// NativeBatchProgram. Both are immutable and shared by any number of
-/// executors and threads, so one cache entry serves every width, shard and
-/// job of a model.
+/// the kFused ModelLayout and (kNativeOrc jobs) the materialized
+/// OrcJitProgram. Both are immutable and shared by any number of executors
+/// and threads, so one cache entry serves every width, shard and job of a
+/// model.
 ///
 /// Compiles run under the cache lock: concurrent first requests for one
 /// model dedupe into a single compile (the losers wait, then hit), at the
 /// cost of briefly blocking unrelated lookups — the right trade for a
-/// compile measured in hundreds of milliseconds against lookups measured
-/// in microseconds. Failed native compiles are NOT cached: the next
-/// request retries, so a transient failure (or an injected jit.* fault)
-/// cannot permanently poison the entry.
+/// compile measured in milliseconds against lookups measured in
+/// microseconds. Failed ORC compiles are NOT cached: the next request
+/// retries, so a transient failure (or an injected jit.orc_materialize
+/// fault) cannot permanently poison the entry.
 class ModelCache {
 public:
     struct Stats {
         std::uint64_t layout_hits = 0;
         std::uint64_t layout_misses = 0;
-        std::uint64_t program_hits = 0;
-        std::uint64_t program_misses = 0;
-        std::uint64_t program_failures = 0;  ///< native compiles that returned null
-        /// The same trio for the in-process ORC JIT artifact.
         std::uint64_t orc_hits = 0;
         std::uint64_t orc_misses = 0;
         std::uint64_t orc_failures = 0;  ///< ORC compiles that returned null
         /// Entries dropped by the LRU capacity bound (set_capacity).
         std::uint64_t evictions = 0;
-        /// Wall-clock seconds spent in native kernel compiles (misses).
-        double compile_seconds = 0.0;
-        /// Estimated seconds NOT spent: each program hit credits the
-        /// model's measured compile cost.
-        double compile_seconds_saved = 0.0;
-        /// Same pair for ORC compiles — the cold-compile wall time per
-        /// backend the service reports (ORC runs ~10-100x cheaper).
+        /// Wall-clock seconds spent in ORC compiles (misses and failures).
         double orc_compile_seconds = 0.0;
+        /// Estimated seconds NOT spent: each ORC hit credits the model's
+        /// measured compile cost.
         double orc_compile_seconds_saved = 0.0;
     };
 
@@ -117,24 +112,12 @@ public:
     [[nodiscard]] std::shared_ptr<const ModelLayout> layout_for(
         const abstraction::SignalFlowModel& model, const std::string& fingerprint);
 
-    /// The cached native batch kernel of `model`, compiling (over the
-    /// cached layout) on first request. Returns nullptr with `error` set
-    /// when native compilation is unavailable or fails — the failure is
-    /// not cached. `options` supplies the jit_* guard knobs.
-    [[nodiscard]] std::shared_ptr<const codegen::NativeBatchProgram> program_for(
-        const abstraction::SignalFlowModel& model, const SweepOptions& options,
-        std::string* error = nullptr);
-    [[nodiscard]] std::shared_ptr<const codegen::NativeBatchProgram> program_for(
-        const abstraction::SignalFlowModel& model, const std::string& fingerprint,
-        const SweepOptions& options, std::string* error = nullptr,
-        CompileInfo* info = nullptr);
-
     /// The cached in-process ORC JIT program of `model` (the artifact
     /// behind SweepBackend::kNativeOrc), materializing over the cached
     /// layout on first request. Returns nullptr with `error` set when the
     /// library was built without LLVM or the compile fails — the failure
-    /// is not cached. Lives in the same Entry as the external kernel, so
-    /// one model's artifacts age (and evict) together.
+    /// is not cached. Lives in the same Entry as the layout, so one
+    /// model's artifacts age (and evict) together.
     [[nodiscard]] std::shared_ptr<const codegen::OrcJitProgram> orc_program_for(
         const abstraction::SignalFlowModel& model, std::string* error = nullptr);
     [[nodiscard]] std::shared_ptr<const codegen::OrcJitProgram> orc_program_for(
@@ -165,15 +148,13 @@ public:
 private:
     struct Entry {
         std::shared_ptr<const ModelLayout> layout;
-        std::shared_ptr<const codegen::NativeBatchProgram> program;
-        double program_compile_seconds = 0.0;
         std::shared_ptr<const codegen::OrcJitProgram> orc_program;
         double orc_compile_seconds = 0.0;
         /// This entry's position in lru_ (front = most recent).
         std::list<std::string>::iterator lru_position;
     };
 
-    /// Serve-or-compile under the held lock (both artifacts).
+    /// Serve-or-compile the layout under the held lock.
     [[nodiscard]] std::shared_ptr<const ModelLayout> locked_layout_for(
         const abstraction::SignalFlowModel& model, const std::string& fingerprint);
 
@@ -190,6 +171,42 @@ private:
     std::size_t capacity_ = kDefaultCapacity;
     Stats stats_;
 };
+
+namespace detail {
+
+/// The engine one sweep job runs on, chosen once from
+/// SweepOptions::backend over a model's cached artifacts. The
+/// model-compiling simulate_sweep overload and SweepService both choose
+/// through choose_sweep_engine(), so a direct and a served job step the
+/// same engine and carry the same diagnostics, by construction.
+struct SweepEngine {
+    /// The model's cached kFused layout (always set).
+    std::shared_ptr<const ModelLayout> layout;
+    /// The ORC program when the job asked for kNativeOrc and got one; null
+    /// means the job runs on the interpreter.
+    std::shared_ptr<const codegen::OrcJitProgram> orc_program;
+    /// "native sweep backend unavailable (<why>); ran on the batch
+    /// interpreter" when a kNativeOrc job fell back, else empty.
+    std::string fallback_note;
+    /// The SweepOptions::compile_diagnostics note, else empty.
+    std::string compile_note;
+
+    /// A fresh executor of this engine, `width` lanes wide.
+    [[nodiscard]] std::unique_ptr<BatchExecutor> make_executor(int width) const;
+
+    /// Add the notes to a finished job's diagnostics: the fallback note
+    /// first, the compile note last.
+    void annotate(SweepResult& result) const;
+};
+
+/// Pick `model`'s engine from `cache`: the ORC program for a kNativeOrc
+/// job when it materializes, the interpreter otherwise.
+[[nodiscard]] SweepEngine choose_sweep_engine(ModelCache& cache,
+                                              const abstraction::SignalFlowModel& model,
+                                              const std::string& fingerprint,
+                                              const SweepOptions& options);
+
+}  // namespace detail
 
 /// One queued sweep request: exactly the arguments of the model-compiling
 /// simulate_sweep overload, owned by value so the submitting thread can
@@ -228,8 +245,8 @@ struct ServiceStats {
     std::uint64_t jobs_completed = 0;
     /// Jobs whose future carries an exception instead of a result.
     std::uint64_t jobs_failed = 0;
-    /// Native-backend jobs that ran on the interpreter because the kernel
-    /// compile failed or no compiler was available (the job's
+    /// kNativeOrc jobs that ran on the interpreter because the ORC program
+    /// failed to materialize or the build has no LLVM (the job's
     /// SweepResult::diagnostics carries the detail).
     std::uint64_t native_fallbacks = 0;
     /// Executors constructed (cold) vs served from the warm pool.
@@ -286,16 +303,13 @@ private:
     void dispatcher_loop();
     [[nodiscard]] SweepResult execute(SweepJob& job);
 
-    /// Warm executor pools, keyed "<fingerprint>|<backend>|<width>" (the
+    /// Warm executor pools, keyed "<fingerprint>|<engine>|<width>" (the
     /// width is appended to `key_prefix` internally — release re-reads it
     /// from the executor after reset restores the constructed width). Only
     /// the dispatcher thread touches these (jobs run one at a time), so no
     /// lock is needed — stats are atomics for outside observers.
     [[nodiscard]] std::unique_ptr<BatchExecutor> acquire_executor(
-        const std::string& key_prefix, int width,
-        const std::shared_ptr<const ModelLayout>& layout,
-        const std::shared_ptr<const codegen::NativeBatchProgram>& program,
-        const std::shared_ptr<const codegen::OrcJitProgram>& orc_program);
+        const std::string& key_prefix, int width, const detail::SweepEngine& engine);
     void release_executor(const std::string& key_prefix,
                           std::unique_ptr<BatchExecutor> executor);
 
@@ -322,16 +336,5 @@ private:
 
     std::thread dispatcher_;  ///< last member: joins before the rest dies
 };
-
-namespace detail {
-
-/// The SweepOptions::compile_diagnostics note for one artifact request:
-/// "<backend>: cold compile <ms> ms" or "<backend>: cache hit (saved
-/// ~<ms> ms)". One formatter, shared by SweepService and the
-/// model-compiling simulate_sweep overload, so both report identically.
-[[nodiscard]] std::string compile_note(const char* backend,
-                                       const ModelCache::CompileInfo& info);
-
-}  // namespace detail
 
 }  // namespace amsvp::runtime

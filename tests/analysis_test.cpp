@@ -505,7 +505,6 @@ TEST(AnalysisLint, ExpProvesPositiveDivisorsafe) {
 codegen::detail::EmitPlan plan_for(const SignalFlowModel& model,
                                    const std::shared_ptr<const ModelLayout>& layout) {
     codegen::CodegenOptions options;
-    options.batch_kernel = true;
     options.layout = layout;
     return codegen::detail::build_plan(model, options);
 }
@@ -550,12 +549,11 @@ TEST(AnalysisConformance, EmitPlanDriftIsDetected) {
                   std::string::npos)
             << diags.render_all();
     }
-    {  // dropped operand in a batch statement
+    {  // dropped operand
         codegen::detail::EmitPlan plan = clean;
-        ASSERT_FALSE(plan.batch_statements.empty());
         bool corrupted = false;
         const analysis::ProgramView view = analysis::view_of(*layout);
-        for (std::size_t i = 0; i < plan.batch_statements.size(); ++i) {
+        for (std::size_t i = 0; i < plan.assignments.size(); ++i) {
             const FusedInstr& instr = (*view.code)[i];
             bool has_nonconst_read = false;
             analysis::for_each_read_slot(instr, *view.lin_terms,
@@ -566,9 +564,10 @@ TEST(AnalysisConformance, EmitPlanDriftIsDetected) {
             if (!has_nonconst_read) {
                 continue;
             }
-            const std::string lhs = "s[" + std::to_string(instr.dst) + " * S + l]";
-            plan.batch_statements[i] =
-                "for (int l = 0; l < L; ++l) " + lhs + " = 0.0;";
+            // Keep the statement's own assignment prefix so only the
+            // operand check can object.
+            const std::string text = plan.assignments[i];
+            plan.assignments[i] = text.substr(0, text.find(" = ")) + " = 0.0;";
             corrupted = true;
             break;
         }

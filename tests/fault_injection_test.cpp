@@ -10,13 +10,14 @@
 
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "abstraction/abstraction.hpp"
-#include "codegen/native_batch.hpp"
-#include "codegen/native_jit.hpp"
+#include "codegen/native_model.hpp"
+#include "codegen/orc_jit.hpp"
 #include "netlist/builder.hpp"
 #include "runtime/simulate.hpp"
 #include "support/fault.hpp"
@@ -141,33 +142,29 @@ bool diagnostics_mention(const SweepResult& result, const std::string& needle) {
 }
 
 // --- jit.compile / jit.dlopen / jit.dlsym ------------------------------------
+// The scalar NativeModel path: every compile is tried twice, so a fault that
+// fires once is healed by the retry and a persistent one is reported.
 
 TEST_F(FaultInjectionJit, TransientCompileFailureHealedByRetry) {
-    if (!codegen::detail::jit_available()) {
+    if (!codegen::native_compilation_available()) {
         GTEST_SKIP() << "no C++ compiler in PATH";
     }
     const auto model = ladder_model();
     fault::arm("jit.compile", fault::Trigger::kOnce);
-    codegen::detail::JitOptions jit;
-    jit.attempts = 2;
-    jit.backoff_ms = 1;
     std::string error;
-    const auto native = codegen::NativeBatchModel::compile(model, 4, &error, jit);
+    const auto native = codegen::NativeModel::compile(model, &error);
     ASSERT_NE(native, nullptr) << error;  // second attempt succeeded
     EXPECT_EQ(fault::fire_count("jit.compile"), 1);
 }
 
 TEST_F(FaultInjectionJit, PersistentCompileFailureReportsStderrAndAttempts) {
-    if (!codegen::detail::jit_available()) {
+    if (!codegen::native_compilation_available()) {
         GTEST_SKIP() << "no C++ compiler in PATH";
     }
     const auto model = ladder_model();
     fault::arm("jit.compile", fault::Trigger::kAlways);
-    codegen::detail::JitOptions jit;
-    jit.attempts = 2;
-    jit.backoff_ms = 1;
     std::string error;
-    const auto native = codegen::NativeBatchModel::compile(model, 4, &error, jit);
+    const auto native = codegen::NativeModel::compile(model, &error);
     EXPECT_EQ(native, nullptr);
     // The diagnostic carries the captured compiler stderr (here: the
     // injected marker) and says how many attempts were spent.
@@ -178,58 +175,56 @@ TEST_F(FaultInjectionJit, PersistentCompileFailureReportsStderrAndAttempts) {
 }
 
 TEST_F(FaultInjectionJit, TransientDlopenFailureHealedByRetry) {
-    if (!codegen::detail::jit_available()) {
+    if (!codegen::native_compilation_available()) {
         GTEST_SKIP() << "no C++ compiler in PATH";
     }
     const auto model = ladder_model();
     fault::arm("jit.dlopen", fault::Trigger::kOnce);
-    codegen::detail::JitOptions jit;
-    jit.attempts = 2;
-    jit.backoff_ms = 1;
     std::string error;
-    const auto native = codegen::NativeBatchModel::compile(model, 4, &error, jit);
+    const auto native = codegen::NativeModel::compile(model, &error);
     ASSERT_NE(native, nullptr) << error;
     EXPECT_EQ(fault::fire_count("jit.dlopen"), 1);
 }
 
 TEST_F(FaultInjectionJit, TransientDlsymFailureHealedByRetry) {
-    if (!codegen::detail::jit_available()) {
+    if (!codegen::native_compilation_available()) {
         GTEST_SKIP() << "no C++ compiler in PATH";
     }
     const auto model = ladder_model();
     fault::arm("jit.dlsym", fault::Trigger::kOnce);
-    codegen::detail::JitOptions jit;
-    jit.attempts = 2;
-    jit.backoff_ms = 1;
     std::string error;
-    const auto native = codegen::NativeBatchModel::compile(model, 4, &error, jit);
+    const auto native = codegen::NativeModel::compile(model, &error);
     ASSERT_NE(native, nullptr) << error;
     EXPECT_EQ(fault::fire_count("jit.dlsym"), 1);
 }
 
-TEST_F(FaultInjectionJit, PersistentLoadFailureFallsBackToInterpreterSweep) {
-    if (!codegen::detail::jit_available()) {
+TEST_F(FaultInjectionJit, PersistentLoadFailureFallsBackToInterpreter) {
+    if (!codegen::native_compilation_available()) {
         GTEST_SKIP() << "no C++ compiler in PATH";
     }
     const auto model = ladder_model();
-    const auto lanes = varied_lanes(8);
+    const std::map<std::string, numeric::SourceFunction> stimuli{
+        {"u0", numeric::square_wave(1e-3)}};
     const double duration = 100 * model.timestep;
-    const SweepResult reference = simulate_sweep(model, {}, lanes, duration);
 
     fault::arm("jit.dlopen", fault::Trigger::kAlways);
-    SweepOptions options;
-    options.backend = SweepBackend::kNative;
-    options.jit_attempts = 1;  // keep the test to one real compiler run
-    const SweepResult faulted = simulate_sweep(model, {}, lanes, duration, options);
+    const auto executor = codegen::native_executor_factory()(model);
     fault::disarm("jit.dlopen");
+    EXPECT_EQ(fault::fire_count("jit.dlopen"), 2);  // both attempts
 
-    // The sweep still ran — on the interpreter, bit-identically — and said
-    // so in the diagnostics instead of only on stderr.
-    expect_identical(faulted, reference);
-    ASSERT_FALSE(faulted.diagnostics.empty());
-    EXPECT_TRUE(diagnostics_mention(faulted, "native sweep backend unavailable"));
-    EXPECT_TRUE(diagnostics_mention(faulted, "injected fault: jit.dlopen"));
-    EXPECT_GE(fault::fire_count("jit.dlopen"), 1);
+    // The factory still handed back a working executor — the fused
+    // interpreter — and it runs bit-identically to a direct one.
+    ASSERT_NE(dynamic_cast<CompiledModel*>(executor.get()), nullptr);
+    CompiledModel reference(model);
+    const TransientResult got = simulate_transient(*executor, model.inputs, stimuli, duration);
+    const TransientResult want = simulate_transient(reference, model.inputs, stimuli, duration);
+    ASSERT_EQ(got.outputs.size(), want.outputs.size());
+    for (std::size_t o = 0; o < want.outputs.size(); ++o) {
+        ASSERT_EQ(got.outputs[o].size(), want.outputs[o].size());
+        for (std::size_t k = 0; k < want.outputs[o].size(); ++k) {
+            ASSERT_EQ(got.outputs[o].value(k), want.outputs[o].value(k)) << "sample " << k;
+        }
+    }
 }
 
 // --- pool.worker -------------------------------------------------------------
@@ -370,8 +365,8 @@ TEST_F(FaultInjectionSweep, NanLaneQuarantinedOnInterpreterAtEveryThreadCount) {
 }
 
 TEST_F(FaultInjectionSweep, NanLaneQuarantinedOnNativeBackend) {
-    if (!codegen::detail::jit_available()) {
-        GTEST_SKIP() << "no C++ compiler in PATH";
+    if (!codegen::orc_available()) {
+        GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
     }
     const auto model = ladder_model();
     constexpr int kLanes = 12;
@@ -380,8 +375,7 @@ TEST_F(FaultInjectionSweep, NanLaneQuarantinedOnNativeBackend) {
     const double duration = 150 * model.timestep;
 
     std::string error;
-    const auto native =
-        codegen::NativeBatchModel::compile(model, kLanes, &error);
+    const auto native = codegen::OrcBatchModel::compile(model, kLanes, &error);
     ASSERT_NE(native, nullptr) << error;
 
     for (const int threads : {1, 2}) {
@@ -438,16 +432,16 @@ TEST_F(FaultInjectionSweep, ShardAllocFailureDegradesToFallbackExecutor) {
 }
 
 TEST_F(FaultInjectionSweep, NativeShardAllocFailureFallsBackToInterpreterShard) {
-    if (!codegen::detail::jit_available()) {
-        GTEST_SKIP() << "no C++ compiler in PATH";
+    if (!codegen::orc_available()) {
+        GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
     }
     const auto model = ladder_model();
     const auto lanes = varied_lanes(24);
     const double duration = 120 * model.timestep;
 
     std::string error;
-    const auto native = codegen::NativeBatchModel::compile(
-        model, static_cast<int>(lanes.size()), &error);
+    const auto native =
+        codegen::OrcBatchModel::compile(model, static_cast<int>(lanes.size()), &error);
     ASSERT_NE(native, nullptr) << error;
     const SweepResult reference =
         simulate_sweep(*native, model.inputs, {}, lanes, duration);
@@ -458,7 +452,7 @@ TEST_F(FaultInjectionSweep, NativeShardAllocFailureFallsBackToInterpreterShard) 
     const SweepResult degraded =
         simulate_sweep(*native, model.inputs, {}, lanes, duration, options);
     EXPECT_EQ(fault::fire_count("sweep.shard_alloc"), 1);
-    // Shard 0 ran on the interpreter fallback; native and interpreter are
+    // Shard 0 ran on the interpreter fallback; ORC and interpreter are
     // bit-identical, so the merged result still matches exactly.
     expect_identical(degraded, reference);
     EXPECT_TRUE(diagnostics_mention(degraded, "fallback executor"));

@@ -2,13 +2,19 @@
 // runtime must behave exactly like the in-process fused interpreter — the
 // emitters render the same FusedProgram IR the interpreter executes, and
 // both sides build with -ffp-contract=off, so traces (and the whole model
-// slot file) must match bit-for-bit, not just to tolerance.
+// slot file) must match bit-for-bit, not just to tolerance. Also covers the
+// guarded compiler runner and concurrent native compilation (suite name
+// ThreadedSweepNativeCompile feeds the `threads` ctest label for the
+// -DAMSVP_TSAN=ON config).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <map>
+#include <thread>
 
 #include "abstraction/abstraction.hpp"
 #include "codegen/native_jit.hpp"
@@ -17,6 +23,8 @@
 #include "netlist/builder.hpp"
 #include "random_models.hpp"
 #include "runtime/simulate.hpp"
+#include "support/fault.hpp"
+#include "support/thread_pool.hpp"
 
 namespace amsvp::codegen {
 namespace {
@@ -72,17 +80,14 @@ abstraction::SignalFlowModel ladder_model(int stages) {
     return std::move(*model);
 }
 
-/// Bit-for-bit trace comparison of the native-compiled generated code and
-/// the fused interpreter under the given stimuli.
-void expect_native_matches_fused(const abstraction::SignalFlowModel& model,
-                                 const std::map<std::string, numeric::SourceFunction>& stimuli,
-                                 double duration) {
-    std::string error;
-    auto native = NativeModel::compile(model, &error);
-    ASSERT_NE(native, nullptr) << error;
+/// Bit-for-bit trace comparison of `executor` and the fused interpreter
+/// under the given stimuli.
+void expect_matches_fused(runtime::ModelExecutor& executor,
+                          const abstraction::SignalFlowModel& model,
+                          const std::map<std::string, numeric::SourceFunction>& stimuli,
+                          double duration) {
     runtime::CompiledModel fused(model, runtime::EvalStrategy::kFused);
-
-    auto native_run = runtime::simulate_transient(*native, model.inputs, stimuli, duration);
+    auto native_run = runtime::simulate_transient(executor, model.inputs, stimuli, duration);
     auto fused_run = runtime::simulate_transient(fused, model.inputs, stimuli, duration);
 
     ASSERT_EQ(native_run.outputs.size(), fused_run.outputs.size());
@@ -95,6 +100,16 @@ void expect_native_matches_fused(const abstraction::SignalFlowModel& model,
             ASSERT_EQ(n.value(k), f.value(k)) << "output " << o << " sample " << k;
         }
     }
+}
+
+/// The same, for the native-compiled generated code.
+void expect_native_matches_fused(const abstraction::SignalFlowModel& model,
+                                 const std::map<std::string, numeric::SourceFunction>& stimuli,
+                                 double duration) {
+    std::string error;
+    auto native = NativeModel::compile(model, &error);
+    ASSERT_NE(native, nullptr) << error;
+    expect_matches_fused(*native, model, stimuli, duration);
 }
 
 class NativeVsFused : public ::testing::TestWithParam<int> {};
@@ -342,14 +357,61 @@ TEST(NativeJit, CompilerFailureKeepsOnlyTheLog) {
     EXPECT_NE(files[0].find(".log"), std::string::npos) << files[0];
 }
 
+/// Whether process `pid` has exited: gone from /proc, or a zombie waiting
+/// for a reaper that may never come (a container's init need not reap).
+bool process_exited(pid_t pid) {
+    std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+    std::string line;
+    if (!std::getline(stat, line)) {
+        return true;
+    }
+    // "<pid> (<comm>) <state> ...": the state follows the last ')'.
+    const std::size_t close = line.rfind(')');
+    if (close == std::string::npos || close + 2 >= line.size()) {
+        return true;
+    }
+    return line[close + 2] == 'Z' || line[close + 2] == 'X';
+}
+
+// The guarded runner's timeout leg: a command that outlives its limit comes
+// back promptly as timed out, and the SIGKILL reaches its whole process
+// group — here a background child the shell spawned, which a kill of the
+// shell alone would orphan.
+TEST(NativeJit, GuardedRunnerKillsTheProcessGroupOnTimeout) {
+    ScopedTmpDir tmpdir;
+    const std::string pid_file = tmpdir.path() + "/child.pid";
+    const auto start = std::chrono::steady_clock::now();
+    const detail::CommandResult result = detail::run_guarded_command(
+        "sleep 30 & echo $! > " + detail::shell_quote(pid_file) + "; wait", 200);
+    const double elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    EXPECT_TRUE(result.timed_out);
+    EXPECT_EQ(result.exit_code, -1);
+    EXPECT_LT(elapsed, 5.0) << "the runner waited for the command instead of killing it";
+
+    std::ifstream in(pid_file);
+    pid_t child = 0;
+    ASSERT_TRUE(in >> child) << "the shell never recorded its background child";
+    bool exited = process_exited(child);
+    for (int poll = 0; poll < 200 && !exited; ++poll) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        exited = process_exited(child);
+    }
+    EXPECT_TRUE(exited) << "background child " << child << " survived the timeout";
+}
+
 TEST(NativeModel, FactoryFallsBackGracefully) {
+    // Every compile attempt fails, so the factory must take its fallback
+    // branch even on a host with a compiler: the fused interpreter, which
+    // matches a direct fused run bit for bit.
     const auto model = ladder_model(1);
-    const runtime::ExecutorFactory factory = native_executor_factory();
-    auto executor = factory(model);
+    ScopedTmpDir tmpdir;  // takes the failed compile's kept .log
+    support::fault::arm("jit.compile", support::fault::Trigger::kAlways);
+    auto executor = native_executor_factory()(model);
+    support::fault::disarm("jit.compile");
     ASSERT_NE(executor, nullptr);
-    executor->set_input(0, 1.0);
-    executor->step(model.timestep);
-    EXPECT_GT(executor->output(0), 0.0);
+    EXPECT_NE(dynamic_cast<runtime::CompiledModel*>(executor.get()), nullptr);
+    expect_matches_fused(*executor, model, {{"u0", numeric::square_wave(1e-3)}}, 2e-4);
 }
 
 TEST(NativeModel, TwoInstancesAreIndependent) {
@@ -369,6 +431,53 @@ TEST(NativeModel, TwoInstancesAreIndependent) {
     }
     EXPECT_GT(a->output(0), 0.0);
     EXPECT_DOUBLE_EQ(b->output(0), 0.0);
+}
+
+// Concurrent native compilation (runs under `ctest -L threads` / TSan): N
+// workers compiling and stepping generated models at the same time —
+// unique temp stems, no cross-talk between per-.so state.
+TEST(ThreadedSweepNativeCompile, ConcurrentCompilesAreIsolated) {
+    if (!native_compilation_available()) {
+        GTEST_SKIP() << "no C++ compiler in PATH";
+    }
+    constexpr int kJobs = 8;
+    // Distinct stage counts per job so every .so is genuinely different
+    // and a cross-talk bug (shared temp stem, wrong handle) changes
+    // results instead of passing silently.
+    std::vector<abstraction::SignalFlowModel> models;
+    models.reserve(kJobs);
+    for (int j = 0; j < kJobs; ++j) {
+        models.push_back(ladder_model(1 + j % 4));
+    }
+    std::vector<double> out(kJobs, 0.0);
+    std::vector<std::string> errors(kJobs);
+
+    support::ThreadPool pool(4);
+    pool.run(kJobs, [&](int j) {
+        const auto& model = models[static_cast<std::size_t>(j)];
+        auto native = NativeModel::compile(model, &errors[static_cast<std::size_t>(j)]);
+        if (native == nullptr) {
+            return;
+        }
+        for (int k = 1; k <= 100; ++k) {
+            native->set_input(0, 1.0);
+            native->step(k * model.timestep);
+        }
+        out[static_cast<std::size_t>(j)] = native->output(0);
+    });
+
+    for (int j = 0; j < kJobs; ++j) {
+        const auto& model = models[static_cast<std::size_t>(j)];
+        ASSERT_NE(out[static_cast<std::size_t>(j)], 0.0)
+            << "job " << j << ": " << errors[static_cast<std::size_t>(j)];
+        // Native and the interpreter agree per job.
+        runtime::CompiledModel reference(model);
+        for (int k = 1; k <= 100; ++k) {
+            reference.set_input(0, 1.0);
+            reference.step(k * model.timestep);
+        }
+        EXPECT_EQ(out[static_cast<std::size_t>(j)], reference.output(0)) << j;
+    }
 }
 
 }  // namespace

@@ -3,24 +3,26 @@
 // slot file, same per-lane arithmetic, bit-for-bit at every batch width
 // and thread count (the lowering never enables fast-math or FP
 // contraction, and libm resolves to this process's own functions). Every
-// test here skips gracefully in an AMSVP_WITH_LLVM=OFF build.
+// ORC test here skips gracefully in an AMSVP_WITH_LLVM=OFF build, where the
+// degradation tests check the interpreter fallback instead. (Suite name
+// ThreadedSweepOrcCompile feeds the `threads` ctest label.)
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <vector>
 
 #include "abstraction/abstraction.hpp"
 #include "codegen/llvm_lowering.hpp"
-#include "codegen/native_batch.hpp"
-#include "codegen/native_jit.hpp"
 #include "codegen/orc_jit.hpp"
 #include "netlist/builder.hpp"
 #include "random_models.hpp"
 #include "runtime/simulate.hpp"
 #include "runtime/sweep_service.hpp"
 #include "support/fault.hpp"
+#include "support/thread_pool.hpp"
 
 namespace amsvp::codegen {
 namespace {
@@ -278,12 +280,12 @@ TEST(OrcJitModel, FallbackShardIsInterpreterAndBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// The sweep backend: interpreter vs external-native vs ORC, slot for slot.
+// The sweep backend: interpreter vs ORC, lane for lane.
 
 TEST(OrcJitSweepBackend, PreferredNativeBackendMatchesBuild) {
     EXPECT_EQ(runtime::preferred_native_backend(),
               orc_available() ? runtime::SweepBackend::kNativeOrc
-                              : runtime::SweepBackend::kNative);
+                              : runtime::SweepBackend::kInterpreter);
 }
 
 TEST(OrcJitSweepBackend, BitIdenticalAcrossWidthsThreadsAndBackends) {
@@ -292,7 +294,6 @@ TEST(OrcJitSweepBackend, BitIdenticalAcrossWidthsThreadsAndBackends) {
     }
     const auto model = random_model(901u);
     const double duration = 300 * model.timestep;
-    const bool external = detail::jit_available();
     for (const int width : {1, 4, 7, 8, 16, 33}) {
         const auto lanes = varied_lanes(model, width);
         for (const int threads : {1, 0}) {
@@ -307,24 +308,64 @@ TEST(OrcJitSweepBackend, BitIdenticalAcrossWidthsThreadsAndBackends) {
             const auto orc = runtime::simulate_sweep(model, {}, lanes, duration, options);
             EXPECT_TRUE(orc.diagnostics.empty());
             expect_identical(orc, reference);
-
-            if (external) {
-                options.backend = runtime::SweepBackend::kNative;
-                const auto native =
-                    runtime::simulate_sweep(model, {}, lanes, duration, options);
-                expect_identical(native, reference);
-            }
         }
+    }
+}
+
+TEST(OrcJitSweepBackend, SteadyStateRetirementMatchesInterpreter) {
+    if (!orc_available()) {
+        GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
+    }
+    // Pure decay with per-lane initial charge: lanes settle at different
+    // steps, so the ORC path exercises retirement, in-place compaction
+    // and the kernel's dynamic-width row loop on the shrinking batch.
+    const auto model = ladder_model(20, 1e-3);
+    const auto states = model.state_symbols();
+    ASSERT_FALSE(states.empty());
+
+    constexpr int kLanes = 24;
+    std::vector<runtime::SweepLane> lanes(kLanes);
+    for (int l = 0; l < kLanes; ++l) {
+        const double amplitude = 1e-3 * std::pow(2.0, l % 12);
+        for (const expr::Symbol& s : states) {
+            lanes[static_cast<std::size_t>(l)].overrides[s] = amplitude;
+        }
+    }
+    const std::map<std::string, numeric::SourceFunction> stimuli{
+        {"u0", [](double) { return 0.0; }}};
+    const double duration = 1500 * model.timestep;
+
+    runtime::SweepOptions options;
+    options.steady_tolerance = 1e-6;
+    options.steady_window = 16;
+    const auto reference = runtime::simulate_sweep(model, stimuli, lanes, duration, options);
+
+    bool any_retired = false;
+    for (const std::size_t settled : reference.settled_at) {
+        any_retired = any_retired || settled < reference.steps;
+    }
+    ASSERT_TRUE(any_retired);
+
+    std::string error;
+    const auto program = OrcJitProgram::compile(model, &error);
+    ASSERT_NE(program, nullptr) << error;
+    for (const int threads : {1, 0}) {
+        runtime::SweepOptions orc_options = options;
+        orc_options.threads = threads;
+        OrcBatchModel orc(program, kLanes);
+        const auto swept = runtime::simulate_sweep(orc, model.inputs, stimuli, lanes,
+                                                   duration, orc_options);
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        expect_identical(swept, reference);
     }
 }
 
 TEST(OrcJitSweepBackend, OrcBackendDegradesGracefullyWithoutLlvm) {
     if (orc_available()) {
-        GTEST_SKIP() << "LLVM build: the degradation chain is compiled out";
+        GTEST_SKIP() << "LLVM build: the degradation path is compiled out";
     }
     // Built without LLVM, a kNativeOrc request still completes — on the
-    // external kernel when a compiler is around, else on the interpreter —
-    // bit-identically either way.
+    // interpreter, bit-identically — and says so.
     const auto model = random_model(902u);
     const auto lanes = varied_lanes(model, 6);
     const double duration = 150 * model.timestep;
@@ -333,9 +374,7 @@ TEST(OrcJitSweepBackend, OrcBackendDegradesGracefullyWithoutLlvm) {
     options.backend = runtime::SweepBackend::kNativeOrc;
     const auto swept = runtime::simulate_sweep(model, {}, lanes, duration, options);
     expect_identical(swept, reference);
-    if (!detail::jit_available()) {
-        EXPECT_TRUE(diagnostics_mention(swept, "native sweep backend unavailable"));
-    }
+    EXPECT_TRUE(diagnostics_mention(swept, "native sweep backend unavailable"));
 }
 
 TEST(OrcJitSweepBackend, CompileDiagnosticsReportColdVsCacheHit) {
@@ -454,6 +493,57 @@ TEST(FaultInjectionOrc, MaterializeFaultFallsBackToInterpreterShard) {
     stats = service.stats();
     EXPECT_EQ(stats.native_fallbacks, 1u);
     EXPECT_EQ(stats.cache.orc_misses, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent ORC compiles (runs under `ctest -L threads` / TSan): N workers
+// materializing and stepping distinct programs at the same time — one
+// LLJIT per program, no cross-talk between them.
+
+TEST(ThreadedSweepOrcCompile, ConcurrentCompilesAreIsolated) {
+    if (!orc_available()) {
+        GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
+    }
+    constexpr int kJobs = 8;
+    // Distinct stage counts per job so every program is genuinely
+    // different and a cross-talk bug (a shared engine, a wrong symbol)
+    // changes results instead of passing silently.
+    std::vector<abstraction::SignalFlowModel> models;
+    models.reserve(kJobs);
+    for (int j = 0; j < kJobs; ++j) {
+        models.push_back(ladder_model(1 + j % 4));
+    }
+    std::vector<double> out(kJobs, 0.0);
+    std::vector<std::string> errors(kJobs);
+
+    support::ThreadPool pool(4);
+    pool.run(kJobs, [&](int j) {
+        const auto& model = models[static_cast<std::size_t>(j)];
+        auto batched = OrcBatchModel::compile(model, 4, &errors[static_cast<std::size_t>(j)]);
+        if (batched == nullptr) {
+            return;
+        }
+        for (int k = 1; k <= 100; ++k) {
+            for (int l = 0; l < 4; ++l) {
+                batched->set_input(l, 0, 1.0);
+            }
+            batched->step(k * model.timestep);
+        }
+        out[static_cast<std::size_t>(j)] = batched->output(0, 0);
+    });
+
+    for (int j = 0; j < kJobs; ++j) {
+        const auto& model = models[static_cast<std::size_t>(j)];
+        ASSERT_NE(out[static_cast<std::size_t>(j)], 0.0)
+            << "job " << j << ": " << errors[static_cast<std::size_t>(j)];
+        // The JITed batch and the interpreter agree per job.
+        runtime::CompiledModel reference(model);
+        for (int k = 1; k <= 100; ++k) {
+            reference.set_input(0, 1.0);
+            reference.step(k * model.timestep);
+        }
+        EXPECT_EQ(out[static_cast<std::size_t>(j)], reference.output(0)) << j;
+    }
 }
 
 // ---------------------------------------------------------------------------

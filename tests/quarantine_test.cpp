@@ -4,7 +4,7 @@
 // lane at all. Lanes never interact arithmetically and quarantine removes
 // the bad lane through the same compact_lanes machinery as steady-state
 // retirement, so this holds by construction; this differential pins it
-// across backends (interpreter and native kernel), batch widths and thread
+// across backends (interpreter and ORC kernel), batch widths and thread
 // counts. (Suite names Quarantine* feed the `robustness` ctest label.)
 #include <gtest/gtest.h>
 
@@ -15,8 +15,7 @@
 #include <vector>
 
 #include "abstraction/abstraction.hpp"
-#include "codegen/native_batch.hpp"
-#include "codegen/native_jit.hpp"
+#include "codegen/orc_jit.hpp"
 #include "netlist/builder.hpp"
 #include "runtime/simulate.hpp"
 
@@ -59,7 +58,7 @@ struct QuarantineCase {
     int lanes;
     int poisoned;
     int threads;
-    bool native;
+    bool native;  ///< the machine-code backend (kNativeOrc), else the interpreter
 };
 
 std::string case_name(const ::testing::TestParamInfo<QuarantineCase>& info) {
@@ -72,8 +71,8 @@ class QuarantineEquivalence : public ::testing::TestWithParam<QuarantineCase> {}
 
 TEST_P(QuarantineEquivalence, HealthyLanesBitIdenticalToSweepWithoutPoisonedLane) {
     const auto& [n_lanes, poisoned, threads, native] = GetParam();
-    if (native && !codegen::detail::jit_available()) {
-        GTEST_SKIP() << "no C++ compiler in PATH";
+    if (native && !codegen::orc_available()) {
+        GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
     }
     const auto model = decay_model();
     const auto lanes = decay_lanes(model, n_lanes, poisoned);
@@ -89,7 +88,7 @@ TEST_P(QuarantineEquivalence, HealthyLanesBitIdenticalToSweepWithoutPoisonedLane
     options.lane_health_interval = 16;
     options.steady_tolerance = 1e-6;
     options.steady_window = 16;
-    options.backend = native ? SweepBackend::kNative : SweepBackend::kInterpreter;
+    options.backend = native ? SweepBackend::kNativeOrc : SweepBackend::kInterpreter;
 
     const SweepResult faulted = simulate_sweep(model, stimuli, lanes, duration, options);
     const SweepResult reference =
@@ -141,7 +140,7 @@ INSTANTIATE_TEST_SUITE_P(
         QuarantineCase{7, 2, 1, false}, QuarantineCase{7, 0, 0, false},
         QuarantineCase{8, 7, 1, false}, QuarantineCase{8, 3, 0, false},
         QuarantineCase{33, 16, 1, false}, QuarantineCase{33, 32, 0, false},
-        // Native kernel: same quarantine machinery over the dlopen'ed step.
+        // ORC kernel: same quarantine machinery over the JITed step.
         QuarantineCase{8, 3, 1, true}, QuarantineCase{33, 16, 0, true}),
     case_name);
 

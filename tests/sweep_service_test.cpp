@@ -2,7 +2,7 @@
 // server must return bit-identical results to a direct simulate_sweep call
 // on both the cold and the warm path, actually skip the recompiles and
 // shard reconstruction it claims to skip (ModelCache / executor-pool
-// counters, codegen::detail::compile_invocations), survive concurrent
+// counters, codegen::orc_detail::orc_compile_invocations), survive concurrent
 // multi-client submission (SweepServiceThreadedSweep* rides the `threads`
 // ctest label), and — FaultInjectionService*, riding the `robustness`
 // label — never let a failed job poison the artifact cache or the warm
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "abstraction/abstraction.hpp"
-#include "codegen/native_jit.hpp"
+#include "codegen/orc_jit.hpp"
 #include "netlist/builder.hpp"
 #include "runtime/simulate.hpp"
 #include "runtime/sweep_service.hpp"
@@ -131,28 +131,27 @@ TEST(ModelCacheTest, ClearDropsEntriesButLiveArtifactsSurvive) {
 }
 
 TEST(ModelCacheTest, ProgramServedFromCacheSkipsTheCompiler) {
-    if (!codegen::detail::jit_available()) {
-        GTEST_SKIP() << "no C++ compiler in PATH";
+    if (!codegen::orc_available()) {
+        GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
     }
     ModelCache cache;
     const auto model = ladder_model();
-    const SweepOptions options;
     std::string error;
-    const auto first = cache.program_for(model, options, &error);
+    const auto first = cache.orc_program_for(model, &error);
     ASSERT_NE(first, nullptr) << error;
 
-    const std::uint64_t invocations_before = codegen::detail::compile_invocations();
-    const auto second = cache.program_for(model, options, &error);
+    const std::uint64_t invocations_before = codegen::orc_detail::orc_compile_invocations();
+    const auto second = cache.orc_program_for(model, &error);
     ASSERT_NE(second, nullptr) << error;
     EXPECT_EQ(second.get(), first.get());
-    // The warm request never reached the external compiler.
-    EXPECT_EQ(codegen::detail::compile_invocations(), invocations_before);
+    // The warm request never reached the JIT.
+    EXPECT_EQ(codegen::orc_detail::orc_compile_invocations(), invocations_before);
 
     const ModelCache::Stats stats = cache.stats();
-    EXPECT_EQ(stats.program_misses, 1u);
-    EXPECT_EQ(stats.program_hits, 1u);
-    EXPECT_GT(stats.compile_seconds, 0.0);
-    EXPECT_GT(stats.compile_seconds_saved, 0.0);
+    EXPECT_EQ(stats.orc_misses, 1u);
+    EXPECT_EQ(stats.orc_hits, 1u);
+    EXPECT_GT(stats.orc_compile_seconds, 0.0);
+    EXPECT_GT(stats.orc_compile_seconds_saved, 0.0);
 }
 
 // --- Service: bit-identity with simulate_sweep -------------------------------
@@ -162,11 +161,10 @@ class SweepServiceTest : public ::testing::Test {};
 TEST_F(SweepServiceTest, ColdAndWarmResultsBitIdenticalToSimulateSweep) {
     const auto model = ladder_model();
     const double duration = 150 * model.timestep;
-    const bool native_ok = codegen::detail::jit_available();
 
     SweepService service;
-    for (const SweepBackend backend : {SweepBackend::kInterpreter, SweepBackend::kNative}) {
-        if (backend == SweepBackend::kNative && !native_ok) {
+    for (const SweepBackend backend : {SweepBackend::kInterpreter, SweepBackend::kNativeOrc}) {
+        if (backend == SweepBackend::kNativeOrc && !codegen::orc_available()) {
             continue;
         }
         for (const int width : {1, 7, 8, 33}) {
@@ -202,9 +200,7 @@ TEST_F(SweepServiceTest, WarmRepeatSkipsCompileAndShardConstruction) {
     const auto model = ladder_model();
     SweepOptions options;
     options.threads = 2;  // multi-shard: the warm pool serves shards too
-    if (codegen::detail::jit_available()) {
-        options.backend = SweepBackend::kNative;
-    }
+    options.backend = preferred_native_backend();
     SweepService service;
     SweepJob job = make_job(model, 33, 120 * model.timestep, options);
 
@@ -213,14 +209,14 @@ TEST_F(SweepServiceTest, WarmRepeatSkipsCompileAndShardConstruction) {
     EXPECT_GT(after_cold.executors_built, 0u);
     EXPECT_GT(after_cold.slot_doubles_built, 0u);
 
-    const std::uint64_t invocations_before = codegen::detail::compile_invocations();
+    const std::uint64_t invocations_before = codegen::orc_detail::orc_compile_invocations();
     const SweepResult warm = service.run(job);
     const ServiceStats after_warm = service.stats();
 
-    // The warm-path contract, counter by counter: zero external-compiler
-    // invocations, zero executor constructions, zero new slot-file doubles
-    // — everything came from the caches and pools.
-    EXPECT_EQ(codegen::detail::compile_invocations(), invocations_before);
+    // The warm-path contract, counter by counter: zero JIT compiles, zero
+    // executor constructions, zero new slot-file doubles — everything came
+    // from the caches and pools.
+    EXPECT_EQ(codegen::orc_detail::orc_compile_invocations(), invocations_before);
     EXPECT_EQ(after_warm.executors_built, after_cold.executors_built);
     EXPECT_EQ(after_warm.slot_doubles_built, after_cold.slot_doubles_built);
     EXPECT_GT(after_warm.executors_reused, after_cold.executors_reused);
@@ -268,21 +264,21 @@ TEST_F(SweepServiceTest, DestructorDrainsQueuedJobs) {
 }
 
 TEST_F(SweepServiceTest, FreeFunctionSharesTheGlobalModelCache) {
-    if (!codegen::detail::jit_available()) {
-        GTEST_SKIP() << "no C++ compiler in PATH";
+    if (!codegen::orc_available()) {
+        GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
     }
     const auto model = ladder_model();
     const auto lanes = varied_lanes(8);
     SweepOptions options;
-    options.backend = SweepBackend::kNative;
+    options.backend = SweepBackend::kNativeOrc;
     const double duration = 80 * model.timestep;
 
     const SweepResult first = simulate_sweep(model, {}, lanes, duration, options);
-    const std::uint64_t invocations_before = codegen::detail::compile_invocations();
+    const std::uint64_t invocations_before = codegen::orc_detail::orc_compile_invocations();
     const SweepResult second = simulate_sweep(model, {}, lanes, duration, options);
     // The repeat sweep served the kernel from ModelCache::global() — no
-    // external compiler run — and stayed bit-identical.
-    EXPECT_EQ(codegen::detail::compile_invocations(), invocations_before);
+    // JIT compile — and stayed bit-identical.
+    EXPECT_EQ(codegen::orc_detail::orc_compile_invocations(), invocations_before);
     expect_identical(second, first);
 }
 
@@ -338,40 +334,43 @@ protected:
 };
 
 TEST_F(FaultInjectionService, CompileFailureFallsBackAndDoesNotPoisonTheCache) {
-    if (!codegen::detail::jit_available()) {
-        GTEST_SKIP() << "no C++ compiler in PATH";
+    if (!codegen::orc_available()) {
+        GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
     }
     const auto model = ladder_model();
     SweepOptions options;
-    options.backend = SweepBackend::kNative;
-    options.jit_attempts = 1;
-    options.jit_backoff_ms = 1;
+    options.backend = SweepBackend::kNativeOrc;
+    options.threads = 2;  // shards pool too: the fallback must not leak into them
     const double duration = 80 * model.timestep;
     const SweepResult reference =
-        simulate_sweep(model, {}, varied_lanes(8), duration, SweepOptions{});
+        simulate_sweep(model, {}, varied_lanes(16), duration, SweepOptions{});
 
     SweepService service;
-    fault::arm("jit.compile", fault::Trigger::kAlways);
-    const SweepResult faulted = service.run(make_job(model, 8, duration, options));
-    fault::disarm("jit.compile");
+    fault::arm("jit.orc_materialize", fault::Trigger::kAlways);
+    const SweepResult faulted = service.run(make_job(model, 16, duration, options));
+    fault::disarm("jit.orc_materialize");
 
     // The job completed on the interpreter, bit-identically, and said so.
     expect_identical(faulted, reference);
     EXPECT_TRUE(diagnostics_mention(faulted, "native sweep backend unavailable"));
     ServiceStats stats = service.stats();
     EXPECT_EQ(stats.native_fallbacks, 1u);
-    EXPECT_EQ(stats.cache.program_failures, 1u);
-    EXPECT_EQ(stats.cache.program_misses, 0u);  // the failure was NOT cached
+    EXPECT_EQ(stats.cache.orc_failures, 1u);
+    EXPECT_EQ(stats.cache.orc_misses, 0u);  // the failure was NOT cached
+    const std::uint64_t built_by_fallback = stats.executors_built;
 
     // With the fault gone the same service compiles the kernel after all:
     // a transient failure costs one job its speed, never the model its
-    // native backend.
-    const SweepResult healed = service.run(make_job(model, 8, duration, options));
+    // machine-code backend. The fallback job's interpreter executors were
+    // pooled under the interpreter key, so the healed job builds ORC ones
+    // instead of being handed them.
+    const SweepResult healed = service.run(make_job(model, 16, duration, options));
     expect_identical(healed, reference);
     EXPECT_TRUE(healed.diagnostics.empty());
     stats = service.stats();
     EXPECT_EQ(stats.native_fallbacks, 1u);
-    EXPECT_EQ(stats.cache.program_misses, 1u);
+    EXPECT_EQ(stats.cache.orc_misses, 1u);
+    EXPECT_EQ(stats.executors_built, 2 * built_by_fallback);
 }
 
 TEST_F(FaultInjectionService, ThrowingStimulusFailsTheJobNotTheService) {
