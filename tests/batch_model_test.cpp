@@ -148,6 +148,11 @@ struct WidthCase {
     int lanes;
 };
 
+// Names each case "<circuit> x<lanes>". Without this gtest prints the
+// struct's raw bytes (a pointer and padding), so the ctest names changed on
+// every build.
+void PrintTo(const WidthCase& c, std::ostream* os) { *os << c.circuit << " x" << c.lanes; }
+
 class BatchPaperCircuit : public ::testing::TestWithParam<WidthCase> {};
 
 TEST_P(BatchPaperCircuit, MatchesScalarAcrossWidths) {

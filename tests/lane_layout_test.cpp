@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -170,9 +169,7 @@ TEST(LaneLayoutDifferential, OddWidthBatchMatchesPerLaneRuns) {
 // compact_lanes / reset round-trips on non-row-multiple widths: retiring
 // lanes re-strides the padded file in place (7 -> 3 crosses a row-count
 // change), survivors must continue bit-for-bit, and reset() must re-grow
-// to the constructed width with pristine initial state. Run once per
-// engine: the compacted batch is the interpreter or ORC, the uncompacted
-// and fresh references are always the interpreter.
+// to the constructed width with pristine initial state.
 
 TEST(LaneLayoutCompaction, CompactThenResetRoundTripsOnNonRowMultipleWidths) {
     const auto model = ladder_model(4);
@@ -183,77 +180,63 @@ TEST(LaneLayoutCompaction, CompactThenResetRoundTripsOnNonRowMultipleWidths) {
                0.25 * std::sin(static_cast<double>(k) * dt * 700.0);
     };
 
-    for (const bool orc : {false, true}) {
-        if (orc && !codegen::orc_available()) {
-            continue;  // built with AMSVP_WITH_LLVM=OFF
+    BatchCompiledModel compacted(model, 7);
+    BatchCompiledModel reference(model, 7);
+    for (int k = 1; k <= 50; ++k) {
+        for (int l = 0; l < 7; ++l) {
+            compacted.set_input(l, input, drive(l, k));
+            reference.set_input(l, input, drive(l, k));
         }
-        SCOPED_TRACE(orc ? "orc" : "interpreter");
-        std::unique_ptr<BatchCompiledModel> compacted;
-        if (orc) {
-            std::string error;
-            compacted = codegen::OrcBatchModel::compile(model, 7, &error);
-            ASSERT_NE(compacted, nullptr) << error;
-        } else {
-            compacted = std::make_unique<BatchCompiledModel>(model, 7);
-        }
-        BatchCompiledModel reference(model, 7);
-        for (int k = 1; k <= 50; ++k) {
-            for (int l = 0; l < 7; ++l) {
-                compacted->set_input(l, input, drive(l, k));
-                reference.set_input(l, input, drive(l, k));
-            }
-            compacted->step(k * dt);
-            reference.step(k * dt);
-        }
+        compacted.step(k * dt);
+        reference.step(k * dt);
+    }
 
-        const std::vector<int> keep{0, 2, 5};
-        compacted->compact_lanes(keep);
-        ASSERT_EQ(compacted->batch(), 3);
-        // Survivors carried their exact state across the re-stride…
-        for (int slot = 0; slot < 4; ++slot) {
+    const std::vector<int> keep{0, 2, 5};
+    compacted.compact_lanes(keep);
+    ASSERT_EQ(compacted.batch(), 3);
+    // Survivors carried their exact state across the re-stride…
+    for (int slot = 0; slot < 4; ++slot) {
+        for (std::size_t j = 0; j < keep.size(); ++j) {
+            ASSERT_EQ(compacted.slot_value(static_cast<int>(j), slot),
+                      reference.slot_value(keep[j], slot))
+                << "slot " << slot << " survivor " << j;
+        }
+    }
+    // …and keep stepping bit-for-bit against the uncompacted batch.
+    for (int k = 51; k <= 100; ++k) {
+        for (std::size_t j = 0; j < keep.size(); ++j) {
+            compacted.set_input(static_cast<int>(j), input, drive(keep[j], k));
+        }
+        for (int l = 0; l < 7; ++l) {
+            reference.set_input(l, input, drive(l, k));
+        }
+        compacted.step(k * dt);
+        reference.step(k * dt);
+        for (std::size_t o = 0; o < model.outputs.size(); ++o) {
             for (std::size_t j = 0; j < keep.size(); ++j) {
-                ASSERT_EQ(compacted->slot_value(static_cast<int>(j), slot),
-                          reference.slot_value(keep[j], slot))
-                    << "slot " << slot << " survivor " << j;
+                ASSERT_EQ(compacted.output(static_cast<int>(j), o),
+                          reference.output(keep[j], o))
+                    << "step " << k << " survivor " << j;
             }
         }
-        // …and keep stepping bit-for-bit against the uncompacted batch.
-        for (int k = 51; k <= 100; ++k) {
-            for (std::size_t j = 0; j < keep.size(); ++j) {
-                compacted->set_input(static_cast<int>(j), input, drive(keep[j], k));
-            }
-            for (int l = 0; l < 7; ++l) {
-                reference.set_input(l, input, drive(l, k));
-            }
-            compacted->step(k * dt);
-            reference.step(k * dt);
-            for (std::size_t o = 0; o < model.outputs.size(); ++o) {
-                for (std::size_t j = 0; j < keep.size(); ++j) {
-                    ASSERT_EQ(compacted->output(static_cast<int>(j), o),
-                              reference.output(keep[j], o))
-                        << "step " << k << " survivor " << j;
-                }
-            }
-        }
+    }
 
-        // reset() re-grows to the constructed width with pristine state:
-        // every lane (including the formerly retired ones) equals a fresh
-        // batch.
-        compacted->reset();
-        ASSERT_EQ(compacted->batch(), 7);
-        BatchCompiledModel fresh(model, 7);
-        for (int k = 1; k <= 30; ++k) {
+    // reset() re-grows to the constructed width with pristine state: every
+    // lane (including the formerly retired ones) equals a fresh batch.
+    compacted.reset();
+    ASSERT_EQ(compacted.batch(), 7);
+    BatchCompiledModel fresh(model, 7);
+    for (int k = 1; k <= 30; ++k) {
+        for (int l = 0; l < 7; ++l) {
+            compacted.set_input(l, input, drive(l, k));
+            fresh.set_input(l, input, drive(l, k));
+        }
+        compacted.step(k * dt);
+        fresh.step(k * dt);
+        for (std::size_t o = 0; o < model.outputs.size(); ++o) {
             for (int l = 0; l < 7; ++l) {
-                compacted->set_input(l, input, drive(l, k));
-                fresh.set_input(l, input, drive(l, k));
-            }
-            compacted->step(k * dt);
-            fresh.step(k * dt);
-            for (std::size_t o = 0; o < model.outputs.size(); ++o) {
-                for (int l = 0; l < 7; ++l) {
-                    ASSERT_EQ(compacted->output(l, o), fresh.output(l, o))
-                        << "post-reset step " << k << " lane " << l;
-                }
+                ASSERT_EQ(compacted.output(l, o), fresh.output(l, o))
+                    << "post-reset step " << k << " lane " << l;
             }
         }
     }

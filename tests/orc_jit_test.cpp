@@ -178,6 +178,45 @@ TEST(OrcJitModel, SlotFileMatchesInterpreterSlotForSlot) {
     }
 }
 
+TEST(OrcJitModel, CompactLanesPreservesSurvivorsBitForBit) {
+    if (!orc_available()) {
+        GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
+    }
+    const auto model = ladder_model(4);
+    std::string error;
+    auto orc = OrcBatchModel::compile(model, 7, &error);
+    ASSERT_NE(orc, nullptr) << error;
+    runtime::BatchCompiledModel interp(model, 7);
+
+    const double dt = model.timestep;
+    auto drive = [&](runtime::BatchExecutor& m, int width, int from_step, int to_step) {
+        for (int k = from_step; k <= to_step; ++k) {
+            for (int l = 0; l < width; ++l) {
+                m.set_input(l, 0, 0.5 + 0.25 * static_cast<double>(l));
+            }
+            m.step(k * dt);
+        }
+    };
+    drive(*orc, 7, 1, 50);
+    drive(interp, 7, 1, 50);
+    // 7 -> 3 lanes crosses a padded-row boundary, so the kernel must pick up
+    // the re-strided slot file.
+    const std::vector<int> keep{0, 2, 5};
+    orc->compact_lanes(keep);
+    interp.compact_lanes(keep);
+    ASSERT_EQ(orc->batch(), 3);
+    drive(*orc, 3, 51, 120);
+    drive(interp, 3, 51, 120);
+    for (int l = 0; l < 3; ++l) {
+        ASSERT_EQ(orc->output(l, 0), interp.output(l, 0)) << "lane " << l;
+    }
+    // reset() restores the constructed width on both sides.
+    orc->reset();
+    interp.reset();
+    EXPECT_EQ(orc->batch(), 7);
+    EXPECT_EQ(interp.batch(), 7);
+}
+
 TEST(OrcJitModel, RandomModelsMatchInterpreterSlotForSlot) {
     if (!orc_available()) {
         GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";

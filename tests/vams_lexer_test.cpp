@@ -41,6 +41,10 @@ struct SuffixCase {
     double value;
 };
 
+// Names each case by its literal. Without this gtest prints the struct's
+// raw bytes, pointer included, so the ctest names changed on every build.
+void PrintTo(const SuffixCase& c, std::ostream* os) { *os << c.text; }
+
 class ScaleSuffixes : public ::testing::TestWithParam<SuffixCase> {};
 
 TEST_P(ScaleSuffixes, AppliesFactor) {
