@@ -18,9 +18,10 @@
 // the fixed optimization pipeline — the debugging surface for "what does the
 // ORC sweep backend actually run". Requires an AMSVP_WITH_LLVM=ON build.
 // Adding --vector-width prefixes the dumps with a vectorization report:
-// the runtime::LaneLayout row width the batch kernel was lowered at and
-// the explicit vector-operation counts in both dumps — the quick answer
-// to "did my model's kernel actually come out vector-native".
+// the runtime::LaneLayout row width the batch kernel was lowered at, the
+// explicit vector-operation counts and the row loads and stores in both
+// dumps — the quick answer to "did my model's kernel actually come out
+// vector-native, loading only its upward-exposed slots".
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -258,6 +259,11 @@ int main(int argc, char** argv) {
                         vec_ty.c_str());
             std::printf("; %s occurrences: %zu lowered, %zu optimized\n", vec_ty.c_str(),
                         count(ir->unoptimized, vec_ty), count(ir->optimized, vec_ty));
+            for (const char* op : {"load", "store"}) {
+                const std::string row_op = std::string(op) + " " + vec_ty;
+                std::printf("; row %ss: %zu lowered, %zu optimized\n", op,
+                            count(ir->unoptimized, row_op), count(ir->optimized, row_op));
+            }
             std::printf(";\n");
         }
         std::printf("; === lowered LLVM IR (pre pass pipeline, LLVM %s) ===\n",

@@ -3,6 +3,7 @@
 #include <set>
 #include <string>
 
+#include "analysis/dataflow.hpp"
 #include "analysis/program_view.hpp"
 #include "codegen/emit_common.hpp"
 #include "codegen/llvm_lowering.hpp"
@@ -116,29 +117,44 @@ bool verify_orc_lowering(const std::shared_ptr<const runtime::ModelLayout>& layo
         diags.error({}, "ORC lowering failed: " + error);
         return false;
     }
-    const std::size_t instr_count = layout->fused_program().instructions().size();
+    const std::string& ir = lowered->unoptimized;
+    const auto expect_count = [&](const std::string& needle, std::size_t expected,
+                                  const std::string& why) {
+        const std::size_t found = count_occurrences(ir, needle);
+        if (found != expected) {
+            diags.error({}, "ORC batch kernel: " + std::to_string(found) + " \"" + needle +
+                                "\", expected " + std::to_string(expected) + " (" + why +
+                                ")");
+        }
+    };
 
-    // The batch kernel stores one <kVectorRow x double> row per
-    // instruction, the scalar step one double — exactly one store each, so
-    // the counts in the unoptimized IR must match the instruction count
-    // (history rotation uses llvm.memcpy, never a store).
-    const std::string vector_store =
-        "store <" + std::to_string(runtime::LaneLayout::kVectorRow) + " x double>";
-    const std::size_t vector_stores =
-        count_occurrences(lowered->unoptimized, vector_store);
-    if (vector_stores != instr_count) {
-        diags.error({}, "ORC batch kernel: " + std::to_string(vector_stores) + " \"" +
-                            vector_store + "\" rows != instruction count " +
-                            std::to_string(instr_count) +
-                            " (vector row width drifted from runtime::LaneLayout?)");
+    // One <kVectorRow x double> store per instruction (history rotation
+    // uses llvm.memcpy, never a store); a wrong row width drops them all.
+    const std::string row = "<" + std::to_string(runtime::LaneLayout::kVectorRow) +
+                            " x double>";
+    expect_count("store " + row, layout->fused_program().instructions().size(),
+                 "one per instruction; vector row width drifted from runtime::LaneLayout?");
+
+    // One row load per distinct upward-exposed slot — a use that reaching
+    // definitions traces to no def in the pass. The dataflow pass is the
+    // oracle here, independent of the lowering's own SSA bookkeeping.
+    const ProgramView view = view_of(*layout);
+    const DefUse du = compute_def_use(view);
+    const ReachingDefs reaching = compute_reaching_defs(view, du);
+    std::set<std::int32_t> exposed;
+    for (std::size_t u = 0; u < du.uses.size(); ++u) {
+        if (reaching.use_defs[u] < 0) {
+            exposed.insert(du.uses[u]);
+        }
     }
-    const std::size_t scalar_stores =
-        count_occurrences(lowered->unoptimized, "store double");
-    if (scalar_stores != instr_count) {
-        diags.error({}, "ORC scalar step: " + std::to_string(scalar_stores) +
-                            " double stores != instruction count " +
-                            std::to_string(instr_count));
-    }
+    expect_count("load " + row, exposed.size(), "one per distinct upward-exposed slot");
+
+    // The batch kernel is the only function defined, and it moves whole
+    // rows.
+    expect_count("define ", 1, "the batch kernel is the only function defined");
+    expect_count("define void @amsvp_orc_step_batch(", 1, "the batch kernel");
+    expect_count("load double", 0, "rows move whole");
+    expect_count("store double", 0, "rows move whole");
     return diags.error_count() == before;
 }
 

@@ -15,9 +15,11 @@
 //    locals), mentioning every non-constant read operand, with one scratch
 //    local per distinct scratch register and one rotation statement per
 //    history slot.
-//  * verify_orc_lowering: the ORC JIT's unoptimized IR must store exactly
-//    once per instruction in both entry points, and its batch kernel's
-//    vector rows must be exactly LaneLayout::kVectorRow doubles wide.
+//  * verify_orc_lowering: the ORC JIT's unoptimized IR must define only
+//    the batch kernel, move only whole LaneLayout::kVectorRow-wide rows,
+//    store one row per instruction, and load one row per distinct
+//    upward-exposed slot — the count compute_reaching_defs derives
+//    independently of the lowering.
 #pragma once
 
 #include <memory>
@@ -40,8 +42,9 @@ namespace amsvp::analysis {
                                     support::DiagnosticEngine& diags);
 
 /// Lower `layout` through the ORC pipeline and check the unoptimized IR's
-/// store counts and vector-row width. Without LLVM (AMSVP_WITH_LLVM=OFF)
-/// this records a note and returns true — there is no lowering to drift.
+/// row load/store counts, vector-row width and entry points. Without LLVM
+/// (AMSVP_WITH_LLVM=OFF) this records a note and returns true — there is
+/// no lowering to drift.
 [[nodiscard]] bool verify_orc_lowering(
     const std::shared_ptr<const runtime::ModelLayout>& layout,
     support::DiagnosticEngine& diags);

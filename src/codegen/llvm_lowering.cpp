@@ -2,8 +2,8 @@
 
 #ifdef AMSVP_HAS_LLVM
 
-#include <functional>
 #include <mutex>
+#include <vector>
 
 #include <llvm/ExecutionEngine/Orc/JITTargetMachineBuilder.h>
 #include <llvm/IR/BasicBlock.h>
@@ -27,7 +27,9 @@
 namespace amsvp::codegen {
 
 namespace orc_detail {
+namespace {
 
+/// InitializeNativeTarget* exactly once per process (safe from any thread).
 void ensure_native_target() {
     static std::once_flag once;
     std::call_once(once, [] {
@@ -43,36 +45,41 @@ void ensure_native_target() {
     });
 }
 
-namespace {
-
-/// Emits one step function (scalar or batched) into the module. All the
-/// bit-exactness rules live here: the builder never receives fast-math
-/// flags, multiplies and adds stay separate instructions (no llvm.fmuladd,
-/// no `contract`), and every libm call is nobuiltin so the pass pipeline
-/// cannot swap in a differently-rounded replacement.
+/// Emits `amsvp_orc_step_batch` into the module. All the bit-exactness
+/// rules live here: the builder never receives fast-math flags, multiplies
+/// and adds stay separate instructions (no llvm.fmuladd, no `contract`),
+/// and every libm call is nobuiltin so the pass pipeline cannot swap in a
+/// differently-rounded replacement.
 ///
-/// The batch function is vector-native: it iterates the runtime::LaneLayout
-/// rows explicitly — one loop stepping LaneLayout::kVectorRow lanes at a
-/// time with every fused instruction lowered to <4 x double> operations —
+/// The kernel is vector-native: it iterates the runtime::LaneLayout rows
+/// explicitly — one loop stepping LaneLayout::kVectorRow lanes at a time
+/// with every fused instruction lowered to <4 x double> operations —
 /// instead of asking the loop vectorizer to rediscover the shape. The loop
 /// covers every padded row, ghost lanes included: a non-row-multiple batch
 /// computes its padding lanes as throwaway extra instances rather than
 /// peeling a scalar tail, so an odd width costs exactly what the next
-/// row-multiple width costs (no per-instruction scalar epilogue). Lanes
-/// are mutually independent (each lane's slot column, scratch included, is
-/// a complete state machine), so running whole rows through the program
-/// rather than the whole batch through each instruction permutes only the
-/// order in which independent lane results are produced — and ghost-lane
-/// results are never observed: every live lane still executes exactly the
-/// scalar instruction sequence, bit for bit.
-class StepFunctionLowering {
+/// row-multiple width costs. Lanes are mutually independent (each lane's
+/// slot column, scratch included, is a complete state machine), so running
+/// whole rows through the program rather than the whole batch through each
+/// instruction permutes only the order in which independent lane results
+/// are produced — and ghost-lane results are never observed: every live
+/// lane still executes exactly the scalar instruction sequence, bit for
+/// bit.
+///
+/// The row body is load-minimal: a slot defined or loaded earlier in the
+/// same row iteration is reused as its SSA value, so the only rows read
+/// from memory are the upward-exposed ones (read before any write in the
+/// step), each exactly once. The reuse is exact — the value stored is the
+/// value forwarded — and sound because `slots` is noalias and distinct
+/// slots occupy disjoint rows. Every instruction still stores its row, so
+/// after each step the slot file, scratch rows included, is bit-identical
+/// to the interpreter's.
+class BatchKernelLowering {
 public:
-    StepFunctionLowering(llvm::Module& module, const runtime::ModelLayout& layout,
-                         bool scalar)
+    BatchKernelLowering(llvm::Module& module, const runtime::ModelLayout& layout)
         : ctx_(module.getContext()),
           module_(module),
           layout_(layout),
-          scalar_(scalar),
           builder_(module.getContext()),
           f64_(llvm::Type::getDoubleTy(ctx_)),
           i64_(llvm::Type::getInt64Ty(ctx_)),
@@ -81,68 +88,72 @@ public:
               static_cast<unsigned>(runtime::LaneLayout::kVectorRow))) {}
 
     void run() {
-        llvm::SmallVector<llvm::Type*, 2> params{llvm::PointerType::getUnqual(f64_)};
-        if (!scalar_) {
-            params.push_back(llvm::Type::getInt32Ty(ctx_));
-        }
-        auto* fn_type = llvm::FunctionType::get(llvm::Type::getVoidTy(ctx_), params,
-                                                /*isVarArg=*/false);
+        auto* fn_type = llvm::FunctionType::get(
+            llvm::Type::getVoidTy(ctx_),
+            {llvm::PointerType::getUnqual(f64_), llvm::Type::getInt32Ty(ctx_)},
+            /*isVarArg=*/false);
         fn_ = llvm::Function::Create(fn_type, llvm::Function::ExternalLinkage,
-                                     scalar_ ? kStepSymbol : kStepBatchSymbol, module_);
+                                     kStepBatchSymbol, module_);
         fn_->addFnAttr(llvm::Attribute::NoUnwind);
         // Belt and braces beside the per-call nobuiltin: no pass may treat
-        // any call inside these bodies as a recognized library routine.
+        // any call inside this body as a recognized library routine.
         fn_->addFnAttr("no-builtins");
         fn_->addParamAttr(0, llvm::Attribute::NoAlias);
         fn_->addParamAttr(0, llvm::Attribute::NoCapture);
         slots_ = fn_->getArg(0);
         slots_->setName("slots");
-
-        builder_.SetInsertPoint(llvm::BasicBlock::Create(ctx_, "entry", fn_));
-        const expr::FusedProgram& program = layout_.fused_program();
-        if (scalar_) {
-            // The scalar step is the batch's lane-0 specialization over a
-            // contiguous (stride 1) slot file — no loops at all.
-            batch64_ = llvm::ConstantInt::get(i64_, 1);
-            stride64_ = batch64_;
-            llvm::Value* lane0 = llvm::ConstantInt::get(i64_, 0);
-            for (const expr::FusedInstr& instr : program.instructions()) {
-                emit_instruction(instr, lane0);
-            }
-            emit_history_rotations();
-            builder_.CreateRetVoid();
-            return;
-        }
-
         llvm::Argument* batch = fn_->getArg(1);
         batch->setName("batch");
-        batch64_ = builder_.CreateSExt(batch, i64_, "batch64");
+
+        builder_.SetInsertPoint(llvm::BasicBlock::Create(ctx_, "entry", fn_));
+        llvm::Value* batch64 = builder_.CreateSExt(batch, i64_, "batch64");
         const std::int64_t row = runtime::LaneLayout::kVectorRow;
         // stride = padded_width(batch) — the LaneLayout row arithmetic on
         // power-of-two kVectorRow.
         llvm::Value* row_minus_1 = llvm::ConstantInt::get(i64_, row - 1);
         llvm::Value* row_mask = llvm::ConstantInt::get(i64_, ~(row - 1));
-        stride64_ = builder_.CreateAnd(builder_.CreateAdd(batch64_, row_minus_1),
-                                       row_mask, "stride64");
-
-        // Every padded row as full vector rows: each instruction is one
-        // <kVectorRow x double> operation per row. Ghost lanes ([batch,
-        // stride) of the last row) compute alongside the live ones — their
-        // results are never observed, and paying one throwaway column beats
-        // a per-instruction scalar tail at every non-row-multiple width.
-        vector_ = true;
-        emit_counted_loop(llvm::ConstantInt::get(i64_, 0), stride64_, row, "row",
-                          [&](llvm::Value* lane) {
-                              for (const expr::FusedInstr& instr : program.instructions()) {
-                                  emit_instruction(instr, lane);
-                              }
-                          });
-        vector_ = false;
+        stride64_ = builder_.CreateAnd(builder_.CreateAdd(batch64, row_minus_1), row_mask,
+                                       "stride64");
+        emit_row_loop();
         emit_history_rotations();
         builder_.CreateRetVoid();
     }
 
 private:
+    /// `for (lane = 0; lane < stride; lane += kVectorRow)` around the
+    /// program: each instruction is one <kVectorRow x double> operation per
+    /// padded row. Ghost lanes ([batch, stride) of the last row) compute
+    /// alongside the live ones — their results are never observed, and
+    /// paying one throwaway column beats a per-instruction scalar tail at
+    /// every non-row-multiple width. No vectorization metadata: the body
+    /// already is the final vector shape, and it stays one basic block
+    /// (every FusedOp lowers to loads, arithmetic, selects and calls), so
+    /// each forwarded SSA value dominates its reuses.
+    void emit_row_loop() {
+        llvm::BasicBlock* entry = builder_.GetInsertBlock();
+        auto* header = llvm::BasicBlock::Create(ctx_, "row.head", fn_);
+        auto* body = llvm::BasicBlock::Create(ctx_, "row.body", fn_);
+        auto* exit = llvm::BasicBlock::Create(ctx_, "row.exit", fn_);
+        builder_.CreateBr(header);
+
+        builder_.SetInsertPoint(header);
+        llvm::PHINode* lane = builder_.CreatePHI(i64_, 2, "row.lane");
+        lane->addIncoming(llvm::ConstantInt::get(i64_, 0), entry);
+        builder_.CreateCondBr(builder_.CreateICmpSLT(lane, stride64_), body, exit);
+
+        builder_.SetInsertPoint(body);
+        row_values_.assign(layout_.slot_count(), nullptr);
+        for (const expr::FusedInstr& instr : layout_.fused_program().instructions()) {
+            emit_instruction(instr, lane);
+        }
+        llvm::Value* next = builder_.CreateAdd(
+            lane, llvm::ConstantInt::get(i64_, runtime::LaneLayout::kVectorRow));
+        lane->addIncoming(next, builder_.GetInsertBlock());
+        builder_.CreateBr(header);
+
+        builder_.SetInsertPoint(exit);
+    }
+
     [[nodiscard]] llvm::Value* slot_addr(std::int64_t slot, llvm::Value* lane) {
         llvm::Value* row =
             builder_.CreateMul(llvm::ConstantInt::get(i64_, slot), stride64_);
@@ -156,30 +167,28 @@ private:
                                       llvm::PointerType::getUnqual(vec_ty_));
     }
 
-    [[nodiscard]] llvm::Value* load_slot(std::int64_t slot, llvm::Value* lane) {
-        if (vector_) {
-            // Rows are only guaranteed 8-byte aligned (stride is a lane
-            // count, not a byte alignment), so say so explicitly.
-            return builder_.CreateAlignedLoad(vec_ty_, row_addr(slot, lane),
-                                              llvm::Align(alignof(double)));
+    /// `slot`'s row in this iteration: the SSA value an earlier instruction
+    /// stored or an earlier read loaded, else one load. Rows are only
+    /// guaranteed 8-byte aligned (stride is a lane count, not a byte
+    /// alignment), so the load says so explicitly.
+    [[nodiscard]] llvm::Value* read_row(std::int32_t slot, llvm::Value* lane) {
+        llvm::Value*& value = row_values_[static_cast<std::size_t>(slot)];
+        if (value == nullptr) {
+            value = builder_.CreateAlignedLoad(vec_ty_, row_addr(slot, lane),
+                                               llvm::Align(alignof(double)));
         }
-        return builder_.CreateLoad(f64_, slot_addr(slot, lane));
+        return value;
     }
 
-    void store_slot(std::int64_t slot, llvm::Value* lane, llvm::Value* value) {
-        if (vector_) {
-            builder_.CreateAlignedStore(value, row_addr(slot, lane),
-                                        llvm::Align(alignof(double)));
-            return;
-        }
-        builder_.CreateStore(value, slot_addr(slot, lane));
+    void write_row(std::int32_t slot, llvm::Value* lane, llvm::Value* value) {
+        builder_.CreateAlignedStore(value, row_addr(slot, lane),
+                                    llvm::Align(alignof(double)));
+        row_values_[static_cast<std::size_t>(slot)] = value;
     }
 
-    /// An fp immediate — splatted across the row in vector mode, so the
-    /// instruction emitters below are width-agnostic.
+    /// An fp immediate, splatted across the row.
     [[nodiscard]] llvm::Constant* fp(double value) {
-        return llvm::ConstantFP::get(vector_ ? static_cast<llvm::Type*>(vec_ty_) : f64_,
-                                     value);
+        return llvm::ConstantFP::get(vec_ty_, value);
     }
 
     /// C++'s `cond ? 1.0 : 0.0` over an i1.
@@ -195,12 +204,15 @@ private:
     /// Declared-only libm call, nobuiltin at the call site: the symbol
     /// resolves to this process's own libm, the exact functions the fused
     /// interpreter calls through <cmath>. libm has no vector ABI here, so
-    /// in vector mode the row scalarizes — extract each live lane, call,
-    /// reinsert — preserving the exact per-lane libm rounding.
+    /// the row scalarizes — extract each lane, call, reinsert — preserving
+    /// the exact per-lane libm rounding.
     [[nodiscard]] llvm::Value* call_libm(llvm::StringRef name,
                                          llvm::ArrayRef<llvm::Value*> args) {
-        if (!vector_) {
-            return scalar_libm_call(name, args);
+        llvm::SmallVector<llvm::Type*, 2> params(args.size(), f64_);
+        llvm::FunctionCallee callee = module_.getOrInsertFunction(
+            name, llvm::FunctionType::get(f64_, params, /*isVarArg=*/false));
+        if (auto* decl = llvm::dyn_cast<llvm::Function>(callee.getCallee())) {
+            decl->setDoesNotThrow();
         }
         llvm::Value* result = llvm::UndefValue::get(vec_ty_);
         for (unsigned j = 0; j < static_cast<unsigned>(runtime::LaneLayout::kVectorRow);
@@ -209,66 +221,26 @@ private:
             for (llvm::Value* arg : args) {
                 lane_args.push_back(builder_.CreateExtractElement(arg, j));
             }
-            result = builder_.CreateInsertElement(
-                result, scalar_libm_call(name, lane_args), j);
+            llvm::CallInst* call = builder_.CreateCall(callee, lane_args);
+            call->addFnAttr(llvm::Attribute::NoBuiltin);
+            result = builder_.CreateInsertElement(result, call, j);
         }
         return result;
     }
 
-    [[nodiscard]] llvm::Value* scalar_libm_call(llvm::StringRef name,
-                                                llvm::ArrayRef<llvm::Value*> args) {
-        llvm::SmallVector<llvm::Type*, 2> params(args.size(), f64_);
-        llvm::FunctionCallee callee = module_.getOrInsertFunction(
-            name, llvm::FunctionType::get(f64_, params, /*isVarArg=*/false));
-        if (auto* decl = llvm::dyn_cast<llvm::Function>(callee.getCallee())) {
-            decl->setDoesNotThrow();
-        }
-        llvm::CallInst* call = builder_.CreateCall(callee, args);
-        call->addFnAttr(llvm::Attribute::NoBuiltin);
-        return call;
-    }
-
     /// llvm.sqrt / llvm.fabs — IEEE-exact, and defined directly on vector
-    /// types, so the same call works at both widths.
+    /// types.
     [[nodiscard]] llvm::Value* call_intrinsic(llvm::Intrinsic::ID id, llvm::Value* arg) {
         return builder_.CreateUnaryIntrinsic(id, arg);
-    }
-
-    /// One `for (lane = begin; lane < end; lane += step)` loop around
-    /// `body`. No vectorization metadata: the body already is the final
-    /// (vector or scalar) shape. `body` must stay straight-line (every
-    /// FusedOp lowers to loads, arithmetic, selects and calls — no new
-    /// blocks).
-    void emit_counted_loop(llvm::Value* begin, llvm::Value* end, std::int64_t step,
-                           llvm::StringRef name,
-                           const std::function<void(llvm::Value*)>& body) {
-        llvm::BasicBlock* preheader = builder_.GetInsertBlock();
-        auto* header = llvm::BasicBlock::Create(ctx_, llvm::Twine(name) + ".head", fn_);
-        auto* body_bb = llvm::BasicBlock::Create(ctx_, llvm::Twine(name) + ".body", fn_);
-        auto* exit = llvm::BasicBlock::Create(ctx_, llvm::Twine(name) + ".exit", fn_);
-        builder_.CreateBr(header);
-
-        builder_.SetInsertPoint(header);
-        llvm::PHINode* lane = builder_.CreatePHI(i64_, 2, llvm::Twine(name) + ".lane");
-        lane->addIncoming(begin, preheader);
-        builder_.CreateCondBr(builder_.CreateICmpSLT(lane, end), body_bb, exit);
-
-        builder_.SetInsertPoint(body_bb);
-        body(lane);
-        llvm::Value* next = builder_.CreateAdd(lane, llvm::ConstantInt::get(i64_, step));
-        lane->addIncoming(next, builder_.GetInsertBlock());
-        builder_.CreateBr(header);
-
-        builder_.SetInsertPoint(exit);
     }
 
     /// The per-lane arithmetic of one fused instruction — the exact IR
     /// image of FusedProgram::execute_impl's switch.
     void emit_instruction(const expr::FusedInstr& instr, llvm::Value* lane) {
         using expr::FusedOp;
-        auto a = [&] { return load_slot(instr.a, lane); };
-        auto bb = [&] { return load_slot(instr.b, lane); };
-        auto c = [&] { return load_slot(instr.c, lane); };
+        auto a = [&] { return read_row(instr.a, lane); };
+        auto bb = [&] { return read_row(instr.b, lane); };
+        auto c = [&] { return read_row(instr.c, lane); };
         llvm::IRBuilder<>& b = builder_;
         llvm::Value* result = nullptr;
         switch (instr.op) {
@@ -409,7 +381,7 @@ private:
                 for (std::int32_t k = 0; k < instr.b; ++k) {
                     const expr::LinTerm& term =
                         terms[static_cast<std::size_t>(instr.a + k)];
-                    llvm::Value* src = load_slot(term.slot, lane);
+                    llvm::Value* src = read_row(term.slot, lane);
                     acc = b.CreateFAdd(acc, b.CreateFMul(fp(term.coeff), src));
                 }
                 result = acc;
@@ -417,7 +389,7 @@ private:
             }
         }
         AMSVP_CHECK(result != nullptr, "unlowered fused opcode");
-        store_slot(instr.dst, lane, result);
+        write_row(instr.dst, lane, result);
     }
 
     /// Rotate history rows after the program, deepest row first — the IR
@@ -441,31 +413,30 @@ private:
     llvm::LLVMContext& ctx_;
     llvm::Module& module_;
     const runtime::ModelLayout& layout_;
-    const bool scalar_;
     llvm::IRBuilder<> builder_;
     llvm::Type* f64_;
     llvm::Type* i64_;
     llvm::FixedVectorType* vec_ty_;
     llvm::Function* fn_ = nullptr;
     llvm::Value* slots_ = nullptr;
-    llvm::Value* batch64_ = nullptr;
     llvm::Value* stride64_ = nullptr;  ///< LaneLayout::padded_width(batch)
-    bool vector_ = false;  ///< emit <kVectorRow x double> ops instead of scalars
+    /// Per slot: its row's SSA value in the current row iteration (null
+    /// until the iteration first defines or loads it).
+    std::vector<llvm::Value*> row_values_;
 };
 
-}  // namespace
-
-LoweredModule lower_model(const runtime::ModelLayout& layout) {
-    AMSVP_CHECK(layout.strategy() == runtime::EvalStrategy::kFused,
-                "ORC lowering needs a kFused layout");
-    LoweredModule lowered;
-    lowered.context = std::make_unique<llvm::LLVMContext>();
-    lowered.module = std::make_unique<llvm::Module>("amsvp_orc", *lowered.context);
-    StepFunctionLowering(*lowered.module, layout, /*scalar=*/true).run();
-    StepFunctionLowering(*lowered.module, layout, /*scalar=*/false).run();
-    return lowered;
-}
-
+/// The fixed compile-latency-tuned new-pass-manager pipeline, in place.
+/// The lowering already emits the final vector shape (explicit
+/// <kVectorRow x double> rows over every padded row, each upward-exposed
+/// row loaded once), so there is no loop-rotate/loop-vectorize stage:
+/// early-cse shares the repeated GEP arithmetic, instcombine folds the
+/// splat/extract/insert traffic around scalarized libm calls, and
+/// simplifycfg tidies the loop skeleton. This is the subset of O2 that pays
+/// for itself on straight-line step kernels — the full default<O2>
+/// pipeline costs ~4x the walltime here for no measurable steady-state
+/// gain. None of these passes contract FP (the lowering emits no
+/// `contract`/`fast` flags for them to act on). `tm` supplies the target
+/// analyses.
 void run_opt_pipeline(llvm::Module& module, llvm::TargetMachine* tm) {
     llvm::LoopAnalysisManager lam;
     llvm::FunctionAnalysisManager fam;
@@ -478,16 +449,6 @@ void run_opt_pipeline(llvm::Module& module, llvm::TargetMachine* tm) {
     pb.registerLoopAnalyses(lam);
     pb.crossRegisterProxies(lam, fam, cgam, mam);
     llvm::ModulePassManager mpm;
-    // The lowering already emits the final vector shape (explicit
-    // <kVectorRow x double> rows over every padded row), so there is no
-    // loop-rotate/loop-vectorize stage anymore: early-cse shares the
-    // repeated slot loads and GEP arithmetic, instcombine folds the
-    // splat/extract/insert traffic around scalarized libm calls, and
-    // simplifycfg tidies the loop skeletons. This is the subset of O2 that
-    // pays for itself on straight-line step kernels — the full default<O2>
-    // pipeline costs ~4x the walltime here for no measurable steady-state
-    // gain. None of these passes contract FP (the lowering emits no
-    // `contract`/`fast` flags for them to act on).
     const char* pipeline = "function(early-cse<memssa>,instcombine,simplifycfg)";
     if (llvm::Error err = pb.parsePassPipeline(mpm, pipeline)) {
         // Unreachable with a healthy LLVM, but a typo in the string must
@@ -498,12 +459,57 @@ void run_opt_pipeline(llvm::Module& module, llvm::TargetMachine* tm) {
     mpm.run(module, mam);
 }
 
+/// print() the module to a string (pre/post-pipeline dumps).
 std::string module_to_string(const llvm::Module& module) {
     std::string text;
     llvm::raw_string_ostream stream(text);
     module.print(stream, /*AAW=*/nullptr);
     stream.flush();
     return text;
+}
+
+}  // namespace
+
+std::optional<PreparedModule> prepare_module(const runtime::ModelLayout& layout,
+                                             std::string* unoptimized_ir,
+                                             std::string* error) {
+    AMSVP_CHECK(layout.strategy() == runtime::EvalStrategy::kFused,
+                "ORC lowering needs a kFused layout");
+    ensure_native_target();
+    auto jtmb = llvm::orc::JITTargetMachineBuilder::detectHost();
+    if (!jtmb) {
+        set_error(error, "cannot detect host target: " + llvm::toString(jtmb.takeError()));
+        return std::nullopt;
+    }
+    // FastISel + linear-scan register allocation: the mid-end pipeline has
+    // already CSE'd the kernel, and SelectionDAG at any higher level costs
+    // ~10x the materialize time on these straight-line bodies for a modest
+    // steady-state gain. Cold-compile latency is the reason this backend
+    // exists.
+    jtmb->setCodeGenOptLevel(llvm::CodeGenOpt::None);
+    auto tm = jtmb->createTargetMachine();
+    if (!tm) {
+        set_error(error, "cannot create target machine: " + llvm::toString(tm.takeError()));
+        return std::nullopt;
+    }
+
+    auto context = std::make_unique<llvm::LLVMContext>();
+    auto module = std::make_unique<llvm::Module>("amsvp_orc", *context);
+    BatchKernelLowering(*module, layout).run();
+    module->setDataLayout((*tm)->createDataLayout());
+    module->setTargetTriple((*tm)->getTargetTriple().str());
+
+    std::string verify_text;
+    llvm::raw_string_ostream verify_stream(verify_text);
+    if (llvm::verifyModule(*module, &verify_stream)) {
+        set_error(error, "lowered module failed verification: " + verify_stream.str());
+        return std::nullopt;
+    }
+    if (unoptimized_ir != nullptr) {
+        *unoptimized_ir = module_to_string(*module);
+    }
+    run_opt_pipeline(*module, tm->get());
+    return PreparedModule{std::move(*jtmb), std::move(context), std::move(module)};
 }
 
 }  // namespace orc_detail
@@ -514,39 +520,12 @@ std::string llvm_backend_version() { return LLVM_VERSION_STRING; }
 
 std::optional<LoweredIrText> lower_to_ir_text(
     const std::shared_ptr<const runtime::ModelLayout>& layout, std::string* error) {
-    orc_detail::ensure_native_target();
-    auto jtmb = llvm::orc::JITTargetMachineBuilder::detectHost();
-    if (!jtmb) {
-        if (error != nullptr) {
-            *error = "cannot detect host target: " + llvm::toString(jtmb.takeError());
-        }
-        return std::nullopt;
-    }
-    auto tm = jtmb->createTargetMachine();
-    if (!tm) {
-        if (error != nullptr) {
-            *error = "cannot create target machine: " + llvm::toString(tm.takeError());
-        }
-        return std::nullopt;
-    }
-
-    orc_detail::LoweredModule lowered = orc_detail::lower_model(*layout);
-    lowered.module->setDataLayout((*tm)->createDataLayout());
-    lowered.module->setTargetTriple((*tm)->getTargetTriple().str());
-
-    std::string verify_text;
-    llvm::raw_string_ostream verify_stream(verify_text);
-    if (llvm::verifyModule(*lowered.module, &verify_stream)) {
-        if (error != nullptr) {
-            *error = "lowered module failed verification: " + verify_stream.str();
-        }
-        return std::nullopt;
-    }
-
     LoweredIrText text;
-    text.unoptimized = orc_detail::module_to_string(*lowered.module);
-    orc_detail::run_opt_pipeline(*lowered.module, tm->get());
-    text.optimized = orc_detail::module_to_string(*lowered.module);
+    const auto prepared = orc_detail::prepare_module(*layout, &text.unoptimized, error);
+    if (!prepared) {
+        return std::nullopt;
+    }
+    text.optimized = orc_detail::module_to_string(*prepared->module);
     return text;
 }
 

@@ -4,17 +4,25 @@
 // The fused instruction stream is already a flat three-address IR over a
 // strided slot file, so lowering is a 1:1 translation: every FusedOp —
 // including the mul-add / immediate superinstructions and kLinComb —
-// becomes the exact same arithmetic the interpreter executes, wrapped in
-// an explicit lane loop (annotated for vectorization) for the batched
-// entry point. Two functions are emitted per model:
+// becomes the exact same arithmetic the interpreter executes, as one
+// <runtime::LaneLayout::kVectorRow x double> operation per padded lane row.
+// One function is emitted per model:
 //
-//   void amsvp_orc_step(double* slots)             — one instance
 //   void amsvp_orc_step_batch(double* slots, int batch)
 //
-// Both write nothing but the slot file, execute the program, then rotate
-// history rows (llvm.memcpy, deepest row first) exactly like
+// It writes nothing but the slot file: an explicit loop over every padded
+// row (ghost lanes computed, never observed) runs the program, then history
+// rows rotate (llvm.memcpy, deepest row first) exactly like
 // BatchCompiledModel::step — the caller writes inputs and the $abstime row
 // first.
+//
+// Load/store contract (checked by analysis::verify_orc_lowering on the IR
+// before the pass pipeline): each row iteration stores every instruction's
+// row exactly once and loads a slot's row at most once — only the
+// upward-exposed slots, read before any write in the step, are loaded; a
+// slot already defined or loaded in the iteration is reused as its SSA
+// value. The slot file, scratch rows included, is therefore bit-identical
+// to the interpreter's after every step.
 //
 // Bit-exactness contract (the acceptance bar is bit-for-bit equality with
 // EvalStrategy::kFused): no fast-math flags anywhere, no `contract` flags
@@ -55,9 +63,10 @@ struct LoweredIrText {
     std::string optimized;    ///< after the fixed pass pipeline
 };
 
-/// Lower `layout`'s fused program and run the pass pipeline, returning
-/// both IR printouts. Returns nullopt with `error` set when built without
-/// LLVM or when lowering/verification fails.
+/// Lower `layout`'s fused program and run the pass pipeline — the same
+/// prelude OrcJitProgram::compile materializes — returning both IR
+/// printouts. Returns nullopt with `error` set when built without LLVM or
+/// when lowering/verification fails.
 [[nodiscard]] std::optional<LoweredIrText> lower_to_ir_text(
     const std::shared_ptr<const runtime::ModelLayout>& layout, std::string* error = nullptr);
 

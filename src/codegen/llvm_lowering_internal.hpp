@@ -1,9 +1,10 @@
 // Internal LLVM-facing surface of the lowering pass, shared by
 // llvm_lowering.cpp (IR text dumps) and orc_jit.cpp (LLJIT
-// materialization). Only those two translation units may include this
-// header, and only under AMSVP_HAS_LLVM — public headers stay LLVM-free
-// so the rest of the tree (and every test binary) builds without the LLVM
-// include paths.
+// materialization). Both go through the one prelude below, so the IR dumps
+// are exactly the module ORC materializes. Only those two translation
+// units may include this header, and only under AMSVP_HAS_LLVM — public
+// headers stay LLVM-free so the rest of the tree (and every test binary)
+// builds without the LLVM include paths.
 #pragma once
 
 #ifndef AMSVP_HAS_LLVM
@@ -11,61 +12,47 @@
 #endif
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 
+#include <llvm/ExecutionEngine/Orc/JITTargetMachineBuilder.h>
 #include <llvm/IR/LLVMContext.h>
 #include <llvm/IR/Module.h>
 
 #include "runtime/model_layout.hpp"
 
-namespace llvm {
-class TargetMachine;
-}  // namespace llvm
-
 namespace amsvp::codegen::orc_detail {
 
-/// InitializeNativeTarget* exactly once per process (safe from any
-/// thread); every LLVM-touching entry point calls this first.
-void ensure_native_target();
-
-/// Entry-point names the lowering defines in every module.
-inline constexpr const char* kStepSymbol = "amsvp_orc_step";
+/// The one entry point the lowering defines in every module:
+/// `void amsvp_orc_step_batch(double* slots, int batch)`.
 inline constexpr const char* kStepBatchSymbol = "amsvp_orc_step_batch";
 
-/// One lowered model: the module and the context that owns its types.
-/// Every call gets a fresh context, so concurrent compiles never share
-/// LLVM state.
-struct LoweredModule {
+/// One lowered model, verified and run through the fixed pass pipeline,
+/// plus the host target it was lowered for. `context` owns the module's
+/// types; every call gets a fresh context, so concurrent compiles never
+/// share LLVM state.
+struct PreparedModule {
+    llvm::orc::JITTargetMachineBuilder target;
     std::unique_ptr<llvm::LLVMContext> context;
     std::unique_ptr<llvm::Module> module;
 };
 
-/// Lower `layout`'s fused program (all opcodes, history rotations
-/// included) into a fresh module defining kStepSymbol and
-/// kStepBatchSymbol. The batch function is vector-native: explicit
-/// <runtime::LaneLayout::kVectorRow x double> rows over every padded row
-/// of the strided slot file (ghost lanes compute as throwaway instances;
-/// no scalar tail) — no vectorization metadata, no reliance on
-/// loop-vectorize. Never applies fast-math or contract flags;
-/// libm calls are declared, nobuiltin, unresolved (scalarized per lane in
-/// the vector rows) — the JIT binds them to the process's own libm.
-/// Aborts on an unknown opcode (impossible by construction: the switch
-/// covers the enum).
-[[nodiscard]] LoweredModule lower_model(const runtime::ModelLayout& layout);
+/// The lowering prelude: detect the host, create its target machine
+/// (FastISel code generation, the level ORC materializes with), lower
+/// `layout`'s fused program into a module defining kStepBatchSymbol, stamp
+/// the data layout and triple, verifyModule, and run the fixed pass
+/// pipeline. When `unoptimized_ir` is non-null it receives the module text
+/// between verification and the pipeline. Returns nullopt with `error` set
+/// when the host cannot be targeted or the module fails verification.
+[[nodiscard]] std::optional<PreparedModule> prepare_module(
+    const runtime::ModelLayout& layout, std::string* unoptimized_ir, std::string* error);
 
-/// Run the fixed compile-latency-tuned new-pass-manager pipeline over
-/// `module` in place: early-cse / instcombine / simplifycfg — the handful
-/// of passes that pay for themselves on kernels lowered straight to their
-/// final vector shape (no loop-rotate/loop-vectorize stage anymore), at a
-/// fraction of the default O2 pipeline's walltime (the point of JITting
-/// in-process is the cold-compile latency). `tm` supplies the target
-/// analyses and may be null for a target-agnostic run. FP contraction
-/// stays off by construction: the pipeline can only contract where
-/// instructions carry `contract`/`fast` flags, and lower_model emits
-/// none.
-void run_opt_pipeline(llvm::Module& module, llvm::TargetMachine* tm);
-
-/// print() the module to a string (pre/post-pipeline dumps).
-[[nodiscard]] std::string module_to_string(const llvm::Module& module);
+/// Store `message` in `*error` when the caller asked for error text.
+inline void set_error(std::string* error, std::string message) {
+    if (error != nullptr) {
+        *error = std::move(message);
+    }
+}
 
 }  // namespace amsvp::codegen::orc_detail

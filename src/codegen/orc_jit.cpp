@@ -7,13 +7,9 @@
 
 #ifdef AMSVP_HAS_LLVM
 #include <llvm/ExecutionEngine/Orc/ExecutionUtils.h>
-#include <llvm/ExecutionEngine/Orc/JITTargetMachineBuilder.h>
 #include <llvm/ExecutionEngine/Orc/LLJIT.h>
 #include <llvm/ExecutionEngine/Orc/ThreadSafeModule.h>
-#include <llvm/IR/Verifier.h>
 #include <llvm/Support/Error.h>
-#include <llvm/Support/raw_ostream.h>
-#include <llvm/Target/TargetMachine.h>
 
 #include "codegen/llvm_lowering_internal.hpp"
 #endif
@@ -78,7 +74,8 @@ std::unique_ptr<runtime::BatchExecutor> OrcBatchModel::make_fallback_shard(
 #ifdef AMSVP_HAS_LLVM
 
 // ---------------------------------------------------------------------------
-// The real thing: lower -> verify -> fixed pass pipeline -> LLJIT materialize.
+// The real thing: the lowering prelude (lower -> verify -> fixed pass
+// pipeline) -> LLJIT materialize.
 
 /// Owns the LLJIT instance. Kept out of the header so public includes
 /// stay LLVM-free; destruction releases the JITed code (after every
@@ -92,19 +89,9 @@ OrcJitProgram::~OrcJitProgram() = default;
 
 bool orc_available() { return true; }
 
-namespace {
-
-void set_error(std::string* error, std::string message) {
-    if (error != nullptr) {
-        *error = std::move(message);
-    }
-}
-
-}  // namespace
-
 std::shared_ptr<const OrcJitProgram> OrcJitProgram::compile(
     std::shared_ptr<const runtime::ModelLayout> layout, std::string* error) {
-    orc_detail::ensure_native_target();
+    using orc_detail::set_error;
     orc_detail::g_orc_compile_invocations.fetch_add(1, std::memory_order_relaxed);
     // Deterministic failure leg for robustness tests: models "the JIT could
     // not materialize machine code" without needing a real OOM or a broken
@@ -114,42 +101,16 @@ std::shared_ptr<const OrcJitProgram> OrcJitProgram::compile(
         return nullptr;
     }
 
-    auto jtmb = llvm::orc::JITTargetMachineBuilder::detectHost();
-    if (!jtmb) {
-        set_error(error, "cannot detect host target: " + llvm::toString(jtmb.takeError()));
+    // The fixed pipeline runs inside the prelude (LLJIT adds no IR
+    // optimization of its own), so what materializes is exactly the
+    // optimized module the codegen_tool dumps show.
+    auto prepared = orc_detail::prepare_module(*layout, /*unoptimized_ir=*/nullptr, error);
+    if (!prepared) {
         return nullptr;
     }
-    // FastISel + linear-scan register allocation: the mid-end pipeline has
-    // already CSE'd and vectorized the kernels, and SelectionDAG at any
-    // higher level costs ~10x the materialize time on these straight-line
-    // bodies for a modest steady-state gain. Cold-compile latency is the
-    // reason this backend exists.
-    jtmb->setCodeGenOptLevel(llvm::CodeGenOpt::None);
-    auto tm = jtmb->createTargetMachine();
-    if (!tm) {
-        set_error(error,
-                  "cannot create target machine: " + llvm::toString(tm.takeError()));
-        return nullptr;
-    }
-
-    orc_detail::LoweredModule lowered = orc_detail::lower_model(*layout);
-    lowered.module->setDataLayout((*tm)->createDataLayout());
-    lowered.module->setTargetTriple((*tm)->getTargetTriple().str());
-
-    std::string verify_text;
-    llvm::raw_string_ostream verify_stream(verify_text);
-    if (llvm::verifyModule(*lowered.module, &verify_stream)) {
-        set_error(error, "lowered module failed verification: " + verify_stream.str());
-        return nullptr;
-    }
-
-    // The fixed pipeline runs up front (LLJIT adds no IR optimization of
-    // its own), so what materializes is exactly the optimized module the
-    // pre/post dumps show.
-    orc_detail::run_opt_pipeline(*lowered.module, tm->get());
 
     auto jit = llvm::orc::LLJITBuilder()
-                   .setJITTargetMachineBuilder(std::move(*jtmb))
+                   .setJITTargetMachineBuilder(std::move(prepared->target))
                    .create();
     if (!jit) {
         set_error(error, "cannot create LLJIT: " + llvm::toString(jit.takeError()));
@@ -168,17 +129,11 @@ std::shared_ptr<const OrcJitProgram> OrcJitProgram::compile(
     (*jit)->getMainJITDylib().addGenerator(std::move(*generator));
 
     if (llvm::Error err = (*jit)->addIRModule(llvm::orc::ThreadSafeModule(
-            std::move(lowered.module), std::move(lowered.context)))) {
+            std::move(prepared->module), std::move(prepared->context)))) {
         set_error(error, "cannot add module: " + llvm::toString(std::move(err)));
         return nullptr;
     }
 
-    auto step = (*jit)->lookup(orc_detail::kStepSymbol);
-    if (!step) {
-        set_error(error, "cannot materialize step kernel: " +
-                             llvm::toString(step.takeError()));
-        return nullptr;
-    }
     auto step_batch = (*jit)->lookup(orc_detail::kStepBatchSymbol);
     if (!step_batch) {
         set_error(error, "cannot materialize step_batch kernel: " +
@@ -189,7 +144,6 @@ std::shared_ptr<const OrcJitProgram> OrcJitProgram::compile(
     auto program = std::shared_ptr<OrcJitProgram>(new OrcJitProgram());
     program->engine_ = std::make_unique<Engine>();
     program->engine_->jit = std::move(*jit);
-    program->step_fn_ = reinterpret_cast<StepFn>(step->getAddress());
     program->step_batch_fn_ = reinterpret_cast<StepBatchFn>(step_batch->getAddress());
     program->layout_ = std::move(layout);
     return program;

@@ -1,13 +1,14 @@
 // In-process ORC JIT execution of the fused program: the library's one
 // machine-code sweep engine.
 //
-// OrcJitProgram lowers a model's fused instruction stream to LLVM IR
-// (llvm_lowering.hpp), runs the fixed pass pipeline and materializes the
-// step kernels through LLJIT — all inside this process, no compiler on
+// OrcJitProgram lowers a model's fused instruction stream to one batch
+// kernel in LLVM IR (llvm_lowering.hpp), runs the fixed pass pipeline and
+// materializes it through LLJIT — all inside this process, no compiler on
 // PATH, no temp files, no dlopen. A cold compile costs milliseconds.
 // Results are bit-identical to EvalStrategy::kFused: the lowering never
 // enables fast-math or FP contraction, and libm calls resolve to this very
-// process's libm.
+// process's libm. The one kernel serves every width, width 1 included
+// (one padded row, three ghost lanes).
 //
 // OrcBatchModel is a BatchCompiledModel whose step() drives the JITed
 // kernel over the same padded slot file, slotting into the make_shard /
@@ -48,12 +49,12 @@ namespace orc_detail {
 }  // namespace orc_detail
 
 /// The shared, immutable compile artifact of the ORC path: a materialized
-/// LLJIT instance plus the two resolved entry points and the layout the
-/// IR was lowered against. Thread-safe after construction — the kernels
-/// touch only caller-provided memory.
+/// LLJIT instance plus the resolved batch kernel and the layout the IR was
+/// lowered against. Thread-safe after construction — the kernel touches
+/// only caller-provided memory.
 class OrcJitProgram {
 public:
-    /// Lower, optimize and materialize the kernels for `model`. Returns
+    /// Lower, optimize and materialize the kernel for `model`. Returns
     /// nullptr (with `error` set) when built without LLVM, or when
     /// lowering/verification/materialization fails.
     [[nodiscard]] static std::shared_ptr<const OrcJitProgram> compile(
@@ -69,11 +70,6 @@ public:
     OrcJitProgram(const OrcJitProgram&) = delete;
     OrcJitProgram& operator=(const OrcJitProgram&) = delete;
 
-    /// Step one instance: the scalar entry point over a contiguous
-    /// layout()->slot_count() slot file (caller writes inputs and the
-    /// $abstime slot first; history rotates inside).
-    void step(double* slots) const { step_fn_(slots); }
-
     /// Step `batch` lanes of a padded slot file (layout()->slot_count()
     /// rows of runtime::LaneLayout::padded_width(batch) doubles). The
     /// caller writes inputs and the $abstime row first; history rotates
@@ -87,12 +83,10 @@ public:
 private:
     OrcJitProgram() = default;
 
-    using StepFn = void (*)(double*);
     using StepBatchFn = void (*)(double*, int);
 
     class Engine;  ///< owns the LLJIT (and with it the JITed code)
     std::unique_ptr<Engine> engine_;
-    StepFn step_fn_ = nullptr;
     StepBatchFn step_batch_fn_ = nullptr;
     std::shared_ptr<const runtime::ModelLayout> layout_;
 };
@@ -102,7 +96,7 @@ private:
 /// compact_lanes, scan_lane_health — unchanged.
 class OrcBatchModel final : public runtime::BatchCompiledModel {
 public:
-    /// Convenience: compile the kernels and batch them. Returns nullptr
+    /// Convenience: compile the kernel and batch it. Returns nullptr
     /// (with `error` set) when the ORC backend is unavailable or fails.
     [[nodiscard]] static std::unique_ptr<OrcBatchModel> compile(
         const abstraction::SignalFlowModel& model, int batch, std::string* error = nullptr);

@@ -18,7 +18,7 @@
 //   jit.dlopen        loading the compiled shared object fails
 //   jit.dlsym         a required entry point is missing from the .so
 //   jit.orc_materialize  the in-process ORC JIT fails to materialize the
-//                     step kernels (codegen::OrcJitProgram::compile)
+//                     batch kernel (codegen::OrcJitProgram::compile)
 //   pool.worker       a ThreadPool task throws (context = task index)
 //   sweep.lane_nan    a sweep lane's input goes NaN (context = global lane)
 //   sweep.shard_alloc building a per-worker sweep shard fails

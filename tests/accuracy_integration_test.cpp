@@ -17,6 +17,11 @@ struct Case {
     netlist::Circuit (*make)();
 };
 
+// Prints the parameter as its circuit name. Without this gtest prints the
+// struct's raw bytes (two pointers) into the ctest name, so the name
+// changed from build to build.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
+
 netlist::Circuit make_rc1() {
     return netlist::make_rc_ladder(1);
 }

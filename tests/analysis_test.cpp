@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "abstraction/abstraction.hpp"
@@ -605,6 +606,33 @@ TEST(AnalysisConformance, OrcLoweringStoreCountsMatch) {
         support::DiagnosticEngine diags;
         EXPECT_TRUE(analysis::verify_orc_lowering(layout, diags))
             << "rc" << stages << ":\n"
+            << diags.render_all();
+    }
+    for (const auto& [name, circuit] :
+         {std::pair{"2IN", netlist::make_two_inputs()}, std::pair{"OA", netlist::make_opamp()}}) {
+        std::string error;
+        auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);
+        ASSERT_TRUE(model.has_value()) << name << ": " << error;
+        support::DiagnosticEngine diags;
+        EXPECT_TRUE(analysis::verify_orc_lowering(
+            ModelLayout::compile(*model, EvalStrategy::kFused), diags))
+            << name << ":\n"
+            << diags.render_all();
+    }
+}
+
+TEST(AnalysisConformance, OrcLoweringContractHoldsOnRandomNonlinearModels) {
+    if (!codegen::llvm_backend_available()) {
+        GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
+    }
+    // The models of OrcJitModel.RandomNonlinearModelsMatchInterpreterWholeSlotFile:
+    // libm calls, selects and comparisons over forwarded row values.
+    for (unsigned seed = 1; seed <= 12; ++seed) {
+        const auto layout = ModelLayout::compile(testing_support::make_random_signal_flow(seed),
+                                                 EvalStrategy::kFused);
+        support::DiagnosticEngine diags;
+        EXPECT_TRUE(analysis::verify_orc_lowering(layout, diags))
+            << "seed " << seed << ":\n"
             << diags.render_all();
     }
 }

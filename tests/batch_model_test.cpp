@@ -9,6 +9,7 @@
 
 #include "abstraction/abstraction.hpp"
 #include "netlist/builder.hpp"
+#include "random_models.hpp"
 #include "runtime/batch_model.hpp"
 #include "runtime/compiled_model.hpp"
 #include "runtime/simulate.hpp"
@@ -19,90 +20,14 @@ namespace {
 using abstraction::Assignment;
 using abstraction::SignalFlowModel;
 using expr::Expr;
-using expr::ExprPtr;
 using expr::Symbol;
 
 // --- Random-model differential ----------------------------------------------
 
-/// Random expression over `leaves`, restricted to operations that keep
-/// values finite for bounded inputs (divisions are guarded).
-ExprPtr random_expr(std::mt19937& rng, int depth, const std::vector<ExprPtr>& leaves) {
-    std::uniform_real_distribution<double> c(-2.0, 2.0);
-    std::uniform_int_distribution<int> pick_leaf(0, static_cast<int>(leaves.size()) - 1);
-    if (depth <= 0) {
-        std::uniform_int_distribution<int> kind(0, 2);
-        if (kind(rng) == 0) {
-            return Expr::constant(c(rng));
-        }
-        return leaves[static_cast<std::size_t>(pick_leaf(rng))];
-    }
-    std::uniform_int_distribution<int> op(0, 8);
-    auto sub = [&](int d) { return random_expr(rng, d, leaves); };
-    switch (op(rng)) {
-        case 0:
-            return Expr::add(sub(depth - 1), sub(depth - 1));
-        case 1:
-            return Expr::sub(sub(depth - 1), sub(depth - 1));
-        case 2:
-            return Expr::mul(sub(depth - 1), sub(depth - 1));
-        case 3:
-            return Expr::div(sub(depth - 1),
-                             Expr::add(Expr::unary(expr::UnaryOp::kAbs, sub(depth - 1)),
-                                       Expr::constant(1.5)));
-        case 4:
-            return Expr::binary(expr::BinaryOp::kMin, sub(depth - 1), sub(depth - 1));
-        case 5:
-            return Expr::neg(sub(depth - 1));
-        case 6:
-            return Expr::unary(expr::UnaryOp::kSin, sub(depth - 1));
-        case 7:
-            return Expr::unary(expr::UnaryOp::kCos, sub(depth - 1));
-        default:
-            return Expr::conditional(
-                Expr::binary(expr::BinaryOp::kLt, sub(0), sub(0)), sub(depth - 1),
-                sub(depth - 1));
-    }
-}
-
-/// Random multi-assignment model: damped state recurrences feeding chained
-/// combinational outputs (the shape of discretized signal-flow programs).
-SignalFlowModel random_model(unsigned seed) {
-    std::mt19937 rng(seed);
-    SignalFlowModel m;
-    m.name = "random";
-    m.timestep = 1e-6;
-    const Symbol u0 = expr::input_symbol("u0");
-    const Symbol u1 = expr::input_symbol("u1");
-    m.inputs = {u0, u1};
-
-    std::vector<ExprPtr> leaves = {Expr::symbol(u0), Expr::symbol(u1)};
-    std::vector<Symbol> states;
-    for (int i = 0; i < 3; ++i) {
-        const Symbol s = expr::variable_symbol("s" + std::to_string(i));
-        states.push_back(s);
-        leaves.push_back(Expr::delayed(s, 1));
-    }
-    for (int i = 0; i < 3; ++i) {
-        m.assignments.push_back(Assignment{
-            states[static_cast<std::size_t>(i)],
-            Expr::add(Expr::mul(Expr::constant(0.5),
-                                Expr::delayed(states[static_cast<std::size_t>(i)], 1)),
-                      Expr::unary(expr::UnaryOp::kSin, random_expr(rng, 4, leaves)))});
-        leaves.push_back(Expr::symbol(states[static_cast<std::size_t>(i)]));
-    }
-    for (int i = 0; i < 2; ++i) {
-        const Symbol v = expr::variable_symbol("v" + std::to_string(i));
-        m.assignments.push_back(Assignment{v, random_expr(rng, 5, leaves)});
-        leaves.push_back(Expr::symbol(v));
-        m.outputs.push_back(v);
-    }
-    return m;
-}
-
 class BatchRandomDifferential : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(BatchRandomDifferential, LanesMatchScalarInstancesExactly) {
-    const SignalFlowModel m = random_model(GetParam());
+    const SignalFlowModel m = testing_support::make_random_signal_flow(GetParam());
     constexpr int kLanes = 7;  // deliberately not a pinned interpreter width
 
     const auto layout = runtime::ModelLayout::compile(m);

@@ -1,10 +1,10 @@
-// In-process ORC JIT backend: the LLVM-lowered step/step_batch kernels
-// must behave exactly like the fused batch interpreter — same strided
-// slot file, same per-lane arithmetic, bit-for-bit at every batch width
-// and thread count (the lowering never enables fast-math or FP
-// contraction, and libm resolves to this process's own functions). Every
-// ORC test here skips gracefully in an AMSVP_WITH_LLVM=OFF build, where the
-// degradation tests check the interpreter fallback instead. (Suite name
+// In-process ORC JIT backend: the LLVM-lowered batch kernel must behave
+// exactly like the fused interpreter — same strided slot file, same
+// per-lane arithmetic, bit-for-bit at every batch width and thread count
+// (the lowering never enables fast-math or FP contraction, and libm
+// resolves to this process's own functions). Every ORC test here skips
+// gracefully in an AMSVP_WITH_LLVM=OFF build, where the degradation tests
+// check the interpreter fallback instead. (Suite name
 // ThreadedSweepOrcCompile feeds the `threads` ctest label.)
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include "abstraction/abstraction.hpp"
@@ -19,6 +20,7 @@
 #include "codegen/orc_jit.hpp"
 #include "netlist/builder.hpp"
 #include "random_models.hpp"
+#include "runtime/compiled_model.hpp"
 #include "runtime/simulate.hpp"
 #include "runtime/sweep_service.hpp"
 #include "support/fault.hpp"
@@ -92,7 +94,7 @@ bool diagnostics_mention(const runtime::SweepResult& result, const std::string& 
 // ---------------------------------------------------------------------------
 // IR lowering (text level).
 
-TEST(OrcJitLowering, EmitsBothEntryPointsWithoutFastMath) {
+TEST(OrcJitLowering, EmitsOneBatchEntryPointWithoutFastMath) {
     if (!llvm_backend_available()) {
         GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
     }
@@ -102,10 +104,13 @@ TEST(OrcJitLowering, EmitsBothEntryPointsWithoutFastMath) {
     const auto ir = lower_to_ir_text(layout, &error);
     ASSERT_TRUE(ir.has_value()) << error;
 
-    // Both kernels exist, before and after the pipeline.
+    // The batch kernel is the only function defined, before and after the
+    // pipeline: there is no scalar step kernel beside it.
     for (const std::string* text : {&ir->unoptimized, &ir->optimized}) {
-        EXPECT_NE(text->find("amsvp_orc_step"), std::string::npos);
-        EXPECT_NE(text->find("amsvp_orc_step_batch"), std::string::npos);
+        const std::size_t first = text->find("define ");
+        ASSERT_NE(first, std::string::npos);
+        EXPECT_EQ(text->find("define void @amsvp_orc_step_batch("), first);
+        EXPECT_EQ(text->rfind("define "), first);
     }
     // The bit-exactness contract in IR form: no fast-math/contract flags,
     // no fmuladd intrinsic (two-rounding mul+add only).
@@ -251,7 +256,7 @@ TEST(OrcJitModel, RandomModelsMatchInterpreterSlotForSlot) {
     }
 }
 
-TEST(OrcJitModel, ScalarStepMatchesBatchWidthOne) {
+TEST(OrcJitModel, WidthOneMatchesScalarInterpreter) {
     if (!orc_available()) {
         GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
     }
@@ -260,32 +265,66 @@ TEST(OrcJitModel, ScalarStepMatchesBatchWidthOne) {
     const auto program = OrcJitProgram::compile(model, &error);
     ASSERT_NE(program, nullptr) << error;
 
-    // Drive the scalar entry point over a hand-held contiguous slot file
-    // (stride 1 — a width-1 *batch* file is padded to a whole vector row,
-    // so it uses the scalar initializer, not the batch one) against the
-    // width-1 batch.
-    OrcBatchModel batch(program, 1);
-    const auto& layout = program->layout();
-    std::vector<double> slots(layout->slot_count(), 0.0);
-    for (const auto& [slot, value] : layout->initial_values()) {
-        slots[static_cast<std::size_t>(slot)] = value;
-    }
-    layout->fused_program().initialize_constants(slots.data());
-
-    const int input_slot = layout->input_slots().front();
-    const int time_slot = layout->time_slot();
+    // One live lane in one padded row: the kernel computes three ghost
+    // lanes beside it, and the live lane must still track the scalar
+    // interpreter instance slot for slot.
+    OrcBatchModel orc(program, 1);
+    runtime::CompiledModel scalar(program->layout());
+    ASSERT_EQ(scalar.layout()->strategy(), runtime::EvalStrategy::kFused);
+    const int model_slots = static_cast<int>(program->layout()->model_slot_count());
     const double dt = model.timestep;
     for (int k = 1; k <= 200; ++k) {
         const double t = k * dt;
         const double v = 0.75 + 0.25 * std::sin(t * 800.0);
-        slots[static_cast<std::size_t>(input_slot)] = v;
-        slots[static_cast<std::size_t>(time_slot)] = t;
-        program->step(slots.data());
-        batch.set_input(0, 0, v);
-        batch.step(t);
-        for (std::size_t s = 0; s < layout->model_slot_count(); ++s) {
-            ASSERT_EQ(slots[s], batch.slot_value(0, static_cast<int>(s)))
+        orc.set_input(0, 0, v);
+        scalar.set_input(0, v);
+        orc.step(t);
+        scalar.step(t);
+        for (int s = 0; s < model_slots; ++s) {
+            ASSERT_EQ(orc.slot_value(0, s), scalar.slot_value(s))
                 << "slot " << s << " at step " << k;
+        }
+    }
+}
+
+TEST(OrcJitModel, RandomNonlinearModelsMatchInterpreterWholeSlotFile) {
+    if (!orc_available()) {
+        GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
+    }
+    // Nonlinear models push forwarded row values through scalarized libm
+    // calls, selects and comparisons. Every slot is compared, scratch rows
+    // included: the kernel stores every instruction's row, so the whole
+    // slot file must match the interpreter's after each step.
+    for (unsigned seed = 1; seed <= 12; ++seed) {
+        const auto model = testing_support::make_random_signal_flow(seed);
+        std::string error;
+        const auto program = OrcJitProgram::compile(model, &error);
+        ASSERT_NE(program, nullptr) << "seed " << seed << ": " << error;
+        const int slots = static_cast<int>(program->layout()->slot_count());
+        for (const int width : {1, 3, 4, 5, 17}) {
+            OrcBatchModel orc(program, width);
+            runtime::BatchCompiledModel interp(program->layout(), width);
+            std::mt19937 rng(seed * 31u + static_cast<unsigned>(width));
+            std::uniform_real_distribution<double> input(-1.0, 1.0);
+            for (int k = 1; k <= 100; ++k) {
+                const double t = k * model.timestep;
+                for (int l = 0; l < width; ++l) {
+                    for (std::size_t i = 0; i < model.inputs.size(); ++i) {
+                        const double u = input(rng);
+                        orc.set_input(l, i, u);
+                        interp.set_input(l, i, u);
+                    }
+                }
+                orc.step(t);
+                interp.step(t);
+                for (int l = 0; l < width; ++l) {
+                    for (int s = 0; s < slots; ++s) {
+                        ASSERT_EQ(orc.slot_value(l, s), interp.slot_value(l, s))
+                            << "seed " << seed << " width " << width << " lane " << l
+                            << " slot " << s << " at step " << k;
+                    }
+                }
+            }
         }
     }
 }

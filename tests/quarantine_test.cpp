@@ -61,10 +61,18 @@ struct QuarantineCase {
     bool native;  ///< the machine-code backend (kNativeOrc), else the interpreter
 };
 
-std::string case_name(const ::testing::TestParamInfo<QuarantineCase>& info) {
-    const QuarantineCase& c = info.param;
+std::string describe(const QuarantineCase& c) {
     return std::string(c.native ? "native" : "interp") + "_w" + std::to_string(c.lanes) +
            "_p" + std::to_string(c.poisoned) + "_t" + std::to_string(c.threads);
+}
+
+// Prints the parameter as its case name. Without this gtest prints the
+// struct's raw bytes (padding included) into the ctest name, so the name
+// could change from build to build.
+void PrintTo(const QuarantineCase& c, std::ostream* os) { *os << describe(c); }
+
+std::string case_name(const ::testing::TestParamInfo<QuarantineCase>& info) {
+    return describe(info.param);
 }
 
 class QuarantineEquivalence : public ::testing::TestWithParam<QuarantineCase> {};

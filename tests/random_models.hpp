@@ -1,6 +1,7 @@
 // Shared random-model generation for property-based tests: random linear
-// RC networks (random_circuit_test) and the generated-code differential
-// suite (native_model_test) draw from the same distribution.
+// RC networks (random_circuit_test, the generated-code and ORC
+// differentials) and random nonlinear signal-flow models (the batch, ORC
+// and lowering-conformance suites) each come from one distribution.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -9,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "abstraction/signal_flow_model.hpp"
+#include "expr/expr.hpp"
 #include "netlist/builder.hpp"
 
 namespace amsvp::testing_support {
@@ -63,6 +66,129 @@ inline RandomCircuit make_random_rc(unsigned seed) {
     RandomCircuit out{cb.build(), nodes.back()};
     EXPECT_TRUE(out.circuit.validate().empty());
     return out;
+}
+
+/// Random expression over `leaves` using every operator the fused engine
+/// lowers: arithmetic, min/max, libm (sin, cos, exp, ln, log10, tan, pow),
+/// comparisons as 0/1 values, and conditionals on and/or-combined
+/// comparisons. Operands are guarded so values stay finite for bounded
+/// leaves: divisors are at least 1.5, logarithms and pow bases at least
+/// 0.5, exp arguments at most 3, tan arguments within [-1, 1] and pow
+/// exponents within [-2, 2].
+inline expr::ExprPtr random_expr(std::mt19937& rng, int depth,
+                                 const std::vector<expr::ExprPtr>& leaves) {
+    using expr::BinaryOp;
+    using expr::Expr;
+    using expr::UnaryOp;
+    std::uniform_real_distribution<double> c(-2.0, 2.0);
+    std::uniform_int_distribution<int> pick_leaf(0, static_cast<int>(leaves.size()) - 1);
+    if (depth <= 0) {
+        std::uniform_int_distribution<int> kind(0, 2);
+        if (kind(rng) == 0) {
+            return Expr::constant(c(rng));
+        }
+        return leaves[static_cast<std::size_t>(pick_leaf(rng))];
+    }
+    auto sub = [&](int d) { return random_expr(rng, d, leaves); };
+    auto at_least_half = [](expr::ExprPtr x) {
+        return Expr::add(Expr::unary(UnaryOp::kAbs, std::move(x)), Expr::constant(0.5));
+    };
+    auto comparison = [&] {
+        static constexpr BinaryOp kComparisons[] = {BinaryOp::kLt, BinaryOp::kLe,
+                                                    BinaryOp::kGt, BinaryOp::kGe,
+                                                    BinaryOp::kEq, BinaryOp::kNe};
+        std::uniform_int_distribution<int> which(0, 5);
+        return Expr::binary(kComparisons[which(rng)], sub(0), sub(0));
+    };
+    std::uniform_int_distribution<int> op(0, 16);
+    switch (op(rng)) {
+        case 0:
+            return Expr::add(sub(depth - 1), sub(depth - 1));
+        case 1:
+            return Expr::sub(sub(depth - 1), sub(depth - 1));
+        case 2:
+            return Expr::mul(sub(depth - 1), sub(depth - 1));
+        case 3:
+            return Expr::div(sub(depth - 1),
+                             Expr::add(Expr::unary(UnaryOp::kAbs, sub(depth - 1)),
+                                       Expr::constant(1.5)));
+        case 4:
+            return Expr::binary(BinaryOp::kMin, sub(depth - 1), sub(depth - 1));
+        case 5:
+            return Expr::binary(BinaryOp::kMax, sub(depth - 1), sub(depth - 1));
+        case 6:
+            return Expr::neg(sub(depth - 1));
+        case 7:
+            return Expr::unary(UnaryOp::kSin, sub(depth - 1));
+        case 8:
+            return Expr::unary(UnaryOp::kCos, sub(depth - 1));
+        case 9:
+            return Expr::unary(UnaryOp::kExp, Expr::binary(BinaryOp::kMin, sub(depth - 1),
+                                                           Expr::constant(3.0)));
+        case 10:
+            return Expr::unary(UnaryOp::kLn, at_least_half(sub(depth - 1)));
+        case 11:
+            return Expr::unary(UnaryOp::kLog10, at_least_half(sub(depth - 1)));
+        case 12:
+            return Expr::unary(UnaryOp::kTan, Expr::unary(UnaryOp::kSin, sub(depth - 1)));
+        case 13:
+            return Expr::binary(
+                BinaryOp::kPow, at_least_half(sub(depth - 1)),
+                Expr::binary(BinaryOp::kMax,
+                             Expr::binary(BinaryOp::kMin, sub(depth - 1), Expr::constant(2.0)),
+                             Expr::constant(-2.0)));
+        case 14:
+            return comparison();
+        case 15: {
+            std::bernoulli_distribution use_and(0.5);
+            return Expr::conditional(
+                Expr::binary(use_and(rng) ? BinaryOp::kAnd : BinaryOp::kOr, comparison(),
+                             comparison()),
+                sub(depth - 1), sub(depth - 1));
+        }
+        default:
+            return Expr::conditional(comparison(), sub(depth - 1), sub(depth - 1));
+    }
+}
+
+/// Random multi-assignment signal-flow model: damped state recurrences
+/// feeding chained combinational outputs (the shape of discretized
+/// signal-flow programs), two inputs, expressions from random_expr. An
+/// output feeds later outputs clamped to [-8, 8], so chains stay finite.
+inline abstraction::SignalFlowModel make_random_signal_flow(unsigned seed) {
+    using expr::BinaryOp;
+    using expr::Expr;
+    std::mt19937 rng(seed);
+    abstraction::SignalFlowModel m;
+    m.name = "random" + std::to_string(seed);
+    m.timestep = 1e-6;
+    const expr::Symbol u0 = expr::input_symbol("u0");
+    const expr::Symbol u1 = expr::input_symbol("u1");
+    m.inputs = {u0, u1};
+
+    std::vector<expr::ExprPtr> leaves = {Expr::symbol(u0), Expr::symbol(u1)};
+    std::vector<expr::Symbol> states;
+    for (int i = 0; i < 3; ++i) {
+        const expr::Symbol s = expr::variable_symbol("s" + std::to_string(i));
+        states.push_back(s);
+        leaves.push_back(Expr::delayed(s, 1));
+    }
+    for (const expr::Symbol& s : states) {
+        m.assignments.push_back(abstraction::Assignment{
+            s, Expr::add(Expr::mul(Expr::constant(0.5), Expr::delayed(s, 1)),
+                         Expr::unary(expr::UnaryOp::kSin, random_expr(rng, 4, leaves)))});
+        leaves.push_back(Expr::symbol(s));
+    }
+    for (int i = 0; i < 2; ++i) {
+        const expr::Symbol v = expr::variable_symbol("v" + std::to_string(i));
+        m.assignments.push_back(abstraction::Assignment{v, random_expr(rng, 5, leaves)});
+        leaves.push_back(Expr::binary(
+            BinaryOp::kMax,
+            Expr::binary(BinaryOp::kMin, Expr::symbol(v), Expr::constant(8.0)),
+            Expr::constant(-8.0)));
+        m.outputs.push_back(v);
+    }
+    return m;
 }
 
 }  // namespace amsvp::testing_support
