@@ -3,6 +3,7 @@
 // table formatting.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -52,18 +53,47 @@ inline std::map<std::string, numeric::SourceFunction> paper_stimuli() {
             {"u1", numeric::square_wave(1e-3, 0.0, 0.5)}};
 }
 
-/// Simulated duration: default (seconds), overridable via --duration-ms or
-/// the AMSVP_DURATION_MS environment variable.
-inline double duration_from_args(int argc, char** argv, double default_seconds) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--duration-ms") == 0) {
-            return std::atof(argv[i + 1]) * 1e-3;
+/// Report a bad command line on stderr and exit with status 2.
+[[noreturn]] inline void usage_error(const char* program, const std::string& message) {
+    std::fprintf(stderr, "%s: %s\nusage: %s [--duration-ms <ms>] [--json <path>]\n", program,
+                 message.c_str(), program);
+    std::exit(2);
+}
+
+/// The value after `flag`, or null when `flag` is absent. A `flag` with
+/// no value after it is a usage error.
+inline const char* option_value(int argc, char** argv, const char* flag) {
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], flag) == 0) {
+            if (i + 1 == argc) {
+                usage_error(argv[0], std::string(flag) + " needs a value");
+            }
+            return argv[i + 1];
         }
     }
-    if (const char* env = std::getenv("AMSVP_DURATION_MS")) {
-        return std::atof(env) * 1e-3;
+    return nullptr;
+}
+
+/// Simulated duration: default (seconds), overridable via --duration-ms or
+/// the AMSVP_DURATION_MS environment variable. Either must be a positive
+/// number of milliseconds; anything else is a usage error.
+inline double duration_from_args(int argc, char** argv, double default_seconds) {
+    const char* source = "--duration-ms";
+    const char* text = option_value(argc, argv, source);
+    if (text == nullptr) {
+        source = "AMSVP_DURATION_MS";
+        text = std::getenv(source);
     }
-    return default_seconds;
+    if (text == nullptr) {
+        return default_seconds;
+    }
+    char* end = nullptr;
+    const double ms = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(ms) || ms <= 0.0) {
+        usage_error(argv[0], std::string(source) + " must be a positive number of ms, got '" +
+                                 text + "'");
+    }
+    return ms * 1e-3;
 }
 
 inline void print_scaling_note(double duration, double paper_duration) {
@@ -73,15 +103,11 @@ inline void print_scaling_note(double duration, double paper_duration) {
                 duration * 1e3, paper_duration * 1e3);
 }
 
-/// Machine-readable output: `--json <path>` writes the collected results so
-/// CI can track the perf trajectory across PRs. Returns empty when absent.
+/// Machine-readable output: `--json <path>` writes the collected results
+/// for the perf gate table (bench/compare.py). Returns empty when absent.
 inline std::string json_path_from_args(int argc, char** argv) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) {
-            return argv[i + 1];
-        }
-    }
-    return {};
+    const char* path = option_value(argc, argv, "--json");
+    return path != nullptr ? path : std::string();
 }
 
 /// Tiny flat-schema JSON emitter: one object per result, string labels plus

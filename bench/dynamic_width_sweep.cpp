@@ -9,10 +9,10 @@
 // its pinned neighbour per lane — the padded/width ghost-work factor, not
 // a scalar cliff.
 //
-// `--json <path>` emits results for bench/compare.py, whose
-// --max-dynamic-width-ratio gate enforces odd-width / pinned-neighbour
-// per-lane ratios on both arms. AMSVP_WITH_LLVM=OFF skips the ORC arm,
-// with a note printed and compare.py skipping absent pairs.
+// `--json <path>` emits results for bench/compare.py, whose gate table
+// caps odd-width / pinned-neighbour per-lane ratios on both arms.
+// AMSVP_WITH_LLVM=OFF skips the ORC arm, with a note printed and
+// compare.py skipping the ORC rows.
 #include <algorithm>
 #include <chrono>
 #include <memory>
@@ -100,8 +100,7 @@ int main(int argc, char** argv) {
         return 1;
     }
     const double dt = rc20->model.timestep;
-    const auto layout =
-        runtime::ModelLayout::compile(rc20->model, runtime::EvalStrategy::kFused);
+    const auto layout = runtime::ModelLayout::compile(rc20->model);
 
     std::string error;
     std::shared_ptr<const codegen::OrcJitProgram> orc_program;

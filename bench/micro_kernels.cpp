@@ -1,9 +1,8 @@
 // Micro-benchmarks for the two hot kernels of the library:
 //
-//  * evaluation of generated signal-flow models — the EvalStrategy ablation:
-//    fused register machine vs stack bytecode vs tree-walk, on the four
-//    paper circuits, with a built-in 1e-12 differential check so a perf win
-//    can never silently change results;
+//  * evaluation of generated signal-flow models on the fused register
+//    machine, on the four paper circuits (its agreement with an independent
+//    per-assignment reference is tests/fused_engine_test.cpp's job);
 //  * the dense LU factorise/solve pair under the ELN (factor once) and
 //    SPICE (refactor every step) usage patterns.
 //
@@ -17,10 +16,9 @@
 //
 // Self-timed (steady_clock, calibrated batch counts) — no external
 // benchmark dependency. `--json <path>` emits machine-readable results
-// (ns-per-step per circuit per strategy) for the perf-trajectory check in
-// bench/compare.py.
+// for the perf gate table in bench/compare.py.
+#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <functional>
 #include <random>
 
@@ -39,17 +37,6 @@ namespace {
 
 using namespace amsvp;
 using Clock = std::chrono::steady_clock;
-
-struct StrategyArm {
-    const char* name;
-    runtime::EvalStrategy strategy;
-};
-
-constexpr StrategyArm kArms[] = {
-    {"fused", runtime::EvalStrategy::kFused},
-    {"bytecode", runtime::EvalStrategy::kBytecode},
-    {"treewalk", runtime::EvalStrategy::kTreeWalk},
-};
 
 /// ns per call of `fn`, with batch size calibrated towards ~0.2 s of
 /// wall time (min 10^4 calls) after a small warm-up.
@@ -73,41 +60,6 @@ double time_ns(const std::function<void()>& fn) {
     const double total =
         std::chrono::duration<double, std::nano>(Clock::now() - start).count();
     return total / static_cast<double>(reps);
-}
-
-/// Differential guard: all strategies must agree to 1e-12 (relative) over a
-/// square-wave run before any of them is timed.
-void check_strategies_agree(const bench::BenchCircuit& c) {
-    std::vector<runtime::CompiledModel> models;
-    models.reserve(std::size(kArms));
-    for (const StrategyArm& arm : kArms) {
-        models.emplace_back(c.model, arm.strategy);
-    }
-    const auto stimuli = bench::paper_stimuli();
-    std::vector<const numeric::SourceFunction*> sources;
-    for (const auto& in : c.model.inputs) {
-        sources.push_back(&stimuli.at(in.name));
-    }
-    for (long k = 1; k <= 2000; ++k) {
-        const double t = static_cast<double>(k) * c.model.timestep;
-        for (runtime::CompiledModel& m : models) {
-            for (std::size_t i = 0; i < sources.size(); ++i) {
-                m.set_input(i, (*sources[i])(t));
-            }
-            m.step(t);
-        }
-        const double reference = models[1].output(0);  // bytecode
-        for (std::size_t a = 0; a < models.size(); ++a) {
-            const double v = models[a].output(0);
-            if (std::fabs(v - reference) > 1e-12 * std::max(1.0, std::fabs(reference))) {
-                std::fprintf(stderr,
-                             "%s: strategy %s diverged from bytecode at step %ld "
-                             "(%.17g vs %.17g)\n",
-                             c.name.c_str(), kArms[a].name, k, v, reference);
-                std::exit(1);
-            }
-        }
-    }
 }
 
 /// ns per call for whole-sweep-sized workloads: calibrated towards ~0.3 s
@@ -148,54 +100,41 @@ int main(int argc, char** argv) {
     const std::string json_path = bench::json_path_from_args(argc, argv);
     bench::JsonReport report("micro_kernels");
 
-    std::printf("MICRO KERNELS — expression evaluation strategies and dense LU\n\n");
-    std::printf("%-8s %-10s %14s %12s\n", "Circuit", "Strategy", "ns/step", "vs bytecode");
+    std::printf("MICRO KERNELS — fused model step, batching, periodic kernel, dense LU\n\n");
+    std::printf("%-8s %14s\n", "Circuit", "ns/step");
 
-    for (const bench::BenchCircuit& c : bench::paper_circuits()) {
-        check_strategies_agree(c);
-        double arm_ns[std::size(kArms)] = {};
-        double bytecode_ns = 0.0;
-        for (std::size_t a = 0; a < std::size(kArms); ++a) {
-            runtime::CompiledModel compiled(c.model, kArms[a].strategy);
-            compiled.set_input(0, 1.0);
-            double t = 0.0;
-            const double dt = c.model.timestep;
-            arm_ns[a] = time_ns([&] {
-                t += dt;
-                compiled.step(t);
-            });
-            if (kArms[a].strategy == runtime::EvalStrategy::kBytecode) {
-                bytecode_ns = arm_ns[a];
-            }
-            report.add(
-                {{"name", "model_step"}, {"circuit", c.name}, {"strategy", kArms[a].name}},
-                {{"ns_per_step", arm_ns[a]}});
-        }
-        for (std::size_t a = 0; a < std::size(kArms); ++a) {
-            std::printf("%-8s %-10s %14.1f %11.2fx\n", c.name.c_str(), kArms[a].name,
-                        arm_ns[a], bytecode_ns / arm_ns[a]);
-        }
-        std::printf("\n");
+    const std::vector<bench::BenchCircuit> circuits = bench::paper_circuits();
+    for (const bench::BenchCircuit& c : circuits) {
+        runtime::CompiledModel compiled(c.model);
+        compiled.set_input(0, 1.0);
+        double t = 0.0;
+        const double dt = c.model.timestep;
+        const double ns = time_ns([&] {
+            t += dt;
+            compiled.step(t);
+        });
+        std::printf("%-8s %14.1f\n", c.name.c_str(), ns);
+        report.add({{"name", "model_step"}, {"circuit", c.name}}, {{"ns_per_step", ns}});
+    }
+    std::printf("\n");
+
+    // The batch, scan, verifier and worker-pool sections all measure RC20,
+    // the largest paper circuit.
+    const auto rc20 = std::find_if(circuits.begin(), circuits.end(), [](const auto& c) {
+        return c.name == "RC20";
+    });
+    if (rc20 == circuits.end()) {
+        std::fprintf(stderr, "RC20 missing from paper_circuits()\n");
+        return 1;
     }
 
     // Batched execution: per-lane cost of one strided BatchCompiledModel vs
-    // N independent scalar instances, on RC20 (the largest paper circuit).
-    // Lane results are bit-identical to the scalar engine (enforced by
-    // tests/batch_model_test.cpp), so this is a pure locality/SIMD number.
+    // N independent scalar instances. Lane results are bit-identical to the
+    // scalar engine (enforced by tests/batch_model_test.cpp), so this is a
+    // pure locality/SIMD number.
     {
         std::printf("%-22s %6s %18s %18s %10s\n", "batch_sweep (RC20)", "lanes",
                     "scalar ns/st/lane", "batch ns/st/lane", "speedup");
-        const auto circuits = bench::paper_circuits();
-        const bench::BenchCircuit* rc20 = nullptr;
-        for (const bench::BenchCircuit& c : circuits) {
-            if (c.name == "RC20") {
-                rc20 = &c;
-            }
-        }
-        if (rc20 == nullptr) {
-            std::fprintf(stderr, "batch_sweep: RC20 missing from paper_circuits()\n");
-            return 1;
-        }
         const double dt = rc20->model.timestep;
         for (const int lanes : {1, 4, 8, 16, 32}) {
             // Baseline: N independent compiles + N scattered slot files,
@@ -246,17 +185,6 @@ int main(int argc, char** argv) {
     // bench/compare.py keeps it under 2% on RC20 at width 32, so leaving
     // quarantine on by default stays effectively free.
     {
-        const auto circuits = bench::paper_circuits();
-        const bench::BenchCircuit* rc20 = nullptr;
-        for (const bench::BenchCircuit& c : circuits) {
-            if (c.name == "RC20") {
-                rc20 = &c;
-            }
-        }
-        if (rc20 == nullptr) {
-            std::fprintf(stderr, "lane_health_scan: RC20 missing from paper_circuits()\n");
-            return 1;
-        }
         constexpr int kLanes = 32;
         runtime::BatchCompiledModel batch(rc20->model, kLanes);
         for (int l = 0; l < kLanes; ++l) {
@@ -292,25 +220,12 @@ int main(int argc, char** argv) {
     // keeps it under 5% on RC20 — cheap enough that mandatory verification
     // never shows up in sweep-service cold-start latency.
     {
-        const auto circuits = bench::paper_circuits();
-        const bench::BenchCircuit* rc20 = nullptr;
-        for (const bench::BenchCircuit& c : circuits) {
-            if (c.name == "RC20") {
-                rc20 = &c;
-            }
-        }
-        if (rc20 == nullptr) {
-            std::fprintf(stderr, "ir_verifier: RC20 missing from paper_circuits()\n");
-            return 1;
-        }
         const void* volatile sink = nullptr;
         const double compile_ns = time_whole_ns([&] {
-            auto layout =
-                runtime::ModelLayout::compile(rc20->model, runtime::EvalStrategy::kFused);
+            auto layout = runtime::ModelLayout::compile(rc20->model);
             sink = layout.get();
         });
-        const auto layout =
-            runtime::ModelLayout::compile(rc20->model, runtime::EvalStrategy::kFused);
+        const auto layout = runtime::ModelLayout::compile(rc20->model);
         volatile bool ok_sink = false;
         const double verify_ns = time_ns([&] {
             support::DiagnosticEngine diags;
@@ -342,17 +257,6 @@ int main(int argc, char** argv) {
                     "sweep ns/st/lane", "speedup");
         report.add({{"name", "host_info"}}, {{"hardware_threads", static_cast<double>(hw)}});
 
-        const auto circuits = bench::paper_circuits();
-        const bench::BenchCircuit* rc20 = nullptr;
-        for (const bench::BenchCircuit& c : circuits) {
-            if (c.name == "RC20") {
-                rc20 = &c;
-            }
-        }
-        if (rc20 == nullptr) {
-            std::fprintf(stderr, "batch_sweep_threads: RC20 missing from paper_circuits()\n");
-            return 1;
-        }
         const double dt = rc20->model.timestep;
         constexpr std::size_t kSteps = 2000;
         const double duration = static_cast<double>(kSteps) * dt;

@@ -6,12 +6,11 @@
 // worker pool) against calling simulate_sweep directly, which rebuilds the
 // executors every call.
 //
-// `--json <path>` emits results for bench/compare.py, which enforces the
-// warm-path floor and a p99-vs-p50 latency-stability gate, and folds
-// everything into the BENCH_history.jsonl trajectory. Closed-loop clients
-// keep the gate meaningful on small hosts: queue depth is bounded by the
-// client count, so percentiles measure service overhead, not unbounded
-// backlog.
+// `--json <path>` emits results for bench/compare.py, whose gate table
+// enforces the warm-path floor and a p99-vs-p50 latency-stability cap.
+// Closed-loop clients keep the gate meaningful on small hosts: queue depth
+// is bounded by the client count, so percentiles measure service overhead,
+// not unbounded backlog.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -60,12 +59,8 @@ runtime::SweepJob make_job(const abstraction::SignalFlowModel& model, int width,
 }
 
 int int_arg(int argc, char** argv, const char* flag, int fallback) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], flag) == 0) {
-            return std::atoi(argv[i + 1]);
-        }
-    }
-    return fallback;
+    const char* value = bench::option_value(argc, argv, flag);
+    return value != nullptr ? std::atoi(value) : fallback;
 }
 
 }  // namespace

@@ -192,8 +192,7 @@ int main(int argc, char** argv) {
         // Analysis mode replaces emission: verify the IR itself, then every
         // lowering a backend would consume — the emit plan's statement
         // stream and, when this build has LLVM, the ORC IR.
-        const auto layout =
-            runtime::ModelLayout::compile(*model, runtime::EvalStrategy::kFused);
+        const auto layout = runtime::ModelLayout::compile(*model);
         support::DiagnosticEngine analysis_diags;
         bool ok = analysis::verify_layout(*layout, analysis_diags);
         codegen::CodegenOptions plan_options;
@@ -230,8 +229,7 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "--backend orc: built with AMSVP_WITH_LLVM=OFF\n");
             return 1;
         }
-        const auto layout =
-            runtime::ModelLayout::compile(*model, runtime::EvalStrategy::kFused);
+        const auto layout = runtime::ModelLayout::compile(*model);
         std::string ir_error;
         const auto ir = codegen::lower_to_ir_text(layout, &ir_error);
         if (!ir) {

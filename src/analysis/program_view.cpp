@@ -22,8 +22,6 @@ bool ProgramView::is_history_slot(std::int32_t slot) const {
 }
 
 ProgramView view_of(const runtime::ModelLayout& layout) {
-    AMSVP_CHECK(layout.strategy() == runtime::EvalStrategy::kFused,
-                "analysis::view_of requires a kFused layout");
     const expr::FusedProgram& program = layout.fused_program();
     ProgramView view;
     view.code = &program.instructions();

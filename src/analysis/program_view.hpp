@@ -78,8 +78,6 @@ struct ProgramView {
 };
 
 /// The view of a layout's fused program. The layout must outlive the view.
-/// Aborts (AMSVP_CHECK) when the layout was not compiled with
-/// EvalStrategy::kFused.
 [[nodiscard]] ProgramView view_of(const runtime::ModelLayout& layout);
 
 /// True when `op` is one of the defined FusedOp values (a corrupted stream

@@ -23,9 +23,9 @@ void DeSource::on_negedge() {
 
 DeModel::DeModel(de::Simulator& sim, de::Clock& clock, std::string name,
                  const abstraction::SignalFlowModel& model,
-                 std::vector<de::Signal<double>*> inputs, runtime::EvalStrategy strategy)
+                 std::vector<de::Signal<double>*> inputs)
     : DeModel(sim, clock, std::move(name), model, std::move(inputs),
-              std::make_unique<runtime::CompiledModel>(model, strategy)) {}
+              std::make_unique<runtime::CompiledModel>(model)) {}
 
 DeModel::DeModel(de::Simulator& sim, de::Clock& clock, std::string name,
                  const abstraction::SignalFlowModel& model,
@@ -76,8 +76,7 @@ BatchDeModel::BatchDeModel(de::Simulator& sim, de::Clock& clock, std::string nam
 BatchDeModel::BatchDeModel(de::Simulator& sim, de::Clock& clock, std::string name,
                            const abstraction::SignalFlowModel& model,
                            std::vector<std::vector<de::Signal<double>*>> inputs)
-    : BatchDeModel(sim, clock, std::move(name),
-                   runtime::ModelLayout::compile(model, runtime::EvalStrategy::kFused),
+    : BatchDeModel(sim, clock, std::move(name), runtime::ModelLayout::compile(model),
                    std::move(inputs)) {}
 
 void BatchDeModel::on_posedge() {

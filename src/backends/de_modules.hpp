@@ -39,8 +39,7 @@ public:
     /// Default: in-process fused register-machine execution.
     DeModel(de::Simulator& sim, de::Clock& clock, std::string name,
             const abstraction::SignalFlowModel& model,
-            std::vector<de::Signal<double>*> inputs,
-            runtime::EvalStrategy strategy = runtime::EvalStrategy::kFused);
+            std::vector<de::Signal<double>*> inputs);
     /// Custom executor (e.g. the native-compiled generated model).
     DeModel(de::Simulator& sim, de::Clock& clock, std::string name,
             const abstraction::SignalFlowModel& model,

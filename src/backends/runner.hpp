@@ -41,9 +41,10 @@ struct IsolationSetup {
     std::string observed_neg = "gnd";
     double timestep = 50e-9;
     spice::SpiceOptions spice;  ///< timestep is overridden by `timestep`
-    /// How generated models execute (TDF / DE / C++ rows). Null = in-process
-    /// bytecode; benches install codegen::native_executor_factory() to run
-    /// the generated C++ as compiled machine code, like the paper does.
+    /// How generated models execute (TDF / DE / C++ rows). Null = the
+    /// in-process fused interpreter (runtime::CompiledModel); benches install
+    /// codegen::native_executor_factory() to run the generated C++ as
+    /// compiled machine code, like the paper does.
     /// Executor construction (including compilation) happens outside the
     /// timed region.
     runtime::ExecutorFactory executor_factory;

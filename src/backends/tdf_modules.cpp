@@ -4,10 +4,8 @@
 
 namespace amsvp::backends {
 
-TdfModel::TdfModel(std::string name, const abstraction::SignalFlowModel& model,
-                   runtime::EvalStrategy strategy)
-    : TdfModel(std::move(name), model,
-               std::make_unique<runtime::CompiledModel>(model, strategy)) {}
+TdfModel::TdfModel(std::string name, const abstraction::SignalFlowModel& model)
+    : TdfModel(std::move(name), model, std::make_unique<runtime::CompiledModel>(model)) {}
 
 TdfModel::TdfModel(std::string name, const abstraction::SignalFlowModel& model,
                    std::unique_ptr<runtime::ModelExecutor> executor)
@@ -52,9 +50,7 @@ BatchTdfModel::BatchTdfModel(std::string name,
 
 BatchTdfModel::BatchTdfModel(std::string name, const abstraction::SignalFlowModel& model,
                              int lanes)
-    : BatchTdfModel(std::move(name),
-                    runtime::ModelLayout::compile(model, runtime::EvalStrategy::kFused),
-                    lanes) {}
+    : BatchTdfModel(std::move(name), runtime::ModelLayout::compile(model), lanes) {}
 
 void BatchTdfModel::processing() {
     const std::size_t n_in = batch_.input_count();

@@ -33,8 +33,7 @@ private:
 class TdfModel final : public tdf::TdfModule {
 public:
     /// Default: in-process fused register-machine execution.
-    TdfModel(std::string name, const abstraction::SignalFlowModel& model,
-             runtime::EvalStrategy strategy = runtime::EvalStrategy::kFused);
+    TdfModel(std::string name, const abstraction::SignalFlowModel& model);
     /// Custom executor (e.g. the native-compiled generated model).
     TdfModel(std::string name, const abstraction::SignalFlowModel& model,
              std::unique_ptr<runtime::ModelExecutor> executor);

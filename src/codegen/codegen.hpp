@@ -16,7 +16,7 @@
 // mid-level IR the in-process interpreter executes — not the raw expression
 // trees. Generated code therefore carries constant folding, cross-assignment
 // CSE, multiply-add superinstructions and linear-combination FMA chains, and
-// (compiled with -ffp-contract=off) reproduces EvalStrategy::kFused
+// (compiled with -ffp-contract=off) reproduces the fused interpreter
 // bit-for-bit.
 #pragma once
 
@@ -50,7 +50,7 @@ struct CodegenOptions {
     /// fused interpreter slot-for-slot. Also forces the `_abstime` member
     /// so the time slot is observable.
     bool slot_accessor = false;
-    /// Pre-compiled layout to render (must be the kFused compile of the
+    /// Pre-compiled layout to render (must be the fused compile of the
     /// model being emitted). When null the emitter compiles one itself;
     /// passing the layout lets a caller that also checks or executes
     /// against it — `codegen_tool --verify`, the conformance tests — share

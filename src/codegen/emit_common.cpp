@@ -258,12 +258,8 @@ EmitPlan build_plan(const SignalFlowModel& model, const CodegenOptions& options)
 
     // Single mid-level IR: the same fused compile the interpreter executes
     // (reused when the caller already holds it).
-    const auto layout = options.layout != nullptr
-                            ? options.layout
-                            : runtime::ModelLayout::compile(model,
-                                                            runtime::EvalStrategy::kFused);
-    AMSVP_CHECK(layout->strategy() == runtime::EvalStrategy::kFused,
-                "codegen renders the fused compile");
+    const auto layout =
+        options.layout != nullptr ? options.layout : runtime::ModelLayout::compile(model);
 
     // Model slot -> variable name ($abstime last, overriding its identifier).
     plan.slot_names.assign(layout->model_slot_count(), {});

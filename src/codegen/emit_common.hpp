@@ -2,14 +2,14 @@
 //
 // Since the FusedProgram became the single mid-level IR, the emitters no
 // longer walk the raw expression trees: build_plan() compiles the model
-// through runtime::ModelLayout (kFused) and renders the optimized
-// instruction stream as target-neutral C++ statements. Generated code
+// through runtime::ModelLayout and renders the optimized instruction
+// stream as target-neutral C++ statements. Generated code
 // therefore carries every optimization the interpreter has — constant
 // folding, cross-assignment CSE, immediate/multiply-add superinstructions
 // and kLinComb FMA chains — and, statement for statement, performs exactly
 // the arithmetic the fused interpreter performs (each operation rounds
 // separately; builds use -ffp-contract=off on both sides), so generated
-// models and EvalStrategy::kFused are differentially comparable
+// models and the fused interpreter are differentially comparable
 // bit-for-bit, slot-for-slot.
 #pragma once
 

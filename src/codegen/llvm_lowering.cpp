@@ -473,8 +473,6 @@ std::string module_to_string(const llvm::Module& module) {
 std::optional<PreparedModule> prepare_module(const runtime::ModelLayout& layout,
                                              std::string* unoptimized_ir,
                                              std::string* error) {
-    AMSVP_CHECK(layout.strategy() == runtime::EvalStrategy::kFused,
-                "ORC lowering needs a kFused layout");
     ensure_native_target();
     auto jtmb = llvm::orc::JITTargetMachineBuilder::detectHost();
     if (!jtmb) {

@@ -25,7 +25,7 @@
 // to the interpreter's after every step.
 //
 // Bit-exactness contract (the acceptance bar is bit-for-bit equality with
-// EvalStrategy::kFused): no fast-math flags anywhere, no `contract` flags
+// the fused interpreter): no fast-math flags anywhere, no `contract` flags
 // (the in-IR analogue of the -ffp-contract=off the interpreter and the
 // generated C++ build with — LLVM only forms FMAs when the flags allow
 // it), libm calls (exp/log/log10/sin/cos/tan/pow) emitted as plain

@@ -32,8 +32,7 @@ std::uint64_t orc_compile_invocations() {
 
 std::shared_ptr<const OrcJitProgram> OrcJitProgram::compile(
     const abstraction::SignalFlowModel& model, std::string* error) {
-    return compile(runtime::ModelLayout::compile(model, runtime::EvalStrategy::kFused),
-                   error);
+    return compile(runtime::ModelLayout::compile(model), error);
 }
 
 OrcBatchModel::OrcBatchModel(std::shared_ptr<const OrcJitProgram> program, int batch)

@@ -5,7 +5,7 @@
 // kernel in LLVM IR (llvm_lowering.hpp), runs the fixed pass pipeline and
 // materializes it through LLJIT — all inside this process, no compiler on
 // PATH, no temp files, no dlopen. A cold compile costs milliseconds.
-// Results are bit-identical to EvalStrategy::kFused: the lowering never
+// Results are bit-identical to the fused interpreter: the lowering never
 // enables fast-math or FP contraction, and libm calls resolve to this very
 // process's libm. The one kernel serves every width, width 1 included
 // (one padded row, three ghost lanes).
@@ -60,7 +60,7 @@ public:
     [[nodiscard]] static std::shared_ptr<const OrcJitProgram> compile(
         const abstraction::SignalFlowModel& model, std::string* error = nullptr);
 
-    /// Same, over an already-compiled (kFused) layout — cache holders
+    /// Same, over an already-compiled layout — cache holders
     /// (runtime::ModelCache) skip the redundant FusedCompiler re-run; the
     /// IR is lowered against exactly this layout's slot assignment.
     [[nodiscard]] static std::shared_ptr<const OrcJitProgram> compile(

@@ -1,11 +1,12 @@
 // Bytecode compilation of (discretized) expressions.
 //
-// Generated signal-flow models are executed millions of times per simulated
-// second, so the runtime does not walk shared_ptr trees in its inner loop.
-// Expressions are flattened once into a postfix program over a slot file
-// (doubles indexed by the caller); evaluation is a tight switch loop.
-// The tree-walk evaluator is kept alongside for differential testing and as
-// the baseline of the ablation bench.
+// Single expressions evaluated many times — the SPICE and ELN residuals,
+// and the test-side reference the fused engine is checked against — are
+// flattened once into a postfix program over a slot file (doubles indexed
+// by the caller); evaluation is a tight switch loop. Whole signal-flow
+// models run on the fused register machine instead (expr/fused.hpp). The
+// tree-walk evaluator is kept alongside as this program's differential
+// reference.
 #pragma once
 
 #include <functional>
@@ -74,8 +75,8 @@ private:
     std::size_t max_stack_ = 0;
 };
 
-/// Reference tree-walk evaluator (slow path; differential testing and the
-/// interpreter arm of the expression-evaluation ablation).
+/// Reference tree-walk evaluator (slow path; the differential reference
+/// Program::evaluate is tested against).
 [[nodiscard]] double evaluate_tree(const ExprPtr& e, const SlotResolver& resolver,
                                    const double* slots);
 

@@ -4,7 +4,8 @@
 //  * the Verilog-AMS parser produces them for contribution statements,
 //  * the abstraction pipeline (Algorithms 1 and 2 of the paper) rewrites
 //    them symbolically,
-//  * code generators print them, and the runtime compiles them to bytecode.
+//  * code generators print them, and the runtime compiles them to the
+//    fused register machine (expr/fused.hpp).
 //
 // Nodes are immutable and shared (std::shared_ptr<const Expr>), so rewriting
 // builds new trees that structurally share unchanged subtrees.

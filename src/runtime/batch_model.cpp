@@ -38,14 +38,12 @@ BatchCompiledModel::BatchCompiledModel(std::shared_ptr<const ModelLayout> layout
     : layout_(std::move(layout)), batch_(batch), constructed_batch_(batch) {
     AMSVP_CHECK(layout_ != nullptr, "BatchCompiledModel needs a layout");
     AMSVP_CHECK(batch_ >= 1, "batch needs at least one lane");
-    AMSVP_CHECK(layout_->strategy() == EvalStrategy::kFused,
-                "batch execution runs on the fused strategy");
     slots_.assign(LaneLayout::slot_file_size(layout_->slot_count(), batch_), 0.0);
     reset();
 }
 
 BatchCompiledModel::BatchCompiledModel(const abstraction::SignalFlowModel& model, int batch)
-    : BatchCompiledModel(ModelLayout::compile(model, EvalStrategy::kFused), batch) {}
+    : BatchCompiledModel(ModelLayout::compile(model), batch) {}
 
 void BatchCompiledModel::reset() {
     // Undo any compact_lanes narrowing: a reused batch object must run the

@@ -8,8 +8,8 @@ namespace amsvp::runtime {
 
 using expr::Symbol;
 
-CompiledModel::CompiledModel(const abstraction::SignalFlowModel& model, EvalStrategy strategy)
-    : CompiledModel(ModelLayout::compile(model, strategy)) {}
+CompiledModel::CompiledModel(const abstraction::SignalFlowModel& model)
+    : CompiledModel(ModelLayout::compile(model)) {}
 
 CompiledModel::CompiledModel(std::shared_ptr<const ModelLayout> layout)
     : layout_(std::move(layout)) {
@@ -23,9 +23,7 @@ void CompiledModel::reset() {
     for (const auto& [slot, value] : layout_->initial_values()) {
         slots_[static_cast<std::size_t>(slot)] = value;
     }
-    if (layout_->strategy() == EvalStrategy::kFused) {
-        layout_->fused_program().initialize_constants(slots_.data());
-    }
+    layout_->fused_program().initialize_constants(slots_.data());
 }
 
 void CompiledModel::set_input(std::size_t index, double value) {
@@ -37,20 +35,7 @@ void CompiledModel::step(double time_seconds) {
     const ModelLayout& l = *layout_;
     slots_[static_cast<std::size_t>(l.time_slot())] = time_seconds;
     double* slots = slots_.data();
-    if (l.strategy() == EvalStrategy::kFused) {
-        l.fused_program().execute(slots);
-    } else if (l.strategy() == EvalStrategy::kBytecode) {
-        for (const ModelLayout::CompiledAssignment& a : l.assignments()) {
-            slots[a.target_slot] = a.program.evaluate(slots);
-        }
-    } else {
-        const expr::SlotResolver resolver = [&l](const Symbol& s, int delay) {
-            return l.slot_for(s, delay);
-        };
-        for (const ModelLayout::CompiledAssignment& a : l.assignments()) {
-            slots[a.target_slot] = expr::evaluate_tree(a.tree, resolver, slots);
-        }
-    }
+    l.fused_program().execute(slots);
     // Rotate history: current value becomes delay-1, and so on.
     for (const ModelLayout::SymbolSlots& r : l.rotations()) {
         for (int k = r.depth; k >= 1; --k) {

@@ -25,8 +25,7 @@ namespace amsvp::runtime {
 
 class CompiledModel final : public ModelExecutor {
 public:
-    explicit CompiledModel(const abstraction::SignalFlowModel& model,
-                           EvalStrategy strategy = EvalStrategy::kFused);
+    explicit CompiledModel(const abstraction::SignalFlowModel& model);
 
     /// Instance over a pre-compiled layout (no compilation happens here).
     explicit CompiledModel(std::shared_ptr<const ModelLayout> layout);
@@ -65,7 +64,7 @@ public:
     /// The shared compile artifact (pass to more instances to reuse it).
     [[nodiscard]] const std::shared_ptr<const ModelLayout>& layout() const { return layout_; }
 
-    /// The fused instruction stream (kFused strategy; tests/diagnostics).
+    /// The fused instruction stream (tests/diagnostics).
     [[nodiscard]] const expr::FusedProgram& fused_program() const {
         return layout_->fused_program();
     }

@@ -5,15 +5,9 @@
 
 namespace amsvp::runtime {
 
-ExecutorFactory bytecode_executor_factory() {
-    return [](const abstraction::SignalFlowModel& model) -> std::unique_ptr<ModelExecutor> {
-        return std::make_unique<CompiledModel>(model, EvalStrategy::kBytecode);
-    };
-}
-
 ExecutorFactory fused_executor_factory() {
     return [](const abstraction::SignalFlowModel& model) -> std::unique_ptr<ModelExecutor> {
-        return std::make_unique<CompiledModel>(model, EvalStrategy::kFused);
+        return std::make_unique<CompiledModel>(model);
     };
 }
 

@@ -35,9 +35,6 @@ using ExecutorFactory =
 
 class ModelLayout;
 
-/// Factory producing the in-process stack-bytecode executor (baseline).
-[[nodiscard]] ExecutorFactory bytecode_executor_factory();
-
 /// Factory producing the fused register-machine executor (default hot path).
 [[nodiscard]] ExecutorFactory fused_executor_factory();
 

@@ -14,11 +14,9 @@ using expr::ExprKind;
 using expr::ExprPtr;
 using expr::Symbol;
 
-std::shared_ptr<const ModelLayout> ModelLayout::compile(const SignalFlowModel& model,
-                                                        EvalStrategy strategy) {
+std::shared_ptr<const ModelLayout> ModelLayout::compile(const SignalFlowModel& model) {
     auto layout = std::shared_ptr<ModelLayout>(new ModelLayout());
     ModelLayout& l = *layout;
-    l.strategy_ = strategy;
     l.timestep_ = model.timestep;
 
     // Pass 1: history depth needed per symbol.
@@ -82,32 +80,18 @@ std::shared_ptr<const ModelLayout> ModelLayout::compile(const SignalFlowModel& m
     }
     l.model_slot_count_ = slot_count;
 
-    // Pass 3: compile assignments.
+    // Pass 3: whole-model compilation: one fused instruction stream over the
+    // slot file, with scratch registers appended behind the model slots.
     const expr::SlotResolver resolver = [&l](const Symbol& s, int delay) {
         return l.slot_for(s, delay);
     };
-    if (strategy == EvalStrategy::kFused) {
-        // Whole-model compilation: one fused instruction stream over the
-        // slot file, with scratch registers appended behind the model slots.
-        std::vector<expr::FusedProgram::AssignmentSpec> specs;
-        specs.reserve(model.assignments.size());
-        for (const Assignment& a : model.assignments) {
-            specs.push_back({l.slot_for(a.target, 0), a.value});
-        }
-        l.fused_ = expr::FusedProgram::compile(specs, resolver, static_cast<int>(slot_count));
-        slot_count += static_cast<std::size_t>(l.fused_.scratch_count());
-    } else {
-        for (const Assignment& a : model.assignments) {
-            CompiledAssignment ca;
-            ca.target_slot = l.slot_for(a.target, 0);
-            if (strategy == EvalStrategy::kBytecode) {
-                ca.program = expr::Program::compile(a.value, resolver);
-            } else {
-                ca.tree = a.value;
-            }
-            l.assignments_.push_back(std::move(ca));
-        }
+    std::vector<expr::FusedProgram::AssignmentSpec> specs;
+    specs.reserve(model.assignments.size());
+    for (const Assignment& a : model.assignments) {
+        specs.push_back({l.slot_for(a.target, 0), a.value});
     }
+    l.fused_ = expr::FusedProgram::compile(specs, resolver, static_cast<int>(slot_count));
+    slot_count += static_cast<std::size_t>(l.fused_.scratch_count());
     l.slot_count_ = slot_count;
 
     for (const Symbol& in : model.inputs) {
@@ -135,9 +119,7 @@ std::shared_ptr<const ModelLayout> ModelLayout::compile(const SignalFlowModel& m
     // Release builds verify once per model at ModelCache admission instead
     // (see ModelCache::locked_layout_for) to keep per-compile cost off the
     // sweep-service hot path.
-    if (strategy == EvalStrategy::kFused) {
-        analysis::verify_layout_or_abort(l, "ModelLayout::compile");
-    }
+    analysis::verify_layout_or_abort(l, "ModelLayout::compile");
 #endif
     return layout;
 }

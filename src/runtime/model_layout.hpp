@@ -1,11 +1,11 @@
 // Shared, immutable compile artifact of a SignalFlowModel.
 //
 // A model's expensive part — the symbol→slot layout map, history depths and
-// the compiled (fused / bytecode / tree) programs — depends only on the
-// model and the strategy, never on runtime state. ModelLayout captures
-// exactly that, built once and shared by any number of executing instances:
-// scalar CompiledModel objects (each a cheap slot vector over the layout)
-// and BatchCompiledModel lanes (all instances in one strided slot file).
+// the fused register-machine program — depends only on the model, never on
+// runtime state. ModelLayout captures exactly that, built once and shared
+// by any number of executing instances: scalar CompiledModel objects (each
+// a cheap slot vector over the layout) and BatchCompiledModel lanes (all
+// instances in one strided slot file).
 // Parameter sweeps and Monte-Carlo runs therefore pay one compile for N
 // instances instead of N.
 #pragma once
@@ -17,15 +17,15 @@
 #include <vector>
 
 #include "abstraction/signal_flow_model.hpp"
-#include "expr/bytecode.hpp"
 #include "expr/fused.hpp"
 
 namespace amsvp::runtime {
 
+/// How a layout's assignments execute. The whole-model fused register
+/// machine is the only strategy; the enum survives so call sites that
+/// name it in compile() still build.
 enum class EvalStrategy {
-    kFused,     ///< whole-model fused register machine (default)
-    kBytecode,  ///< per-assignment stack postfix programs (differential baseline)
-    kTreeWalk,  ///< shared_ptr tree interpretation (ablation baseline)
+    kFused,
 };
 
 class ModelLayout {
@@ -35,19 +35,15 @@ public:
         int depth = 0;  ///< number of history slots behind it
     };
 
-    struct CompiledAssignment {
-        int target_slot = 0;
-        expr::Program program;  // kBytecode
-        expr::ExprPtr tree;     // kTreeWalk
-    };
-
     /// Compile `model` once. The result is immutable and safe to share
     /// across any number of instances (and threads, read-only).
     [[nodiscard]] static std::shared_ptr<const ModelLayout> compile(
-        const abstraction::SignalFlowModel& model,
-        EvalStrategy strategy = EvalStrategy::kFused);
+        const abstraction::SignalFlowModel& model);
+    [[nodiscard]] static std::shared_ptr<const ModelLayout> compile(
+        const abstraction::SignalFlowModel& model, EvalStrategy /*strategy*/) {
+        return compile(model);
+    }
 
-    [[nodiscard]] EvalStrategy strategy() const { return strategy_; }
     [[nodiscard]] double timestep() const { return timestep_; }
 
     /// Slots one instance occupies: model slots plus fused scratch.
@@ -87,23 +83,17 @@ public:
     /// (base, depth) pairs whose history rotates after each step.
     [[nodiscard]] const std::vector<SymbolSlots>& rotations() const { return rotations_; }
 
-    /// The fused instruction stream (kFused strategy; tests/diagnostics).
+    /// The fused instruction stream every engine executes or lowers.
     [[nodiscard]] const expr::FusedProgram& fused_program() const { return fused_; }
-    /// Per-assignment programs (kBytecode / kTreeWalk strategies).
-    [[nodiscard]] const std::vector<CompiledAssignment>& assignments() const {
-        return assignments_;
-    }
 
 private:
     ModelLayout() = default;
 
-    EvalStrategy strategy_ = EvalStrategy::kFused;
     double timestep_ = 0.0;
     std::size_t slot_count_ = 0;
     std::size_t model_slot_count_ = 0;
     expr::FusedProgram fused_;
     std::unordered_map<expr::Symbol, SymbolSlots, expr::SymbolHash> layout_;
-    std::vector<CompiledAssignment> assignments_;
     std::vector<int> input_slots_;
     std::vector<int> output_slots_;
     int time_slot_ = -1;

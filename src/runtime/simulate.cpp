@@ -22,8 +22,8 @@ namespace amsvp::runtime {
 
 TransientResult simulate_transient(const abstraction::SignalFlowModel& model,
                                    const std::map<std::string, numeric::SourceFunction>& stimuli,
-                                   double duration_seconds, EvalStrategy strategy) {
-    CompiledModel compiled(model, strategy);
+                                   double duration_seconds) {
+    CompiledModel compiled(model);
     return simulate_transient(compiled, model.inputs, stimuli, duration_seconds);
 }
 

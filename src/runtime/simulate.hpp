@@ -27,8 +27,7 @@ struct TransientResult {
 /// Every model input must have a stimulus in `stimuli`.
 [[nodiscard]] TransientResult simulate_transient(
     const abstraction::SignalFlowModel& model,
-    const std::map<std::string, numeric::SourceFunction>& stimuli, double duration_seconds,
-    EvalStrategy strategy = EvalStrategy::kFused);
+    const std::map<std::string, numeric::SourceFunction>& stimuli, double duration_seconds);
 
 /// Same, reusing an existing executor (state is reset first). Works with
 /// any ModelExecutor, including the native-compiled one.

@@ -110,8 +110,7 @@ std::shared_ptr<const ModelLayout> ModelCache::locked_layout_for(
         ++stats_.layout_hits;
         return entry.layout;
     }
-    std::shared_ptr<const ModelLayout> layout =
-        ModelLayout::compile(model, EvalStrategy::kFused);
+    std::shared_ptr<const ModelLayout> layout = ModelLayout::compile(model);
 #ifdef NDEBUG
     // Release builds verify at cache admission: once per model, before the
     // layout can fan out to executors, shards or JIT lowerings. (Debug

@@ -58,8 +58,8 @@ struct PlatformConfig {
     spice::SpiceOptions spice;
 
     /// Execution strategy for generated models (kTdf/kDe/kCpp rows); null =
-    /// in-process bytecode. Benches install the native factory so the
-    /// generated C++ runs as machine code.
+    /// the in-process fused interpreter (runtime::CompiledModel). Benches
+    /// install the native factory so the generated C++ runs as machine code.
     runtime::ExecutorFactory executor_factory;
 
     /// ADC full-scale range (the paper's circuits swing within [-6, 6] V

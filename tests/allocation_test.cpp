@@ -5,7 +5,7 @@
 // warms its subject up — first iterations legitimately grow buffers to
 // their steady capacity — and then asserts that further steps allocate
 // nothing at all:
-//  * CompiledModel::step (fused and bytecode strategies),
+//  * CompiledModel::step (the fused interpreter),
 //  * BatchCompiledModel::step (the strided multi-instance hot loop),
 //  * a DE kernel running clocked models on the periodic fast path,
 //  * de::Event::notify_every and the vp::Timer periodic devices,
@@ -107,11 +107,9 @@ void run_model_steps(runtime::CompiledModel& compiled, double dt, int first_step
     }
 }
 
-class AllocationFree : public ::testing::TestWithParam<runtime::EvalStrategy> {};
-
-TEST_P(AllocationFree, CompiledModelStep) {
+TEST(AllocationFree, CompiledModelStep) {
     const auto model = ladder_model(20);
-    runtime::CompiledModel compiled(model, GetParam());
+    runtime::CompiledModel compiled(model);
     run_model_steps(compiled, model.timestep, 1, 64);  // warm-up
 
     const std::uint64_t before = allocation_count();
@@ -119,10 +117,6 @@ TEST_P(AllocationFree, CompiledModelStep) {
     EXPECT_EQ(allocation_count() - before, 0u)
         << "CompiledModel::step allocated in steady state";
 }
-
-INSTANTIATE_TEST_SUITE_P(Strategies, AllocationFree,
-                         ::testing::Values(runtime::EvalStrategy::kFused,
-                                           runtime::EvalStrategy::kBytecode));
 
 TEST(AllocationFreeDe, PeriodicClockedModelActivation) {
     // A clocked DE model on the periodic fast path: clock toggles, stimulus

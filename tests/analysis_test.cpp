@@ -35,7 +35,6 @@ using expr::FusedInstr;
 using expr::FusedOp;
 using expr::LinTerm;
 using expr::Symbol;
-using runtime::EvalStrategy;
 using runtime::ModelLayout;
 
 // --- Fixtures ---------------------------------------------------------------
@@ -85,7 +84,7 @@ std::shared_ptr<const ModelLayout> compile_pooled_constants_model() {
         {y, Expr::conditional(Expr::symbol(u), Expr::constant(2.5),
                               Expr::constant(3.5))});
     model.outputs = {y};
-    const auto layout = ModelLayout::compile(model, EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(model);
     EXPECT_FALSE(layout->fused_program().constants().empty());
     return layout;
 }
@@ -95,7 +94,7 @@ std::shared_ptr<const ModelLayout> compile_rc(int stages) {
     auto model = abstraction::abstract_circuit(netlist::make_rc_ladder(stages),
                                                {{"out", "gnd"}}, {}, &error);
     EXPECT_TRUE(model.has_value()) << error;
-    return ModelLayout::compile(*model, EvalStrategy::kFused);
+    return ModelLayout::compile(*model);
 }
 
 /// Deep-copied program + layout facts whose view survives local mutation —
@@ -158,15 +157,12 @@ TEST(AnalysisVerifier, PaperCircuitsVerifyClean) {
                                                {}, &error);
     ASSERT_TRUE(opamp.has_value()) << error;
     support::DiagnosticEngine diags;
-    EXPECT_TRUE(
-        analysis::verify_layout(*ModelLayout::compile(*opamp, EvalStrategy::kFused),
-                                diags))
+    EXPECT_TRUE(analysis::verify_layout(*ModelLayout::compile(*opamp), diags))
         << diags.render_all();
 }
 
 TEST(AnalysisVerifier, GuardedModelVerifiesCleanWithNoWarnings) {
-    const auto layout =
-        ModelLayout::compile(make_guarded_model(), EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(make_guarded_model());
     support::DiagnosticEngine diags;
     EXPECT_TRUE(analysis::verify_layout(*layout, diags)) << diags.render_all();
     // Every assignment feeds an output directly or through history, so the
@@ -184,14 +180,14 @@ TEST(AnalysisVerifier, GuardedModelVerifiesCleanWithNoWarnings) {
 // --- Mutation suite: every corruption class rejected, naming the instr ------
 
 TEST(AnalysisMutation, InvalidOpcode) {
-    const auto layout = ModelLayout::compile(make_guarded_model(), EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(make_guarded_model());
     MutableProgram m(*layout);
     m.code[2].op = static_cast<FusedOp>(255);
     EXPECT_TRUE(rejected_with(m.view(), instr_tag(2) + ": invalid opcode 255"));
 }
 
 TEST(AnalysisMutation, DstSlotOutOfRange) {
-    const auto layout = ModelLayout::compile(make_guarded_model(), EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(make_guarded_model());
     MutableProgram m(*layout);
     m.code[0].dst = m.view().total_slot_count() + 7;
     EXPECT_TRUE(rejected_with(m.view(), instr_tag(0) + ""));
@@ -200,7 +196,7 @@ TEST(AnalysisMutation, DstSlotOutOfRange) {
 }
 
 TEST(AnalysisMutation, NegativeReadOperand) {
-    const auto layout = ModelLayout::compile(make_guarded_model(), EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(make_guarded_model());
     MutableProgram m(*layout);
     // Find an instruction that actually reads operand a.
     for (std::size_t i = 0; i < m.code.size(); ++i) {
@@ -217,7 +213,7 @@ TEST(AnalysisMutation, NegativeReadOperand) {
 }
 
 TEST(AnalysisMutation, ReadOperandOutOfRange) {
-    const auto layout = ModelLayout::compile(make_guarded_model(), EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(make_guarded_model());
     MutableProgram m(*layout);
     for (std::size_t i = 0; i < m.code.size(); ++i) {
         if (m.code[i].op == FusedOp::kSelect) {
@@ -240,7 +236,7 @@ TEST(AnalysisMutation, WriteToConstantPoolSlot) {
 }
 
 TEST(AnalysisMutation, WriteToHistorySlot) {
-    const auto layout = ModelLayout::compile(make_guarded_model(), EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(make_guarded_model());
     MutableProgram m(*layout);
     ASSERT_FALSE(m.facts.rotations.empty());
     m.code[0].dst = m.facts.rotations.front().base + 1;
@@ -249,7 +245,7 @@ TEST(AnalysisMutation, WriteToHistorySlot) {
 }
 
 TEST(AnalysisMutation, WriteToTimeSlot) {
-    const auto layout = ModelLayout::compile(make_guarded_model(), EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(make_guarded_model());
     MutableProgram m(*layout);
     ASSERT_GE(m.facts.time_slot, 0);
     m.code[0].dst = m.facts.time_slot;
@@ -302,7 +298,7 @@ TEST(AnalysisMutation, LinCombTermSlotOutOfRange) {
 }
 
 TEST(AnalysisMutation, ScratchReadBeforeWrite) {
-    const auto layout = ModelLayout::compile(make_guarded_model(), EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(make_guarded_model());
     MutableProgram m(*layout);
     const analysis::ProgramView clean = m.view();
     // Find a value produced in scratch and consumed by the very next
@@ -329,7 +325,7 @@ TEST(AnalysisMutation, ScratchReadBeforeWrite) {
 }
 
 TEST(AnalysisMutation, ScratchCompactionMismatch) {
-    const auto layout = ModelLayout::compile(make_guarded_model(), EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(make_guarded_model());
     MutableProgram m(*layout);
     m.facts.scratch_count += 1;  // claims one more register than dataflow needs
     EXPECT_TRUE(rejected_with(m.view(), "scratch compaction mismatch"));
@@ -352,7 +348,7 @@ TEST(AnalysisMutation, ConstantPoolSlotOutsideScratch) {
 }
 
 TEST(AnalysisMutation, RotationGroupOutOfRange) {
-    const auto layout = ModelLayout::compile(make_guarded_model(), EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(make_guarded_model());
     MutableProgram m(*layout);
     ASSERT_FALSE(m.facts.rotations.empty());
     m.facts.rotations.front().base = m.facts.model_slot_count;
@@ -426,7 +422,7 @@ TEST(AnalysisDataflow, LivenessMatchesCompilerOnRealModels) {
 // --- Numeric-hazard lint ----------------------------------------------------
 
 TEST(AnalysisLint, GuardedModelHasNoHazards) {
-    const auto layout = ModelLayout::compile(make_guarded_model(), EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(make_guarded_model());
     support::DiagnosticEngine diags;
     EXPECT_EQ(analysis::lint(analysis::view_of(*layout), diags), 0)
         << diags.render_all();
@@ -442,7 +438,7 @@ TEST(AnalysisLint, UnguardedDivisionFlagged) {
     model.inputs = {u1, u2};
     model.assignments.push_back({y, Expr::div(Expr::symbol(u1), Expr::symbol(u2))});
     model.outputs = {y};
-    const auto layout = ModelLayout::compile(model, EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(model);
     support::DiagnosticEngine diags;
     EXPECT_EQ(analysis::lint(analysis::view_of(*layout), diags), 1);
     const std::string all = diags.render_all();
@@ -465,7 +461,7 @@ TEST(AnalysisLint, UnguardedSqrtAndLogFlagged) {
         {a, Expr::unary(expr::UnaryOp::kSqrt, Expr::symbol(u))});
     model.assignments.push_back({b, Expr::unary(expr::UnaryOp::kLn, Expr::symbol(u))});
     model.outputs = {a, b};
-    const auto layout = ModelLayout::compile(model, EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(model);
     support::DiagnosticEngine diags;
     EXPECT_EQ(analysis::lint(analysis::view_of(*layout), diags), 2);
     const std::string all = diags.render_all();
@@ -495,7 +491,7 @@ TEST(AnalysisLint, ExpProvesPositiveDivisorsafe) {
         {y, Expr::div(Expr::symbol(u1),
                       Expr::unary(expr::UnaryOp::kExp, Expr::symbol(u2)))});
     model.outputs = {y};
-    const auto layout = ModelLayout::compile(model, EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(model);
     support::DiagnosticEngine diags;
     EXPECT_EQ(analysis::lint(analysis::view_of(*layout), diags), 0)
         << diags.render_all();
@@ -516,14 +512,14 @@ TEST(AnalysisConformance, EmitPlanConformsOnRealModels) {
         auto model = abstraction::abstract_circuit(netlist::make_rc_ladder(stages),
                                                    {{"out", "gnd"}}, {}, &error);
         ASSERT_TRUE(model.has_value()) << error;
-        const auto layout = ModelLayout::compile(*model, EvalStrategy::kFused);
+        const auto layout = ModelLayout::compile(*model);
         support::DiagnosticEngine diags;
         EXPECT_TRUE(analysis::verify_emit_plan(*layout, plan_for(*model, layout), diags))
             << "rc" << stages << ":\n"
             << diags.render_all();
     }
     const SignalFlowModel guarded = make_guarded_model();
-    const auto layout = ModelLayout::compile(guarded, EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(guarded);
     support::DiagnosticEngine diags;
     EXPECT_TRUE(analysis::verify_emit_plan(*layout, plan_for(guarded, layout), diags))
         << diags.render_all();
@@ -531,7 +527,7 @@ TEST(AnalysisConformance, EmitPlanConformsOnRealModels) {
 
 TEST(AnalysisConformance, EmitPlanDriftIsDetected) {
     const SignalFlowModel model = make_guarded_model();
-    const auto layout = ModelLayout::compile(model, EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(model);
     const codegen::detail::EmitPlan clean = plan_for(model, layout);
 
     {  // dropped statement
@@ -614,8 +610,7 @@ TEST(AnalysisConformance, OrcLoweringStoreCountsMatch) {
         auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);
         ASSERT_TRUE(model.has_value()) << name << ": " << error;
         support::DiagnosticEngine diags;
-        EXPECT_TRUE(analysis::verify_orc_lowering(
-            ModelLayout::compile(*model, EvalStrategy::kFused), diags))
+        EXPECT_TRUE(analysis::verify_orc_lowering(ModelLayout::compile(*model), diags))
             << name << ":\n"
             << diags.render_all();
     }
@@ -628,8 +623,7 @@ TEST(AnalysisConformance, OrcLoweringContractHoldsOnRandomNonlinearModels) {
     // The models of OrcJitModel.RandomNonlinearModelsMatchInterpreterWholeSlotFile:
     // libm calls, selects and comparisons over forwarded row values.
     for (unsigned seed = 1; seed <= 12; ++seed) {
-        const auto layout = ModelLayout::compile(testing_support::make_random_signal_flow(seed),
-                                                 EvalStrategy::kFused);
+        const auto layout = ModelLayout::compile(testing_support::make_random_signal_flow(seed));
         support::DiagnosticEngine diags;
         EXPECT_TRUE(analysis::verify_orc_lowering(layout, diags))
             << "seed " << seed << ":\n"
@@ -656,7 +650,7 @@ TEST(AnalysisRandomModels, VerifyCleanAndExecuteAcrossWidths) {
         auto model = abstraction::abstract_circuit(
             rc.circuit, {{rc.observed_node, "gnd"}}, {}, &error);
         ASSERT_TRUE(model.has_value()) << "seed " << seed << ": " << error;
-        const auto layout = ModelLayout::compile(*model, EvalStrategy::kFused);
+        const auto layout = ModelLayout::compile(*model);
 
         support::DiagnosticEngine diags;
         EXPECT_TRUE(analysis::verify_layout(*layout, diags))

@@ -153,7 +153,7 @@ TEST(BatchTdfModel, LanesMatchScalarModulesBitForBit) {
 
 TEST(BatchDeModel, SharedLayoutConstructorReusesOneCompile) {
     const auto model = ladder_model(1);
-    const auto layout = runtime::ModelLayout::compile(model, runtime::EvalStrategy::kFused);
+    const auto layout = runtime::ModelLayout::compile(model);
     de::Simulator sim;
     de::Clock clock(sim, "clk", de::from_seconds(model.timestep));
     DeSource source(sim, clock, "src", numeric::square_wave(1e-3));

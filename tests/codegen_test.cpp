@@ -160,7 +160,7 @@ protected:
 TEST_P(FusedEmission, OneStatementPerFusedInstruction) {
     const auto model = paper_model(GetParam());
     const std::string code = emit_cpp(model, {});
-    const auto layout = runtime::ModelLayout::compile(model, runtime::EvalStrategy::kFused);
+    const auto layout = runtime::ModelLayout::compile(model);
 
     // The step() body is a faithful rendering of the optimized instruction
     // stream — one statement per instruction, nothing re-expanded from the

@@ -1,8 +1,8 @@
-// Differential tests for the fused register-machine expression engine:
-// the fused, stack-bytecode and tree-walk strategies must agree (to 1e-12
-// relative) on randomized expression programs and on the four paper
-// circuits, and the compiler must actually fuse (lincomb/superinstructions,
-// cross-assignment CSE).
+// Differential tests for the fused register-machine expression engine: the
+// fused interpreter must agree (to 1e-12 relative) with the per-assignment
+// stack-bytecode reference (reference_executor.hpp) on randomized
+// expression programs and on the four paper circuits, and the compiler must
+// actually fuse (lincomb/superinstructions, cross-assignment CSE).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +12,7 @@
 #include "backends/runner.hpp"
 #include "expr/fused.hpp"
 #include "netlist/builder.hpp"
+#include "reference_executor.hpp"
 #include "runtime/compiled_model.hpp"
 #include "runtime/simulate.hpp"
 
@@ -23,6 +24,7 @@ using abstraction::SignalFlowModel;
 using expr::Expr;
 using expr::ExprPtr;
 using expr::Symbol;
+using testing_support::ReferenceExecutor;
 
 constexpr double kRelTol = 1e-12;
 
@@ -115,11 +117,13 @@ SignalFlowModel random_model(unsigned seed) {
 
 class FusedRandomDifferential : public ::testing::TestWithParam<unsigned> {};
 
+// The tree-walk half of the name is covered at expression level: the
+// reference's expr::Program is checked against expr::evaluate_tree by
+// BytecodeVsTreeWalk.
 TEST_P(FusedRandomDifferential, AgreesWithBytecodeAndTreeWalk) {
     const SignalFlowModel m = random_model(GetParam());
-    runtime::CompiledModel fused(m, runtime::EvalStrategy::kFused);
-    runtime::CompiledModel bytecode(m, runtime::EvalStrategy::kBytecode);
-    runtime::CompiledModel treewalk(m, runtime::EvalStrategy::kTreeWalk);
+    runtime::CompiledModel fused(m);
+    ReferenceExecutor reference(m);
 
     std::mt19937 rng(GetParam() ^ 0xabcdefu);
     std::uniform_real_distribution<double> input(-1.0, 1.0);
@@ -128,17 +132,13 @@ TEST_P(FusedRandomDifferential, AgreesWithBytecodeAndTreeWalk) {
         for (std::size_t i = 0; i < m.inputs.size(); ++i) {
             const double u = input(rng);
             fused.set_input(i, u);
-            bytecode.set_input(i, u);
-            treewalk.set_input(i, u);
+            reference.set_input(i, u);
         }
         fused.step(t);
-        bytecode.step(t);
-        treewalk.step(t);
+        reference.step(t);
         for (const Assignment& a : m.assignments) {
-            expect_close(bytecode.value_of(a.target), fused.value_of(a.target),
+            expect_close(reference.value_of(a.target), fused.value_of(a.target),
                          a.target.name.c_str(), k);
-            ASSERT_DOUBLE_EQ(bytecode.value_of(a.target), treewalk.value_of(a.target))
-                << a.target.name << " at step " << k;
         }
     }
 }
@@ -172,18 +172,14 @@ TEST_P(FusedPaperCircuit, MatchesBaselinesOverLongRun) {
     const std::map<std::string, numeric::SourceFunction> stimuli = {
         {"u0", numeric::square_wave(1e-3)}, {"u1", numeric::square_wave(1e-3, 0.0, 0.5)}};
     const double duration = 2000 * model->timestep;
-    const auto fused =
-        runtime::simulate_transient(*model, stimuli, duration, runtime::EvalStrategy::kFused);
-    const auto bytecode = runtime::simulate_transient(*model, stimuli, duration,
-                                                      runtime::EvalStrategy::kBytecode);
-    const auto treewalk = runtime::simulate_transient(*model, stimuli, duration,
-                                                      runtime::EvalStrategy::kTreeWalk);
-    ASSERT_EQ(fused.outputs.front().size(), bytecode.outputs.front().size());
+    const auto fused = runtime::simulate_transient(*model, stimuli, duration);
+    ReferenceExecutor reference_model(*model);
+    const auto reference =
+        runtime::simulate_transient(reference_model, model->inputs, stimuli, duration);
+    ASSERT_EQ(fused.outputs.front().size(), reference.outputs.front().size());
     for (std::size_t k = 0; k < fused.outputs.front().size(); ++k) {
-        expect_close(bytecode.outputs.front().value(k), fused.outputs.front().value(k),
+        expect_close(reference.outputs.front().value(k), fused.outputs.front().value(k),
                      GetParam(), k);
-        ASSERT_DOUBLE_EQ(bytecode.outputs.front().value(k), treewalk.outputs.front().value(k))
-            << GetParam() << " at step " << k;
     }
 }
 
@@ -191,8 +187,9 @@ INSTANTIATE_TEST_SUITE_P(PaperCircuits, FusedPaperCircuit,
                          ::testing::Values("2IN", "RC1", "RC20", "OA"));
 
 TEST(FusedExecutorFactory, BackendRunnerTracksBytecodeFactory) {
-    // The executor factories are how benches swap strategies into the MoC
-    // wrappers; a fused-factory backend run must track the bytecode one.
+    // The executor factories are how benches swap executors into the MoC
+    // wrappers; a fused-factory backend run must track one whose factory
+    // builds the bytecode reference.
     const netlist::Circuit circuit = netlist::make_rc_ladder(3);
     std::string error;
     auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);
@@ -205,13 +202,15 @@ TEST(FusedExecutorFactory, BackendRunnerTracksBytecodeFactory) {
 
     setup.executor_factory = runtime::fused_executor_factory();
     const auto fused = backends::run_isolated(backends::BackendKind::kCpp, setup, 2e-4);
-    setup.executor_factory = runtime::bytecode_executor_factory();
-    const auto bytecode = backends::run_isolated(backends::BackendKind::kCpp, setup, 2e-4);
+    setup.executor_factory = [](const SignalFlowModel& m) {
+        return std::make_unique<ReferenceExecutor>(m);
+    };
+    const auto reference = backends::run_isolated(backends::BackendKind::kCpp, setup, 2e-4);
 
-    ASSERT_EQ(fused.trace.size(), bytecode.trace.size());
+    ASSERT_EQ(fused.trace.size(), reference.trace.size());
     ASSERT_GT(fused.trace.size(), 0u);
     for (std::size_t k = 0; k < fused.trace.size(); ++k) {
-        expect_close(bytecode.trace.value(k), fused.trace.value(k), "factory", k);
+        expect_close(reference.trace.value(k), fused.trace.value(k), "factory", k);
     }
 }
 
@@ -222,7 +221,7 @@ TEST(FusedCompiler, EmitsLinearCombinationsForDiscretizedLadder) {
     std::string error;
     auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);
     ASSERT_TRUE(model.has_value()) << error;
-    runtime::CompiledModel fused(*model, runtime::EvalStrategy::kFused);
+    runtime::CompiledModel fused(*model);
 
     const expr::FusedProgram& program = fused.fused_program();
     EXPECT_GT(program.count_op(expr::FusedOp::kLinComb), 0u)
@@ -251,7 +250,7 @@ TEST(FusedCompiler, CommonSubexpressionsCompileOnce) {
                                        Expr::mul(sin_u0_rebuilt, Expr::constant(5.0))});
     m.outputs = {expr::variable_symbol("v0"), expr::variable_symbol("v1")};
 
-    runtime::CompiledModel fused(m, runtime::EvalStrategy::kFused);
+    runtime::CompiledModel fused(m);
     EXPECT_EQ(fused.fused_program().count_op(expr::FusedOp::kSin), 1u)
         << fused.fused_program().describe();
 
@@ -270,7 +269,7 @@ TEST(FusedCompiler, FoldsConstantAssignments) {
         Expr::mul(Expr::add(Expr::constant(2.0), Expr::constant(3.0)), Expr::constant(4.0))});
     m.outputs = {expr::variable_symbol("c")};
 
-    runtime::CompiledModel fused(m, runtime::EvalStrategy::kFused);
+    runtime::CompiledModel fused(m);
     ASSERT_EQ(fused.fused_program().instructions().size(), 1u);
     EXPECT_EQ(fused.fused_program().instructions().front().op, expr::FusedOp::kConst);
     fused.step(1e-6);
@@ -291,7 +290,7 @@ TEST(FusedCompiler, FusesMultiplyAdd) {
                    Expr::add(Expr::mul(Expr::symbol(a), Expr::symbol(b)), Expr::symbol(c))});
     m.outputs = {expr::variable_symbol("v")};
 
-    runtime::CompiledModel fused(m, runtime::EvalStrategy::kFused);
+    runtime::CompiledModel fused(m);
     ASSERT_EQ(fused.fused_program().instructions().size(), 1u)
         << fused.fused_program().describe();
     EXPECT_EQ(fused.fused_program().instructions().front().op, expr::FusedOp::kMulAdd);
@@ -320,15 +319,15 @@ TEST(FusedCompiler, SelfReferentialAssignmentInvalidatesCache) {
         Assignment{z, Expr::add(Expr::symbol(y), Expr::symbol(u0))});
     m.outputs = {y, z};
 
-    runtime::CompiledModel fused(m, runtime::EvalStrategy::kFused);
-    runtime::CompiledModel bytecode(m, runtime::EvalStrategy::kBytecode);
+    runtime::CompiledModel fused(m);
+    ReferenceExecutor reference(m);
     for (int k = 1; k <= 3; ++k) {
         fused.set_input(0, 1.0);
-        bytecode.set_input(0, 1.0);
+        reference.set_input(0, 1.0);
         fused.step(k * m.timestep);
-        bytecode.step(k * m.timestep);
-        ASSERT_DOUBLE_EQ(fused.value_of(y), bytecode.value_of(y)) << "step " << k;
-        ASSERT_DOUBLE_EQ(fused.value_of(z), bytecode.value_of(z)) << "step " << k;
+        reference.step(k * m.timestep);
+        ASSERT_DOUBLE_EQ(fused.value_of(y), reference.value_of(y)) << "step " << k;
+        ASSERT_DOUBLE_EQ(fused.value_of(z), reference.value_of(z)) << "step " << k;
     }
     // After 3 steps: y = 3, z = y + u = 4.
     EXPECT_DOUBLE_EQ(fused.value_of(y), 3.0);
@@ -344,7 +343,7 @@ TEST(FusedCompiler, LivenessCompactionShrinksScratchOnRC20) {
     std::string error;
     auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);
     ASSERT_TRUE(model.has_value()) << error;
-    runtime::CompiledModel fused(*model, runtime::EvalStrategy::kFused);
+    runtime::CompiledModel fused(*model);
 
     const expr::FusedProgram& program = fused.fused_program();
     EXPECT_LT(program.scratch_count(), program.uncompacted_scratch_count())
@@ -360,7 +359,7 @@ TEST(FusedCompiler, CompactionKeepsConstantsStable) {
     std::string error;
     auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);
     ASSERT_TRUE(model.has_value()) << error;
-    runtime::CompiledModel fused(*model, runtime::EvalStrategy::kFused);
+    runtime::CompiledModel fused(*model);
 
     fused.set_input(0, 1.0);
     for (int k = 1; k <= 50; ++k) {
@@ -387,7 +386,7 @@ TEST(FusedCompiler, ResetRestoresInitialValuesAndConstants) {
     m.outputs = {acc};
     m.initial_values[acc] = 10.0;
 
-    runtime::CompiledModel fused(m, runtime::EvalStrategy::kFused);
+    runtime::CompiledModel fused(m);
     fused.set_input(0, 1.0);
     for (int k = 1; k <= 5; ++k) {
         fused.step(k * m.timestep);

@@ -111,9 +111,8 @@ TEST_P(GeneratedVsRuntime, SamplesMatchExactly) {
     // running the fused register machine — the generated C++ renders the
     // very same FusedProgram IR, so ("%.17e" round-trips doubles exactly)
     // every sample must match bit-for-bit.
-    auto reference = runtime::simulate_transient(
-        *model, {{"u0", numeric::sine_wave(1000.0)}},
-        kSamples * model->timestep, runtime::EvalStrategy::kFused);
+    auto reference = runtime::simulate_transient(*model, {{"u0", numeric::sine_wave(1000.0)}},
+                                                 kSamples * model->timestep);
     ASSERT_EQ(reference.outputs.front().size(), static_cast<std::size_t>(kSamples));
 
     std::istringstream lines(printed);
@@ -149,8 +148,7 @@ TEST(GeneratedCode, OpampModelCompilesAndSettles) {
     // Compare the final sample against the in-process fused runtime under
     // the same 1 kHz sine stimulus (exact: same IR, "%.17e" round-trip).
     auto reference = runtime::simulate_transient(*model, {{"u0", numeric::sine_wave(1000.0)}},
-                                                 kSamples * model->timestep,
-                                                 runtime::EvalStrategy::kFused);
+                                                 kSamples * model->timestep);
     std::istringstream lines(printed);
     std::string line;
     std::string last;

@@ -86,7 +86,7 @@ void expect_matches_fused(runtime::ModelExecutor& executor,
                           const abstraction::SignalFlowModel& model,
                           const std::map<std::string, numeric::SourceFunction>& stimuli,
                           double duration) {
-    runtime::CompiledModel fused(model, runtime::EvalStrategy::kFused);
+    runtime::CompiledModel fused(model);
     auto native_run = runtime::simulate_transient(executor, model.inputs, stimuli, duration);
     auto fused_run = runtime::simulate_transient(fused, model.inputs, stimuli, duration);
 
@@ -125,7 +125,7 @@ TEST_P(NativeVsFused, TracesAreBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(Ladders, NativeVsFused, ::testing::Values(1, 2, 5, 20));
 
 // The acceptance differential: >= 10 random linear models, generated C++
-// vs EvalStrategy::kFused, bit-for-bit.
+// vs the fused interpreter, bit-for-bit.
 class RandomModelDifferential : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(RandomModelDifferential, GeneratedCodeMatchesFusedBitForBit) {
@@ -152,7 +152,7 @@ TEST(NativeModel, SlotFileMatchesFusedSlotForSlot) {
     const auto model = ladder_model(3);
     auto native = NativeModel::compile(model);
     ASSERT_NE(native, nullptr);
-    runtime::CompiledModel fused(model, runtime::EvalStrategy::kFused);
+    runtime::CompiledModel fused(model);
 
     // The generated struct exposes the same model-slot prefix the runtime
     // layout allocates (named variables in slot order, scratch excluded).
@@ -213,7 +213,7 @@ TEST(NativeModel, LinCombHeavyModelMatchesFused) {
 
     // The fused compile must actually use the superinstruction, otherwise
     // this test exercises nothing.
-    runtime::CompiledModel fused(model, runtime::EvalStrategy::kFused);
+    runtime::CompiledModel fused(model);
     EXPECT_GE(fused.fused_program().count_op(expr::FusedOp::kLinComb), 2u);
 
     expect_native_matches_fused(model,
@@ -278,7 +278,7 @@ TEST(NativeModel, ResetClearsCachedInputs) {
     const auto model = ladder_model(2);
     auto native = NativeModel::compile(model);
     ASSERT_NE(native, nullptr);
-    runtime::CompiledModel fused(model, runtime::EvalStrategy::kFused);
+    runtime::CompiledModel fused(model);
 
     const double dt = model.timestep;
     for (int k = 1; k <= 20; ++k) {

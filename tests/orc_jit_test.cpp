@@ -99,7 +99,7 @@ TEST(OrcJitLowering, EmitsOneBatchEntryPointWithoutFastMath) {
         GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
     }
     const auto model = ladder_model(3);
-    const auto layout = runtime::ModelLayout::compile(model, runtime::EvalStrategy::kFused);
+    const auto layout = runtime::ModelLayout::compile(model);
     std::string error;
     const auto ir = lower_to_ir_text(layout, &error);
     ASSERT_TRUE(ir.has_value()) << error;
@@ -137,7 +137,7 @@ TEST(OrcJitLowering, UnavailableBuildReportsCleanError) {
         GTEST_SKIP() << "LLVM build: the stub error path is compiled out";
     }
     const auto model = ladder_model(2);
-    const auto layout = runtime::ModelLayout::compile(model, runtime::EvalStrategy::kFused);
+    const auto layout = runtime::ModelLayout::compile(model);
     std::string error;
     EXPECT_FALSE(lower_to_ir_text(layout, &error).has_value());
     EXPECT_NE(error.find("AMSVP_WITH_LLVM=OFF"), std::string::npos);
@@ -270,7 +270,6 @@ TEST(OrcJitModel, WidthOneMatchesScalarInterpreter) {
     // interpreter instance slot for slot.
     OrcBatchModel orc(program, 1);
     runtime::CompiledModel scalar(program->layout());
-    ASSERT_EQ(scalar.layout()->strategy(), runtime::EvalStrategy::kFused);
     const int model_slots = static_cast<int>(program->layout()->model_slot_count());
     const double dt = model.timestep;
     for (int k = 1; k <= 200; ++k) {

@@ -106,20 +106,6 @@ TEST(CompiledModel, ValueOfArbitrarySymbol) {
     EXPECT_DOUBLE_EQ(compiled.value_of(var("twice")), 8.0);
 }
 
-TEST(CompiledModel, TreeWalkMatchesBytecode) {
-    const SignalFlowModel m = accumulator_model();
-    CompiledModel bytecode(m, EvalStrategy::kBytecode);
-    CompiledModel treewalk(m, EvalStrategy::kTreeWalk);
-    for (int k = 0; k < 10; ++k) {
-        const double u = 0.25 * k - 1.0;
-        bytecode.set_input(0, u);
-        treewalk.set_input(0, u);
-        bytecode.step(k * 1e-6);
-        treewalk.step(k * 1e-6);
-        EXPECT_DOUBLE_EQ(bytecode.output(0), treewalk.output(0)) << "k=" << k;
-    }
-}
-
 TEST(SimulateTransient, SamplesAtMultiplesOfTimestep) {
     auto result = simulate_transient(accumulator_model(), {{"u", numeric::constant(1.0)}},
                                      10e-6);

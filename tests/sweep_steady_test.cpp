@@ -26,7 +26,7 @@ abstraction::SignalFlowModel ladder_model(int stages, double timestep = 0.0) {
 
 TEST(BatchCompaction, KeptLanesContinueBitForBit) {
     const auto model = ladder_model(2);
-    const auto layout = ModelLayout::compile(model, EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(model);
     const double dt = model.timestep;
 
     // Reference: four scalar instances with distinct constant inputs.
@@ -69,7 +69,7 @@ TEST(BatchCompaction, ResetRestoresConstructedWidth) {
     // compact_lanes narrows the batch in place; reset() must re-grow it to
     // the constructed width so a reused object runs every lane again.
     const auto model = ladder_model(3);
-    const auto layout = ModelLayout::compile(model, EvalStrategy::kFused);
+    const auto layout = ModelLayout::compile(model);
     BatchCompiledModel batch(layout, 6);
     for (int l = 0; l < 6; ++l) {
         batch.set_input(l, 0, 0.1 * (l + 1));
@@ -121,7 +121,7 @@ TEST(BatchCompaction, SweepReusesBatchAfterSteadyCompaction) {
     options.steady_tolerance = 1e-6;
     options.steady_window = 16;
 
-    BatchCompiledModel batch(ModelLayout::compile(model, EvalStrategy::kFused), kLanes);
+    BatchCompiledModel batch(ModelLayout::compile(model), kLanes);
     const SweepResult first =
         simulate_sweep(batch, model.inputs, stimuli, lanes, duration, options);
     bool any_retired = false;
