@@ -1,6 +1,6 @@
 #include "de/kernel.hpp"
 
-#include "support/check.hpp"
+#include <utility>
 
 namespace amsvp::de {
 
@@ -15,19 +15,18 @@ const std::string& Simulator::process_name(ProcessId pid) const {
     return processes_[static_cast<std::size_t>(pid)].name;
 }
 
-void Simulator::trigger(ProcessId pid) {
-    AMSVP_CHECK(pid >= 0 && pid < static_cast<ProcessId>(processes_.size()),
-                "process id out of range");
-    Process& p = processes_[static_cast<std::size_t>(pid)];
-    if (!p.runnable) {
-        p.runnable = true;
-        runnable_.push_back(pid);
-    }
-}
-
 void Simulator::schedule_at(Time at, Callback cb) {
     AMSVP_CHECK(at >= now_, "cannot schedule an event in the past");
-    timed_.push(TimedEvent{at, next_seq_++, std::move(cb), -1});
+    std::uint32_t slot;
+    if (!free_one_shots_.empty()) {
+        slot = free_one_shots_.back();
+        free_one_shots_.pop_back();
+        one_shots_[slot] = std::move(cb);
+    } else {
+        slot = static_cast<std::uint32_t>(one_shots_.size());
+        one_shots_.push_back(std::move(cb));
+    }
+    timed_.push(TimedEvent{at, next_seq_++, ~static_cast<std::int64_t>(slot)});
 }
 
 void Simulator::schedule_after(Time delay, Callback cb) {
@@ -44,13 +43,13 @@ PeriodicId Simulator::schedule_periodic(Time first, Time period, Callback cb) {
         // with a stale in-flight occurrence.
         id = free_periodic_.back();
         free_periodic_.pop_back();
-        periodic_tasks_[static_cast<std::size_t>(id)] =
-            PeriodicTask{period, std::move(cb), true};
+        *periodic_tasks_[static_cast<std::size_t>(id)] = PeriodicTask{period, std::move(cb), true};
     } else {
         id = static_cast<PeriodicId>(periodic_tasks_.size());
-        periodic_tasks_.push_back(PeriodicTask{period, std::move(cb), true});
+        periodic_tasks_.push_back(
+            std::make_unique<PeriodicTask>(PeriodicTask{period, std::move(cb), true}));
     }
-    timed_.push(TimedEvent{first, next_seq_++, {}, id});
+    timed_.push(TimedEvent{first, next_seq_++, id});
     return id;
 }
 
@@ -59,11 +58,7 @@ void Simulator::cancel_periodic(PeriodicId id) {
                 "periodic id out of range");
     // Only flag here: the callback may be the one currently executing. Its
     // closure is released when the pending heap entry drains in run_until.
-    periodic_tasks_[static_cast<std::size_t>(id)].active = false;
-}
-
-void Simulator::request_update(Callback update) {
-    updates_.push_back(std::move(update));
+    periodic_tasks_[static_cast<std::size_t>(id)]->active = false;
 }
 
 void Simulator::settle() {
@@ -81,15 +76,33 @@ void Simulator::settle() {
         // Update phase.
         updates_scratch_.clear();
         updates_scratch_.swap(updates_);
-        for (const Callback& update : updates_scratch_) {
-            update();
+        for (Updatable* channel : updates_scratch_) {
+            channel->apply_update();
             ++stats_.channel_updates;
         }
         ++stats_.delta_cycles;
     }
 }
 
+void Simulator::fire_periodic(PeriodicId id, Time at) {
+    // One lookup: the task never moves, even when its callback registers
+    // more periodic tasks.
+    PeriodicTask& task = *periodic_tasks_[static_cast<std::size_t>(id)];
+    if (task.active) {
+        task.fn();
+        if (task.active) {
+            timed_.push(TimedEvent{at + task.period, next_seq_++, id});
+            return;
+        }
+    }
+    // Cancelled, before or during this occurrence: this was its last
+    // pending entry — release the closure and recycle the slot.
+    task.fn = nullptr;
+    free_periodic_.push_back(id);
+}
+
 Time Simulator::run_until(Time end) {
+    AMSVP_CHECK(end >= now_, "cannot run the simulation backwards in time");
     // Settle anything already runnable at the current time (e.g. triggers
     // issued before run).
     settle();
@@ -97,40 +110,21 @@ Time Simulator::run_until(Time end) {
         const Time at = timed_.top().at;
         now_ = at;
         // Drain all events at this timestamp in FIFO order.
-        while (!timed_.empty() && timed_.top().at == at) {
-            const PeriodicId periodic = timed_.top().periodic;
-            if (periodic >= 0) {
-                // Periodic fast path: the callback lives in the task table;
-                // the popped heap entry carries no payload and re-arming
-                // pushes another payload-free entry — zero allocation in
-                // steady state.
-                timed_.pop();
-                ++stats_.timed_events;
-                if (!periodic_tasks_[static_cast<std::size_t>(periodic)].active) {
-                    // Cancelled: this was its last pending entry — release
-                    // the stored closure and recycle the slot.
-                    periodic_tasks_[static_cast<std::size_t>(periodic)].fn = nullptr;
-                    free_periodic_.push_back(periodic);
-                    continue;
-                }
-                periodic_tasks_[static_cast<std::size_t>(periodic)].fn();
-                // Re-index: the callback may have registered new tasks.
-                PeriodicTask& task = periodic_tasks_[static_cast<std::size_t>(periodic)];
-                if (task.active) {
-                    timed_.push(TimedEvent{at + task.period, next_seq_++, {}, periodic});
-                } else {
-                    // Cancelled itself: no pending entry remains — release
-                    // the closure and recycle the slot.
-                    task.fn = nullptr;
-                    free_periodic_.push_back(periodic);
-                }
-                continue;
-            }
-            Callback cb = timed_.top().cb;
+        do {
+            const TimedEvent event = timed_.top();
             timed_.pop();
             ++stats_.timed_events;
-            cb();
-        }
+            if (event.id >= 0) {
+                fire_periodic(static_cast<PeriodicId>(event.id), at);
+            } else {
+                // Move the callback out before it runs: it may schedule
+                // further one-shots into the slot it frees.
+                const auto slot = static_cast<std::uint32_t>(~event.id);
+                const Callback cb = std::exchange(one_shots_[slot], nullptr);
+                free_one_shots_.push_back(slot);
+                cb();
+            }
+        } while (!timed_.empty() && timed_.top().at == at);
         settle();
     }
     now_ = end;

@@ -11,13 +11,15 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "de/time.hpp"
+#include "support/check.hpp"
 
 namespace amsvp::de {
 
@@ -29,6 +31,18 @@ struct KernelStats {
     std::uint64_t delta_cycles = 0;
     std::uint64_t timed_events = 0;
     std::uint64_t channel_updates = 0;
+};
+
+/// A primitive channel with request/update semantics (the
+/// sc_prim_channel::update analogue). The kernel queues a plain pointer per
+/// request_update() and calls apply_update() once in that delta's update
+/// phase; the channel must outlive the pending request.
+class Updatable {
+public:
+    virtual void apply_update() = 0;
+
+protected:
+    ~Updatable() = default;
 };
 
 class Simulator {
@@ -44,20 +58,31 @@ public:
     [[nodiscard]] const std::string& process_name(ProcessId pid) const;
 
     /// Make a process runnable in the next delta cycle of the current time.
-    void trigger(ProcessId pid);
+    void trigger(ProcessId pid) {
+        AMSVP_CHECK(pid >= 0 && pid < static_cast<ProcessId>(processes_.size()),
+                    "process id out of range");
+        Process& p = processes_[static_cast<std::size_t>(pid)];
+        if (!p.runnable) {
+            p.runnable = true;
+            runnable_.push_back(pid);
+        }
+    }
 
     /// Run `cb` at absolute time `at` (timed notification). `at` must not be
-    /// in the past.
+    /// in the past. The callback waits in a slab slot, not in the heap; the
+    /// slot returns to a free list when the callback is moved out to run, so
+    /// steady-state one-shot traffic reuses slots instead of allocating.
     void schedule_at(Time at, Callback cb);
     /// Run `cb` after `delay` from now.
     void schedule_after(Time delay, Callback cb);
 
     /// Periodic fast path: run `cb` at `first`, then every `period`, until
-    /// cancelled. The callback is stored once; re-arming pushes a payload-free
-    /// heap entry, so steady-state periodic activity performs no heap
-    /// allocation (unlike a callback that re-schedules itself each time).
-    /// Ordering matches the self-rescheduling pattern exactly: the next
-    /// occurrence is sequenced directly after the callback returns.
+    /// cancelled. The callback is stored once in a task whose address never
+    /// changes; re-arming pushes another heap entry naming the task, so
+    /// steady-state periodic activity performs no heap allocation (unlike a
+    /// callback that re-schedules itself each time). Ordering matches the
+    /// self-rescheduling pattern exactly: the next occurrence is sequenced
+    /// directly after the callback returns.
     /// Slots of cancelled schedules are recycled once their last pending
     /// heap entry drains, so repeated schedule/cancel cycles (re-tuned
     /// Event::notify_every, re-programmed timers) keep the task table
@@ -70,15 +95,17 @@ public:
 
     /// Task-table slots currently allocated (diagnostics: boundedness tests).
     [[nodiscard]] std::size_t periodic_slot_count() const { return periodic_tasks_.size(); }
+    /// One-shot slab slots currently allocated (diagnostics: slot reuse).
+    [[nodiscard]] std::size_t one_shot_slot_count() const { return one_shots_.size(); }
 
-    /// Channel update request for the current delta's update phase.
-    void request_update(Callback update);
+    /// Queue `channel` for the current delta's update phase.
+    void request_update(Updatable& channel) { updates_.push_back(&channel); }
 
     [[nodiscard]] Time now() const { return now_; }
     [[nodiscard]] const KernelStats& stats() const { return stats_; }
 
-    /// Advance until `end` (inclusive). Returns the time actually reached
-    /// (== end, or earlier when no events remain).
+    /// Advance until `end` (inclusive); `end` must not be before now().
+    /// Returns `end`, which becomes now() even when the queue drains first.
     Time run_until(Time end);
     /// Advance by `duration` from the current time.
     Time run(Time duration) { return run_until(now_ + duration); }
@@ -92,12 +119,15 @@ private:
         ProcessFn fn;
         bool runnable = false;
     };
+    /// Heap entry: 24 trivially copyable bytes, ordered by (at, seq). `id`
+    /// >= 0 names a periodic task; a one-shot stores ~slot (always
+    /// negative) for its callback's one_shots_ slot.
     struct TimedEvent {
         Time at;
         std::uint64_t seq;  ///< FIFO order among same-time events
-        Callback cb;        ///< one-shot payload; empty for periodic entries
-        PeriodicId periodic = -1;  ///< index into periodic_tasks_, or -1
+        std::int64_t id;
     };
+    static_assert(sizeof(TimedEvent) == 24 && std::is_trivially_copyable_v<TimedEvent>);
     struct PeriodicTask {
         Time period;
         Callback fn;
@@ -114,20 +144,26 @@ private:
 
     /// Run delta cycles at the current time until quiescent.
     void settle();
+    /// Fire the periodic task `id` popped at time `at`, then re-arm it or,
+    /// once cancelled, recycle its slot.
+    void fire_periodic(PeriodicId id, Time at);
 
     std::vector<Process> processes_;
     std::vector<ProcessId> runnable_;
-    std::vector<Callback> updates_;
+    std::vector<Updatable*> updates_;
     /// settle() scratch, kept as members so the evaluate/update double
     /// buffers retain their capacity across delta cycles (no per-delta
     /// allocation in steady state).
     std::vector<ProcessId> runnable_scratch_;
-    std::vector<Callback> updates_scratch_;
+    std::vector<Updatable*> updates_scratch_;
     std::priority_queue<TimedEvent, std::vector<TimedEvent>, TimedEventOrder> timed_;
-    /// Deque, not vector: a periodic callback may register new periodic
-    /// tasks while it runs, and push_back must not move the PeriodicTask
-    /// whose fn() is currently on the stack.
-    std::deque<PeriodicTask> periodic_tasks_;
+    /// One-shot callback slab and its free slots.
+    std::vector<Callback> one_shots_;
+    std::vector<std::uint32_t> free_one_shots_;
+    /// Tasks live behind pointers: a periodic callback may register new
+    /// periodic tasks while it runs, and growing the table must not move
+    /// the PeriodicTask whose fn() is currently on the stack.
+    std::vector<std::unique_ptr<PeriodicTask>> periodic_tasks_;
     /// Recyclable task slots: cancelled schedules whose pending heap entry
     /// has drained.
     std::vector<PeriodicId> free_periodic_;

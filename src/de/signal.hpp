@@ -1,6 +1,7 @@
 // sc_signal-like channel with delta-cycle request/update semantics: writes
 // become visible in the next delta, and sensitive processes wake only when
-// the value actually changes.
+// the value actually changes. A write queues the signal itself (a pointer)
+// for the kernel's update phase, at most once per delta.
 #pragma once
 
 #include <string>
@@ -11,7 +12,7 @@
 namespace amsvp::de {
 
 template <typename T>
-class Signal {
+class Signal final : public Updatable {
 public:
     Signal(Simulator& sim, std::string name, T initial = T{})
         : sim_(sim), name_(std::move(name)), current_(initial), next_(initial) {}
@@ -26,7 +27,7 @@ public:
         next_ = value;
         if (!update_pending_) {
             update_pending_ = true;
-            sim_.request_update([this] { apply_update(); });
+            sim_.request_update(*this);
         }
     }
 
@@ -37,7 +38,7 @@ public:
     [[nodiscard]] std::uint64_t change_count() const { return changes_; }
 
 private:
-    void apply_update() {
+    void apply_update() override {
         update_pending_ = false;
         if (next_ == current_) {
             return;

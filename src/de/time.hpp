@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <string>
 
+#include "support/check.hpp"
+
 namespace amsvp::de {
 
 using Time = std::uint64_t;  ///< femtoseconds
@@ -21,8 +23,14 @@ inline constexpr Time kSecond = 1000 * kMillisecond;
     return static_cast<double>(t) / static_cast<double>(kSecond);
 }
 
+/// Rounds to the nearest femtosecond. Negative, non-finite and too-large
+/// durations (2^64 fs and beyond) are rejected instead of wrapping.
 [[nodiscard]] constexpr Time from_seconds(double seconds) {
-    return static_cast<Time>(seconds * static_cast<double>(kSecond) + 0.5);
+    const double femtoseconds = seconds * static_cast<double>(kSecond) + 0.5;
+    // The first comparison is false for NaN, the second for +infinity.
+    AMSVP_CHECK(seconds >= 0.0 && femtoseconds < 18446744073709551616.0,
+                "duration must be finite, non-negative and below 2^64 fs");
+    return static_cast<Time>(femtoseconds);
 }
 
 /// "12.5 us" style rendering for traces and diagnostics.

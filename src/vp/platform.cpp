@@ -1,6 +1,7 @@
 #include "vp/platform.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <memory>
 
 #include "backends/de_modules.hpp"
@@ -278,6 +279,8 @@ PlatformResult run_kernel_platform(const PlatformConfig& config,
 }  // namespace
 
 PlatformResult run_platform(const PlatformConfig& config, double duration) {
+    AMSVP_CHECK(std::isfinite(duration) && duration >= 0.0,
+                "platform duration must be finite and non-negative");
     const AssembledProgram program = assemble_firmware(config);
     if (config.integration == AnalogIntegration::kCpp) {
         return run_pure_cpp(config, program, duration);

@@ -80,7 +80,8 @@ struct PlatformResult {
     de::KernelStats kernel;         ///< zeroed for the pure-C++ platform
 };
 
-/// Build and run the platform for `duration` simulated seconds.
+/// Build and run the platform for `duration` simulated seconds, which must
+/// be finite and non-negative (kernel platforms also need it below 2^64 fs).
 [[nodiscard]] PlatformResult run_platform(const PlatformConfig& config, double duration);
 
 }  // namespace amsvp::vp

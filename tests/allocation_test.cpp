@@ -9,12 +9,14 @@
 //  * BatchCompiledModel::step (the strided multi-instance hot loop),
 //  * a DE kernel running clocked models on the periodic fast path,
 //  * de::Event::notify_every and the vp::Timer periodic devices,
+//  * repeated de::Event::notify_after one-shots (slab slot reuse),
 //  * ElnEngine::step (RHS rebuild + LU back-substitution),
 //  * SpiceEngine::substep (Newton: residual, Jacobian, refactorisation).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "abstraction/abstraction.hpp"
@@ -136,6 +138,38 @@ TEST(AllocationFreeDe, PeriodicClockedModelActivation) {
     EXPECT_EQ(allocation_count() - before, 0u)
         << "DE periodic activation allocated in steady state";
     EXPECT_GT(sim.stats().timed_events, 40000u);  // the clock actually ran
+}
+
+TEST(AllocationFreeDe, EventNotifyAfterOneShots) {
+    // Three events that each re-arm themselves with a timed one-shot when
+    // they fire: every callback leaves its slab slot before running and the
+    // next notify_after takes the slot back, so neither the heap nor the
+    // slab grows.
+    de::Simulator sim;
+    std::vector<std::unique_ptr<de::Event>> events;
+    int wakes = 0;
+    for (const de::Time delay :
+         {7 * de::kNanosecond, 10 * de::kNanosecond, 13 * de::kNanosecond}) {
+        events.push_back(std::make_unique<de::Event>(sim, "ping"));
+        de::Event& ev = *events.back();
+        const de::ProcessId p = sim.add_process("w", [&ev, &wakes, delay] {
+            ++wakes;
+            ev.notify_after(delay);
+        });
+        ev.add_sensitive(p);
+        ev.notify_after(delay);
+    }
+
+    sim.run(10 * de::kMicrosecond);  // warm-up
+    const std::size_t slots = sim.one_shot_slot_count();
+
+    const std::uint64_t before = allocation_count();
+    sim.run(100 * de::kMicrosecond);
+    EXPECT_EQ(allocation_count() - before, 0u)
+        << "Event::notify_after one-shots allocated in steady state";
+    EXPECT_EQ(sim.one_shot_slot_count(), slots) << "one-shot slab grew";
+    EXPECT_LE(slots, 3u);
+    EXPECT_GT(wakes, 25000);
 }
 
 TEST(AllocationFreeBatch, BatchModelStep) {

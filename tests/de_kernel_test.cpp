@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+
 #include "de/clock.hpp"
 #include "de/signal.hpp"
 
@@ -10,6 +13,17 @@ TEST(Time, ConversionsRoundTrip) {
     EXPECT_EQ(from_seconds(1.0), kSecond);
     EXPECT_EQ(from_seconds(50e-9), 50 * kNanosecond);
     EXPECT_DOUBLE_EQ(to_seconds(25 * kMicrosecond), 25e-6);
+}
+
+TEST(Time, FromSecondsRejectsValuesThatWouldWrap) {
+    // Each of these used to wrap silently: -1 ms to ~2^64 fs, NaN to 2^63 fs,
+    // 2e5 s past 2^64 fs.
+    EXPECT_DEATH((void)from_seconds(-1e-3), "finite, non-negative");
+    EXPECT_DEATH((void)from_seconds(std::nan("")), "finite, non-negative");
+    EXPECT_DEATH((void)from_seconds(HUGE_VAL), "finite, non-negative");
+    EXPECT_DEATH((void)from_seconds(2e5), "finite, non-negative");
+    EXPECT_EQ(from_seconds(0.0), 0u);
+    EXPECT_EQ(from_seconds(18000.0), 18000 * kSecond);  // ~5 h: still in range
 }
 
 TEST(Time, Formatting) {
@@ -48,6 +62,35 @@ TEST(Simulator, RunStopsAtBoundary) {
     EXPECT_TRUE(sim.has_pending_events());
     sim.run_until(200);
     EXPECT_TRUE(late_fired);
+}
+
+TEST(Simulator, RunUntilRejectsGoingBackwards) {
+    // Letting now() step back would let schedule_at(60) pass its "not in
+    // the past" check and fire after t = 100 had already run.
+    Simulator sim;
+    sim.run_until(100);
+    EXPECT_DEATH(sim.run_until(40), "backwards");
+    EXPECT_EQ(sim.now(), 100u);
+    sim.run_until(100);  // staying put is fine
+    EXPECT_EQ(sim.now(), 100u);
+}
+
+TEST(Simulator, OneShotMayRescheduleIntoItsOwnSlot) {
+    // The callback leaves its slab slot before it runs, so the one-shot it
+    // schedules reuses that slot while the running closure stays intact.
+    Simulator sim;
+    std::vector<Time> fired;
+    std::function<void()> tick = [&] {
+        fired.push_back(sim.now());
+        if (fired.size() < 4) {
+            sim.schedule_after(10, tick);
+        }
+    };
+    sim.schedule_at(10, tick);
+    sim.run_until(100);
+    EXPECT_EQ(fired, (std::vector<Time>{10, 20, 30, 40}));
+    EXPECT_EQ(sim.one_shot_slot_count(), 1u);
+    EXPECT_EQ(sim.stats().timed_events, 4u);
 }
 
 TEST(Signal, WriteCommitsInUpdatePhase) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "abstraction/abstraction.hpp"
 #include "netlist/builder.hpp"
 #include "vp/platform.hpp"
@@ -107,6 +109,65 @@ TEST(Platform, RtlFidelityGeneratesMoreKernelActivity) {
     const PlatformResult rtl_result = run_platform(rtl, 2e-4);
     EXPECT_EQ(tlm_result.uart_output, rtl_result.uart_output);
     EXPECT_GT(rtl_result.kernel.channel_updates, tlm_result.kernel.channel_updates);
+}
+
+TEST(Platform, KernelCountsArePinned) {
+    // The kernel is deterministic, so its counts for one platform run are
+    // exact: a change to event ordering, delta cycles or channel updates
+    // shows here. OA filter, 0.1 ms +-1 V square wave, 0.2 ms simulated.
+    const netlist::Circuit circuit = netlist::make_opamp();
+    std::string error;
+    auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);
+    ASSERT_TRUE(model.has_value()) << error;
+
+    struct Pinned {
+        AnalogIntegration integration;
+        DigitalFidelity fidelity;
+        de::KernelStats kernel;  ///< activations, delta cycles, timed events, updates
+    };
+    const Pinned pinned[] = {
+        {AnalogIntegration::kVamsCosim, DigitalFidelity::kTlm, {4000, 7999, 11999, 11999}},
+        {AnalogIntegration::kVamsCosim, DigitalFidelity::kRtl, {4000, 7999, 11999, 16994}},
+        {AnalogIntegration::kEln, DigitalFidelity::kTlm, {4000, 7999, 11999, 11999}},
+        {AnalogIntegration::kEln, DigitalFidelity::kRtl, {4000, 7999, 11999, 16994}},
+        {AnalogIntegration::kTdf, DigitalFidelity::kTlm, {4000, 7999, 11999, 7999}},
+        {AnalogIntegration::kTdf, DigitalFidelity::kRtl, {4000, 7999, 11999, 12994}},
+        {AnalogIntegration::kDe, DigitalFidelity::kTlm, {11999, 7999, 15998, 23997}},
+        {AnalogIntegration::kDe, DigitalFidelity::kRtl, {11999, 7999, 15998, 28992}},
+    };
+    for (const Pinned& p : pinned) {
+        SCOPED_TRACE(std::string(to_string(p.integration)) +
+                     (p.fidelity == DigitalFidelity::kTlm ? " TLM" : " RTL"));
+        PlatformConfig config;
+        config.integration = p.integration;
+        config.fidelity = p.fidelity;
+        config.circuit = &circuit;
+        config.model = &*model;
+        config.stimuli = {{"u0", numeric::square_wave(1e-4, -1.0, 1.0)}};
+        const PlatformResult result = run_platform(config, 2e-4);
+        EXPECT_EQ(result.kernel.process_activations, p.kernel.process_activations);
+        EXPECT_EQ(result.kernel.delta_cycles, p.kernel.delta_cycles);
+        EXPECT_EQ(result.kernel.timed_events, p.kernel.timed_events);
+        EXPECT_EQ(result.kernel.channel_updates, p.kernel.channel_updates);
+        EXPECT_EQ(result.instructions, 4000u);
+        EXPECT_EQ(result.adc_conversions, 329u);
+        EXPECT_EQ(result.bus_reads, 4662u);
+        EXPECT_EQ(result.bus_writes, 333u);
+        EXPECT_EQ(result.uart_output, "0101");
+    }
+}
+
+TEST(Platform, RejectsNegativeOrNonFiniteDuration) {
+    const Fixture f;
+    for (const auto integration : {AnalogIntegration::kDe, AnalogIntegration::kCpp}) {
+        SCOPED_TRACE(std::string(to_string(integration)));
+        const PlatformConfig config = f.config(integration);
+        EXPECT_DEATH((void)run_platform(config, -1e-3), "finite and non-negative");
+        EXPECT_DEATH((void)run_platform(config, std::nan("")), "finite and non-negative");
+        EXPECT_DEATH((void)run_platform(config, HUGE_VAL), "finite and non-negative");
+    }
+    // Finite but beyond the kernel's 2^64 fs range: rejected, not wrapped.
+    EXPECT_DEATH((void)run_platform(f.config(AnalogIntegration::kDe), 2e5), "below 2\\^64 fs");
 }
 
 TEST(Platform, CustomFirmwareRuns) {
