@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
             return 1;
         }
 
-        backends::IsolationSetup setup;
+        backends::AnalogSetup setup;
         setup.circuit = &circuit;
         setup.model = &*model;
         setup.stimuli = bench::paper_stimuli();
@@ -44,23 +44,23 @@ int main(int argc, char** argv) {
         // Full SPICE policy (8 internal substeps) vs single-step re-factorise.
         setup.spice.internal_substeps = 8;
         const double vams8 =
-            backends::run_isolated(backends::BackendKind::kVerilogAmsCosim, setup, duration)
+            backends::run_isolated(backends::AnalogIntegration::kVamsCosim, setup, duration)
                 .wall_seconds;
         setup.spice.internal_substeps = 1;
         const double vams1 =
-            backends::run_isolated(backends::BackendKind::kVerilogAmsCosim, setup, duration)
+            backends::run_isolated(backends::AnalogIntegration::kVamsCosim, setup, duration)
                 .wall_seconds;
         const double eln =
-            backends::run_isolated(backends::BackendKind::kElnSystemC, setup, duration)
+            backends::run_isolated(backends::AnalogIntegration::kEln, setup, duration)
                 .wall_seconds;
         const double tdf =
-            backends::run_isolated(backends::BackendKind::kTdfSystemC, setup, duration)
+            backends::run_isolated(backends::AnalogIntegration::kTdf, setup, duration)
                 .wall_seconds;
         const double de =
-            backends::run_isolated(backends::BackendKind::kDeSystemC, setup, duration)
+            backends::run_isolated(backends::AnalogIntegration::kDe, setup, duration)
                 .wall_seconds;
         const double cpp =
-            backends::run_isolated(backends::BackendKind::kCpp, setup, duration).wall_seconds;
+            backends::run_isolated(backends::AnalogIntegration::kCpp, setup, duration).wall_seconds;
 
         std::printf("RC%-4d %12.4f %12.4f %12.4f %12.4f %12.4f %12.4f\n", n, vams8, vams1,
                     eln, tdf, de, cpp);

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
                 "Sim. time (s)", "NRMSE", "Speed-up");
 
     for (const bench::BenchCircuit& c : bench::paper_circuits()) {
-        backends::IsolationSetup setup;
+        backends::AnalogSetup setup;
         setup.circuit = &c.circuit;
         setup.model = &c.model;
         setup.stimuli = bench::paper_stimuli();
@@ -30,15 +30,15 @@ int main(int argc, char** argv) {
         setup.executor_factory = codegen::native_executor_factory();
 
         struct Row {
-            backends::BackendKind kind;
+            backends::AnalogIntegration kind;
             const char* generation;
         };
         const Row rows[] = {
-            {backends::BackendKind::kVerilogAmsCosim, "manual"},
-            {backends::BackendKind::kElnSystemC, "manual"},
-            {backends::BackendKind::kTdfSystemC, "algo"},
-            {backends::BackendKind::kDeSystemC, "algo"},
-            {backends::BackendKind::kCpp, "algo"},
+            {backends::AnalogIntegration::kVamsCosim, "manual"},
+            {backends::AnalogIntegration::kEln, "manual"},
+            {backends::AnalogIntegration::kTdf, "algo"},
+            {backends::AnalogIntegration::kDe, "algo"},
+            {backends::AnalogIntegration::kCpp, "algo"},
         };
 
         backends::BackendRun reference;
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
                 backends::run_isolated(row.kind, setup, duration);
             double error = 0.0;
             double speedup = 0.0;
-            if (row.kind == backends::BackendKind::kVerilogAmsCosim) {
+            if (row.kind == backends::AnalogIntegration::kVamsCosim) {
                 reference = run;
             } else {
                 error = numeric::nrmse(reference.trace, run.trace);

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
                 "Sim. time (s)", "Speed-up");
 
     for (const bench::BenchCircuit& c : bench::paper_circuits()) {
-        backends::IsolationSetup setup;
+        backends::AnalogSetup setup;
         setup.circuit = &c.circuit;
         setup.model = &c.model;
         setup.stimuli = bench::paper_stimuli();
@@ -24,14 +24,14 @@ int main(int argc, char** argv) {
         setup.executor_factory = codegen::native_executor_factory();
 
         struct Row {
-            backends::BackendKind kind;
+            backends::AnalogIntegration kind;
             const char* generation;
         };
         const Row rows[] = {
-            {backends::BackendKind::kElnSystemC, "manual"},
-            {backends::BackendKind::kTdfSystemC, "algo"},
-            {backends::BackendKind::kDeSystemC, "algo"},
-            {backends::BackendKind::kCpp, "algo"},
+            {backends::AnalogIntegration::kEln, "manual"},
+            {backends::AnalogIntegration::kTdf, "algo"},
+            {backends::AnalogIntegration::kDe, "algo"},
+            {backends::AnalogIntegration::kCpp, "algo"},
         };
 
         double eln_seconds = 0.0;
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
             const backends::BackendRun run =
                 backends::run_isolated(row.kind, setup, duration);
             double speedup = 0.0;
-            if (row.kind == backends::BackendKind::kElnSystemC) {
+            if (row.kind == backends::AnalogIntegration::kEln) {
                 eln_seconds = run.wall_seconds;
             } else {
                 speedup = eln_seconds / run.wall_seconds;

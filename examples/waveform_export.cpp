@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    backends::IsolationSetup setup;
+    backends::AnalogSetup setup;
     setup.circuit = &circuit;
     setup.model = &*model;
     setup.stimuli = {{"u0", numeric::square_wave(1e-3, -1.0, 1.0)}};
@@ -34,9 +34,9 @@ int main(int argc, char** argv) {
     std::printf("simulating the OA filter for %.1f ms under two backends...\n",
                 kDuration * 1e3);
     const auto reference =
-        backends::run_isolated(backends::BackendKind::kVerilogAmsCosim, setup, kDuration);
+        backends::run_isolated(backends::AnalogIntegration::kVamsCosim, setup, kDuration);
     const auto abstracted =
-        backends::run_isolated(backends::BackendKind::kCpp, setup, kDuration);
+        backends::run_isolated(backends::AnalogIntegration::kCpp, setup, kDuration);
 
     // Stimulus trace at the same instants.
     numeric::Waveform stimulus(setup.timestep, setup.timestep);

@@ -1,11 +1,9 @@
 #include "backends/runner.hpp"
 
 #include <chrono>
+#include <optional>
 
-#include "backends/de_modules.hpp"
-#include "backends/tdf_modules.hpp"
-#include "cosim/coupler.hpp"
-#include "eln/engine.hpp"
+#include "runtime/compiled_model.hpp"
 #include "runtime/simulate.hpp"
 #include "support/check.hpp"
 
@@ -13,161 +11,141 @@ namespace amsvp::backends {
 
 using Clock = std::chrono::steady_clock;
 
-std::string_view to_string(BackendKind kind) {
-    switch (kind) {
-        case BackendKind::kVerilogAmsCosim:
+std::string_view to_string(AnalogIntegration integration) {
+    switch (integration) {
+        case AnalogIntegration::kVamsCosim:
             return "Verilog-AMS";
-        case BackendKind::kElnSystemC:
+        case AnalogIntegration::kEln:
             return "SC-AMS/ELN";
-        case BackendKind::kTdfSystemC:
+        case AnalogIntegration::kTdf:
             return "SC-AMS/TDF";
-        case BackendKind::kDeSystemC:
+        case AnalogIntegration::kDe:
             return "SC-DE";
-        case BackendKind::kCpp:
+        case AnalogIntegration::kCpp:
             return "C++";
     }
     return "unknown";
 }
 
-const std::vector<BackendKind>& all_backends() {
-    static const std::vector<BackendKind> kAll = {
-        BackendKind::kVerilogAmsCosim, BackendKind::kElnSystemC, BackendKind::kTdfSystemC,
-        BackendKind::kDeSystemC, BackendKind::kCpp};
+const std::vector<AnalogIntegration>& all_backends() {
+    static const std::vector<AnalogIntegration> kAll = {
+        AnalogIntegration::kVamsCosim, AnalogIntegration::kEln, AnalogIntegration::kTdf,
+        AnalogIntegration::kDe, AnalogIntegration::kCpp};
     return kAll;
 }
 
-namespace {
-
-double elapsed(Clock::time_point start) {
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-std::unique_ptr<runtime::ModelExecutor> make_executor(const IsolationSetup& setup) {
+std::unique_ptr<runtime::ModelExecutor> make_executor(const AnalogSetup& setup) {
+    AMSVP_CHECK(setup.model != nullptr, "generated-model styles need the abstracted model");
     if (setup.executor_factory) {
         return setup.executor_factory(*setup.model);
     }
     return std::make_unique<runtime::CompiledModel>(*setup.model);
 }
 
-BackendRun run_vams(const IsolationSetup& setup, double duration) {
-    AMSVP_CHECK(setup.circuit != nullptr, "Verilog-AMS backend needs the conservative circuit");
-    de::Simulator sim;
-    spice::SpiceOptions options = setup.spice;
-    options.timestep = setup.timestep;
-    cosim::CosimCoupler coupler(sim, *setup.circuit, options, setup.stimuli,
-                                setup.observed_pos, setup.observed_neg);
-    const auto start = Clock::now();
-    sim.run_until(de::from_seconds(duration));
-    BackendRun run;
-    run.wall_seconds = elapsed(start);
-    run.trace = coupler.trace();
-    return run;
-}
-
-BackendRun run_eln(const IsolationSetup& setup, double duration) {
-    AMSVP_CHECK(setup.circuit != nullptr, "ELN backend needs the conservative circuit");
-    de::Simulator sim;
-    eln::ElnDeModule module(sim, *setup.circuit, setup.timestep, setup.stimuli,
-                            setup.observed_pos, setup.observed_neg);
-    const auto start = Clock::now();
-    sim.run_until(de::from_seconds(duration));
-    BackendRun run;
-    run.wall_seconds = elapsed(start);
-    run.trace = module.trace();
-    return run;
-}
-
-BackendRun run_tdf(const IsolationSetup& setup, double duration) {
-    AMSVP_CHECK(setup.model != nullptr, "TDF backend needs the abstracted model");
-    const abstraction::SignalFlowModel& model = *setup.model;
-
-    std::vector<std::unique_ptr<TdfSource>> sources;
-    TdfModel dut("dut", model, make_executor(setup));
-    TdfSink sink("sink");
-    tdf::TdfCluster cluster;
-    cluster.add(dut);
-    cluster.add(sink);
-    for (std::size_t i = 0; i < model.inputs.size(); ++i) {
-        const auto it = setup.stimuli.find(model.inputs[i].name);
+std::vector<const numeric::SourceFunction*> input_stimuli(const AnalogSetup& setup) {
+    AMSVP_CHECK(setup.model != nullptr, "generated-model styles need the abstracted model");
+    std::vector<const numeric::SourceFunction*> sources;
+    for (const expr::Symbol& in : setup.model->inputs) {
+        const auto it = setup.stimuli.find(in.name);
         AMSVP_CHECK(it != setup.stimuli.end(), "missing stimulus");
-        sources.push_back(std::make_unique<TdfSource>("src" + std::to_string(i), it->second));
-        cluster.add(*sources.back());
-        cluster.connect(sources.back()->out, dut.input(i));
+        sources.push_back(&it->second);
     }
-    cluster.connect(dut.output(0), sink.in);
-    cluster.set_timestep(dut, model.timestep);
-    std::string error;
-    const bool ok = cluster.elaborate(&error);
-    AMSVP_CHECK(ok, "TDF elaboration failed");
-
-    // Embedded in the DE kernel, as SystemC-AMS embeds TDF clusters.
-    de::Simulator sim;
-    cluster.attach(sim);
-    const auto start = Clock::now();
-    sim.run_until(de::from_seconds(duration));
-    BackendRun run;
-    run.wall_seconds = elapsed(start);
-    run.trace = sink.trace();
-    return run;
+    return sources;
 }
 
-BackendRun run_de(const IsolationSetup& setup, double duration) {
-    AMSVP_CHECK(setup.model != nullptr, "DE backend needs the abstracted model");
+KernelAnalog::KernelAnalog(de::Simulator& sim, AnalogIntegration integration,
+                           const AnalogSetup& setup) {
+    if (integration == AnalogIntegration::kVamsCosim ||
+        integration == AnalogIntegration::kEln) {
+        AMSVP_CHECK(setup.circuit != nullptr, "cosim and ELN need the conservative circuit");
+        if (integration == AnalogIntegration::kVamsCosim) {
+            spice::SpiceOptions options = setup.spice;
+            options.timestep = setup.timestep;
+            coupler_ = std::make_unique<cosim::CosimCoupler>(
+                sim, *setup.circuit, options, setup.stimuli, setup.observed_pos,
+                setup.observed_neg);
+            output_ = &coupler_->output();
+        } else {
+            eln_ = std::make_unique<eln::ElnDeModule>(sim, *setup.circuit, setup.timestep,
+                                                      setup.stimuli, setup.observed_pos,
+                                                      setup.observed_neg);
+            output_ = &eln_->output();
+        }
+        return;
+    }
+    AMSVP_CHECK(integration != AnalogIntegration::kCpp, "kCpp runs without the kernel");
+    const std::vector<const numeric::SourceFunction*> stimuli = input_stimuli(setup);
     const abstraction::SignalFlowModel& model = *setup.model;
+    if (integration == AnalogIntegration::kTdf) {
+        // Embedded in the DE kernel, as SystemC-AMS embeds TDF clusters.
+        cluster_ = std::make_unique<tdf::TdfCluster>();
+        tdf_model_ = std::make_unique<TdfModel>("dut", model, make_executor(setup));
+        tdf_sink_ = std::make_unique<TdfSink>("sink");
+        cluster_->add(*tdf_model_);
+        cluster_->add(*tdf_sink_);
+        for (std::size_t i = 0; i < stimuli.size(); ++i) {
+            tdf_sources_.push_back(
+                std::make_unique<TdfSource>("src" + std::to_string(i), *stimuli[i]));
+            cluster_->add(*tdf_sources_.back());
+            cluster_->connect(tdf_sources_.back()->out, tdf_model_->input(i));
+        }
+        cluster_->connect(tdf_model_->output(0), tdf_sink_->in);
+        cluster_->set_timestep(*tdf_model_, model.timestep);
+        const bool ok = cluster_->elaborate();
+        AMSVP_CHECK(ok, "TDF elaboration failed");
+        cluster_->attach(sim);
+        return;
+    }
+    clock_ = std::make_unique<de::Clock>(sim, "aclk", de::from_seconds(model.timestep));
+    std::vector<de::Signal<double>*> inputs;
+    for (std::size_t i = 0; i < stimuli.size(); ++i) {
+        de_sources_.push_back(
+            std::make_unique<DeSource>(sim, *clock_, "src" + std::to_string(i), *stimuli[i]));
+        inputs.push_back(&de_sources_.back()->out());
+    }
+    de_model_ = std::make_unique<DeModel>(sim, *clock_, "dut", model, std::move(inputs),
+                                          make_executor(setup));
+    output_ = &de_model_->output(0);
+}
 
+const numeric::Waveform& KernelAnalog::trace() const {
+    if (coupler_ != nullptr) {
+        return coupler_->trace();
+    }
+    if (eln_ != nullptr) {
+        return eln_->trace();
+    }
+    AMSVP_CHECK(tdf_sink_ != nullptr, "a DE module keeps no trace; attach a DeSink");
+    return tdf_sink_->trace();
+}
+
+BackendRun run_isolated(AnalogIntegration integration, const AnalogSetup& setup,
+                        double duration) {
+    BackendRun run;
+    if (integration == AnalogIntegration::kCpp) {
+        const std::unique_ptr<runtime::ModelExecutor> executor = make_executor(setup);
+        const auto start = Clock::now();
+        runtime::TransientResult result =
+            runtime::simulate_transient(*executor, setup.model->inputs, setup.stimuli, duration);
+        run.wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
+        run.trace = std::move(result.outputs.front());
+        return run;
+    }
     de::Simulator sim;
-    de::Clock clock(sim, "clk", de::from_seconds(model.timestep));
-    std::vector<std::unique_ptr<DeSource>> sources;
-    std::vector<de::Signal<double>*> input_signals;
-    for (std::size_t i = 0; i < model.inputs.size(); ++i) {
-        const auto it = setup.stimuli.find(model.inputs[i].name);
-        AMSVP_CHECK(it != setup.stimuli.end(), "missing stimulus");
-        sources.push_back(std::make_unique<DeSource>(
-            sim, clock, "src" + std::to_string(i), it->second));
-        input_signals.push_back(&sources.back()->out());
+    KernelAnalog analog(sim, integration, setup);
+    de::Time end = de::from_seconds(duration);
+    std::optional<DeSink> sink;
+    if (integration == AnalogIntegration::kDe) {
+        // The sink samples on falling edges: half a period past the end it
+        // has recorded the final rising-edge value.
+        sink.emplace(sim, analog.de_clock(), analog.de_output());
+        end += analog.de_clock().period() / 2;
     }
-    DeModel dut(sim, clock, "dut", model, std::move(input_signals), make_executor(setup));
-    DeSink sink(sim, clock, dut.output(0));
-
     const auto start = Clock::now();
-    // Run half a clock period past the end so the sink samples the final
-    // rising-edge value on its falling edge.
-    sim.run_until(de::from_seconds(duration) + de::from_seconds(model.timestep) / 2);
-    BackendRun run;
-    run.wall_seconds = elapsed(start);
-    run.trace = sink.trace();
+    sim.run_until(end);
+    run.wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
+    run.trace = sink ? sink->trace() : analog.trace();
     return run;
-}
-
-BackendRun run_cpp(const IsolationSetup& setup, double duration) {
-    AMSVP_CHECK(setup.model != nullptr, "C++ backend needs the abstracted model");
-    std::unique_ptr<runtime::ModelExecutor> compiled = make_executor(setup);
-    const auto start = Clock::now();
-    runtime::TransientResult result =
-        runtime::simulate_transient(*compiled, setup.model->inputs, setup.stimuli, duration);
-    BackendRun run;
-    run.wall_seconds = elapsed(start);
-    run.trace = std::move(result.outputs.front());
-    return run;
-}
-
-}  // namespace
-
-BackendRun run_isolated(BackendKind kind, const IsolationSetup& setup, double duration) {
-    switch (kind) {
-        case BackendKind::kVerilogAmsCosim:
-            return run_vams(setup, duration);
-        case BackendKind::kElnSystemC:
-            return run_eln(setup, duration);
-        case BackendKind::kTdfSystemC:
-            return run_tdf(setup, duration);
-        case BackendKind::kDeSystemC:
-            return run_de(setup, duration);
-        case BackendKind::kCpp:
-            return run_cpp(setup, duration);
-    }
-    AMSVP_CHECK(false, "unknown backend");
-    return {};
 }
 
 }  // namespace amsvp::backends

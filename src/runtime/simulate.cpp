@@ -79,12 +79,14 @@ SweepResult simulate_sweep(const abstraction::SignalFlowModel& model,
     // — the ORC materialization, even without a SweepService. Results are
     // unaffected (layouts and programs are immutable); only cold-start cost
     // changes.
+    detail::validate_sweep(model.inputs, shared_stimuli, lanes, duration_seconds,
+                           model.timestep, options);
     const detail::SweepEngine engine = detail::choose_sweep_engine(
         ModelCache::global(), model, model_fingerprint(model), options);
     const std::unique_ptr<BatchExecutor> batch =
         engine.make_executor(static_cast<int>(lanes.size()));
-    SweepResult result =
-        simulate_sweep(*batch, model.inputs, shared_stimuli, lanes, duration_seconds, options);
+    SweepResult result = detail::run_sweep(*batch, model.inputs, shared_stimuli, lanes,
+                                           duration_seconds, options, nullptr, nullptr);
     engine.annotate(result);
     return result;
 }
@@ -310,6 +312,35 @@ int resolve_threads(int requested) {
 
 namespace detail {
 
+void validate_sweep(const std::vector<expr::Symbol>& input_symbols,
+                    const std::map<std::string, numeric::SourceFunction>& shared_stimuli,
+                    const std::vector<SweepLane>& lanes, double duration_seconds, double dt,
+                    const SweepOptions& options) {
+    if (lanes.empty()) {
+        throw std::invalid_argument("sweep needs at least one lane");
+    }
+    if (options.threads < 0) {
+        throw std::invalid_argument("SweepOptions::threads must be >= 0");
+    }
+    if (options.steady_tolerance > 0.0 && options.steady_window < 1) {
+        throw std::invalid_argument("steady_window must be at least one step");
+    }
+    if (!(dt > 0.0)) {
+        throw std::invalid_argument("model has no timestep");
+    }
+    (void)support::step_count(duration_seconds, dt);
+    for (const expr::Symbol& in : input_symbols) {
+        if (shared_stimuli.count(in.name) != 0) {
+            continue;
+        }
+        for (const SweepLane& lane : lanes) {
+            if (lane.stimuli.count(in.name) == 0) {
+                throw std::invalid_argument("missing stimulus for model input " + in.name);
+            }
+        }
+    }
+}
+
 SweepResult run_sweep(BatchExecutor& batch,
                       const std::vector<expr::Symbol>& input_symbols,
                       const std::map<std::string, numeric::SourceFunction>& shared_stimuli,
@@ -522,6 +553,8 @@ SweepResult simulate_sweep(BatchExecutor& batch,
                            const std::map<std::string, numeric::SourceFunction>& shared_stimuli,
                            const std::vector<SweepLane>& lanes, double duration_seconds,
                            const SweepOptions& options) {
+    detail::validate_sweep(input_symbols, shared_stimuli, lanes, duration_seconds,
+                           batch.timestep(), options);
     return detail::run_sweep(batch, input_symbols, shared_stimuli, lanes, duration_seconds,
                              options, /*shard_pool=*/nullptr, /*pool=*/nullptr);
 }

@@ -166,7 +166,9 @@ struct SweepOptions {
 /// one compile, one strided slot file, per-lane stimuli and overrides,
 /// per-lane waveforms out. Sampling matches simulate_transient (t = dt,
 /// 2dt, ...), and each lane agrees bit-for-bit with a scalar CompiledModel
-/// run of the same configuration.
+/// run of the same configuration. Both overloads throw
+/// std::invalid_argument for a malformed request (detail::validate_sweep)
+/// before they compile or step anything.
 [[nodiscard]] SweepResult simulate_sweep(
     const abstraction::SignalFlowModel& model,
     const std::map<std::string, numeric::SourceFunction>& shared_stimuli,
@@ -218,6 +220,17 @@ public:
     [[nodiscard]] virtual std::unique_ptr<BatchExecutor> acquire(int lane_count) = 0;
     virtual void release(std::unique_ptr<BatchExecutor> executor) = 0;
 };
+
+/// Throws std::invalid_argument when a sweep request cannot run: no lanes,
+/// a model input with neither a shared nor a per-lane stimulus on every
+/// lane, negative SweepOptions::threads, steady detection with a zero-step
+/// window, a timestep `dt` that is not positive, or a duration
+/// support::step_count rejects. Every entry point calls it before it
+/// builds an executor.
+void validate_sweep(const std::vector<expr::Symbol>& input_symbols,
+                    const std::map<std::string, numeric::SourceFunction>& shared_stimuli,
+                    const std::vector<SweepLane>& lanes, double duration_seconds, double dt,
+                    const SweepOptions& options);
 
 /// The one sweep engine behind every public entry point. Identical to the
 /// executor-reusing simulate_sweep overload, plus two injection points for

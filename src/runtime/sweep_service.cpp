@@ -378,6 +378,8 @@ void SweepService::dispatcher_loop() {
 }
 
 SweepResult SweepService::execute(SweepJob& job) {
+    detail::validate_sweep(job.model.inputs, job.stimuli, job.lanes, job.duration_seconds,
+                           job.model.timestep, job.options);
     const std::string fingerprint = model_fingerprint(job.model);
     const detail::SweepEngine engine =
         detail::choose_sweep_engine(*cache_, job.model, fingerprint, job.options);
@@ -428,7 +430,7 @@ void SweepService::release_executor(const std::string& key_prefix,
     executor->reset();
     const std::string key = key_prefix + std::to_string(executor->batch());
     std::vector<std::unique_ptr<BatchExecutor>>& pool = idle_[key];
-    if (pool.size() < options_.max_idle_executors_per_key) {
+    if (pool.size() < kMaxIdleExecutorsPerKey) {
         pool.push_back(std::move(executor));
     }
     // else: drop — bounds the slot-file memory a bursty width mix can pin.

@@ -227,10 +227,6 @@ struct ServiceOptions {
     /// SweepOptions::threads, and shards queue when they outnumber
     /// workers.
     int sweep_threads = 0;
-    /// Idle executors kept warm per (model, backend, width) key; further
-    /// releases are dropped. Bounds the slot-file memory a bursty width
-    /// mix can pin.
-    std::size_t max_idle_executors_per_key = 8;
     /// Cache to serve from; nullptr gives the service a private cache
     /// (deterministic stats). Pass a shared one — e.g. a shared_ptr
     /// wrapping ModelCache::global() machinery — to share compiles across
@@ -279,7 +275,9 @@ public:
     SweepService& operator=(const SweepService&) = delete;
 
     /// Enqueue a sweep; the future resolves to its SweepResult, or to the
-    /// exception that failed it (the service itself keeps serving).
+    /// exception that failed it (the service itself keeps serving). A
+    /// malformed job (detail::validate_sweep) fails with
+    /// std::invalid_argument before any executor is built.
     [[nodiscard]] std::future<SweepResult> submit(SweepJob job);
 
     /// Convenience synchronous round-trip: submit(job).get().
@@ -294,6 +292,11 @@ public:
 
 private:
     class ShardPoolAdapter;
+
+    /// Idle executors kept warm per (model, backend, width) key; further
+    /// releases are dropped. Bounds the slot-file memory a bursty width
+    /// mix can pin.
+    static constexpr std::size_t kMaxIdleExecutorsPerKey = 8;
 
     struct Pending {
         SweepJob job;

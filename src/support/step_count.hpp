@@ -12,15 +12,22 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <stdexcept>
 
 namespace amsvp::support {
 
 /// Number of whole timesteps of size `dt` in `duration`. Ulp-tolerant: a
 /// quotient within 4 ulps below an integer counts as that integer;
-/// anything further truncates (1.0 / 0.3 is 3 steps, not 4). Non-positive
-/// durations give 0 steps; `dt` must be positive and finite.
+/// anything further truncates (1.0 / 0.3 is 3 steps, not 4). Finite
+/// non-positive durations give 0 steps; `dt` must be positive and finite.
+/// Throws std::invalid_argument when the duration is NaN or infinite or the
+/// quotient is NaN or at least 2^64: no step count can be cast from those.
 [[nodiscard]] inline std::size_t step_count(double duration, double dt) {
     const double raw = duration / dt;
+    if (!std::isfinite(duration) || std::isnan(raw) || raw >= 0x1p64) {
+        throw std::invalid_argument(
+            "step count needs a finite duration and duration / timestep below 2^64");
+    }
     if (!(raw > 0.0)) {
         return 0;
     }

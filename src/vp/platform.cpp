@@ -4,41 +4,20 @@
 #include <cmath>
 #include <memory>
 
-#include "backends/de_modules.hpp"
-#include "backends/tdf_modules.hpp"
-#include "cosim/coupler.hpp"
 #include "de/clock.hpp"
 #include "de/signal.hpp"
-#include "eln/engine.hpp"
-#include "runtime/compiled_model.hpp"
 #include "support/check.hpp"
 #include "support/diagnostics.hpp"
-#include "tdf/tdf.hpp"
 #include "vp/adc.hpp"
 #include "vp/assembler.hpp"
 #include "vp/cpu.hpp"
+#include "vp/firmware.hpp"
 #include "vp/timer.hpp"
 #include "vp/uart.hpp"
 
 namespace amsvp::vp {
 
 using Clk = std::chrono::steady_clock;
-
-std::string_view to_string(AnalogIntegration integration) {
-    switch (integration) {
-        case AnalogIntegration::kVamsCosim:
-            return "Verilog-AMS cosim";
-        case AnalogIntegration::kEln:
-            return "SC-AMS/ELN";
-        case AnalogIntegration::kTdf:
-            return "SC-AMS/TDF";
-        case AnalogIntegration::kDe:
-            return "SC-DE";
-        case AnalogIntegration::kCpp:
-            return "C++";
-    }
-    return "unknown";
-}
 
 namespace {
 
@@ -126,32 +105,20 @@ private:
     de::Signal<std::uint32_t> data_strobe_;
 };
 
-std::unique_ptr<runtime::ModelExecutor> make_executor(const PlatformConfig& config) {
-    AMSVP_CHECK(config.model != nullptr, "integration needs the abstracted model");
-    if (config.executor_factory) {
-        return config.executor_factory(*config.model);
-    }
-    return std::make_unique<runtime::CompiledModel>(*config.model);
-}
-
 PlatformResult run_pure_cpp(const PlatformConfig& config, const AssembledProgram& program,
-                            double duration) {
-    std::unique_ptr<runtime::ModelExecutor> executor = make_executor(config);
+                            de::Time end) {
+    const std::unique_ptr<runtime::ModelExecutor> executor = backends::make_executor(config);
     runtime::ModelExecutor& compiled = *executor;
-
-    std::vector<const numeric::SourceFunction*> sources;
-    for (const expr::Symbol& in : config.model->inputs) {
-        const auto it = config.stimuli.find(in.name);
-        AMSVP_CHECK(it != config.stimuli.end(), "missing stimulus");
-        sources.push_back(&it->second);
-    }
+    const std::vector<const numeric::SourceFunction*> sources = backends::input_stimuli(config);
 
     DigitalPlatform digital(config, program, [&compiled] { return compiled.output(0); });
 
+    // The model steps every model->timestep, like the kernel styles' clocks,
+    // and the CPU runs the kernel's count of clock edges up to `end`.
     const double cpu_dt = de::to_seconds(config.cpu_period);
-    const auto ratio = static_cast<std::uint64_t>(config.analog_timestep / cpu_dt + 0.5);
+    const auto ratio = static_cast<std::uint64_t>(config.model->timestep / cpu_dt + 0.5);
     AMSVP_CHECK(ratio >= 1, "analog timestep below CPU period");
-    const auto ticks = static_cast<std::uint64_t>(duration / cpu_dt);
+    const std::uint64_t ticks = end / config.cpu_period;
 
     PlatformResult result;
     const auto start = Clk::now();
@@ -174,90 +141,11 @@ PlatformResult run_pure_cpp(const PlatformConfig& config, const AssembledProgram
 }
 
 PlatformResult run_kernel_platform(const PlatformConfig& config,
-                                   const AssembledProgram& program, double duration) {
+                                   const AssembledProgram& program, de::Time end) {
     de::Simulator sim;
-
-    // Analog side first (the ADC probe closes over it).
-    std::unique_ptr<cosim::CosimCoupler> coupler;
-    std::unique_ptr<eln::ElnDeModule> eln_module;
-    std::unique_ptr<backends::TdfModel> tdf_model;
-    std::unique_ptr<backends::TdfSink> tdf_sink;
-    std::vector<std::unique_ptr<backends::TdfSource>> tdf_sources;
-    std::unique_ptr<tdf::TdfCluster> tdf_cluster;
-    std::unique_ptr<de::Clock> analog_clock;
-    std::vector<std::unique_ptr<backends::DeSource>> de_sources;
-    std::unique_ptr<backends::DeModel> de_model;
-
-    std::function<double()> probe;
-    switch (config.integration) {
-        case AnalogIntegration::kVamsCosim: {
-            AMSVP_CHECK(config.circuit != nullptr, "cosim integration needs the circuit");
-            spice::SpiceOptions options = config.spice;
-            options.timestep = config.analog_timestep;
-            coupler = std::make_unique<cosim::CosimCoupler>(sim, *config.circuit, options,
-                                                            config.stimuli,
-                                                            config.observed_pos,
-                                                            config.observed_neg);
-            probe = [&c = *coupler] { return c.output().read(); };
-            break;
-        }
-        case AnalogIntegration::kEln: {
-            AMSVP_CHECK(config.circuit != nullptr, "ELN integration needs the circuit");
-            eln_module = std::make_unique<eln::ElnDeModule>(
-                sim, *config.circuit, config.analog_timestep, config.stimuli,
-                config.observed_pos, config.observed_neg);
-            probe = [&m = *eln_module] { return m.output().read(); };
-            break;
-        }
-        case AnalogIntegration::kTdf: {
-            AMSVP_CHECK(config.model != nullptr, "TDF integration needs the model");
-            tdf_cluster = std::make_unique<tdf::TdfCluster>();
-            tdf_model = std::make_unique<backends::TdfModel>("dut", *config.model,
-                                                             make_executor(config));
-            tdf_sink = std::make_unique<backends::TdfSink>("sink");
-            tdf_cluster->add(*tdf_model);
-            tdf_cluster->add(*tdf_sink);
-            for (std::size_t i = 0; i < config.model->inputs.size(); ++i) {
-                const auto it = config.stimuli.find(config.model->inputs[i].name);
-                AMSVP_CHECK(it != config.stimuli.end(), "missing stimulus");
-                tdf_sources.push_back(std::make_unique<backends::TdfSource>(
-                    "src" + std::to_string(i), it->second));
-                tdf_cluster->add(*tdf_sources.back());
-                tdf_cluster->connect(tdf_sources.back()->out, tdf_model->input(i));
-            }
-            tdf_cluster->connect(tdf_model->output(0), tdf_sink->in);
-            tdf_cluster->set_timestep(*tdf_model, config.model->timestep);
-            std::string error;
-            const bool ok = tdf_cluster->elaborate(&error);
-            AMSVP_CHECK(ok, "TDF elaboration failed");
-            tdf_cluster->attach(sim);
-            probe = [&s = *tdf_sink] { return s.last(); };
-            break;
-        }
-        case AnalogIntegration::kDe: {
-            AMSVP_CHECK(config.model != nullptr, "DE integration needs the model");
-            analog_clock = std::make_unique<de::Clock>(
-                sim, "aclk", de::from_seconds(config.model->timestep));
-            std::vector<de::Signal<double>*> inputs;
-            for (std::size_t i = 0; i < config.model->inputs.size(); ++i) {
-                const auto it = config.stimuli.find(config.model->inputs[i].name);
-                AMSVP_CHECK(it != config.stimuli.end(), "missing stimulus");
-                de_sources.push_back(std::make_unique<backends::DeSource>(
-                    sim, *analog_clock, "src" + std::to_string(i), it->second));
-                inputs.push_back(&de_sources.back()->out());
-            }
-            de_model = std::make_unique<backends::DeModel>(sim, *analog_clock, "dut",
-                                                           *config.model, std::move(inputs),
-                                                           make_executor(config));
-            probe = [&m = *de_model] { return m.output(0).read(); };
-            break;
-        }
-        case AnalogIntegration::kCpp:
-            AMSVP_CHECK(false, "pure-C++ platform handled separately");
-            break;
-    }
-
-    DigitalPlatform digital(config, program, std::move(probe));
+    // Analog side first (the ADC probe reads it).
+    const backends::KernelAnalog analog(sim, config.integration, config);
+    DigitalPlatform digital(config, program, [&analog] { return analog.observed(); });
     // Kernel platforms expose a periodic timer peripheral; firmware enables
     // it by writing a period + the enable bit (the default firmware leaves
     // it off, so the memory map is the only difference to the pure-C++ run).
@@ -268,7 +156,7 @@ PlatformResult run_kernel_platform(const PlatformConfig& config,
 
     PlatformResult result;
     const auto start = Clk::now();
-    sim.run_until(de::from_seconds(duration));
+    sim.run_until(end);
     result.wall_seconds = elapsed(start);
     result.kernel = sim.stats();
     result.timer_ticks = timer.ticks();
@@ -281,11 +169,14 @@ PlatformResult run_kernel_platform(const PlatformConfig& config,
 PlatformResult run_platform(const PlatformConfig& config, double duration) {
     AMSVP_CHECK(std::isfinite(duration) && duration >= 0.0,
                 "platform duration must be finite and non-negative");
+    // The kernel's 2^64 fs bound holds for every integration, kCpp included,
+    // and is checked before anything is built.
+    const de::Time end = de::from_seconds(duration);
     const AssembledProgram program = assemble_firmware(config);
     if (config.integration == AnalogIntegration::kCpp) {
-        return run_pure_cpp(config, program, duration);
+        return run_pure_cpp(config, program, end);
     }
-    return run_kernel_platform(config, program, duration);
+    return run_kernel_platform(config, program, end);
 }
 
 }  // namespace amsvp::vp

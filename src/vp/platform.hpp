@@ -1,30 +1,20 @@
 // The complete smart-system virtual platform of Fig. 1 / Table III:
 // MIPS CPU + RAM + APB bridge + UART + ADC, with the analog component
-// integrated through any of the paper's six configurations.
+// integrated in any of the paper's five modelling styles. The kernel styles
+// get their analog side from backends::KernelAnalog, the wiring the
+// isolation runs of Tables I-II use; kCpp steps the model in the CPU loop.
 #pragma once
 
-#include <map>
 #include <string>
 
-#include "abstraction/signal_flow_model.hpp"
+#include "backends/runner.hpp"
 #include "de/kernel.hpp"
-#include "netlist/circuit.hpp"
-#include "numeric/sources.hpp"
-#include "runtime/executor.hpp"
-#include "spice/engine.hpp"
-#include "vp/firmware.hpp"
 
 namespace amsvp::vp {
 
 /// How the analog device is integrated (rows of Table III). The first two
 /// rows differ in the *digital* side's fidelity, see DigitalFidelity.
-enum class AnalogIntegration {
-    kVamsCosim,  ///< conservative solver behind the co-simulation coupler
-    kEln,        ///< ELN engine inside the kernel
-    kTdf,        ///< generated model in a TDF cluster
-    kDe,         ///< generated model as a clocked DE module
-    kCpp,        ///< generated model in the pure-C++ platform (no kernel)
-};
+using AnalogIntegration = backends::AnalogIntegration;
 
 /// Digital-platform fidelity: kRtl mirrors per-instruction bus activity onto
 /// kernel signals (the "VP in Verilog, RTL" row); kTlm executes instructions
@@ -34,33 +24,17 @@ enum class DigitalFidelity {
     kTlm,
 };
 
-[[nodiscard]] std::string_view to_string(AnalogIntegration integration);
-
-struct PlatformConfig {
+/// The analog component (circuit, model, stimuli, executor factory, ...)
+/// plus the digital platform around it.
+struct PlatformConfig : backends::AnalogSetup {
     AnalogIntegration integration = AnalogIntegration::kCpp;
     DigitalFidelity fidelity = DigitalFidelity::kTlm;
 
-    /// Conservative form (needed for kVamsCosim / kEln).
-    const netlist::Circuit* circuit = nullptr;
-    /// Abstracted form (needed for kTdf / kDe / kCpp).
-    const abstraction::SignalFlowModel* model = nullptr;
-
-    std::map<std::string, numeric::SourceFunction> stimuli;
-    std::string observed_pos = "out";
-    std::string observed_neg = "gnd";
-    double analog_timestep = 50e-9;
-
     /// CPU clock period; the default 50 ns (20 MHz) aligns one instruction
-    /// per analog timestep.
+    /// per 50 ns analog timestep.
     de::Time cpu_period = 50 * de::kNanosecond;
 
     std::string firmware;  ///< assembly source; empty = threshold monitor
-    spice::SpiceOptions spice;
-
-    /// Execution strategy for generated models (kTdf/kDe/kCpp rows); null =
-    /// the in-process fused interpreter (runtime::CompiledModel). Benches
-    /// install the native factory so the generated C++ runs as machine code.
-    runtime::ExecutorFactory executor_factory;
 
     /// ADC full-scale range (the paper's circuits swing within [-6, 6] V
     /// across all four test cases).
@@ -81,7 +55,7 @@ struct PlatformResult {
 };
 
 /// Build and run the platform for `duration` simulated seconds, which must
-/// be finite and non-negative (kernel platforms also need it below 2^64 fs).
+/// be finite, non-negative and below 2^64 fs for every integration.
 [[nodiscard]] PlatformResult run_platform(const PlatformConfig& config, double duration);
 
 }  // namespace amsvp::vp

@@ -37,7 +37,7 @@ TEST_P(AccuracyCase, AllBackendsTrackTheConservativeReference) {
     auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);
     ASSERT_TRUE(model.has_value()) << error;
 
-    backends::IsolationSetup setup;
+    backends::AnalogSetup setup;
     setup.circuit = &circuit;
     setup.model = &*model;
     setup.stimuli = {{"u0", numeric::square_wave(1e-3)},
@@ -46,12 +46,12 @@ TEST_P(AccuracyCase, AllBackendsTrackTheConservativeReference) {
 
     constexpr double kDuration = 2e-3;  // two square-wave periods
     const backends::BackendRun reference =
-        backends::run_isolated(backends::BackendKind::kVerilogAmsCosim, setup, kDuration);
+        backends::run_isolated(backends::AnalogIntegration::kVamsCosim, setup, kDuration);
     ASSERT_GT(reference.trace.size(), 0u);
 
-    for (const backends::BackendKind kind :
-         {backends::BackendKind::kElnSystemC, backends::BackendKind::kTdfSystemC,
-          backends::BackendKind::kDeSystemC, backends::BackendKind::kCpp}) {
+    for (const backends::AnalogIntegration kind :
+         {backends::AnalogIntegration::kEln, backends::AnalogIntegration::kTdf,
+          backends::AnalogIntegration::kDe, backends::AnalogIntegration::kCpp}) {
         const backends::BackendRun run = backends::run_isolated(kind, setup, kDuration);
         ASSERT_EQ(run.trace.size(), reference.trace.size())
             << to_string(kind) << " sample count mismatch";
@@ -76,15 +76,15 @@ TEST(Accuracy, GeneratedBackendsAreBitwiseIdentical) {
     auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);
     ASSERT_TRUE(model.has_value()) << error;
 
-    backends::IsolationSetup setup;
+    backends::AnalogSetup setup;
     setup.circuit = &circuit;
     setup.model = &*model;
     setup.stimuli = {{"u0", numeric::square_wave(1e-3)}};
     setup.timestep = model->timestep;
 
-    const auto cpp = backends::run_isolated(backends::BackendKind::kCpp, setup, 1e-3);
-    const auto de = backends::run_isolated(backends::BackendKind::kDeSystemC, setup, 1e-3);
-    const auto tdf = backends::run_isolated(backends::BackendKind::kTdfSystemC, setup, 1e-3);
+    const auto cpp = backends::run_isolated(backends::AnalogIntegration::kCpp, setup, 1e-3);
+    const auto de = backends::run_isolated(backends::AnalogIntegration::kDe, setup, 1e-3);
+    const auto tdf = backends::run_isolated(backends::AnalogIntegration::kTdf, setup, 1e-3);
 
     ASSERT_EQ(cpp.trace.size(), de.trace.size());
     ASSERT_EQ(cpp.trace.size(), tdf.trace.size());
@@ -102,14 +102,14 @@ TEST(Accuracy, ElnMatchesAbstractedModelClosely) {
     auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);
     ASSERT_TRUE(model.has_value()) << error;
 
-    backends::IsolationSetup setup;
+    backends::AnalogSetup setup;
     setup.circuit = &circuit;
     setup.model = &*model;
     setup.stimuli = {{"u0", numeric::square_wave(1e-3)}};
     setup.timestep = model->timestep;
 
-    const auto eln = backends::run_isolated(backends::BackendKind::kElnSystemC, setup, 1e-3);
-    const auto cpp = backends::run_isolated(backends::BackendKind::kCpp, setup, 1e-3);
+    const auto eln = backends::run_isolated(backends::AnalogIntegration::kEln, setup, 1e-3);
+    const auto cpp = backends::run_isolated(backends::AnalogIntegration::kCpp, setup, 1e-3);
     ASSERT_EQ(eln.trace.size(), cpp.trace.size());
     EXPECT_LT(numeric::nrmse(eln.trace, cpp.trace), 1e-9);
 }

@@ -19,7 +19,7 @@ TEST_P(LadderSweep, AllBackendsProduceAlignedTraces) {
     auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);
     ASSERT_TRUE(model.has_value()) << error;
 
-    backends::IsolationSetup setup;
+    backends::AnalogSetup setup;
     setup.circuit = &circuit;
     setup.model = &*model;
     setup.stimuli = {{"u0", numeric::square_wave(2e-4)}};
@@ -36,12 +36,12 @@ TEST_P(LadderSweep, AllBackendsProduceAlignedTraces) {
     const std::size_t expected_samples = static_cast<std::size_t>(kDuration / setup.timestep);
 
     backends::BackendRun reference;
-    for (const backends::BackendKind kind : backends::all_backends()) {
+    for (const backends::AnalogIntegration kind : backends::all_backends()) {
         const backends::BackendRun run = backends::run_isolated(kind, setup, kDuration);
         ASSERT_EQ(run.trace.size(), expected_samples) << to_string(kind);
         EXPECT_DOUBLE_EQ(run.trace.time(0), setup.timestep) << to_string(kind);
         EXPECT_GE(run.wall_seconds, 0.0);
-        if (kind == backends::BackendKind::kVerilogAmsCosim) {
+        if (kind == backends::AnalogIntegration::kVamsCosim) {
             reference = run;
         } else {
             EXPECT_LT(numeric::nrmse(reference.trace, run.trace), 5e-3)
@@ -53,11 +53,11 @@ TEST_P(LadderSweep, AllBackendsProduceAlignedTraces) {
 INSTANTIATE_TEST_SUITE_P(Orders, LadderSweep, ::testing::Values(1, 2, 4, 8));
 
 TEST(BackendNames, AreStable) {
-    EXPECT_EQ(to_string(backends::BackendKind::kVerilogAmsCosim), "Verilog-AMS");
-    EXPECT_EQ(to_string(backends::BackendKind::kElnSystemC), "SC-AMS/ELN");
-    EXPECT_EQ(to_string(backends::BackendKind::kTdfSystemC), "SC-AMS/TDF");
-    EXPECT_EQ(to_string(backends::BackendKind::kDeSystemC), "SC-DE");
-    EXPECT_EQ(to_string(backends::BackendKind::kCpp), "C++");
+    EXPECT_EQ(to_string(backends::AnalogIntegration::kVamsCosim), "Verilog-AMS");
+    EXPECT_EQ(to_string(backends::AnalogIntegration::kEln), "SC-AMS/ELN");
+    EXPECT_EQ(to_string(backends::AnalogIntegration::kTdf), "SC-AMS/TDF");
+    EXPECT_EQ(to_string(backends::AnalogIntegration::kDe), "SC-DE");
+    EXPECT_EQ(to_string(backends::AnalogIntegration::kCpp), "C++");
     EXPECT_EQ(backends::all_backends().size(), 5u);
 }
 

@@ -195,17 +195,17 @@ TEST(FusedExecutorFactory, BackendRunnerTracksBytecodeFactory) {
     auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);
     ASSERT_TRUE(model.has_value()) << error;
 
-    backends::IsolationSetup setup;
+    backends::AnalogSetup setup;
     setup.model = &*model;
     setup.stimuli = {{"u0", numeric::square_wave(1e-3)}};
     setup.timestep = model->timestep;
 
     setup.executor_factory = runtime::fused_executor_factory();
-    const auto fused = backends::run_isolated(backends::BackendKind::kCpp, setup, 2e-4);
+    const auto fused = backends::run_isolated(backends::AnalogIntegration::kCpp, setup, 2e-4);
     setup.executor_factory = [](const SignalFlowModel& m) {
         return std::make_unique<ReferenceExecutor>(m);
     };
-    const auto reference = backends::run_isolated(backends::BackendKind::kCpp, setup, 2e-4);
+    const auto reference = backends::run_isolated(backends::AnalogIntegration::kCpp, setup, 2e-4);
 
     ASSERT_EQ(fused.trace.size(), reference.trace.size());
     ASSERT_GT(fused.trace.size(), 0u);

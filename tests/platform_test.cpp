@@ -165,9 +165,38 @@ TEST(Platform, RejectsNegativeOrNonFiniteDuration) {
         EXPECT_DEATH((void)run_platform(config, -1e-3), "finite and non-negative");
         EXPECT_DEATH((void)run_platform(config, std::nan("")), "finite and non-negative");
         EXPECT_DEATH((void)run_platform(config, HUGE_VAL), "finite and non-negative");
+        // Finite but beyond the kernel's 2^64 fs range: rejected, not wrapped
+        // or cast, by the kernel rows and the pure-C++ platform alike.
+        EXPECT_DEATH((void)run_platform(config, 2e5), "below 2\\^64 fs");
+        EXPECT_DEATH((void)run_platform(config, 1e30), "below 2\\^64 fs");
     }
-    // Finite but beyond the kernel's 2^64 fs range: rejected, not wrapped.
-    EXPECT_DEATH((void)run_platform(f.config(AnalogIntegration::kDe), 2e5), "below 2\\^64 fs");
+}
+
+TEST(Platform, GeneratedRowsStepAtTheModelTimestep) {
+    // Every generated-model row steps at model->timestep, the pure-C++
+    // platform included: RC1 abstracted at 200 ns is four CPU cycles per
+    // step, and the software must observe the same signal in each row.
+    const netlist::Circuit circuit = netlist::make_rc_ladder(1);
+    abstraction::AbstractionOptions options;
+    options.timestep = 200e-9;
+    std::string error;
+    auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, options, &error);
+    ASSERT_TRUE(model.has_value()) << error;
+
+    PlatformConfig config;
+    config.model = &*model;
+    config.stimuli = {{"u0", numeric::square_wave(250e-6, -1.0, 3.0)}};
+    config.integration = AnalogIntegration::kCpp;
+    const PlatformResult cpp = run_platform(config, 2e-3);
+    EXPECT_EQ(cpp.uart_output, "01");
+    for (const auto integration : {AnalogIntegration::kTdf, AnalogIntegration::kDe}) {
+        SCOPED_TRACE(std::string(to_string(integration)));
+        config.integration = integration;
+        const PlatformResult result = run_platform(config, 2e-3);
+        EXPECT_EQ(result.instructions, cpp.instructions);
+        EXPECT_EQ(result.adc_conversions, cpp.adc_conversions);
+        EXPECT_EQ(result.uart_output, cpp.uart_output);
+    }
 }
 
 TEST(Platform, CustomFirmwareRuns) {

@@ -117,7 +117,7 @@ TEST(Rlc, AllBackendsAgreeOnSquareWaveResponse) {
     auto model = abstraction::abstract_circuit(circuit, {{"n2", "gnd"}}, options, &error);
     ASSERT_TRUE(model.has_value()) << error;
 
-    backends::IsolationSetup setup;
+    backends::AnalogSetup setup;
     setup.circuit = &circuit;
     setup.model = &*model;
     setup.stimuli = {{"u0", numeric::square_wave(2e-4)}};
@@ -126,10 +126,10 @@ TEST(Rlc, AllBackendsAgreeOnSquareWaveResponse) {
     setup.observed_neg = "gnd";
 
     const auto reference =
-        backends::run_isolated(backends::BackendKind::kVerilogAmsCosim, setup, 4e-4);
-    for (const auto kind : {backends::BackendKind::kElnSystemC,
-                            backends::BackendKind::kTdfSystemC,
-                            backends::BackendKind::kDeSystemC, backends::BackendKind::kCpp}) {
+        backends::run_isolated(backends::AnalogIntegration::kVamsCosim, setup, 4e-4);
+    for (const auto kind :
+         {backends::AnalogIntegration::kEln, backends::AnalogIntegration::kTdf,
+          backends::AnalogIntegration::kDe, backends::AnalogIntegration::kCpp}) {
         const auto run = backends::run_isolated(kind, setup, 4e-4);
         ASSERT_EQ(run.trace.size(), reference.trace.size());
         EXPECT_LT(numeric::nrmse(reference.trace, run.trace), 2e-2) << to_string(kind);

@@ -2,8 +2,14 @@
 // / dt)` used to drop the final step whenever the division landed a few ulps
 // below an integer (0.3 / 0.1 = 2.9999999999999996). Every transient driver
 // — simulate_transient, simulate_sweep, SpiceEngine::run_transient,
-// TdfCluster::run — must agree that 0.3 s of 0.1 s steps is 3 steps.
+// TdfCluster::run — must agree that 0.3 s of 0.1 s steps is 3 steps. A
+// duration with no step count (NaN, infinite, 2^64 steps or more) throws
+// instead of being cast.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "abstraction/signal_flow_model.hpp"
 #include "netlist/builder.hpp"
@@ -36,6 +42,19 @@ TEST(StepCount, ExactAndNonIntegerQuotientsTruncate) {
 TEST(StepCount, NonPositiveDurationsGiveZeroSteps) {
     EXPECT_EQ(support::step_count(0.0, 0.1), 0u);
     EXPECT_EQ(support::step_count(-1.0, 0.1), 0u);
+}
+
+TEST(StepCount, RejectsNonFiniteAndOversizedQuotients) {
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW((void)support::step_count(inf, 50e-9), std::invalid_argument);
+    EXPECT_THROW((void)support::step_count(-inf, 50e-9), std::invalid_argument);
+    EXPECT_THROW((void)support::step_count(std::nan(""), 50e-9), std::invalid_argument);
+    EXPECT_THROW((void)support::step_count(1e30, 50e-9), std::invalid_argument);
+    EXPECT_THROW((void)support::step_count(0x1p64, 1.0), std::invalid_argument);
+    // The largest double below 2^64 still casts; finite non-positive
+    // durations, however large, still give 0 steps.
+    EXPECT_EQ(support::step_count(std::nextafter(0x1p64, 0.0), 1.0), 18446744073709549568u);
+    EXPECT_EQ(support::step_count(-1e30, 50e-9), 0u);
 }
 
 /// One-state model with a 0.1 s timestep: y := u.

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -280,6 +281,38 @@ TEST_F(SweepServiceTest, FreeFunctionSharesTheGlobalModelCache) {
     // JIT compile — and stayed bit-identical.
     EXPECT_EQ(codegen::orc_detail::orc_compile_invocations(), invocations_before);
     expect_identical(second, first);
+}
+
+TEST_F(SweepServiceTest, MalformedJobsFailTheirFuturesAndTheServiceKeepsServing) {
+    const auto model = ladder_model();
+    const double duration = 40 * model.timestep;
+    std::vector<SweepJob> malformed;
+    malformed.push_back(make_job(model, 0, duration, {}));  // no lanes
+    malformed.push_back(make_job(model, 4, duration, {}));
+    malformed.back().lanes[2].stimuli.clear();  // lane 2 has no stimulus for u0
+    SweepOptions zero_window;
+    zero_window.steady_tolerance = 1e-9;
+    zero_window.steady_window = 0;
+    malformed.push_back(make_job(model, 4, duration, zero_window));
+    SweepOptions negative_threads;
+    negative_threads.threads = -1;
+    malformed.push_back(make_job(model, 4, duration, negative_threads));
+    malformed.push_back(make_job(model, 4, std::numeric_limits<double>::infinity(), {}));
+
+    SweepService service;
+    for (const SweepJob& job : malformed) {
+        EXPECT_THROW((void)simulate_sweep(job.model, job.stimuli, job.lanes,
+                                          job.duration_seconds, job.options),
+                     std::invalid_argument);
+        std::future<SweepResult> future = service.submit(job);
+        EXPECT_THROW((void)future.get(), std::invalid_argument);
+    }
+    const SweepJob valid = make_job(model, 4, duration, {});
+    expect_identical(service.run(valid), simulate_sweep(model, {}, valid.lanes, duration));
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.jobs_failed, malformed.size());
+    EXPECT_EQ(stats.jobs_completed, 1u);
+    EXPECT_EQ(stats.executors_built, 1u);  // only the valid job built one
 }
 
 // --- Service under concurrent clients (runs in the `threads` ctest label) ----
