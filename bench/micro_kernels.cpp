@@ -245,8 +245,8 @@ int main(int argc, char** argv) {
     }
 
     // Worker-pool sharded sweeps: aggregate throughput of a full
-    // simulate_sweep (inputs, stepping, waveform capture, shard merge) at
-    // wide batches, single-thread vs the worker pool. Results are
+    // simulate_sweep (inputs, stepping, waveform capture) at wide batches,
+    // single-thread vs the worker pool. Results are
     // bit-identical at any thread count (tests/threaded_sweep_test.cpp),
     // so this is a pure scaling number; compare.py enforces a >= 2x floor
     // at batch >= 32 when the host has >= 4 hardware threads.

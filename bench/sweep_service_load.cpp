@@ -2,9 +2,9 @@
 // client threads (each submits a job, waits for its future, submits the
 // next) hammering one service, reporting sustained sweeps/sec and p50/p99
 // job latency, plus the warm-path comparison the service exists for: a
-// warm interpreter repeat (cached layout, pooled executors, persistent
-// worker pool) against calling simulate_sweep directly, which rebuilds the
-// executors every call.
+// warm interpreter repeat (cached layout, persistent worker pool) against
+// calling simulate_sweep directly, which spins up a worker pool every
+// call. Both build the job's executors per call.
 //
 // `--json <path>` emits results for bench/compare.py, whose gate table
 // enforces the warm-path floor and a p99-vs-p50 latency-stability cap.
@@ -42,7 +42,7 @@ double percentile(std::vector<double> samples, double p) {
 }
 
 /// One job's worth of sweep: wide batch, short duration — the regime where
-/// per-job fixed costs (executor construction, compile) actually show.
+/// per-job fixed costs (pool spin-up, compile) actually show.
 runtime::SweepJob make_job(const abstraction::SignalFlowModel& model, int width,
                            double duration, runtime::SweepBackend backend) {
     runtime::SweepJob job;
@@ -90,8 +90,7 @@ int main(int argc, char** argv) {
     // --- Arm 1: per-call rebuild (the floor the warm service must beat) ---
     // The model-compiling overload already serves the layout from the
     // global cache after the first call, so this measures exactly what the
-    // service additionally removes: executor construction and worker-pool
-    // spin-up, per job.
+    // service additionally removes: the worker-pool spin-up, per job.
     const auto percall_job = make_job(rc20->model, kWidth, duration,
                                       runtime::SweepBackend::kInterpreter);
     std::vector<double> percall_ns;

@@ -140,11 +140,10 @@ int main() {
     }
 
     // 5. The same workload as a served one: a long-lived SweepService owns
-    //    the compile cache, warm per-shard executors and one persistent
-    //    worker pool, and accepts jobs from any number of client threads
-    //    (submit() returns a future). Repeat jobs of a seen model skip the
-    //    recompiles and executor rebuilds — watch the stats — and stay
-    //    bit-identical to the direct simulate_sweep calls above.
+    //    the compile cache and one persistent worker pool, and accepts jobs
+    //    from any number of client threads (submit() returns a future).
+    //    Repeat jobs of a seen model skip the recompiles — watch the stats —
+    //    and stay bit-identical to the direct simulate_sweep calls above.
     runtime::SweepService service;
     runtime::SweepJob job;
     job.model = *decay_model;
@@ -154,7 +153,7 @@ int main() {
     job.options = options;  // machine-code backend, sharded, steady retirement
     auto first_future = service.submit(job);    // cold: compiles + builds
     const auto served_cold = first_future.get();
-    const auto served_warm = service.run(job);  // warm: caches + pools
+    const auto served_warm = service.run(job);  // warm: cached artifacts
     bool service_identical = served_cold.settled_at == sharded.settled_at &&
                              served_warm.settled_at == sharded.settled_at;
     for (std::size_t o = 0; service_identical && o < served_warm.outputs.size(); ++o) {
@@ -169,13 +168,12 @@ int main() {
         }
     }
     const runtime::ServiceStats stats = service.stats();
-    std::printf("\n--- Sweep service (persistent cache + executor pools) ------\n"
+    std::printf("\n--- Sweep service (persistent cache + worker pool) ---------\n"
                 "  2 jobs served: %s direct simulate_sweep\n"
-                "  executors built %llu, reused %llu; layout compiles %llu; "
+                "  executors built %llu; layout compiles %llu; "
                 "ORC compiles %llu, hits %llu (%.1f ms saved warm)\n",
                 service_identical ? "bit-identical to" : "DIVERGED from",
                 static_cast<unsigned long long>(stats.executors_built),
-                static_cast<unsigned long long>(stats.executors_reused),
                 static_cast<unsigned long long>(stats.cache.layout_misses),
                 static_cast<unsigned long long>(stats.cache.orc_misses),
                 static_cast<unsigned long long>(stats.cache.orc_hits),

@@ -17,15 +17,6 @@ double Waveform::max_value() const {
     return *std::max_element(samples_.begin(), samples_.end());
 }
 
-void WaveformBatch::append_frame(const double* values) {
-    AMSVP_CHECK(lanes_ > 0, "append_frame on a lane-less batch");
-    data_.insert(data_.end(), values, values + lanes_);
-}
-
-void WaveformBatch::reserve(std::size_t frames) {
-    data_.reserve(frames * lanes_);
-}
-
 Waveform WaveformBatch::waveform(std::size_t lane) const {
     AMSVP_CHECK(lane < lanes_, "lane out of range");
     Waveform w(step_, start_);

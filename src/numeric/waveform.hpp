@@ -47,7 +47,7 @@ private:
 
 /// Lane-parallel waveform capture for batched execution: one frame of
 /// `lanes` samples per step, stored frame-contiguously so a
-/// BatchCompiledModel's lane-contiguous output row is appended with a
+/// BatchCompiledModel's lane-contiguous output row lands in a frame with a
 /// single copy (no per-lane scatter in the sweep hot loop).
 class WaveformBatch {
 public:
@@ -55,9 +55,9 @@ public:
     WaveformBatch(std::size_t lanes, double step_seconds, double start_time_seconds = 0.0)
         : lanes_(lanes), step_(step_seconds), start_(start_time_seconds) {}
 
-    /// Append one frame: `lanes()` doubles, lane-contiguous.
-    void append_frame(const double* values);
-    void reserve(std::size_t frames);
+    /// Size the capture to `frames` frames (new samples are zero). A sweep
+    /// sizes its result once and writers fill frames in place.
+    void resize(std::size_t frames) { data_.resize(frames * lanes_); }
 
     [[nodiscard]] std::size_t lanes() const { return lanes_; }
     /// Number of frames (samples per lane) captured.
@@ -76,11 +76,11 @@ public:
     /// Extract one lane as a standalone Waveform (copies).
     [[nodiscard]] Waveform waveform(std::size_t lane) const;
 
-    /// One frame's `lanes()` samples, lane-contiguous — the zero-copy read
-    /// counterpart of append_frame (sharded sweeps merge per-shard rows
-    /// with one copy per frame instead of a per-sample scatter).
-    [[nodiscard]] const double* frame_data(std::size_t frame) const {
-        return data_.data() + frame * lanes_;
+    /// One frame's `lanes()` samples, lane-contiguous: sharded sweeps write
+    /// their own column range of each frame in place.
+    [[nodiscard]] double* frame(std::size_t k) { return data_.data() + k * lanes_; }
+    [[nodiscard]] const double* frame_data(std::size_t k) const {
+        return data_.data() + k * lanes_;
     }
 
 private:

@@ -80,9 +80,9 @@ public:
     virtual void scan_lane_health(double divergence_limit,
                                   std::vector<LaneStatus>& status) const = 0;
 
-    /// A fresh `lane_count`-wide executor of the same backend over the same
-    /// compile artifact — the worker-pool sweep builds one per shard so
-    /// shards never share mutable state.
+    /// A fresh, already reset `lane_count`-wide executor of the same
+    /// backend over the same compile artifact — the worker-pool sweep
+    /// builds one per shard so shards never share mutable state.
     [[nodiscard]] virtual std::unique_ptr<BatchExecutor> make_shard(int lane_count) const = 0;
 
     /// A shard for degraded operation when make_shard() fails mid-sweep:

@@ -33,13 +33,17 @@ TransientResult simulate_transient(ModelExecutor& compiled,
                                    double duration_seconds) {
     compiled.reset();
     const double dt = compiled.timestep();
-    AMSVP_CHECK(dt > 0.0, "model has no timestep");
+    if (!(dt > 0.0)) {
+        throw std::invalid_argument("model has no timestep");
+    }
 
     std::vector<const numeric::SourceFunction*> sources;
     sources.reserve(input_symbols.size());
     for (const expr::Symbol& in : input_symbols) {
         const auto it = stimuli.find(in.name);
-        AMSVP_CHECK(it != stimuli.end(), "missing stimulus for model input");
+        if (it == stimuli.end()) {
+            throw std::invalid_argument("missing stimulus for model input " + in.name);
+        }
         sources.push_back(&it->second);
     }
 
@@ -79,16 +83,8 @@ SweepResult simulate_sweep(const abstraction::SignalFlowModel& model,
     // — the ORC materialization, even without a SweepService. Results are
     // unaffected (layouts and programs are immutable); only cold-start cost
     // changes.
-    detail::validate_sweep(model.inputs, shared_stimuli, lanes, duration_seconds,
-                           model.timestep, options);
-    const detail::SweepEngine engine = detail::choose_sweep_engine(
-        ModelCache::global(), model, model_fingerprint(model), options);
-    const std::unique_ptr<BatchExecutor> batch =
-        engine.make_executor(static_cast<int>(lanes.size()));
-    SweepResult result = detail::run_sweep(*batch, model.inputs, shared_stimuli, lanes,
-                                           duration_seconds, options, nullptr, nullptr);
-    engine.annotate(result);
-    return result;
+    return detail::sweep_model(ModelCache::global(), nullptr, model, shared_stimuli, lanes,
+                               duration_seconds, options, nullptr);
 }
 
 namespace {
@@ -121,10 +117,12 @@ bool within_steady_band(double value, double anchor, double tolerance) {
 ///  - `sources` are the input-major stimulus rows over ALL sweep lanes
 ///    (row stride `source_stride`); the shard reads the columns
 ///    [lane_begin, lane_begin + batch.batch()).
-///  - `outputs` holds one WaveformBatch per model output, sized to the
-///    shard's lane count; `settled_at` and `lane_health` point at the
-///    shard's slices of the result (batch.batch() entries, pre-filled with
-///    `steps` / healthy).
+///  - `outputs` are the sweep result's WaveformBatches, already sized to
+///    every lane and every step; the shard writes only its own columns
+///    [lane_begin, lane_begin + batch.batch()) of each frame, so shards
+///    never write the same sample. `settled_at` and `lane_health` point
+///    at the shard's slices of the result (batch.batch() entries,
+///    pre-filled with `steps` / healthy).
 ///  - `cancel`, when non-null, is polled once per step: a raised flag
 ///    aborts the shard early (the worker pool raises it when another shard
 ///    failed — this shard's results are about to be discarded anyway).
@@ -150,16 +148,13 @@ void run_sweep_shard(BatchExecutor& batch,
     const std::size_t n_lanes = static_cast<std::size_t>(batch.batch());
 
     // `origin[pos]` maps a current batch position back to its shard-local
-    // lane; removed (retired/quarantined) lanes' frames hold their last
-    // value. While no lane has been removed and steady detection is off,
-    // frames are appended straight from the executor's output rows
-    // (`direct`); the first removal switches to scatter-capture through
-    // `frame`, seeded from the rows so no sample is lost.
+    // lane. While no lane has left the shard it is the identity and each
+    // output row is one copy into the frame; afterwards the live lanes
+    // scatter to their columns and removed lanes are held after the loop.
     std::vector<int> origin(n_lanes);
     for (std::size_t l = 0; l < n_lanes; ++l) {
         origin[l] = static_cast<int>(l);
     }
-    std::vector<std::vector<double>> frame(n_outputs, std::vector<double>(n_lanes, 0.0));
     /// Streak anchor: each output's value when the lane's current quiet
     /// streak started. Comparing against the anchor (not the previous
     /// step) bounds the total drift over the whole window by the steady
@@ -173,7 +168,6 @@ void run_sweep_shard(BatchExecutor& batch,
     }
     std::vector<LaneStatus> health;  ///< scan scratch, sized by the scan
     std::vector<int> keep;           ///< scratch for compact_lanes
-    bool direct = !detect;
 
     for (std::size_t k = 0; k < steps; ++k) {
         if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
@@ -202,18 +196,15 @@ void run_sweep_shard(BatchExecutor& batch,
             }
         }
         batch.step(t);
-        if (direct) {
-            for (std::size_t o = 0; o < n_outputs; ++o) {
-                outputs[o].append_frame(batch.output_lanes(o));
-            }
-        } else {
-            for (std::size_t o = 0; o < n_outputs; ++o) {
-                const double* values = batch.output_lanes(o);
+        for (std::size_t o = 0; o < n_outputs; ++o) {
+            const double* values = batch.output_lanes(o);
+            double* frame = outputs[o].frame(k) + lane_begin;
+            if (static_cast<std::size_t>(active) == n_lanes) {
+                std::memcpy(frame, values, n_lanes * sizeof(double));
+            } else {
                 for (int pos = 0; pos < active; ++pos) {
-                    frame[o][static_cast<std::size_t>(
-                        origin[static_cast<std::size_t>(pos)])] = values[pos];
+                    frame[origin[static_cast<std::size_t>(pos)]] = values[pos];
                 }
-                outputs[o].append_frame(frame[o].data());
             }
         }
 
@@ -225,15 +216,15 @@ void run_sweep_shard(BatchExecutor& batch,
                     static_cast<std::size_t>(origin[static_cast<std::size_t>(pos)]);
                 bool quiet = k > 0;
                 for (std::size_t o = 0; quiet && o < n_outputs; ++o) {
-                    quiet = within_steady_band(frame[o][lane], anchor[o][lane],
-                                               options.steady_tolerance);
+                    quiet = within_steady_band(outputs[o].frame(k)[lane_begin + lane],
+                                               anchor[o][lane], options.steady_tolerance);
                 }
                 if (quiet) {
                     ++quiet_steps[lane];
                 } else {
                     quiet_steps[lane] = 0;
                     for (std::size_t o = 0; o < n_outputs; ++o) {
-                        anchor[o][lane] = frame[o][lane];
+                        anchor[o][lane] = outputs[o].frame(k)[lane_begin + lane];
                     }
                 }
                 if (quiet_steps[lane] >= options.steady_window) {
@@ -262,18 +253,6 @@ void run_sweep_shard(BatchExecutor& batch,
             continue;
         }
 
-        if (direct) {
-            // Entering scatter-capture: seed the held frames from the rows
-            // just appended, so removed lanes keep their last sample.
-            for (std::size_t o = 0; o < n_outputs; ++o) {
-                const double* values = batch.output_lanes(o);
-                for (int pos = 0; pos < active; ++pos) {
-                    frame[o][static_cast<std::size_t>(
-                        origin[static_cast<std::size_t>(pos)])] = values[pos];
-                }
-            }
-            direct = false;
-        }
         keep.clear();
         for (int pos = 0; pos < active; ++pos) {
             const auto lane = static_cast<std::size_t>(origin[static_cast<std::size_t>(pos)]);
@@ -282,15 +261,7 @@ void run_sweep_shard(BatchExecutor& batch,
             }
         }
         if (keep.empty()) {
-            // Everything retired or quarantined: pad the remaining samples
-            // with the held frames so waveform lengths stay uniform, and
-            // stop stepping.
-            for (std::size_t pad = k + 1; pad < steps; ++pad) {
-                for (std::size_t o = 0; o < n_outputs; ++o) {
-                    outputs[o].append_frame(frame[o].data());
-                }
-            }
-            break;
+            break;  // everything retired or quarantined: stop stepping
         }
         if (static_cast<int>(keep.size()) < active) {
             batch.compact_lanes(keep);
@@ -298,6 +269,25 @@ void run_sweep_shard(BatchExecutor& batch,
                 origin[j] = origin[static_cast<std::size_t>(keep[j])];
             }
             origin.resize(keep.size());
+        }
+    }
+
+    // Hold every removed lane's last captured sample to the end, so all
+    // waveforms span `steps` frames. A lane left the batch right after
+    // capturing frame end - 1, where end is its settle or failure step.
+    for (std::size_t l = 0; l < n_lanes; ++l) {
+        std::size_t end = settled_at[l];
+        if (lane_health[l].status != LaneStatus::kOk) {
+            end = std::min(end, lane_health[l].failed_at);
+        }
+        if (end == steps) {
+            continue;  // ran to the end
+        }
+        for (std::size_t o = 0; o < n_outputs; ++o) {
+            const double held = outputs[o].frame(end - 1)[lane_begin + l];
+            for (std::size_t k = end; k < steps; ++k) {
+                outputs[o].frame(k)[lane_begin + l] = held;
+            }
         }
     }
 }
@@ -341,12 +331,47 @@ void validate_sweep(const std::vector<expr::Symbol>& input_symbols,
     }
 }
 
+SweepResult sweep_model(ModelCache& cache, support::ThreadPool* pool,
+                        const abstraction::SignalFlowModel& model,
+                        const std::map<std::string, numeric::SourceFunction>& shared_stimuli,
+                        const std::vector<SweepLane>& lanes, double duration_seconds,
+                        const SweepOptions& options, bool* fell_back) {
+    validate_sweep(model.inputs, shared_stimuli, lanes, duration_seconds, model.timestep,
+                   options);
+    const std::string fingerprint = model_fingerprint(model);
+    const int width = static_cast<int>(lanes.size());
+    std::unique_ptr<BatchExecutor> batch;
+    std::string fallback_note;
+    if (options.backend == SweepBackend::kNativeOrc) {
+        std::string error;
+        if (auto program = cache.orc_program_for(model, fingerprint, &error)) {
+            batch = std::make_unique<codegen::OrcBatchModel>(std::move(program), width);
+        } else {
+            // No stderr note: the degradation is data, not chatter —
+            // headless and service callers read it in the diagnostics.
+            fallback_note = "native sweep backend unavailable (" + error +
+                            "); ran on the batch interpreter";
+        }
+    }
+    if (batch == nullptr) {
+        batch = std::make_unique<BatchCompiledModel>(cache.layout_for(model, fingerprint), width);
+    }
+    if (fell_back != nullptr) {
+        *fell_back = !fallback_note.empty();
+    }
+    SweepResult result = run_sweep(*batch, model.inputs, shared_stimuli, lanes,
+                                   duration_seconds, options, pool);
+    if (!fallback_note.empty()) {
+        result.diagnostics.insert(result.diagnostics.begin(), std::move(fallback_note));
+    }
+    return result;
+}
+
 SweepResult run_sweep(BatchExecutor& batch,
                       const std::vector<expr::Symbol>& input_symbols,
                       const std::map<std::string, numeric::SourceFunction>& shared_stimuli,
                       const std::vector<SweepLane>& lanes, double duration_seconds,
-                      const SweepOptions& options, SweepShardPool* shard_pool,
-                      support::ThreadPool* pool) {
+                      const SweepOptions& options, support::ThreadPool* pool) {
     AMSVP_CHECK(!lanes.empty(), "sweep needs at least one lane");
     // reset() first: it restores the constructed width if a previous sweep's
     // steady-state retirement compacted the batch, so reuse just works.
@@ -372,11 +397,15 @@ SweepResult run_sweep(BatchExecutor& batch,
 
     const std::size_t steps = support::step_count(duration_seconds, dt);
     const std::size_t n_lanes = lanes.size();
-    const std::size_t n_outputs = batch.output_count();
     SweepResult result;
     result.steps = steps;
     result.settled_at.assign(n_lanes, steps);
     result.lane_health.assign(n_lanes, LaneHealth{});
+    // Sized once: every shard writes its own columns of every frame.
+    result.outputs.assign(batch.output_count(), numeric::WaveformBatch(n_lanes, dt, dt));
+    for (auto& w : result.outputs) {
+        w.resize(steps);
+    }
 
     if (options.steady_tolerance > 0.0) {
         AMSVP_CHECK(options.steady_window >= 1, "steady_window must be at least one step");
@@ -384,16 +413,13 @@ SweepResult run_sweep(BatchExecutor& batch,
 
     // Apply per-lane overrides to the caller's (already reset) full-width
     // batch and run the whole sweep on it, single-threaded. Used by the
-    // one-shard path and as the recovery path after a worker-pool failure.
+    // one-shard path and as the recovery path after a worker-pool failure;
+    // it rewrites every sample, so a failed pool run leaves no trace.
     const auto run_single_threaded = [&] {
         for (std::size_t l = 0; l < n_lanes; ++l) {
             for (const auto& [symbol, value] : lanes[l].overrides) {
                 batch.set_value(static_cast<int>(l), symbol, value);
             }
-        }
-        result.outputs.assign(n_outputs, numeric::WaveformBatch(n_lanes, dt, dt));
-        for (auto& w : result.outputs) {
-            w.reserve(steps);
         }
         run_sweep_shard(batch, sources.data(), n_lanes, 0, input_symbols.size(), steps, dt,
                         options, result.outputs, result.settled_at.data(),
@@ -414,27 +440,16 @@ SweepResult run_sweep(BatchExecutor& batch,
 
     // Worker-pool mode: each shard is its own executor over the shared
     // compile artifact — make_shard keeps the backend, so ORC sweeps shard
-    // through the same materialized kernel — stepped by one worker; no
-    // mutable state is shared between shards, so the only synchronization
-    // is the join. The caller's full-width batch is left reset and
-    // untouched — which is what makes the single-threaded retry below a
-    // clean re-run rather than a resume.
-    struct Shard {
-        std::unique_ptr<BatchExecutor> model;
-        std::vector<numeric::WaveformBatch> outputs;
-        BatchCompiledModel::LaneRange range;
-        /// Came from `shard_pool` and may be handed back after a clean job
-        /// (false for per-call make_shard builds and fallback executors —
-        /// a fallback must never enter the warm pool, it is the wrong
-        /// backend on purpose).
-        bool poolable = false;
-    };
-    std::vector<Shard> work;
+    // through the same materialized kernel — stepped by one worker; shards
+    // write disjoint columns of the result, so the only synchronization is
+    // the join. The caller's full-width batch is left reset and untouched —
+    // which is what makes the single-threaded retry below a clean re-run
+    // rather than a resume.
+    std::vector<std::unique_ptr<BatchExecutor>> work;
     work.reserve(shards.size());
     for (const BatchCompiledModel::LaneRange& range : shards) {
         const int shard_index = static_cast<int>(work.size());
         std::unique_ptr<BatchExecutor> model;
-        bool poolable = false;
         try {
             // Fault site sweep.shard_alloc (context = shard index): models a
             // shard executor failing to come up (allocation failure, a
@@ -443,42 +458,23 @@ SweepResult run_sweep(BatchExecutor& batch,
                 throw std::runtime_error("injected fault: sweep.shard_alloc (shard " +
                                          std::to_string(shard_index) + ")");
             }
-            if (shard_pool != nullptr) {
-                model = shard_pool->acquire(range.count);
-                poolable = true;
-            } else {
-                model = batch.make_shard(range.count);
-            }
-            // A pooled executor carries the previous job's state; a fresh
-            // one was just reset by construction. Resetting both keeps the
-            // two provenances on one code path (reset of a fresh executor
-            // is idempotent, so per-call sweeps are unchanged bit for bit).
-            model->reset();
+            model = batch.make_shard(range.count);
         } catch (const std::exception& e) {
             // Degrade this shard instead of failing the sweep: the fallback
             // executor (interpreter for the ORC backend) is bit-identical,
             // so only this shard's throughput suffers.
             model = batch.make_fallback_shard(range.count);
-            poolable = false;
             result.diagnostics.push_back("shard " + std::to_string(shard_index) +
                                          " executor construction failed (" + e.what() +
                                          "); using the fallback executor");
         }
-        work.push_back(Shard{std::move(model),
-                             std::vector<numeric::WaveformBatch>(
-                                 n_outputs, numeric::WaveformBatch(
-                                                static_cast<std::size_t>(range.count), dt, dt)),
-                             range, poolable});
-        Shard& shard = work.back();
-        for (auto& w : shard.outputs) {
-            w.reserve(steps);
-        }
         for (int j = 0; j < range.count; ++j) {
             const auto lane = static_cast<std::size_t>(range.begin + j);
             for (const auto& [symbol, value] : lanes[lane].overrides) {
-                shard.model->set_value(j, symbol, value);
+                model->set_value(j, symbol, value);
             }
         }
+        work.push_back(std::move(model));
     }
 
     // Caller-provided persistent pool, or one local to this call. run()
@@ -491,18 +487,16 @@ SweepResult run_sweep(BatchExecutor& batch,
     }
     try {
         pool->run(static_cast<int>(work.size()), [&](int s) {
-            Shard& shard = work[static_cast<std::size_t>(s)];
-            run_sweep_shard(*shard.model, sources.data(), n_lanes,
-                            static_cast<std::size_t>(shard.range.begin), input_symbols.size(),
-                            steps, dt, options, shard.outputs,
-                            result.settled_at.data() + shard.range.begin,
-                            result.lane_health.data() + shard.range.begin,
-                            &pool->cancel_flag());
+            const BatchCompiledModel::LaneRange& range = shards[static_cast<std::size_t>(s)];
+            run_sweep_shard(*work[static_cast<std::size_t>(s)], sources.data(), n_lanes,
+                            static_cast<std::size_t>(range.begin), input_symbols.size(), steps,
+                            dt, options, result.outputs, result.settled_at.data() + range.begin,
+                            result.lane_health.data() + range.begin, &pool->cancel_flag());
         });
     } catch (const std::exception& e) {
         // A worker threw (a stimulus callable, an executor invariant, an
         // injected pool.worker fault). The pool has cancelled the job and
-        // every started shard has stopped; per-shard results are partial
+        // every started shard has stopped; the captured samples are partial
         // garbage, but the caller's batch was never touched — so re-run the
         // whole sweep on the calling thread. A deterministic failure then
         // propagates to the caller from this single-threaded run instead of
@@ -513,35 +507,6 @@ SweepResult run_sweep(BatchExecutor& batch,
         result.lane_health.assign(n_lanes, LaneHealth{});
         batch.reset();
         run_single_threaded();
-        return result;
-    }
-
-    // Merge the per-shard captures in lane order: global frame k is the
-    // concatenation of every shard's frame k, one row copy per shard.
-    result.outputs.assign(n_outputs, numeric::WaveformBatch(n_lanes, dt, dt));
-    std::vector<double> frame(n_lanes, 0.0);
-    for (std::size_t o = 0; o < n_outputs; ++o) {
-        result.outputs[o].reserve(steps);
-        for (std::size_t k = 0; k < steps; ++k) {
-            for (const Shard& shard : work) {
-                std::memcpy(frame.data() + shard.range.begin,
-                            shard.outputs[o].frame_data(k),
-                            static_cast<std::size_t>(shard.range.count) * sizeof(double));
-            }
-            result.outputs[o].append_frame(frame.data());
-        }
-    }
-
-    // Clean job: hand the pooled executors back for the next one. Any
-    // failure above either threw (executors die with `work`) or took the
-    // single-threaded retry's early return — only untroubled shards ever
-    // re-enter the warm pool.
-    if (shard_pool != nullptr) {
-        for (Shard& shard : work) {
-            if (shard.poolable) {
-                shard_pool->release(std::move(shard.model));
-            }
-        }
     }
     return result;
 }
@@ -556,7 +521,7 @@ SweepResult simulate_sweep(BatchExecutor& batch,
     detail::validate_sweep(input_symbols, shared_stimuli, lanes, duration_seconds,
                            batch.timestep(), options);
     return detail::run_sweep(batch, input_symbols, shared_stimuli, lanes, duration_seconds,
-                             options, /*shard_pool=*/nullptr, /*pool=*/nullptr);
+                             options, /*pool=*/nullptr);
 }
 
 }  // namespace amsvp::runtime

@@ -1,7 +1,10 @@
 // Convenience transient simulation of a signal-flow model under named
 // stimuli, tracing every output into a waveform — plus the batched sweep
 // driver that runs many instances (parameter sweeps, Monte-Carlo corners)
-// through one fused instruction stream.
+// through one fused instruction stream. There is one sweep path:
+// simulate_sweep(model, ...) and SweepService both call
+// detail::sweep_model, which picks the engine and drives detail::run_sweep,
+// and every shard writes its samples straight into SweepResult::outputs.
 #pragma once
 
 #include <map>
@@ -18,13 +21,16 @@ class ThreadPool;
 
 namespace amsvp::runtime {
 
+class ModelCache;
+
 struct TransientResult {
     std::vector<numeric::Waveform> outputs;
     std::size_t steps = 0;
 };
 
 /// Run `duration_seconds` of simulated time with the model's own timestep.
-/// Every model input must have a stimulus in `stimuli`.
+/// Every model input must have a stimulus in `stimuli`; a missing stimulus
+/// or a timestep that is not positive throws std::invalid_argument.
 [[nodiscard]] TransientResult simulate_transient(
     const abstraction::SignalFlowModel& model,
     const std::map<std::string, numeric::SourceFunction>& stimuli, double duration_seconds);
@@ -92,7 +98,7 @@ enum class SweepBackend {
     /// the process-wide ModelCache (sweep_service.hpp), so only the first
     /// sweep of a model pays the materialization. Long-lived callers
     /// juggling many models and jobs should run a SweepService, which
-    /// additionally pools per-shard executors and a persistent worker pool.
+    /// additionally keeps a persistent worker pool.
     kNativeOrc,
 };
 
@@ -152,14 +158,6 @@ struct SweepOptions {
     /// limit (status kDiverged) — catches blow-ups on their way to
     /// infinity. 0 checks non-finiteness only.
     double divergence_limit = 0.0;
-
-    /// Opt-in compile-cost notes in SweepResult::diagnostics: the
-    /// model-compiling overload (and SweepService) appends one line for
-    /// the ORC program a kNativeOrc job ran on — "orc jit: cold compile
-    /// <ms>" vs "orc jit: cache hit (saved ~<ms>)". Off by default so
-    /// diagnostics stay a pure degraded-mode channel (warm and cold runs of
-    /// a healthy job report identical, empty diagnostics).
-    bool compile_diagnostics = false;
 };
 
 /// Run all `lanes` for `duration_seconds` through one BatchCompiledModel:
@@ -202,25 +200,6 @@ struct SweepOptions {
 
 namespace detail {
 
-/// Reuse hooks for the worker-pool sweep's per-shard executors. The
-/// long-lived SweepService keeps warm, already-sized executors between
-/// jobs; simulate_sweep proper runs without one (every shard is built via
-/// BatchExecutor::make_shard and destroyed with the call).
-///
-/// Contract: acquire(n) returns an executor of constructed width n over
-/// the same compile artifact as the sweep's primary executor (the shard
-/// loop resets it before use, so pooled state cannot leak between jobs).
-/// release() hands an executor back ONLY after the job completed cleanly —
-/// a shard involved in any failure (worker exception, fallback
-/// construction) is dropped instead, so a failed job can never poison the
-/// pool.
-class SweepShardPool {
-public:
-    virtual ~SweepShardPool() = default;
-    [[nodiscard]] virtual std::unique_ptr<BatchExecutor> acquire(int lane_count) = 0;
-    virtual void release(std::unique_ptr<BatchExecutor> executor) = 0;
-};
-
 /// Throws std::invalid_argument when a sweep request cannot run: no lanes,
 /// a model input with neither a shared nor a per-lane stimulus on every
 /// lane, negative SweepOptions::threads, steady detection with a zero-step
@@ -232,11 +211,24 @@ void validate_sweep(const std::vector<expr::Symbol>& input_symbols,
                     const std::vector<SweepLane>& lanes, double duration_seconds, double dt,
                     const SweepOptions& options);
 
-/// The one sweep engine behind every public entry point. Identical to the
-/// executor-reusing simulate_sweep overload, plus two injection points for
-/// the persistent service: `shard_pool` (see SweepShardPool; nullptr =
-/// build shards per call) and `pool` (a caller-owned worker pool reused
-/// across jobs; nullptr = a pool local to this call). The caller must hold
+/// The model sweep behind simulate_sweep(model, ...) and SweepService:
+/// validate the request (validate_sweep), fingerprint the model once, take
+/// the ORC program (kNativeOrc) or the kFused layout from `cache`, build
+/// the job's full-width executor and run_sweep it on `pool`. A kNativeOrc
+/// job that cannot get its program runs on the interpreter with the
+/// "native sweep backend unavailable" note first in
+/// SweepResult::diagnostics; `*fell_back` (when non-null) reports whether
+/// that happened.
+[[nodiscard]] SweepResult sweep_model(
+    ModelCache& cache, support::ThreadPool* pool, const abstraction::SignalFlowModel& model,
+    const std::map<std::string, numeric::SourceFunction>& shared_stimuli,
+    const std::vector<SweepLane>& lanes, double duration_seconds, const SweepOptions& options,
+    bool* fell_back);
+
+/// The one sweep engine behind every public entry point: the
+/// executor-reusing simulate_sweep overload, with one injection point for
+/// the persistent service — `pool`, a caller-owned worker pool reused
+/// across jobs (nullptr = a pool local to this call). The caller must hold
 /// `pool` exclusively for the duration of the call — the sweep uses its
 /// cancel flag for failure propagation.
 ///
@@ -248,7 +240,7 @@ void validate_sweep(const std::vector<expr::Symbol>& input_symbols,
     BatchExecutor& batch, const std::vector<expr::Symbol>& input_symbols,
     const std::map<std::string, numeric::SourceFunction>& shared_stimuli,
     const std::vector<SweepLane>& lanes, double duration_seconds,
-    const SweepOptions& options, SweepShardPool* shard_pool, support::ThreadPool* pool);
+    const SweepOptions& options, support::ThreadPool* pool);
 
 }  // namespace detail
 

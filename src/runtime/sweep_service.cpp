@@ -2,7 +2,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
+#include <stdexcept>
 #include <utility>
 
 // A one-way .cpp-level dependency: the ORC artifacts live in codegen, and
@@ -10,8 +10,6 @@
 #include "analysis/verifier.hpp"
 #include "codegen/orc_jit.hpp"
 #include "expr/printer.hpp"
-#include "runtime/lane_layout.hpp"
-#include "support/check.hpp"
 #include "support/strings.hpp"
 
 namespace amsvp::runtime {
@@ -140,17 +138,13 @@ std::shared_ptr<const codegen::OrcJitProgram> ModelCache::orc_program_for(
 
 std::shared_ptr<const codegen::OrcJitProgram> ModelCache::orc_program_for(
     const abstraction::SignalFlowModel& model, const std::string& fingerprint,
-    std::string* error, CompileInfo* info) {
+    std::string* error) {
     std::lock_guard<std::mutex> lock(mutex_);
     {
         Entry& entry = locked_touch_entry(fingerprint);
         if (entry.orc_program != nullptr) {
             ++stats_.orc_hits;
             stats_.orc_compile_seconds_saved += entry.orc_compile_seconds;
-            if (info != nullptr) {
-                info->hit = true;
-                info->seconds = entry.orc_compile_seconds;
-            }
             return entry.orc_program;
         }
     }
@@ -162,10 +156,6 @@ std::shared_ptr<const codegen::OrcJitProgram> ModelCache::orc_program_for(
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     stats_.orc_compile_seconds += seconds;
-    if (info != nullptr) {
-        info->hit = false;
-        info->seconds = seconds;
-    }
     if (program == nullptr) {
         // NOT cached: the next request retries, so a transient failure (an
         // injected jit.orc_materialize fault) cannot poison the entry.
@@ -216,93 +206,18 @@ std::size_t ModelCache::size() const {
 }
 
 // ---------------------------------------------------------------------------
-// Engine choice
-
-namespace detail {
-
-std::unique_ptr<BatchExecutor> SweepEngine::make_executor(int width) const {
-    if (orc_program != nullptr) {
-        return std::make_unique<codegen::OrcBatchModel>(orc_program, width);
-    }
-    return std::make_unique<BatchCompiledModel>(layout, width);
-}
-
-void SweepEngine::annotate(SweepResult& result) const {
-    if (!fallback_note.empty()) {
-        result.diagnostics.insert(result.diagnostics.begin(), fallback_note);
-    }
-    if (!compile_note.empty()) {
-        result.diagnostics.push_back(compile_note);
-    }
-}
-
-SweepEngine choose_sweep_engine(ModelCache& cache, const abstraction::SignalFlowModel& model,
-                                const std::string& fingerprint, const SweepOptions& options) {
-    SweepEngine engine;
-    if (options.backend == SweepBackend::kNativeOrc) {
-        std::string error;
-        ModelCache::CompileInfo info;
-        engine.orc_program = cache.orc_program_for(model, fingerprint, &error, &info);
-        if (engine.orc_program != nullptr) {
-            engine.layout = engine.orc_program->layout();
-            if (options.compile_diagnostics) {
-                char text[128];
-                std::snprintf(text, sizeof(text),
-                              info.hit ? "orc jit: cache hit (saved ~%.3f ms)"
-                                       : "orc jit: cold compile %.3f ms",
-                              info.seconds * 1e3);
-                engine.compile_note = text;
-            }
-            return engine;
-        }
-        // No stderr note: the degradation is data, not chatter — headless
-        // and service callers read it in the diagnostics (and ServiceStats).
-        engine.fallback_note =
-            "native sweep backend unavailable (" + error + "); ran on the batch interpreter";
-    }
-    engine.layout = cache.layout_for(model, fingerprint);
-    return engine;
-}
-
-}  // namespace detail
-
-// ---------------------------------------------------------------------------
 // SweepService
 
 namespace {
 
 int resolve_service_threads(int requested) {
-    AMSVP_CHECK(requested >= 0, "ServiceOptions::sweep_threads must be >= 0");
+    if (requested < 0) {
+        throw std::invalid_argument("ServiceOptions::sweep_threads must be >= 0");
+    }
     return requested == 0 ? support::ThreadPool::hardware_threads() : requested;
 }
 
 }  // namespace
-
-/// detail::SweepShardPool over the service's warm executor pools: one
-/// adapter per job, carrying the job's engine so a cold acquire can build
-/// the right executor at the requested width.
-class SweepService::ShardPoolAdapter final : public detail::SweepShardPool {
-public:
-    ShardPoolAdapter(SweepService& service, std::string key_prefix,
-                     const detail::SweepEngine& engine)
-        : service_(service), key_prefix_(std::move(key_prefix)), engine_(engine) {}
-
-    std::unique_ptr<BatchExecutor> acquire(int lane_count) override {
-        return service_.acquire_executor(key_prefix_, lane_count, engine_);
-    }
-
-    void release(std::unique_ptr<BatchExecutor> executor) override {
-        // Only run_sweep's clean-completion path calls this (see the
-        // SweepShardPool contract), so everything handed back is safe to
-        // serve to the next job.
-        service_.release_executor(key_prefix_, std::move(executor));
-    }
-
-private:
-    SweepService& service_;
-    std::string key_prefix_;
-    const detail::SweepEngine& engine_;
-};
 
 SweepService::SweepService(ServiceOptions options)
     : options_(std::move(options)),
@@ -356,8 +271,8 @@ void SweepService::dispatcher_loop() {
         try {
             result = execute(pending.job);
         } catch (...) {
-            // The job failed; the service keeps serving. Executors the job
-            // touched were dropped, not released, so the pools stay clean.
+            // The job failed; the service keeps serving. The job's
+            // executors die with it, so nothing it touched reaches the next.
             error = std::current_exception();
         }
         // Settle the books BEFORE resolving the future: a client that just
@@ -378,62 +293,15 @@ void SweepService::dispatcher_loop() {
 }
 
 SweepResult SweepService::execute(SweepJob& job) {
-    detail::validate_sweep(job.model.inputs, job.stimuli, job.lanes, job.duration_seconds,
-                           job.model.timestep, job.options);
-    const std::string fingerprint = model_fingerprint(job.model);
-    const detail::SweepEngine engine =
-        detail::choose_sweep_engine(*cache_, job.model, fingerprint, job.options);
-    if (!engine.fallback_note.empty()) {
+    bool fell_back = false;
+    SweepResult result =
+        detail::sweep_model(*cache_, &pool_, job.model, job.stimuli, job.lanes,
+                            job.duration_seconds, job.options, &fell_back);
+    executors_built_.fetch_add(1, std::memory_order_relaxed);
+    if (fell_back) {
         native_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     }
-
-    // Interpreter-fallback jobs pool under the interpreter key: if the next
-    // job's compile succeeds it must NOT be handed an interpreter executor.
-    const std::string key_prefix =
-        fingerprint + (engine.orc_program != nullptr ? "|orc|" : "|interp|");
-    std::unique_ptr<BatchExecutor> primary =
-        acquire_executor(key_prefix, static_cast<int>(job.lanes.size()), engine);
-    ShardPoolAdapter shard_pool(*this, key_prefix, engine);
-
-    // Any failure below throws through to the dispatcher: `primary` (and
-    // every shard run_sweep acquired) is destroyed instead of released.
-    SweepResult result =
-        detail::run_sweep(*primary, job.model.inputs, job.stimuli, job.lanes,
-                          job.duration_seconds, job.options, &shard_pool, &pool_);
-    release_executor(key_prefix, std::move(primary));
-    engine.annotate(result);
     return result;
-}
-
-std::unique_ptr<BatchExecutor> SweepService::acquire_executor(
-    const std::string& key_prefix, int width, const detail::SweepEngine& engine) {
-    const std::string key = key_prefix + std::to_string(width);
-    const auto it = idle_.find(key);
-    if (it != idle_.end() && !it->second.empty()) {
-        std::unique_ptr<BatchExecutor> executor = std::move(it->second.back());
-        it->second.pop_back();
-        executors_reused_.fetch_add(1, std::memory_order_relaxed);
-        return executor;
-    }
-    executors_built_.fetch_add(1, std::memory_order_relaxed);
-    slot_doubles_built_.fetch_add(
-        LaneLayout::slot_file_size(engine.layout->slot_count(), width),
-        std::memory_order_relaxed);
-    return engine.make_executor(width);
-}
-
-void SweepService::release_executor(const std::string& key_prefix,
-                                    std::unique_ptr<BatchExecutor> executor) {
-    // reset() restores the constructed width after any in-job compaction
-    // (steady retirement, quarantine) — required both for the key and so a
-    // pooled executor is indistinguishable from a freshly built one.
-    executor->reset();
-    const std::string key = key_prefix + std::to_string(executor->batch());
-    std::vector<std::unique_ptr<BatchExecutor>>& pool = idle_[key];
-    if (pool.size() < kMaxIdleExecutorsPerKey) {
-        pool.push_back(std::move(executor));
-    }
-    // else: drop — bounds the slot-file memory a bursty width mix can pin.
 }
 
 ServiceStats SweepService::stats() const {
@@ -443,8 +311,6 @@ ServiceStats SweepService::stats() const {
     s.jobs_failed = jobs_failed_.load(std::memory_order_relaxed);
     s.native_fallbacks = native_fallbacks_.load(std::memory_order_relaxed);
     s.executors_built = executors_built_.load(std::memory_order_relaxed);
-    s.executors_reused = executors_reused_.load(std::memory_order_relaxed);
-    s.slot_doubles_built = slot_doubles_built_.load(std::memory_order_relaxed);
     {
         std::lock_guard<std::mutex> lock(mutex_);
         s.queue_depth = queue_.size() + in_flight_;

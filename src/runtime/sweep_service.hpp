@@ -2,8 +2,8 @@
 //
 // A single simulate_sweep call pays cold-start costs that dominate short
 // jobs — the FusedCompiler run, the ORC materialization (tens of ms per
-// model), and a fresh slot file per shard. This header owns the machinery
-// that makes repeat sweeps warm:
+// model) and, with threads > 1, a worker pool spun up for the call. This
+// header owns the machinery that makes repeat sweeps warm:
 //
 //  * model_fingerprint(): a deterministic canonical text of a
 //    SignalFlowModel — same program, same fingerprint — used as the cache
@@ -13,25 +13,20 @@
 //    codegen::OrcJitProgram). The model-compiling simulate_sweep
 //    overload serves from ModelCache::global(), so even service-less
 //    callers skip recompiles after the first sweep of a model;
-//  * detail::choose_sweep_engine(): the one place a job's engine — ORC or
-//    the interpreter — is picked, shared by simulate_sweep and the
-//    service so both run and report a job identically;
-//  * SweepService: a long-lived object owning a ModelCache, warm pools of
-//    pre-built per-shard executors (reset between jobs instead of
-//    reconstructed), one persistent support::ThreadPool shared across
-//    jobs, and an async job queue — submit(SweepJob) -> std::future —
-//    accepting concurrent sweep requests from many client threads.
+//  * SweepService: a long-lived object owning a ModelCache, one
+//    persistent support::ThreadPool shared across jobs, and an async job
+//    queue — submit(SweepJob) -> std::future — accepting concurrent sweep
+//    requests from many client threads.
 //
 // Warm-path results are bit-identical to a direct simulate_sweep call by
-// construction: the service drives the same detail::run_sweep engine
-// (simulate.hpp) over executors of the same backend, width and layout; the
-// cache only removes *redundant* work (recompiles, reconstructions), never
-// reorders the arithmetic. The fault-tolerance paths flow through
-// unchanged — the ORC→interpreter fallback, fallback shards, the
-// single-threaded worker-failure retry — and a failed job never poisons the
-// cache or a pooled executor: compile failures are not cached (the next job
-// retries), and executors touched by a failing job are dropped, not
-// released.
+// construction: a served job and a direct call run the same
+// detail::sweep_model (simulate.hpp), which picks the engine, builds the
+// job's executor and drives detail::run_sweep; the cache only removes
+// *redundant* work (recompiles), never reorders the arithmetic. The
+// fault-tolerance paths flow through unchanged — the ORC→interpreter
+// fallback, fallback shards, the single-threaded worker-failure retry —
+// and a failed job never poisons the cache: compile failures are not
+// cached (the next job retries), and every job builds its own executors.
 #pragma once
 
 #include <condition_variable>
@@ -92,15 +87,6 @@ public:
         double orc_compile_seconds_saved = 0.0;
     };
 
-    /// One artifact request's compile-cost outcome, for callers composing
-    /// SweepOptions::compile_diagnostics notes: whether the cache served
-    /// it, and the seconds the compile cost (miss) or would have cost
-    /// again (hit — the entry's measured compile time).
-    struct CompileInfo {
-        bool hit = false;
-        double seconds = 0.0;
-    };
-
     /// The process-wide cache behind the model-compiling simulate_sweep
     /// overload. Never destroyed (function-local static); entries live for
     /// the process unless clear()ed.
@@ -122,7 +108,7 @@ public:
         const abstraction::SignalFlowModel& model, std::string* error = nullptr);
     [[nodiscard]] std::shared_ptr<const codegen::OrcJitProgram> orc_program_for(
         const abstraction::SignalFlowModel& model, const std::string& fingerprint,
-        std::string* error = nullptr, CompileInfo* info = nullptr);
+        std::string* error = nullptr);
 
     [[nodiscard]] Stats stats() const;
 
@@ -172,42 +158,6 @@ private:
     Stats stats_;
 };
 
-namespace detail {
-
-/// The engine one sweep job runs on, chosen once from
-/// SweepOptions::backend over a model's cached artifacts. The
-/// model-compiling simulate_sweep overload and SweepService both choose
-/// through choose_sweep_engine(), so a direct and a served job step the
-/// same engine and carry the same diagnostics, by construction.
-struct SweepEngine {
-    /// The model's cached kFused layout (always set).
-    std::shared_ptr<const ModelLayout> layout;
-    /// The ORC program when the job asked for kNativeOrc and got one; null
-    /// means the job runs on the interpreter.
-    std::shared_ptr<const codegen::OrcJitProgram> orc_program;
-    /// "native sweep backend unavailable (<why>); ran on the batch
-    /// interpreter" when a kNativeOrc job fell back, else empty.
-    std::string fallback_note;
-    /// The SweepOptions::compile_diagnostics note, else empty.
-    std::string compile_note;
-
-    /// A fresh executor of this engine, `width` lanes wide.
-    [[nodiscard]] std::unique_ptr<BatchExecutor> make_executor(int width) const;
-
-    /// Add the notes to a finished job's diagnostics: the fallback note
-    /// first, the compile note last.
-    void annotate(SweepResult& result) const;
-};
-
-/// Pick `model`'s engine from `cache`: the ORC program for a kNativeOrc
-/// job when it materializes, the interpreter otherwise.
-[[nodiscard]] SweepEngine choose_sweep_engine(ModelCache& cache,
-                                              const abstraction::SignalFlowModel& model,
-                                              const std::string& fingerprint,
-                                              const SweepOptions& options);
-
-}  // namespace detail
-
 /// One queued sweep request: exactly the arguments of the model-compiling
 /// simulate_sweep overload, owned by value so the submitting thread can
 /// move on (stimulus callables must stay valid until the job's future
@@ -222,8 +172,9 @@ struct SweepJob {
 };
 
 struct ServiceOptions {
-    /// Workers in the persistent sweep pool (0 = all hardware threads).
-    /// This is capacity, not sharding policy: each job shards per its own
+    /// Workers in the persistent sweep pool (0 = all hardware threads; a
+    /// negative count throws std::invalid_argument at construction). This
+    /// is capacity, not sharding policy: each job shards per its own
     /// SweepOptions::threads, and shards queue when they outnumber
     /// workers.
     int sweep_threads = 0;
@@ -241,25 +192,23 @@ struct ServiceStats {
     std::uint64_t jobs_completed = 0;
     /// Jobs whose future carries an exception instead of a result.
     std::uint64_t jobs_failed = 0;
-    /// kNativeOrc jobs that ran on the interpreter because the ORC program
-    /// failed to materialize or the build has no LLVM (the job's
-    /// SweepResult::diagnostics carries the detail).
+    /// Completed kNativeOrc jobs that ran on the interpreter because the
+    /// ORC program failed to materialize or the build has no LLVM (the
+    /// job's SweepResult::diagnostics carries the detail).
     std::uint64_t native_fallbacks = 0;
-    /// Executors constructed (cold) vs served from the warm pool.
+    /// Full-width executors built: one per completed job (shards are not
+    /// counted). executors_reused is always 0 — every job builds its own
+    /// executors. Both are kept because perfbench reads them.
     std::uint64_t executors_built = 0;
     std::uint64_t executors_reused = 0;
-    /// Slot-file doubles allocated by those cold constructions — the
-    /// "allocation-test style" warm-path check: a repeat job of a seen
-    /// model at a seen width must leave this flat.
-    std::uint64_t slot_doubles_built = 0;
     std::size_t queue_depth = 0;  ///< jobs waiting or running right now
     std::size_t peak_queue_depth = 0;
     ModelCache::Stats cache;  ///< the service cache's counters
 };
 
 /// The long-lived sweep server. One dispatcher thread drains the job queue
-/// in FIFO order; each job runs through detail::run_sweep over cached
-/// artifacts, pooled executors and the persistent worker pool. submit() is
+/// in FIFO order; each job runs through detail::sweep_model over cached
+/// artifacts and the persistent worker pool. submit() is
 /// thread-safe and non-blocking (enqueue + notify); concurrency across
 /// clients is queued, concurrency within a job comes from
 /// SweepOptions::threads.
@@ -291,13 +240,6 @@ public:
     [[nodiscard]] int sweep_threads() const { return pool_.workers(); }
 
 private:
-    class ShardPoolAdapter;
-
-    /// Idle executors kept warm per (model, backend, width) key; further
-    /// releases are dropped. Bounds the slot-file memory a bursty width
-    /// mix can pin.
-    static constexpr std::size_t kMaxIdleExecutorsPerKey = 8;
-
     struct Pending {
         SweepJob job;
         std::promise<SweepResult> promise;
@@ -305,16 +247,6 @@ private:
 
     void dispatcher_loop();
     [[nodiscard]] SweepResult execute(SweepJob& job);
-
-    /// Warm executor pools, keyed "<fingerprint>|<engine>|<width>" (the
-    /// width is appended to `key_prefix` internally — release re-reads it
-    /// from the executor after reset restores the constructed width). Only
-    /// the dispatcher thread touches these (jobs run one at a time), so no
-    /// lock is needed — stats are atomics for outside observers.
-    [[nodiscard]] std::unique_ptr<BatchExecutor> acquire_executor(
-        const std::string& key_prefix, int width, const detail::SweepEngine& engine);
-    void release_executor(const std::string& key_prefix,
-                          std::unique_ptr<BatchExecutor> executor);
 
     ServiceOptions options_;
     std::shared_ptr<ModelCache> cache_;
@@ -332,10 +264,6 @@ private:
     std::atomic<std::uint64_t> jobs_failed_{0};
     std::atomic<std::uint64_t> native_fallbacks_{0};
     std::atomic<std::uint64_t> executors_built_{0};
-    std::atomic<std::uint64_t> executors_reused_{0};
-    std::atomic<std::uint64_t> slot_doubles_built_{0};
-
-    std::unordered_map<std::string, std::vector<std::unique_ptr<BatchExecutor>>> idle_;
 
     std::thread dispatcher_;  ///< last member: joins before the rest dies
 };

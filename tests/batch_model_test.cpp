@@ -234,10 +234,11 @@ TEST(SimulateSweep, PerLaneOverridesSetInitialState) {
 
 TEST(WaveformBatch, LaneExtractionPreservesTimeBase) {
     numeric::WaveformBatch batch(2, 0.5, 0.5);
-    const double f0[] = {1.0, 10.0};
-    const double f1[] = {2.0, 20.0};
-    batch.append_frame(f0);
-    batch.append_frame(f1);
+    batch.resize(2);
+    batch.frame(0)[0] = 1.0;
+    batch.frame(0)[1] = 10.0;
+    batch.frame(1)[0] = 2.0;
+    batch.frame(1)[1] = 20.0;
     ASSERT_EQ(batch.size(), 2u);
     EXPECT_DOUBLE_EQ(batch.value(1, 0), 10.0);
     EXPECT_DOUBLE_EQ(batch.time(1), 1.0);

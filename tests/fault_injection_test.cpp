@@ -453,7 +453,7 @@ TEST_F(FaultInjectionSweep, NativeShardAllocFailureFallsBackToInterpreterShard) 
         simulate_sweep(*native, model.inputs, {}, lanes, duration, options);
     EXPECT_EQ(fault::fire_count("sweep.shard_alloc"), 1);
     // Shard 0 ran on the interpreter fallback; ORC and interpreter are
-    // bit-identical, so the merged result still matches exactly.
+    // bit-identical, so the result still matches exactly.
     expect_identical(degraded, reference);
     EXPECT_TRUE(diagnostics_mention(degraded, "fallback executor"));
 }

@@ -454,29 +454,6 @@ TEST(OrcJitSweepBackend, OrcBackendDegradesGracefullyWithoutLlvm) {
     EXPECT_TRUE(diagnostics_mention(swept, "native sweep backend unavailable"));
 }
 
-TEST(OrcJitSweepBackend, CompileDiagnosticsReportColdVsCacheHit) {
-    if (!orc_available()) {
-        GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
-    }
-    // A timestep no other test uses: this model must be cold in the
-    // process-wide cache for the first run to be a compile.
-    const auto model = ladder_model(3, 3.7e-6);
-    const auto lanes = varied_lanes(model, 4);
-    const double duration = 60 * model.timestep;
-    runtime::SweepOptions options;
-    options.backend = runtime::SweepBackend::kNativeOrc;
-    options.compile_diagnostics = true;
-    const auto cold = runtime::simulate_sweep(model, {}, lanes, duration, options);
-    EXPECT_TRUE(diagnostics_mention(cold, "orc jit: cold compile"));
-    const auto warm = runtime::simulate_sweep(model, {}, lanes, duration, options);
-    EXPECT_TRUE(diagnostics_mention(warm, "orc jit: cache hit"));
-
-    // Off by default: a healthy run's diagnostics stay empty.
-    options.compile_diagnostics = false;
-    const auto quiet = runtime::simulate_sweep(model, {}, lanes, duration, options);
-    EXPECT_TRUE(quiet.diagnostics.empty());
-}
-
 // ---------------------------------------------------------------------------
 // SweepService on the ORC backend: warm-path zero-compile gates.
 
@@ -490,7 +467,7 @@ runtime::SweepJob make_job(const abstraction::SignalFlowModel& model, int width,
     return job;
 }
 
-TEST(SweepServiceOrc, WarmRepeatJobRunsZeroOrcCompilesAndReusesExecutors) {
+TEST(SweepServiceOrc, WarmRepeatJobRunsZeroOrcCompiles) {
     if (!orc_available()) {
         GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
     }
@@ -513,8 +490,7 @@ TEST(SweepServiceOrc, WarmRepeatJobRunsZeroOrcCompilesAndReusesExecutors) {
     EXPECT_GT(after_cold.cache.orc_compile_seconds, 0.0);
 
     // The warm gate proper: a repeat job of a cached model runs ZERO ORC
-    // compiles (counter delta), builds zero executors and allocates zero
-    // slot doubles — and is bit-identical to the cold run.
+    // compiles (counter delta) — and is bit-identical to the cold run.
     const std::uint64_t compiles_before = orc_detail::orc_compile_invocations();
     const auto warm = service.run(make_job(model, 24, duration, options));
     EXPECT_EQ(orc_detail::orc_compile_invocations(), compiles_before);
@@ -524,9 +500,6 @@ TEST(SweepServiceOrc, WarmRepeatJobRunsZeroOrcCompilesAndReusesExecutors) {
     EXPECT_EQ(after_warm.cache.orc_misses, 1u);
     EXPECT_EQ(after_warm.cache.orc_hits, after_cold.cache.orc_hits + 1);
     EXPECT_GT(after_warm.cache.orc_compile_seconds_saved, 0.0);
-    EXPECT_EQ(after_warm.executors_built, after_cold.executors_built);
-    EXPECT_EQ(after_warm.slot_doubles_built, after_cold.slot_doubles_built);
-    EXPECT_GT(after_warm.executors_reused, after_cold.executors_reused);
 
     // Service results match a direct simulate_sweep of the same job.
     const auto direct = runtime::simulate_sweep(model, {}, varied_lanes(model, 24),

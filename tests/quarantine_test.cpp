@@ -8,10 +8,13 @@
 // counts. (Suite names Quarantine* feed the `robustness` ctest label.)
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "abstraction/abstraction.hpp"
@@ -153,14 +156,15 @@ INSTANTIATE_TEST_SUITE_P(
     case_name);
 
 TEST(QuarantineAllLanesFailing, SweepCompletesAndReportsEveryLane) {
-    // Width 1 with its only lane poisoned (and a wider all-poisoned batch):
-    // nothing survives to compact *to*, so the sweep must stop stepping,
-    // pad the waveforms to full length, and report every lane — not crash
-    // in compact_lanes or spin on an empty batch.
+    // Width 1 with its only lane poisoned (and wider all-poisoned batches,
+    // the last split over two shards): nothing survives to compact *to*,
+    // so the sweep must stop stepping, hold every lane's last sample to
+    // full length, and report every lane — not crash in compact_lanes or
+    // spin on an empty batch.
     const auto model = decay_model();
     const std::map<std::string, numeric::SourceFunction> stimuli{
         {"u0", [](double) { return 0.0; }}};
-    for (const int width : {1, 5}) {
+    for (const auto& [width, threads] : {std::pair{1, 1}, std::pair{5, 1}, std::pair{16, 2}}) {
         std::vector<SweepLane> lanes(static_cast<std::size_t>(width));
         for (auto& lane : lanes) {
             for (const expr::Symbol& s : model.state_symbols()) {
@@ -169,6 +173,7 @@ TEST(QuarantineAllLanesFailing, SweepCompletesAndReportsEveryLane) {
         }
         SweepOptions options;
         options.lane_health_interval = 8;
+        options.threads = threads;
         const SweepResult result =
             simulate_sweep(model, stimuli, lanes, 100 * model.timestep, options);
         ASSERT_EQ(result.lane_health.size(), static_cast<std::size_t>(width));
@@ -178,6 +183,16 @@ TEST(QuarantineAllLanesFailing, SweepCompletesAndReportsEveryLane) {
         }
         for (const auto& w : result.outputs) {
             EXPECT_EQ(w.size(), result.steps);  // padded to full length
+            // From its failure step on, every sample of a lane repeats the
+            // one before, bit for bit (the held samples are NaN, so `==`
+            // would not do).
+            for (std::size_t l = 0; l < w.lanes(); ++l) {
+                for (std::size_t k = result.lane_health[l].failed_at; k < w.size(); ++k) {
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(w.value(l, k)),
+                              std::bit_cast<std::uint64_t>(w.value(l, k - 1)))
+                        << "width " << width << " lane " << l << " step " << k;
+                }
+            }
         }
     }
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "abstraction/signal_flow_model.hpp"
 #include "runtime/simulate.hpp"
 
@@ -114,6 +116,18 @@ TEST(SimulateTransient, SamplesAtMultiplesOfTimestep) {
     EXPECT_DOUBLE_EQ(out.time(0), 1e-6);  // convention: first sample at dt
     EXPECT_DOUBLE_EQ(out.value(0), 1.0);
     EXPECT_DOUBLE_EQ(out.value(9), 10.0);
+}
+
+TEST(SimulateTransient, RejectsMissingStimulusAndNonPositiveTimestep) {
+    // Caller input errors throw instead of aborting, like simulate_sweep.
+    EXPECT_THROW((void)simulate_transient(accumulator_model(), {}, 10e-6),
+                 std::invalid_argument);
+    SignalFlowModel untimed = accumulator_model();
+    untimed.timestep = 0.0;
+    CompiledModel compiled(untimed);
+    EXPECT_THROW((void)simulate_transient(compiled, untimed.inputs,
+                                          {{"u", numeric::constant(1.0)}}, 10e-6),
+                 std::invalid_argument);
 }
 
 }  // namespace

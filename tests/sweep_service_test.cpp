@@ -1,12 +1,12 @@
 // runtime::SweepService and runtime::ModelCache: the persistent sweep
 // server must return bit-identical results to a direct simulate_sweep call
-// on both the cold and the warm path, actually skip the recompiles and
-// shard reconstruction it claims to skip (ModelCache / executor-pool
-// counters, codegen::orc_detail::orc_compile_invocations), survive concurrent
+// on both the cold and the warm path, actually skip the recompiles it
+// claims to skip (ModelCache counters,
+// codegen::orc_detail::orc_compile_invocations), survive concurrent
 // multi-client submission (SweepServiceThreadedSweep* rides the `threads`
 // ctest label), and — FaultInjectionService*, riding the `robustness`
-// label — never let a failed job poison the artifact cache or the warm
-// executor pools.
+// label — never let a failed job poison the artifact cache or the next
+// job.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -194,13 +194,12 @@ TEST_F(SweepServiceTest, ColdAndWarmResultsBitIdenticalToSimulateSweep) {
     }
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.jobs_failed, 0u);
-    EXPECT_GT(stats.executors_reused, 0u);  // the warm runs reused executors
 }
 
-TEST_F(SweepServiceTest, WarmRepeatSkipsCompileAndShardConstruction) {
+TEST_F(SweepServiceTest, WarmRepeatSkipsCompile) {
     const auto model = ladder_model();
     SweepOptions options;
-    options.threads = 2;  // multi-shard: the warm pool serves shards too
+    options.threads = 2;  // multi-shard: shards step the cached artifact too
     options.backend = preferred_native_backend();
     SweepService service;
     SweepJob job = make_job(model, 33, 120 * model.timestep, options);
@@ -208,19 +207,14 @@ TEST_F(SweepServiceTest, WarmRepeatSkipsCompileAndShardConstruction) {
     const SweepResult cold = service.run(job);
     const ServiceStats after_cold = service.stats();
     EXPECT_GT(after_cold.executors_built, 0u);
-    EXPECT_GT(after_cold.slot_doubles_built, 0u);
 
     const std::uint64_t invocations_before = codegen::orc_detail::orc_compile_invocations();
     const SweepResult warm = service.run(job);
     const ServiceStats after_warm = service.stats();
 
-    // The warm-path contract, counter by counter: zero JIT compiles, zero
-    // executor constructions, zero new slot-file doubles — everything came
-    // from the caches and pools.
+    // The warm-path contract: zero JIT compiles and zero layout compiles —
+    // every compile artifact came from the cache.
     EXPECT_EQ(codegen::orc_detail::orc_compile_invocations(), invocations_before);
-    EXPECT_EQ(after_warm.executors_built, after_cold.executors_built);
-    EXPECT_EQ(after_warm.slot_doubles_built, after_cold.slot_doubles_built);
-    EXPECT_GT(after_warm.executors_reused, after_cold.executors_reused);
     EXPECT_EQ(after_warm.cache.layout_misses, 1u);
     expect_identical(warm, cold);
 }
@@ -315,6 +309,12 @@ TEST_F(SweepServiceTest, MalformedJobsFailTheirFuturesAndTheServiceKeepsServing)
     EXPECT_EQ(stats.executors_built, 1u);  // only the valid job built one
 }
 
+TEST_F(SweepServiceTest, NegativeSweepThreadsThrowsAtConstruction) {
+    ServiceOptions options;
+    options.sweep_threads = -1;
+    EXPECT_THROW({ SweepService service(options); }, std::invalid_argument);
+}
+
 // --- Service under concurrent clients (runs in the `threads` ctest label) ----
 
 TEST(SweepServiceThreadedSweep, ConcurrentClientsGetBitIdenticalResults) {
@@ -373,7 +373,7 @@ TEST_F(FaultInjectionService, CompileFailureFallsBackAndDoesNotPoisonTheCache) {
     const auto model = ladder_model();
     SweepOptions options;
     options.backend = SweepBackend::kNativeOrc;
-    options.threads = 2;  // shards pool too: the fallback must not leak into them
+    options.threads = 2;  // shards too: the fallback must not leak into the next job
     const double duration = 80 * model.timestep;
     const SweepResult reference =
         simulate_sweep(model, {}, varied_lanes(16), duration, SweepOptions{});
@@ -394,9 +394,8 @@ TEST_F(FaultInjectionService, CompileFailureFallsBackAndDoesNotPoisonTheCache) {
 
     // With the fault gone the same service compiles the kernel after all:
     // a transient failure costs one job its speed, never the model its
-    // machine-code backend. The fallback job's interpreter executors were
-    // pooled under the interpreter key, so the healed job builds ORC ones
-    // instead of being handed them.
+    // machine-code backend. Each job builds its own executor, so the healed
+    // job steps an ORC one, never the fallback job's interpreter.
     const SweepResult healed = service.run(make_job(model, 16, duration, options));
     expect_identical(healed, reference);
     EXPECT_TRUE(healed.diagnostics.empty());
@@ -414,8 +413,8 @@ TEST_F(FaultInjectionService, ThrowingStimulusFailsTheJobNotTheService) {
     const SweepResult reference = simulate_sweep(model, {}, varied_lanes(8), duration, options);
 
     SweepService service;
-    // Seed the warm pool with a clean job first, so the failing job runs
-    // over pooled executors — the case where poisoning would actually hurt.
+    // A clean job first, so the failing job runs on a warm service — the
+    // case where poisoning would actually hurt.
     (void)service.run(make_job(model, 8, duration, options));
     const ServiceStats seeded = service.stats();
 
@@ -429,15 +428,15 @@ TEST_F(FaultInjectionService, ThrowingStimulusFailsTheJobNotTheService) {
     auto future = service.submit(std::move(bad));
     EXPECT_THROW((void)future.get(), std::runtime_error);
 
-    // The service keeps serving and the pools were not poisoned: the next
-    // clean job is bit-identical to the reference.
+    // The service keeps serving and nothing was poisoned: the next clean
+    // job is bit-identical to the reference.
     const SweepResult after = service.run(make_job(model, 8, duration, options));
     expect_identical(after, reference);
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.jobs_failed, 1u);
     EXPECT_EQ(stats.jobs_completed, seeded.jobs_completed + 1);
-    // The failing job's executors were dropped, so the clean job after it
-    // rebuilt (rather than reused) at least its primary executor.
+    // The failing job's executors died with it; the clean job after it
+    // built its own.
     EXPECT_GT(stats.executors_built, seeded.executors_built);
 }
 
@@ -456,8 +455,8 @@ TEST_F(FaultInjectionService, ShardAllocFaultDegradesOneShardAndRecovers) {
     expect_identical(faulted, reference);
     EXPECT_TRUE(diagnostics_mention(faulted, "fallback executor"));
 
-    // The fallback executor must not have entered the warm pool: a clean
-    // repeat reports no degradation and stays bit-identical.
+    // The fallback executor died with its job: a clean repeat reports no
+    // degradation and stays bit-identical.
     const SweepResult clean = service.run(make_job(model, 16, duration, options));
     expect_identical(clean, reference);
     EXPECT_TRUE(clean.diagnostics.empty());

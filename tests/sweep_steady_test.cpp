@@ -3,7 +3,9 @@
 // surviving lane's results.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "abstraction/abstraction.hpp"
 #include "netlist/builder.hpp"
@@ -206,8 +208,13 @@ TEST(SweepSteadyState, Rc20DecayRetiresLanesEarly) {
                     ASSERT_EQ(actual, expected) << "lane " << l << " step " << k;
                 } else {
                     // The held value sits inside the steady band of the
-                    // still-decaying reference.
+                    // still-decaying reference, and repeats the sample
+                    // before it bit for bit.
                     ASSERT_NEAR(actual, expected, 1e-3) << "lane " << l << " step " << k;
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(actual),
+                              std::bit_cast<std::uint64_t>(detected.outputs[o].value(
+                                  static_cast<std::size_t>(l), k - 1)))
+                        << "lane " << l << " step " << k;
                 }
             }
         }

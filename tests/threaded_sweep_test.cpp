@@ -81,7 +81,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ThreadedSweepSteadyState, RetirementMatchesSingleThreadBitForBit) {
     // Pure decay with per-lane initial charge (the sweep_steady_test
     // scenario): lanes settle at different steps, each shard retires and
-    // compacts independently, and the merged result must still match the
+    // compacts independently, and the whole result must still match the
     // single-threaded run exactly — samples and settled_at.
     const netlist::Circuit circuit = netlist::make_rc_ladder(20);
     abstraction::AbstractionOptions abs_options;
