@@ -14,6 +14,10 @@
 #include "abstraction/abstraction.hpp"
 #include "netlist/builder.hpp"
 #include "numeric/sources.hpp"
+#include "support/diagnostics.hpp"
+#include "vams/circuits.hpp"
+#include "vams/elaborator.hpp"
+#include "vams/parser.hpp"
 
 namespace amsvp::bench {
 
@@ -23,27 +27,38 @@ struct BenchCircuit {
     abstraction::SignalFlowModel model;
 };
 
-/// The four components of Section V-A: 2IN, RC1, RC20, OA.
+/// The four components of Section V-A: 2IN, RC1, RC20, OA, parsed and
+/// elaborated from the bundled Verilog-AMS sources (vams/circuits.hpp),
+/// the same text perfbench's cold_text workload abstracts.
 inline std::vector<BenchCircuit> paper_circuits(double timestep = 50e-9) {
     std::vector<BenchCircuit> out;
     abstraction::AbstractionOptions options;
     options.timestep = timestep;
 
-    auto add = [&](std::string name, netlist::Circuit circuit) {
+    auto add = [&](std::string name, const std::string& source) {
+        support::DiagnosticEngine diagnostics;
+        auto module = vams::parse_module_source(source, diagnostics);
+        auto elaborated = module ? vams::elaborate(*module, diagnostics) : std::nullopt;
+        if (!elaborated) {
+            std::fprintf(stderr, "elaboration of %s failed:\n%s", name.c_str(),
+                         diagnostics.render_all().c_str());
+            std::exit(1);
+        }
         std::string error;
-        auto model =
-            abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, options, &error);
+        auto model = abstraction::abstract_circuit(elaborated->circuit, {{"out", "gnd"}},
+                                                   options, &error);
         if (!model) {
             std::fprintf(stderr, "abstraction of %s failed: %s\n", name.c_str(),
                          error.c_str());
             std::exit(1);
         }
-        out.push_back(BenchCircuit{std::move(name), std::move(circuit), std::move(*model)});
+        out.push_back(BenchCircuit{std::move(name), std::move(elaborated->circuit),
+                                   std::move(*model)});
     };
-    add("2IN", netlist::make_two_inputs());
-    add("RC1", netlist::make_rc_ladder(1));
-    add("RC20", netlist::make_rc_ladder(20));
-    add("OA", netlist::make_opamp());
+    add("2IN", vams::two_inputs_source());
+    add("RC1", vams::rc_ladder_source(1));
+    add("RC20", vams::rc_ladder_source(20));
+    add("OA", vams::opamp_source());
     return out;
 }
 

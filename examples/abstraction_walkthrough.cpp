@@ -29,7 +29,7 @@ int main() {
 
     std::printf("=== Step 2: Enrichment (Fig. 5 hash table) =================\n");
     abstraction::EnrichmentStats stats;
-    const abstraction::EquationDatabase db = abstraction::enrich(circuit, {}, &stats);
+    const abstraction::EquationDatabase db = abstraction::enrich(circuit, &stats);
     std::printf("%s", db.describe().c_str());
     std::printf("dipole=%zu KCL=%zu KVL=%zu solved-variants=%zu -> %zu equations in %zu "
                 "dependency classes\n\n",
@@ -38,8 +38,7 @@ int main() {
 
     std::printf("=== Step 3: Assemble (Fig. 6 tree) =========================\n");
     std::string error;
-    auto system = abstraction::assemble(
-        db, {expr::branch_voltage("C1")}, {}, &error);
+    auto system = abstraction::assemble(db, {expr::branch_voltage("C1")}, &error);
     if (!system) {
         std::fprintf(stderr, "assembly failed: %s\n", error.c_str());
         return 1;

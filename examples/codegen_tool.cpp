@@ -37,6 +37,7 @@
 #include "codegen/emit_common.hpp"
 #include "codegen/llvm_lowering.hpp"
 #include "codegen/native_jit.hpp"
+#include "codegen/orc_jit.hpp"
 #include "runtime/lane_layout.hpp"
 #include "runtime/model_layout.hpp"
 #include "support/diagnostics.hpp"
@@ -225,7 +226,7 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "--backend orc dumps LLVM IR; use it with --target cpp\n");
             return 2;
         }
-        if (!codegen::llvm_backend_available()) {
+        if (!codegen::orc_available()) {
             std::fprintf(stderr, "--backend orc: built with AMSVP_WITH_LLVM=OFF\n");
             return 1;
         }

@@ -76,14 +76,14 @@ std::optional<SignalFlowModel> abstract_circuit(const netlist::Circuit& original
 
     // Step 2: Enrichment.
     const auto t_enrich = Clock::now();
-    EquationDatabase db = enrich(circuit, options.enrichment, &local.enrichment);
+    EquationDatabase db = enrich(circuit, &local.enrichment);
     local.enrichment_seconds = seconds_since(t_enrich);
     local.database_equations = db.equation_count();
     local.database_classes = db.class_count();
 
     // Step 3: Assemble.
     const auto t_assemble = Clock::now();
-    auto system = assemble(db, output_symbols, options.assembler, error);
+    auto system = assemble(db, output_symbols, error);
     if (!system) {
         return std::nullopt;
     }

@@ -27,11 +27,11 @@ struct OutputSpec {
     [[nodiscard]] std::string display() const { return "V(" + pos + "," + neg + ")"; }
 };
 
+/// How both abstraction paths discretize: the conservative flow here and
+/// the signal-flow conversion of behavioral.hpp.
 struct AbstractionOptions {
     double timestep = 50e-9;  ///< paper's experimental time step (50 ns)
     DiscretizationScheme scheme = DiscretizationScheme::kBackwardEuler;
-    EnrichmentOptions enrichment;
-    AssemblerOptions assembler;
 };
 
 /// Tool-side metrics, reproducing the "abstraction tool spent 7.67 s on

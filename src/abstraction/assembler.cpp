@@ -21,6 +21,9 @@ using expr::SymbolKind;
 
 namespace {
 
+/// Assembly passes before a still-growing root set counts as a failure.
+constexpr std::size_t kMaxPasses = 256;
+
 bool is_unknown_symbol(const Symbol& s) {
     return s.kind == SymbolKind::kBranchVoltage || s.kind == SymbolKind::kBranchCurrent;
 }
@@ -349,15 +352,14 @@ const AssembledRoot* AssembledSystem::find_root(const Symbol& s) const {
 }
 
 std::optional<AssembledSystem> assemble(const EquationDatabase& database,
-                                        const std::vector<Symbol>& outputs,
-                                        const AssemblerOptions& options, std::string* error) {
+                                        const std::vector<Symbol>& outputs, std::string* error) {
     AMSVP_CHECK(!outputs.empty(), "assemble requires at least one output");
 
     std::vector<Symbol> root_order(outputs);
     AssembledSystem system;
     system.outputs = outputs;
 
-    for (std::size_t pass = 0; pass < options.max_passes; ++pass) {
+    for (std::size_t pass = 0; pass < kMaxPasses; ++pass) {
         Pass runner(database, root_order);
         Pass::Result result = runner.run(root_order);
         ++system.passes;
@@ -383,8 +385,7 @@ std::optional<AssembledSystem> assemble(const EquationDatabase& database,
         }
     }
     if (error != nullptr) {
-        *error = "assembly did not stabilise within " + std::to_string(options.max_passes) +
-                 " passes";
+        *error = "assembly did not stabilise within " + std::to_string(kMaxPasses) + " passes";
     }
     return std::nullopt;
 }

@@ -46,15 +46,12 @@ struct AssembledSystem {
     [[nodiscard]] const AssembledRoot* find_root(const expr::Symbol& s) const;
 };
 
-struct AssemblerOptions {
-    std::size_t max_passes = 256;
-};
-
 /// Assemble the system for the given output symbols. The database is copied
-/// per pass (class enablement is pass-local). On failure returns nullopt and
-/// stores a human-readable reason in `error` (when non-null).
-[[nodiscard]] std::optional<AssembledSystem> assemble(
-    const EquationDatabase& database, const std::vector<expr::Symbol>& outputs,
-    const AssemblerOptions& options = {}, std::string* error = nullptr);
+/// per pass (class enablement is pass-local); the root set must stabilise
+/// within 256 passes. On failure returns nullopt and stores a human-readable
+/// reason in `error` (when non-null).
+[[nodiscard]] std::optional<AssembledSystem> assemble(const EquationDatabase& database,
+                                                      const std::vector<expr::Symbol>& outputs,
+                                                      std::string* error = nullptr);
 
 }  // namespace amsvp::abstraction

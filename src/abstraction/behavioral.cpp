@@ -19,7 +19,7 @@ namespace {
 
 class Converter {
 public:
-    Converter(const vams::Module& module, const BehavioralOptions& options,
+    Converter(const vams::Module& module, const AbstractionOptions& options,
               support::DiagnosticEngine& diagnostics)
         : module_(module), options_(options), diagnostics_(diagnostics) {}
 
@@ -287,7 +287,7 @@ private:
     }
 
     const vams::Module& module_;
-    BehavioralOptions options_;
+    AbstractionOptions options_;
     support::DiagnosticEngine& diagnostics_;
     SignalFlowModel model_;
     expr::Substitution parameters_;
@@ -299,7 +299,7 @@ private:
 }  // namespace
 
 std::optional<SignalFlowModel> convert_signal_flow(const vams::Module& module,
-                                                   const BehavioralOptions& options,
+                                                   const AbstractionOptions& options,
                                                    support::DiagnosticEngine& diagnostics) {
     Converter converter(module, options, diagnostics);
     return converter.run();

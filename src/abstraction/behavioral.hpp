@@ -11,22 +11,17 @@
 
 #include <optional>
 
-#include "abstraction/discretize.hpp"
+#include "abstraction/abstraction.hpp"
 #include "abstraction/signal_flow_model.hpp"
 #include "support/diagnostics.hpp"
 #include "vams/ast.hpp"
 
 namespace amsvp::abstraction {
 
-struct BehavioralOptions {
-    double timestep = 50e-9;
-    DiscretizationScheme scheme = DiscretizationScheme::kBackwardEuler;
-};
-
 /// Convert a pure signal-flow module (vams::is_signal_flow must hold).
 /// Problems are reported through `diagnostics`; returns nullopt on error.
 [[nodiscard]] std::optional<SignalFlowModel> convert_signal_flow(
-    const vams::Module& module, const BehavioralOptions& options,
+    const vams::Module& module, const AbstractionOptions& options,
     support::DiagnosticEngine& diagnostics);
 
 }  // namespace amsvp::abstraction

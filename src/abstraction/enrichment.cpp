@@ -54,8 +54,7 @@ void insert_with_variants(EquationDatabase& db, Equation base, EquationKind vari
 
 }  // namespace
 
-EquationDatabase enrich(const netlist::Circuit& circuit, const EnrichmentOptions& options,
-                        EnrichmentStats* stats) {
+EquationDatabase enrich(const netlist::Circuit& circuit, EnrichmentStats* stats) {
     EquationDatabase db;
     EnrichmentStats local;
 
@@ -66,66 +65,59 @@ EquationDatabase enrich(const netlist::Circuit& circuit, const EnrichmentOptions
     }
 
     // Nodal analysis: KCL at every node except ground.
-    if (options.nodal_analysis) {
-        for (netlist::NodeId n = 0; n < static_cast<netlist::NodeId>(circuit.node_count());
-             ++n) {
-            if (circuit.has_ground() && n == circuit.ground()) {
-                continue;
-            }
-            const auto incidences = circuit.incident(n);
-            if (incidences.empty()) {
-                continue;
-            }
-            // sum(sign * I(b)) == 0; pick the first branch as the lhs so the
-            // original equation also has key form.
-            LinearForm form;
-            for (const auto& inc : incidences) {
-                form.add_term(LinearKey{circuit.branch(inc.branch).current_symbol(), false},
-                              static_cast<double>(inc.sign));
-            }
-            const LinearKey lead{circuit.branch(incidences.front().branch).current_symbol(),
-                                 false};
-            auto solved = form.solve_for(lead);
-            if (!solved) {
-                continue;
-            }
-            Equation kcl;
-            kcl.kind = EquationKind::kKirchhoffCurrent;
-            kcl.lhs = lead.to_expr();
-            kcl.rhs = *solved;
-            kcl.origin = "KCL@" + circuit.node_info(n).name;
-            insert_with_variants(db, std::move(kcl), EquationKind::kKirchhoffCurrent,
-                                 &local.solved_variants);
-            ++local.kcl_equations;
+    for (netlist::NodeId n = 0; n < static_cast<netlist::NodeId>(circuit.node_count()); ++n) {
+        if (circuit.has_ground() && n == circuit.ground()) {
+            continue;
         }
+        const auto incidences = circuit.incident(n);
+        if (incidences.empty()) {
+            continue;
+        }
+        // sum(sign * I(b)) == 0; pick the first branch as the lhs so the
+        // original equation also has key form.
+        LinearForm form;
+        for (const auto& inc : incidences) {
+            form.add_term(LinearKey{circuit.branch(inc.branch).current_symbol(), false},
+                          static_cast<double>(inc.sign));
+        }
+        const LinearKey lead{circuit.branch(incidences.front().branch).current_symbol(), false};
+        auto solved = form.solve_for(lead);
+        if (!solved) {
+            continue;
+        }
+        Equation kcl;
+        kcl.kind = EquationKind::kKirchhoffCurrent;
+        kcl.lhs = lead.to_expr();
+        kcl.rhs = *solved;
+        kcl.origin = "KCL@" + circuit.node_info(n).name;
+        insert_with_variants(db, std::move(kcl), EquationKind::kKirchhoffCurrent,
+                             &local.solved_variants);
+        ++local.kcl_equations;
     }
 
     // Mesh analysis: KVL around every fundamental loop.
-    if (options.mesh_analysis) {
-        const std::vector<netlist::Loop> loops = netlist::fundamental_loops(circuit);
-        int loop_index = 0;
-        for (const netlist::Loop& loop : loops) {
-            LinearForm form;
-            for (const netlist::LoopEntry& entry : loop.entries) {
-                form.add_term(LinearKey{circuit.branch(entry.branch).voltage_symbol(), false},
-                              static_cast<double>(entry.sign));
-            }
-            const LinearKey lead{circuit.branch(loop.entries.front().branch).voltage_symbol(),
-                                 false};
-            auto solved = form.solve_for(lead);
-            if (!solved) {
-                ++loop_index;
-                continue;
-            }
-            Equation kvl;
-            kvl.kind = EquationKind::kKirchhoffVoltage;
-            kvl.lhs = lead.to_expr();
-            kvl.rhs = *solved;
-            kvl.origin = "KVL#" + std::to_string(loop_index++);
-            insert_with_variants(db, std::move(kvl), EquationKind::kKirchhoffVoltage,
-                                 &local.solved_variants);
-            ++local.kvl_equations;
+    const std::vector<netlist::Loop> loops = netlist::fundamental_loops(circuit);
+    int loop_index = 0;
+    for (const netlist::Loop& loop : loops) {
+        LinearForm form;
+        for (const netlist::LoopEntry& entry : loop.entries) {
+            form.add_term(LinearKey{circuit.branch(entry.branch).voltage_symbol(), false},
+                          static_cast<double>(entry.sign));
         }
+        const LinearKey lead{circuit.branch(loop.entries.front().branch).voltage_symbol(), false};
+        auto solved = form.solve_for(lead);
+        if (!solved) {
+            ++loop_index;
+            continue;
+        }
+        Equation kvl;
+        kvl.kind = EquationKind::kKirchhoffVoltage;
+        kvl.lhs = lead.to_expr();
+        kvl.rhs = *solved;
+        kvl.origin = "KVL#" + std::to_string(loop_index++);
+        insert_with_variants(db, std::move(kvl), EquationKind::kKirchhoffVoltage,
+                             &local.solved_variants);
+        ++local.kvl_equations;
     }
 
     if (stats != nullptr) {

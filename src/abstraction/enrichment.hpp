@@ -8,11 +8,6 @@
 
 namespace amsvp::abstraction {
 
-struct EnrichmentOptions {
-    bool nodal_analysis = true;  ///< add KCL equations
-    bool mesh_analysis = true;   ///< add KVL equations
-};
-
 struct EnrichmentStats {
     std::size_t dipole_equations = 0;
     std::size_t kcl_equations = 0;
@@ -24,7 +19,6 @@ struct EnrichmentStats {
 /// node except ground (the ground equation is linearly dependent on the
 /// others); KVL for every fundamental loop of the circuit graph.
 [[nodiscard]] EquationDatabase enrich(const netlist::Circuit& circuit,
-                                      const EnrichmentOptions& options = {},
                                       EnrichmentStats* stats = nullptr);
 
 }  // namespace amsvp::abstraction

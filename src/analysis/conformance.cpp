@@ -7,6 +7,7 @@
 #include "analysis/program_view.hpp"
 #include "codegen/emit_common.hpp"
 #include "codegen/llvm_lowering.hpp"
+#include "codegen/orc_jit.hpp"
 #include "runtime/lane_layout.hpp"
 #include "runtime/model_layout.hpp"
 
@@ -106,7 +107,7 @@ bool verify_emit_plan(const runtime::ModelLayout& layout,
 
 bool verify_orc_lowering(const std::shared_ptr<const runtime::ModelLayout>& layout,
                          support::DiagnosticEngine& diags) {
-    if (!codegen::llvm_backend_available()) {
+    if (!codegen::orc_available()) {
         diags.note({}, "ORC lowering conformance skipped: built without LLVM");
         return true;
     }

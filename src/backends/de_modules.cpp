@@ -23,12 +23,6 @@ void DeSource::on_negedge() {
 
 DeModel::DeModel(de::Simulator& sim, de::Clock& clock, std::string name,
                  const abstraction::SignalFlowModel& model,
-                 std::vector<de::Signal<double>*> inputs)
-    : DeModel(sim, clock, std::move(name), model, std::move(inputs),
-              std::make_unique<runtime::CompiledModel>(model)) {}
-
-DeModel::DeModel(de::Simulator& sim, de::Clock& clock, std::string name,
-                 const abstraction::SignalFlowModel& model,
                  std::vector<de::Signal<double>*> inputs,
                  std::unique_ptr<runtime::ModelExecutor> executor)
     : sim_(sim), compiled_(std::move(executor)), inputs_(std::move(inputs)) {
@@ -49,50 +43,6 @@ void DeModel::on_posedge() {
     compiled_->step(de::to_seconds(sim_.now()));
     for (std::size_t i = 0; i < outputs_.size(); ++i) {
         outputs_[i]->write(compiled_->output(i));
-    }
-}
-
-BatchDeModel::BatchDeModel(de::Simulator& sim, de::Clock& clock, std::string name,
-                           std::shared_ptr<const runtime::ModelLayout> layout,
-                           std::vector<std::vector<de::Signal<double>*>> inputs)
-    : sim_(sim),
-      batch_(std::move(layout), static_cast<int>(inputs.size())),
-      inputs_(std::move(inputs)) {
-    for (const std::vector<de::Signal<double>*>& lane : inputs_) {
-        AMSVP_CHECK(lane.size() == batch_.input_count(), "input signal count mismatch");
-    }
-    for (int l = 0; l < batch_.batch(); ++l) {
-        for (std::size_t i = 0; i < batch_.output_count(); ++i) {
-            outputs_.push_back(std::make_unique<de::Signal<double>>(
-                sim, name + ".lane" + std::to_string(l) + ".out" + std::to_string(i), 0.0));
-        }
-    }
-    // One process for the whole batch: the kernel activates the N analog
-    // instances once per rising edge.
-    const de::ProcessId pid = sim_.add_process("model:" + name, [this] { on_posedge(); });
-    clock.pos_sensitive(pid);
-}
-
-BatchDeModel::BatchDeModel(de::Simulator& sim, de::Clock& clock, std::string name,
-                           const abstraction::SignalFlowModel& model,
-                           std::vector<std::vector<de::Signal<double>*>> inputs)
-    : BatchDeModel(sim, clock, std::move(name), runtime::ModelLayout::compile(model),
-                   std::move(inputs)) {}
-
-void BatchDeModel::on_posedge() {
-    ++activations_;
-    for (int l = 0; l < batch_.batch(); ++l) {
-        const std::vector<de::Signal<double>*>& lane = inputs_[static_cast<std::size_t>(l)];
-        for (std::size_t i = 0; i < lane.size(); ++i) {
-            batch_.set_input(l, i, lane[i]->read());
-        }
-    }
-    batch_.step(de::to_seconds(sim_.now()));
-    const std::size_t n_out = batch_.output_count();
-    for (int l = 0; l < batch_.batch(); ++l) {
-        for (std::size_t i = 0; i < n_out; ++i) {
-            outputs_[static_cast<std::size_t>(l) * n_out + i]->write(batch_.output(l, i));
-        }
     }
 }
 

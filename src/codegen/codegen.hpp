@@ -42,8 +42,6 @@ enum class Target {
 struct CodegenOptions {
     /// Class / module name; empty derives one from the model name.
     std::string type_name;
-    /// Emit a doc-comment header with provenance information.
-    bool header_comment = true;
     /// C++ target only: emit a `double slot_value(int) const` accessor that
     /// exposes the model's slot file (runtime ModelLayout order), so a
     /// compiled generated model can be compared against the in-process

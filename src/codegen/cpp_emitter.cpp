@@ -14,10 +14,7 @@ using detail::EmitPlan;
 // interpreter executes.
 std::string emit_cpp(const abstraction::SignalFlowModel& model, const CodegenOptions& options) {
     const EmitPlan plan = detail::build_plan(model, options);
-    std::string out;
-    if (options.header_comment) {
-        out += detail::provenance_comment(model, "C++");
-    }
+    std::string out = detail::provenance_comment(model, "C++");
     out += "#pragma once\n";
     out += "\n";
     out += "#include <algorithm>\n";

@@ -512,8 +512,6 @@ std::optional<PreparedModule> prepare_module(const runtime::ModelLayout& layout,
 
 }  // namespace orc_detail
 
-bool llvm_backend_available() { return true; }
-
 std::string llvm_backend_version() { return LLVM_VERSION_STRING; }
 
 std::optional<LoweredIrText> lower_to_ir_text(
@@ -533,10 +531,8 @@ std::optional<LoweredIrText> lower_to_ir_text(
 
 namespace amsvp::codegen {
 
-// Built without LLVM: the lowering surface stays linkable so callers can
-// probe availability at runtime; sweeps run on the fused interpreter.
-
-bool llvm_backend_available() { return false; }
+// Built without LLVM: the lowering surface stays linkable (callers probe
+// codegen::orc_available()); sweeps run on the fused interpreter.
 
 std::string llvm_backend_version() { return "none"; }
 

@@ -48,10 +48,6 @@
 
 namespace amsvp::codegen {
 
-/// True when the library was built against LLVM (AMSVP_WITH_LLVM=ON) and
-/// the in-process lowering/JIT path exists at all.
-[[nodiscard]] bool llvm_backend_available();
-
 /// Human-readable LLVM version the library was built against ("14.0.6"),
 /// or "none" without LLVM (tool banners, diagnostics).
 [[nodiscard]] std::string llvm_backend_version();

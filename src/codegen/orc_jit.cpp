@@ -30,22 +30,8 @@ std::uint64_t orc_compile_invocations() {
 // ---------------------------------------------------------------------------
 // Shared between the LLVM and the stub build.
 
-std::shared_ptr<const OrcJitProgram> OrcJitProgram::compile(
-    const abstraction::SignalFlowModel& model, std::string* error) {
-    return compile(runtime::ModelLayout::compile(model), error);
-}
-
 OrcBatchModel::OrcBatchModel(std::shared_ptr<const OrcJitProgram> program, int batch)
     : BatchCompiledModel(program->layout(), batch), program_(std::move(program)) {}
-
-std::unique_ptr<OrcBatchModel> OrcBatchModel::compile(
-    const abstraction::SignalFlowModel& model, int batch, std::string* error) {
-    auto program = OrcJitProgram::compile(model, error);
-    if (program == nullptr) {
-        return nullptr;
-    }
-    return std::make_unique<OrcBatchModel>(std::move(program), batch);
-}
 
 void OrcBatchModel::step(double time_seconds) {
     double* slots = slot_data();

@@ -12,7 +12,7 @@
 //
 // OrcBatchModel is a BatchCompiledModel whose step() drives the JITed
 // kernel over the same padded slot file, slotting into the make_shard /
-// fallback-shard / quarantine / warm-pool machinery unchanged. One
+// fallback-shard / quarantine machinery unchanged. One
 // materialized program serves any number of shards and threads
 // concurrently — the kernel is a pure function of the slot file.
 //
@@ -54,15 +54,10 @@ namespace orc_detail {
 /// only caller-provided memory.
 class OrcJitProgram {
 public:
-    /// Lower, optimize and materialize the kernel for `model`. Returns
-    /// nullptr (with `error` set) when built without LLVM, or when
+    /// Lower, optimize and materialize the kernel for a compiled layout;
+    /// the IR is lowered against exactly this layout's slot assignment.
+    /// Returns nullptr (with `error` set) when built without LLVM, or when
     /// lowering/verification/materialization fails.
-    [[nodiscard]] static std::shared_ptr<const OrcJitProgram> compile(
-        const abstraction::SignalFlowModel& model, std::string* error = nullptr);
-
-    /// Same, over an already-compiled layout — cache holders
-    /// (runtime::ModelCache) skip the redundant FusedCompiler re-run; the
-    /// IR is lowered against exactly this layout's slot assignment.
     [[nodiscard]] static std::shared_ptr<const OrcJitProgram> compile(
         std::shared_ptr<const runtime::ModelLayout> layout, std::string* error = nullptr);
 
@@ -96,11 +91,6 @@ private:
 /// compact_lanes, scan_lane_health — unchanged.
 class OrcBatchModel final : public runtime::BatchCompiledModel {
 public:
-    /// Convenience: compile the kernel and batch it. Returns nullptr
-    /// (with `error` set) when the ORC backend is unavailable or fails.
-    [[nodiscard]] static std::unique_ptr<OrcBatchModel> compile(
-        const abstraction::SignalFlowModel& model, int batch, std::string* error = nullptr);
-
     /// `batch` lanes over an already-materialized program (shards share one).
     OrcBatchModel(std::shared_ptr<const OrcJitProgram> program, int batch);
 

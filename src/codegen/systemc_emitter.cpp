@@ -70,10 +70,7 @@ std::string emit_systemc_de(const abstraction::SignalFlowModel& model,
     CodegenOptions sc_options = options;
     sc_options.slot_accessor = false;
     const EmitPlan plan = detail::build_plan(model, sc_options);
-    std::string out;
-    if (options.header_comment) {
-        out += detail::provenance_comment(model, "SystemC-DE");
-    }
+    std::string out = detail::provenance_comment(model, "SystemC-DE");
     out += "#pragma once\n\n#include <algorithm>\n#include <cmath>\n#include <systemc.h>\n\n";
     out += "SC_MODULE(" + plan.type_name + ") {\n";
     out += "    sc_core::sc_in<bool> clk;  // period = " +
@@ -105,10 +102,7 @@ std::string emit_systemc_tdf(const abstraction::SignalFlowModel& model,
     CodegenOptions sc_options = options;
     sc_options.slot_accessor = false;  // plain-C++-target hook; see emit_systemc_de
     const EmitPlan plan = detail::build_plan(model, sc_options);
-    std::string out;
-    if (options.header_comment) {
-        out += detail::provenance_comment(model, "SystemC-AMS/TDF");
-    }
+    std::string out = detail::provenance_comment(model, "SystemC-AMS/TDF");
     out += "#pragma once\n\n#include <algorithm>\n#include <cmath>\n#include <systemc-ams.h>\n\n";
     out += "SCA_TDF_MODULE(" + plan.type_name + ") {\n";
     for (const std::string& in : plan.inputs) {

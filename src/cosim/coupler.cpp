@@ -1,6 +1,7 @@
 #include "cosim/coupler.hpp"
 
 #include <cstring>
+#include <stdexcept>
 
 #include "support/check.hpp"
 
@@ -18,9 +19,8 @@ CosimCoupler::CosimCoupler(de::Simulator& sim, const netlist::Circuit& circuit,
     std::string error;
     auto engine = spice::SpiceEngine::create(circuit, options, &error);
     if (!engine) {
-        std::fprintf(stderr, "cosim: %s\n", error.c_str());
+        throw std::invalid_argument("cosim: " + error);
     }
-    AMSVP_CHECK(engine.has_value(), "co-simulation engine creation failed");
     engine_ = std::make_unique<spice::SpiceEngine>(std::move(*engine));
 
     for (const std::string& name : engine_->input_names()) {

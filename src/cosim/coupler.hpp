@@ -41,7 +41,8 @@ public:
     /// Couple `circuit` (simulated by the conservative engine) to `sim`.
     /// Stimuli provide the analog input values; the voltage between
     /// `observed_pos`/`observed_neg` is published to a digital signal at
-    /// every synchronization point.
+    /// every synchronization point. Throws std::invalid_argument when the
+    /// conservative engine cannot be created for `circuit`.
     CosimCoupler(de::Simulator& sim, const netlist::Circuit& circuit,
                  const spice::SpiceOptions& options,
                  std::map<std::string, numeric::SourceFunction> stimuli,

@@ -1,5 +1,7 @@
 #include "eln/engine.hpp"
 
+#include <stdexcept>
+
 #include "support/check.hpp"
 
 namespace amsvp::eln {
@@ -9,9 +11,8 @@ ElnEngine::ElnEngine(const netlist::Circuit& circuit, double timestep)
           std::string error;
           auto t = Tableau::build(circuit, timestep, &error);
           if (!t) {
-              std::fprintf(stderr, "ELN: %s\n", error.c_str());
+              throw std::invalid_argument("ELN: " + error);
           }
-          AMSVP_CHECK(t.has_value(), "ELN engine requires a linear circuit");
           return std::move(*t);
       }()) {
     numeric::Matrix a;

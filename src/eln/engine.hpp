@@ -21,8 +21,9 @@ namespace amsvp::eln {
 
 class ElnEngine {
 public:
-    /// Build + factorise. Aborts on non-linear circuits (use the SPICE
-    /// engine for those) — check with Tableau::build first when unsure.
+    /// Build + factorise. Throws std::invalid_argument on non-linear
+    /// circuits (use the SPICE engine for those) — check with
+    /// Tableau::build first when unsure.
     ElnEngine(const netlist::Circuit& circuit, double timestep);
 
     [[nodiscard]] double timestep() const { return tableau_.timestep(); }

@@ -1,6 +1,6 @@
 #include "netlist/builder.hpp"
 
-#include <cstdio>
+#include <stdexcept>
 
 #include "support/check.hpp"
 
@@ -135,10 +135,14 @@ BranchId CircuitBuilder::generic(std::string name, std::string_view pos, std::st
 Circuit CircuitBuilder::build() {
     const std::vector<std::string> problems = circuit_.validate();
     if (!problems.empty()) {
+        std::string text;
         for (const std::string& p : problems) {
-            std::fprintf(stderr, "circuit '%s': %s\n", circuit_.name().c_str(), p.c_str());
+            if (!text.empty()) {
+                text += '\n';
+            }
+            text += "circuit '" + circuit_.name() + "': " + p;
         }
-        AMSVP_CHECK(false, "circuit failed structural validation");
+        throw std::invalid_argument(text);
     }
     return std::move(circuit_);
 }

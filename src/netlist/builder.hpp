@@ -51,7 +51,8 @@ public:
     BranchId generic(std::string name, std::string_view pos, std::string_view neg,
                      expr::Equation equation, DeviceKind kind = DeviceKind::kGeneric);
 
-    /// Finalise. Aborts when validate() reports structural problems.
+    /// Finalise. Throws std::invalid_argument listing the problems when
+    /// validate() reports any.
     [[nodiscard]] Circuit build();
 
     /// Access the circuit under construction (e.g. to look up ids).

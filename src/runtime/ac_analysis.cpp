@@ -7,6 +7,13 @@
 
 namespace amsvp::runtime {
 
+namespace {
+
+constexpr std::uint64_t kSettleCycles = 8;   ///< discarded before measuring
+constexpr std::uint64_t kMeasureCycles = 8;  ///< DFT window length
+
+}  // namespace
+
 std::vector<double> log_frequency_grid(double f_min, double f_max, int points) {
     AMSVP_CHECK(f_min > 0.0 && f_max > f_min && points >= 2, "bad frequency grid");
     std::vector<double> out;
@@ -21,8 +28,7 @@ std::vector<double> log_frequency_grid(double f_min, double f_max, int points) {
 
 std::vector<AcPoint> measure_frequency_response(const abstraction::SignalFlowModel& model,
                                                 const std::string& input_name,
-                                                const std::vector<double>& frequencies_hz,
-                                                const AcOptions& options) {
+                                                const std::vector<double>& frequencies_hz) {
     CompiledModel compiled(model);
     const std::size_t input = compiled.input_index(input_name);
     const double dt = model.timestep;
@@ -34,10 +40,8 @@ std::vector<AcPoint> measure_frequency_response(const abstraction::SignalFlowMod
         AMSVP_CHECK(f > 0.0 && f < 0.25 / dt, "frequency outside the model's band");
         const double omega = 2.0 * M_PI * f;
         const auto steps_per_cycle = static_cast<std::uint64_t>(1.0 / (f * dt) + 0.5);
-        const std::uint64_t settle =
-            steps_per_cycle * static_cast<std::uint64_t>(options.settle_cycles);
-        const std::uint64_t window =
-            steps_per_cycle * static_cast<std::uint64_t>(options.measure_cycles);
+        const std::uint64_t settle = steps_per_cycle * kSettleCycles;
+        const std::uint64_t window = steps_per_cycle * kMeasureCycles;
 
         compiled.reset();
         // Other inputs (if any) held at zero: small-signal measurement.
@@ -49,7 +53,7 @@ std::vector<AcPoint> measure_frequency_response(const abstraction::SignalFlowMod
         double acc_sin = 0.0;
         for (std::uint64_t k = 1; k <= settle + window; ++k) {
             const double t = static_cast<double>(k) * dt;
-            compiled.set_input(input, options.amplitude * std::sin(omega * t));
+            compiled.set_input(input, std::sin(omega * t));
             compiled.step(t);
             if (k > settle) {
                 const double y = compiled.output(0);
@@ -63,7 +67,7 @@ std::vector<AcPoint> measure_frequency_response(const abstraction::SignalFlowMod
         const double b = 2.0 * acc_cos / n;
         AcPoint point;
         point.frequency_hz = f;
-        point.magnitude = std::sqrt(a * a + b * b) / options.amplitude;
+        point.magnitude = std::sqrt(a * a + b * b);
         point.phase_radians = std::atan2(b, a);
         out.push_back(point);
     }

@@ -17,17 +17,12 @@ struct AcPoint {
     double phase_radians = 0.0;  ///< arg H(jw), in (-pi, pi]
 };
 
-struct AcOptions {
-    double amplitude = 1.0;
-    int settle_cycles = 8;   ///< discarded before measuring
-    int measure_cycles = 8;  ///< DFT window length
-};
-
 /// Measure the response from `input_name` to the model's first output at
-/// each frequency. Frequencies must satisfy f << 1/(2 dt).
+/// each frequency, driving a unit-amplitude sine: 8 cycles settle, the next
+/// 8 form the DFT window. Frequencies must satisfy f << 1/(2 dt).
 [[nodiscard]] std::vector<AcPoint> measure_frequency_response(
     const abstraction::SignalFlowModel& model, const std::string& input_name,
-    const std::vector<double>& frequencies_hz, const AcOptions& options = {});
+    const std::vector<double>& frequencies_hz);
 
 /// Logarithmically spaced frequency grid [f_min, f_max], `points` entries.
 [[nodiscard]] std::vector<double> log_frequency_grid(double f_min, double f_max, int points);

@@ -76,17 +76,6 @@ void BatchCompiledModel::set_input(int lane, std::size_t index, double value) {
     slots_[at(layout_->input_slots()[index], lane)] = value;
 }
 
-void BatchCompiledModel::broadcast_input(std::size_t index, double value) {
-    AMSVP_CHECK(index < layout_->input_count(), "input index out of range");
-    double* lane = slots_.data() + at(layout_->input_slots()[index], 0);
-    // Ghost lanes get the broadcast too, keeping their throwaway
-    // trajectory identical to a real lane's.
-    const int padded = LaneLayout::padded_width(batch_);
-    for (int l = 0; l < padded; ++l) {
-        lane[l] = value;
-    }
-}
-
 void BatchCompiledModel::set_value(int lane, const expr::Symbol& symbol, double value) {
     AMSVP_CHECK(lane >= 0 && lane < batch_, "lane out of range");
     const ModelLayout::SymbolSlots& s = layout_->slots_of(symbol);

@@ -81,8 +81,6 @@ public:
     void reset() override;
 
     void set_input(int lane, std::size_t index, double value) override;
-    /// Same input value on every lane (shared stimulus).
-    void broadcast_input(std::size_t index, double value);
 
     /// Override a symbol's value — current slot and all history slots — on
     /// one lane. This is how sweeps apply per-lane parameter overrides and

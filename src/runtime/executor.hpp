@@ -7,7 +7,8 @@
 //    compiler and loaded via dlopen (the paper's actual deployment path).
 //
 // Backends accept a factory so benchmarks can swap the execution strategy
-// without touching the MoC wrappers.
+// without touching the MoC wrappers; an empty factory means the fused
+// interpreter.
 #pragma once
 
 #include <functional>
@@ -32,16 +33,5 @@ public:
 
 using ExecutorFactory =
     std::function<std::unique_ptr<ModelExecutor>(const abstraction::SignalFlowModel&)>;
-
-class ModelLayout;
-
-/// Factory producing the fused register-machine executor (default hot path).
-[[nodiscard]] ExecutorFactory fused_executor_factory();
-
-/// Factory whose executors all share one pre-compiled layout: N scalar
-/// instances, one compile. The model argument each call receives is
-/// ignored — it must be the model `layout` was compiled from.
-[[nodiscard]] ExecutorFactory shared_layout_executor_factory(
-    std::shared_ptr<const ModelLayout> layout);
 
 }  // namespace amsvp::runtime

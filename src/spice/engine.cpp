@@ -24,6 +24,11 @@ using netlist::NodeId;
 
 namespace {
 
+/// Newton convergence on |dx|.
+constexpr double kAbsTolerance = 1e-9;
+/// SPICE always re-verifies convergence with a second iteration.
+constexpr int kMinIterations = 2;
+
 /// Rewrite ddt() to backward-Euler finite differences over symbol history:
 /// ddt(q) -> (q - q@(t-dt)) / h, distributed over linear structure.
 ExprPtr rewrite_ddt(const ExprPtr& e, double h, std::string* error);
@@ -369,7 +374,7 @@ bool SpiceEngine::substep(const std::vector<double>& input_values, double time_s
             x_[i] += residual[i];
             dx_norm = std::max(dx_norm, std::fabs(residual[i]));
         }
-        if (dx_norm < options_.abs_tolerance && iter + 1 >= options_.min_iterations) {
+        if (dx_norm < kAbsTolerance && iter + 1 >= kMinIterations) {
             ++stats_.steps;
             return true;
         }

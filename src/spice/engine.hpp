@@ -36,9 +36,7 @@ struct SpiceOptions {
     /// conservative reference a different discretization error than the
     /// abstracted models (the NRMSE column of Table I).
     int internal_substeps = 8;
-    double abs_tolerance = 1e-9;   ///< Newton convergence on |dx|
-    int min_iterations = 2;        ///< SPICE always re-verifies convergence
-    int max_iterations = 50;
+    int max_iterations = 50;  ///< Newton iterations before a step fails
 };
 
 struct SpiceStats {

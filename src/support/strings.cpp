@@ -39,43 +39,6 @@ std::vector<std::string_view> split(std::string_view text, char separator) {
     return out;
 }
 
-std::vector<std::string_view> split_whitespace(std::string_view text) {
-    std::vector<std::string_view> out;
-    std::size_t i = 0;
-    while (i < text.size()) {
-        while (i < text.size() && is_space(text[i])) {
-            ++i;
-        }
-        std::size_t start = i;
-        while (i < text.size() && !is_space(text[i])) {
-            ++i;
-        }
-        if (i > start) {
-            out.push_back(text.substr(start, i - start));
-        }
-    }
-    return out;
-}
-
-std::string join(const std::vector<std::string>& pieces, std::string_view separator) {
-    std::string out;
-    for (std::size_t i = 0; i < pieces.size(); ++i) {
-        if (i != 0) {
-            out += separator;
-        }
-        out += pieces[i];
-    }
-    return out;
-}
-
-bool starts_with(std::string_view text, std::string_view prefix) {
-    return text.substr(0, prefix.size()) == prefix;
-}
-
-bool ends_with(std::string_view text, std::string_view suffix) {
-    return text.size() >= suffix.size() && text.substr(text.size() - suffix.size()) == suffix;
-}
-
 std::string to_lower(std::string_view text) {
     std::string out(text);
     for (char& c : out) {
@@ -104,27 +67,6 @@ std::string format_double(double value) {
     char buffer[64];
     std::snprintf(buffer, sizeof buffer, "%.17g", value);
     return buffer;
-}
-
-std::string indent(std::string_view text, int spaces) {
-    const std::string pad(static_cast<std::size_t>(spaces), ' ');
-    std::string out;
-    std::size_t start = 0;
-    while (start <= text.size()) {
-        std::size_t nl = text.find('\n', start);
-        std::string_view line =
-            text.substr(start, nl == std::string_view::npos ? text.size() - start : nl - start);
-        if (!line.empty()) {
-            out += pad;
-            out += line;
-        }
-        if (nl == std::string_view::npos) {
-            break;
-        }
-        out += '\n';
-        start = nl + 1;
-    }
-    return out;
 }
 
 }  // namespace amsvp::support

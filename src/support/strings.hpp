@@ -13,24 +13,11 @@ namespace amsvp::support {
 /// Split on a separator character; empty fields are preserved.
 [[nodiscard]] std::vector<std::string_view> split(std::string_view text, char separator);
 
-/// Split on any run of ASCII whitespace; empty fields are dropped.
-[[nodiscard]] std::vector<std::string_view> split_whitespace(std::string_view text);
-
-/// Join pieces with a separator.
-[[nodiscard]] std::string join(const std::vector<std::string>& pieces, std::string_view separator);
-
-/// True when `text` starts with / ends with the given prefix or suffix.
-[[nodiscard]] bool starts_with(std::string_view text, std::string_view prefix);
-[[nodiscard]] bool ends_with(std::string_view text, std::string_view suffix);
-
 /// Lower-case an ASCII string.
 [[nodiscard]] std::string to_lower(std::string_view text);
 
 /// Format a double the way our code generators print literals: shortest
 /// round-trippable representation (e.g. "0.001", "5e-08").
 [[nodiscard]] std::string format_double(double value);
-
-/// Indent every line of `text` by `spaces` spaces.
-[[nodiscard]] std::string indent(std::string_view text, int spaces);
 
 }  // namespace amsvp::support

@@ -1,10 +1,23 @@
 #include "vp/bus.hpp"
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "support/check.hpp"
 
 namespace amsvp::vp {
+
+namespace {
+
+/// Out of line and cold, so the throw stays off the per-instruction path.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_unmapped(const char* access,
+                                                          std::uint32_t address) {
+    char text[64];
+    std::snprintf(text, sizeof text, "bus: %s unmapped address 0x%08x", access, address);
+    throw std::runtime_error(text);
+}
+
+}  // namespace
 
 void SystemBus::map_region(std::string name, std::uint32_t base, std::uint32_t size,
                            BusTarget& target) {
@@ -29,8 +42,7 @@ std::uint32_t SystemBus::read32(std::uint32_t address) {
     ++stats_.reads;
     Region* r = decode(address);
     if (r == nullptr) {
-        std::fprintf(stderr, "bus: read from unmapped address 0x%08x\n", address);
-        AMSVP_CHECK(false, "unmapped bus read");
+        throw_unmapped("read from", address);
     }
     return r->target->read32(address - r->base);
 }
@@ -39,8 +51,7 @@ void SystemBus::write32(std::uint32_t address, std::uint32_t value) {
     ++stats_.writes;
     Region* r = decode(address);
     if (r == nullptr) {
-        std::fprintf(stderr, "bus: write to unmapped address 0x%08x\n", address);
-        AMSVP_CHECK(false, "unmapped bus write");
+        throw_unmapped("write to", address);
     }
     r->target->write32(address - r->base, value);
 }

@@ -32,6 +32,7 @@ public:
     void map_region(std::string name, std::uint32_t base, std::uint32_t size,
                     BusTarget& target);
 
+    /// Throw std::runtime_error naming the address when no region maps it.
     [[nodiscard]] std::uint32_t read32(std::uint32_t address);
     void write32(std::uint32_t address, std::uint32_t value);
 

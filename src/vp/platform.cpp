@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "de/clock.hpp"
 #include "de/signal.hpp"
@@ -21,6 +22,15 @@ using Clk = std::chrono::steady_clock;
 
 namespace {
 
+/// CPU clock period: 50 ns (20 MHz) aligns one instruction per 50 ns
+/// analog timestep.
+constexpr de::Time kCpuPeriod = 50 * de::kNanosecond;
+
+/// ADC full-scale range: the paper's circuits swing within [-6, 6] V
+/// across all four test cases.
+constexpr double kAdcMinVolts = -6.0;
+constexpr double kAdcMaxVolts = 6.0;
+
 double elapsed(Clk::time_point start) {
     return std::chrono::duration<double>(Clk::now() - start).count();
 }
@@ -31,17 +41,15 @@ AssembledProgram assemble_firmware(const PlatformConfig& config) {
         config.firmware.empty() ? firmware_threshold_monitor() : config.firmware;
     auto program = assemble(source, kRamBase, diags);
     if (!program) {
-        std::fprintf(stderr, "%s", diags.render_all().c_str());
+        throw std::invalid_argument(diags.render_all());
     }
-    AMSVP_CHECK(program.has_value(), "firmware failed to assemble");
     return std::move(*program);
 }
 
 /// Digital skeleton shared by every integration: RAM + APB(UART, ADC) + CPU.
 struct DigitalPlatform {
-    DigitalPlatform(const PlatformConfig& config, const AssembledProgram& program,
-                    std::function<double()> probe)
-        : ram(kRamSize), adc(std::move(probe), config.adc_v_min, config.adc_v_max) {
+    DigitalPlatform(const AssembledProgram& program, std::function<double()> probe)
+        : ram(kRamSize), adc(std::move(probe), kAdcMinVolts, kAdcMaxVolts) {
         ram.load(0, program.words);
         apb.attach("uart", kUartBase - kApbBase, 0x1000, uart);
         apb.attach("adc", kAdcBase - kApbBase, 0x1000, adc);
@@ -111,14 +119,14 @@ PlatformResult run_pure_cpp(const PlatformConfig& config, const AssembledProgram
     runtime::ModelExecutor& compiled = *executor;
     const std::vector<const numeric::SourceFunction*> sources = backends::input_stimuli(config);
 
-    DigitalPlatform digital(config, program, [&compiled] { return compiled.output(0); });
+    DigitalPlatform digital(program, [&compiled] { return compiled.output(0); });
 
     // The model steps every model->timestep, like the kernel styles' clocks,
     // and the CPU runs the kernel's count of clock edges up to `end`.
-    const double cpu_dt = de::to_seconds(config.cpu_period);
+    const double cpu_dt = de::to_seconds(kCpuPeriod);
     const auto ratio = static_cast<std::uint64_t>(config.model->timestep / cpu_dt + 0.5);
     AMSVP_CHECK(ratio >= 1, "analog timestep below CPU period");
-    const std::uint64_t ticks = end / config.cpu_period;
+    const std::uint64_t ticks = end / kCpuPeriod;
 
     PlatformResult result;
     const auto start = Clk::now();
@@ -145,13 +153,13 @@ PlatformResult run_kernel_platform(const PlatformConfig& config,
     de::Simulator sim;
     // Analog side first (the ADC probe reads it).
     const backends::KernelAnalog analog(sim, config.integration, config);
-    DigitalPlatform digital(config, program, [&analog] { return analog.observed(); });
+    DigitalPlatform digital(program, [&analog] { return analog.observed(); });
     // Kernel platforms expose a periodic timer peripheral; firmware enables
     // it by writing a period + the enable bit (the default firmware leaves
     // it off, so the memory map is the only difference to the pure-C++ run).
     Timer timer(sim);
     digital.apb.attach("timer", kTimerBase - kApbBase, 0x1000, timer);
-    de::Clock cpu_clock(sim, "clk", config.cpu_period);
+    de::Clock cpu_clock(sim, "clk", kCpuPeriod);
     CpuDeModule cpu_module(sim, cpu_clock, *digital.cpu, config.fidelity);
 
     PlatformResult result;

@@ -29,17 +29,7 @@ enum class DigitalFidelity {
 struct PlatformConfig : backends::AnalogSetup {
     AnalogIntegration integration = AnalogIntegration::kCpp;
     DigitalFidelity fidelity = DigitalFidelity::kTlm;
-
-    /// CPU clock period; the default 50 ns (20 MHz) aligns one instruction
-    /// per 50 ns analog timestep.
-    de::Time cpu_period = 50 * de::kNanosecond;
-
     std::string firmware;  ///< assembly source; empty = threshold monitor
-
-    /// ADC full-scale range (the paper's circuits swing within [-6, 6] V
-    /// across all four test cases).
-    double adc_v_min = -6.0;
-    double adc_v_max = 6.0;
 };
 
 struct PlatformResult {
@@ -55,7 +45,10 @@ struct PlatformResult {
 };
 
 /// Build and run the platform for `duration` simulated seconds, which must
-/// be finite, non-negative and below 2^64 fs for every integration.
+/// be finite, non-negative and below 2^64 fs for every integration. Throws
+/// std::invalid_argument (the assembler's diagnostics) when
+/// `config.firmware` does not assemble, and std::runtime_error when the
+/// firmware touches an unmapped bus address.
 [[nodiscard]] PlatformResult run_platform(const PlatformConfig& config, double duration);
 
 }  // namespace amsvp::vp

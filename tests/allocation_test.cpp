@@ -129,7 +129,8 @@ TEST(AllocationFreeDe, PeriodicClockedModelActivation) {
     de::Simulator sim;
     de::Clock clock(sim, "clk", de::from_seconds(model.timestep));
     backends::DeSource source(sim, clock, "u0", numeric::square_wave(1e-3));
-    backends::DeModel dut(sim, clock, "dut", model, {&source.out()});
+    backends::DeModel dut(sim, clock, "dut", model, {&source.out()},
+                          std::make_unique<runtime::CompiledModel>(model));
 
     sim.run(de::from_seconds(2000 * model.timestep));  // warm-up
 

@@ -20,6 +20,7 @@
 #include "codegen/codegen.hpp"
 #include "codegen/emit_common.hpp"
 #include "codegen/llvm_lowering.hpp"
+#include "codegen/orc_jit.hpp"
 #include "netlist/builder.hpp"
 #include "random_models.hpp"
 #include "runtime/batch_model.hpp"
@@ -594,7 +595,7 @@ TEST(AnalysisConformance, EmitPlanDriftIsDetected) {
 }
 
 TEST(AnalysisConformance, OrcLoweringStoreCountsMatch) {
-    if (!codegen::llvm_backend_available()) {
+    if (!codegen::orc_available()) {
         GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
     }
     for (const int stages : {1, 8, 20}) {
@@ -617,7 +618,7 @@ TEST(AnalysisConformance, OrcLoweringStoreCountsMatch) {
 }
 
 TEST(AnalysisConformance, OrcLoweringContractHoldsOnRandomNonlinearModels) {
-    if (!codegen::llvm_backend_available()) {
+    if (!codegen::orc_available()) {
         GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
     }
     // The models of OrcJitModel.RandomNonlinearModelsMatchInterpreterWholeSlotFile:
@@ -632,7 +633,7 @@ TEST(AnalysisConformance, OrcLoweringContractHoldsOnRandomNonlinearModels) {
 }
 
 TEST(AnalysisConformance, OrcSkipsGracefullyWithoutLlvm) {
-    if (codegen::llvm_backend_available()) {
+    if (codegen::orc_available()) {
         GTEST_SKIP() << "LLVM build: the skip path is the OFF build's";
     }
     const auto layout = compile_rc(1);
@@ -669,7 +670,9 @@ TEST(AnalysisRandomModels, VerifyCleanAndExecuteAcrossWidths) {
         for (const int width : {1, 3, 5, 8}) {
             runtime::BatchCompiledModel batch(layout, width);
             batch.reset();
-            batch.broadcast_input(0, 1.0);
+            for (int lane = 0; lane < width; ++lane) {
+                batch.set_input(lane, 0, 1.0);
+            }
             for (int step = 0; step < 32; ++step) {
                 batch.step(static_cast<double>(step) * layout->timestep());
             }

@@ -15,7 +15,7 @@ TEST(Assembler, Rc1SingleRoot) {
     const netlist::Circuit c = netlist::make_rc_ladder(1);
     const EquationDatabase db = enrich(c);
     std::string error;
-    auto system = assemble(db, {expr::branch_voltage("C1")}, {}, &error);
+    auto system = assemble(db, {expr::branch_voltage("C1")}, &error);
     ASSERT_TRUE(system.has_value()) << error;
     EXPECT_EQ(system->roots.size(), 1u);
     EXPECT_EQ(system->roots[0].symbol, expr::branch_voltage("C1"));
@@ -26,7 +26,7 @@ TEST(Assembler, Rc2DiscoverssBothStates) {
     const netlist::Circuit c = netlist::make_rc_ladder(2);
     const EquationDatabase db = enrich(c);
     std::string error;
-    auto system = assemble(db, {expr::branch_voltage("C2")}, {}, &error);
+    auto system = assemble(db, {expr::branch_voltage("C2")}, &error);
     ASSERT_TRUE(system.has_value()) << error;
     // Both capacitor voltages must be in the root set (the original state
     // space is preserved, Section III-C).
@@ -39,7 +39,7 @@ TEST(Assembler, UnknownOutputFails) {
     const netlist::Circuit c = netlist::make_rc_ladder(1);
     const EquationDatabase db = enrich(c);
     std::string error;
-    auto system = assemble(db, {expr::branch_voltage("NOPE")}, {}, &error);
+    auto system = assemble(db, {expr::branch_voltage("NOPE")}, &error);
     EXPECT_FALSE(system.has_value());
     EXPECT_FALSE(error.empty());
 }
@@ -48,7 +48,7 @@ TEST(Assembler, RootTreesReferenceOnlyRootsInputsAndHistory) {
     const netlist::Circuit c = netlist::make_opamp();
     const EquationDatabase db = enrich(c);
     std::string error;
-    auto system = assemble(db, {expr::branch_voltage("POUT")}, {}, &error);
+    auto system = assemble(db, {expr::branch_voltage("POUT")}, &error);
     ASSERT_TRUE(system.has_value()) << error;
 
     for (const AssembledRoot& root : system->roots) {

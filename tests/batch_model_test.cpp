@@ -158,22 +158,20 @@ TEST(ModelLayout, SharedLayoutExecutorFactoryReusesCompile) {
     auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);
     ASSERT_TRUE(model.has_value()) << error;
 
+    // N scalar executors over one compiled layout: one compile, shared.
     const auto layout = runtime::ModelLayout::compile(*model);
-    const runtime::ExecutorFactory factory = runtime::shared_layout_executor_factory(layout);
-    const auto e1 = factory(*model);
-    const auto e2 = factory(*model);
-    ASSERT_NE(e1, nullptr);
-    ASSERT_NE(e2, nullptr);
-    EXPECT_EQ(layout.use_count(), 4);  // local + factory closure + two executors
+    runtime::CompiledModel e1(layout);
+    runtime::CompiledModel e2(layout);
+    EXPECT_EQ(layout.use_count(), 3);  // local + two executors
 
     runtime::CompiledModel reference(layout);
     reference.set_input(0, 1.0);
-    e1->set_input(0, 1.0);
+    e1.set_input(0, 1.0);
     for (int k = 1; k <= 20; ++k) {
         reference.step(k * model->timestep);
-        e1->step(k * model->timestep);
+        e1.step(k * model->timestep);
     }
-    EXPECT_EQ(reference.output(0), e1->output(0));
+    EXPECT_EQ(reference.output(0), e1.output(0));
 }
 
 // --- Sweep driver -------------------------------------------------------------

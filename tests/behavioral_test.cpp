@@ -12,7 +12,7 @@
 namespace amsvp::abstraction {
 namespace {
 
-SignalFlowModel convert_ok(std::string_view source, const BehavioralOptions& options = {}) {
+SignalFlowModel convert_ok(std::string_view source, const AbstractionOptions& options = {}) {
     support::DiagnosticEngine diags;
     auto module = vams::parse_module_source(source, diags);
     EXPECT_TRUE(module.has_value()) << diags.render_all();
@@ -133,7 +133,7 @@ endmodule)");
 }
 
 TEST(Behavioral, TrapezoidalIdtHalvesFirstIncrement) {
-    BehavioralOptions options;
+    AbstractionOptions options;
     options.scheme = DiscretizationScheme::kTrapezoidal;
     const SignalFlowModel model = convert_ok(R"(module integ(out);
   electrical out;

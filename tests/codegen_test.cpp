@@ -42,14 +42,6 @@ TEST(CppEmitter, ContainsStructStepAndState) {
     EXPECT_NE(code.find("double output0() const { return V_C1; }"), std::string::npos);
 }
 
-TEST(CppEmitter, HeaderCommentCanBeDisabled) {
-    CodegenOptions options;
-    options.header_comment = false;
-    const std::string code = emit_cpp(rc1_model(), options);
-    EXPECT_EQ(code.find("Generated by"), std::string::npos);
-    EXPECT_EQ(code.rfind("#pragma once", 0), 0u);
-}
-
 TEST(CppEmitter, CustomTypeName) {
     CodegenOptions options;
     options.type_name = "my_filter";

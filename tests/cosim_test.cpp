@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "cosim/coupler.hpp"
 #include "netlist/builder.hpp"
@@ -13,6 +14,32 @@ spice::SpiceOptions options_1us() {
     options.timestep = 1e-6;
     options.internal_substeps = 4;
     return options;
+}
+
+TEST(Cosim, EngineCreationFailureThrows) {
+    // The transient engine rejects idt(); the coupler passes its error on.
+    netlist::CircuitBuilder cb("bad");
+    cb.ground("gnd");
+    cb.voltage_source("V1", "a", "gnd", "u0");
+    cb.generic("X1", "a", "gnd",
+               expr::make_equation(expr::EquationKind::kDipole, expr::branch_current("X1"),
+                                   expr::Expr::idt(expr::Expr::symbol(
+                                       expr::branch_voltage("X1"))),
+                                   "dipole(X1)"));
+    const netlist::Circuit c = cb.build();
+    de::Simulator sim;
+    EXPECT_THROW(
+        {
+            try {
+                CosimCoupler coupler(sim, c, options_1us(), {{"u0", numeric::constant(1.0)}},
+                                     "a", "gnd");
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find("cosim: "), std::string::npos);
+                EXPECT_NE(std::string(e.what()).find("idt"), std::string::npos);
+                throw;
+            }
+        },
+        std::invalid_argument);
 }
 
 TEST(Cosim, SynchronizesEveryAnalogTimestep) {

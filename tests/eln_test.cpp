@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "eln/engine.hpp"
 #include "netlist/builder.hpp"
@@ -18,7 +19,7 @@ TEST(Tableau, BuildsForLinearCircuits) {
     EXPECT_EQ(tableau->input_names(), std::vector<std::string>{"u0"});
 }
 
-TEST(Tableau, RejectsNonlinearCircuits) {
+netlist::Circuit square_law_circuit() {
     netlist::CircuitBuilder cb("nl");
     cb.ground("gnd");
     cb.voltage_source("V1", "a", "gnd", "u0");
@@ -26,10 +27,29 @@ TEST(Tableau, RejectsNonlinearCircuits) {
     cb.generic("D1", "a", "gnd",
                expr::make_equation(expr::EquationKind::kDipole, expr::branch_current("D1"),
                                    expr::Expr::mul(v(), v()), "dipole(D1)"));
-    const netlist::Circuit c = cb.build();
+    return cb.build();
+}
+
+TEST(Tableau, RejectsNonlinearCircuits) {
+    const netlist::Circuit c = square_law_circuit();
     std::string error;
     EXPECT_FALSE(Tableau::build(c, 50e-9, &error).has_value());
     EXPECT_NE(error.find("not linear"), std::string::npos);
+}
+
+TEST(ElnEngine, NonlinearCircuitThrowsTheTableauError) {
+    const netlist::Circuit c = square_law_circuit();
+    EXPECT_THROW(
+        {
+            try {
+                ElnEngine engine(c, 50e-9);
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find("ELN: "), std::string::npos);
+                EXPECT_NE(std::string(e.what()).find("not linear"), std::string::npos);
+                throw;
+            }
+        },
+        std::invalid_argument);
 }
 
 TEST(ElnEngine, ResistiveDividerIsExactImmediately) {

@@ -69,7 +69,7 @@ TEST(EquationDatabase, ClassMembersChainInInsertionOrder) {
 TEST(Enrichment, Rc1CountsMatchTheory) {
     const netlist::Circuit c = netlist::make_rc_ladder(1);
     EnrichmentStats stats;
-    const EquationDatabase db = enrich(c, {}, &stats);
+    const EquationDatabase db = enrich(c, &stats);
 
     // 3 branches, 3 nodes -> 3 dipoles, 2 KCL (non-ground), 1 KVL loop.
     EXPECT_EQ(stats.dipole_equations, 3u);
@@ -101,22 +101,6 @@ TEST_P(EnrichmentLadder, EveryBranchQuantityHasADefinition) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Orders, EnrichmentLadder, ::testing::Values(1, 2, 5, 10, 20));
-
-TEST(Enrichment, OptionsDisableAnalyses) {
-    const netlist::Circuit c = netlist::make_rc_ladder(2);
-    EnrichmentOptions no_kvl;
-    no_kvl.mesh_analysis = false;
-    EnrichmentStats stats;
-    (void)enrich(c, no_kvl, &stats);
-    EXPECT_EQ(stats.kvl_equations, 0u);
-    EXPECT_GT(stats.kcl_equations, 0u);
-
-    EnrichmentOptions no_kcl;
-    no_kcl.nodal_analysis = false;
-    (void)enrich(c, no_kcl, &stats);
-    EXPECT_EQ(stats.kcl_equations, 0u);
-    EXPECT_GT(stats.kvl_equations, 0u);
-}
 
 TEST(Enrichment, SolvedVariantsAreConsistent) {
     // For the resistor dipole I = V/R, the variant must be V = R * I.

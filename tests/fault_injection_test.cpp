@@ -375,8 +375,10 @@ TEST_F(FaultInjectionSweep, NanLaneQuarantinedOnNativeBackend) {
     const double duration = 150 * model.timestep;
 
     std::string error;
-    const auto native = codegen::OrcBatchModel::compile(model, kLanes, &error);
-    ASSERT_NE(native, nullptr) << error;
+    const auto program =
+        codegen::OrcJitProgram::compile(runtime::ModelLayout::compile(model), &error);
+    ASSERT_NE(program, nullptr) << error;
+    codegen::OrcBatchModel native(program, kLanes);
 
     for (const int threads : {1, 2}) {
         fault::reset();
@@ -385,7 +387,7 @@ TEST_F(FaultInjectionSweep, NanLaneQuarantinedOnNativeBackend) {
         options.threads = threads;
         options.lane_health_interval = 4;
         const SweepResult result =
-            simulate_sweep(*native, model.inputs, {}, lanes, duration, options);
+            simulate_sweep(native, model.inputs, {}, lanes, duration, options);
         EXPECT_EQ(fault::fire_count("sweep.lane_nan"), 1) << "threads=" << threads;
         EXPECT_EQ(result.lane_health[kPoisoned].status, LaneStatus::kNonFinite);
         EXPECT_EQ(result.lane_health[kPoisoned].failed_at, 8u);
@@ -440,17 +442,18 @@ TEST_F(FaultInjectionSweep, NativeShardAllocFailureFallsBackToInterpreterShard) 
     const double duration = 120 * model.timestep;
 
     std::string error;
-    const auto native =
-        codegen::OrcBatchModel::compile(model, static_cast<int>(lanes.size()), &error);
-    ASSERT_NE(native, nullptr) << error;
+    const auto program =
+        codegen::OrcJitProgram::compile(runtime::ModelLayout::compile(model), &error);
+    ASSERT_NE(program, nullptr) << error;
+    codegen::OrcBatchModel native(program, static_cast<int>(lanes.size()));
     const SweepResult reference =
-        simulate_sweep(*native, model.inputs, {}, lanes, duration);
+        simulate_sweep(native, model.inputs, {}, lanes, duration);
 
     fault::arm("sweep.shard_alloc", fault::Trigger::kOnce, 0, /*context=*/0);
     SweepOptions options;
     options.threads = 3;
     const SweepResult degraded =
-        simulate_sweep(*native, model.inputs, {}, lanes, duration, options);
+        simulate_sweep(native, model.inputs, {}, lanes, duration, options);
     EXPECT_EQ(fault::fire_count("sweep.shard_alloc"), 1);
     // Shard 0 ran on the interpreter fallback; ORC and interpreter are
     // bit-identical, so the result still matches exactly.

@@ -187,9 +187,9 @@ INSTANTIATE_TEST_SUITE_P(PaperCircuits, FusedPaperCircuit,
                          ::testing::Values("2IN", "RC1", "RC20", "OA"));
 
 TEST(FusedExecutorFactory, BackendRunnerTracksBytecodeFactory) {
-    // The executor factories are how benches swap executors into the MoC
-    // wrappers; a fused-factory backend run must track one whose factory
-    // builds the bytecode reference.
+    // The executor factory is how benches swap executors into the MoC
+    // wrappers; a run with no factory (the fused interpreter) must track one
+    // whose factory builds the bytecode reference.
     const netlist::Circuit circuit = netlist::make_rc_ladder(3);
     std::string error;
     auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);
@@ -200,7 +200,6 @@ TEST(FusedExecutorFactory, BackendRunnerTracksBytecodeFactory) {
     setup.stimuli = {{"u0", numeric::square_wave(1e-3)}};
     setup.timestep = model->timestep;
 
-    setup.executor_factory = runtime::fused_executor_factory();
     const auto fused = backends::run_isolated(backends::AnalogIntegration::kCpp, setup, 2e-4);
     setup.executor_factory = [](const SignalFlowModel& m) {
         return std::make_unique<ReferenceExecutor>(m);

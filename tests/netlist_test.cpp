@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "netlist/builder.hpp"
 #include "netlist/topology.hpp"
 
@@ -75,6 +77,21 @@ TEST(Circuit, ValidateDetectsMissingGroundAndDisconnection) {
     (void)b;
     const auto problems = c.validate();
     EXPECT_GE(problems.size(), 2u);  // no ground + node b disconnected
+}
+
+TEST(Builder, InvalidCircuitThrowsItsProblems) {
+    CircuitBuilder cb("floating");  // no ground node
+    cb.resistor("R1", "a", "b", 1e3);
+    EXPECT_THROW(
+        {
+            try {
+                (void)cb.build();
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find("circuit 'floating': "), std::string::npos);
+                throw;
+            }
+        },
+        std::invalid_argument);
 }
 
 TEST(Builder, PaperCircuitShapes) {

@@ -95,7 +95,7 @@ bool diagnostics_mention(const runtime::SweepResult& result, const std::string& 
 // IR lowering (text level).
 
 TEST(OrcJitLowering, EmitsOneBatchEntryPointWithoutFastMath) {
-    if (!llvm_backend_available()) {
+    if (!orc_available()) {
         GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
     }
     const auto model = ladder_model(3);
@@ -133,7 +133,7 @@ TEST(OrcJitLowering, EmitsOneBatchEntryPointWithoutFastMath) {
 }
 
 TEST(OrcJitLowering, UnavailableBuildReportsCleanError) {
-    if (llvm_backend_available()) {
+    if (orc_available()) {
         GTEST_SKIP() << "LLVM build: the stub error path is compiled out";
     }
     const auto model = ladder_model(2);
@@ -158,8 +158,9 @@ TEST(OrcJitModel, SlotFileMatchesInterpreterSlotForSlot) {
     // lane with three computed ghost lanes.
     constexpr int kWidth = 5;
     std::string error;
-    auto orc = OrcBatchModel::compile(model, kWidth, &error);
-    ASSERT_NE(orc, nullptr) << error;
+    const auto program = OrcJitProgram::compile(runtime::ModelLayout::compile(model), &error);
+    ASSERT_NE(program, nullptr) << error;
+    OrcBatchModel orc(program, kWidth);
     runtime::BatchCompiledModel interp(model, kWidth);
 
     const int model_slots = static_cast<int>(interp.layout()->model_slot_count());
@@ -169,14 +170,14 @@ TEST(OrcJitModel, SlotFileMatchesInterpreterSlotForSlot) {
         const double t = k * dt;
         for (int l = 0; l < kWidth; ++l) {
             const double v = stimulus(t) * (1.0 + 0.1 * static_cast<double>(l));
-            orc->set_input(l, 0, v);
+            orc.set_input(l, 0, v);
             interp.set_input(l, 0, v);
         }
-        orc->step(t);
+        orc.step(t);
         interp.step(t);
         for (int l = 0; l < kWidth; ++l) {
             for (int s = 0; s < model_slots; ++s) {
-                ASSERT_EQ(orc->slot_value(l, s), interp.slot_value(l, s))
+                ASSERT_EQ(orc.slot_value(l, s), interp.slot_value(l, s))
                     << "lane " << l << " slot " << s << " at step " << k;
             }
         }
@@ -189,8 +190,9 @@ TEST(OrcJitModel, CompactLanesPreservesSurvivorsBitForBit) {
     }
     const auto model = ladder_model(4);
     std::string error;
-    auto orc = OrcBatchModel::compile(model, 7, &error);
-    ASSERT_NE(orc, nullptr) << error;
+    const auto program = OrcJitProgram::compile(runtime::ModelLayout::compile(model), &error);
+    ASSERT_NE(program, nullptr) << error;
+    OrcBatchModel orc(program, 7);
     runtime::BatchCompiledModel interp(model, 7);
 
     const double dt = model.timestep;
@@ -202,23 +204,23 @@ TEST(OrcJitModel, CompactLanesPreservesSurvivorsBitForBit) {
             m.step(k * dt);
         }
     };
-    drive(*orc, 7, 1, 50);
+    drive(orc, 7, 1, 50);
     drive(interp, 7, 1, 50);
     // 7 -> 3 lanes crosses a padded-row boundary, so the kernel must pick up
     // the re-strided slot file.
     const std::vector<int> keep{0, 2, 5};
-    orc->compact_lanes(keep);
+    orc.compact_lanes(keep);
     interp.compact_lanes(keep);
-    ASSERT_EQ(orc->batch(), 3);
-    drive(*orc, 3, 51, 120);
+    ASSERT_EQ(orc.batch(), 3);
+    drive(orc, 3, 51, 120);
     drive(interp, 3, 51, 120);
     for (int l = 0; l < 3; ++l) {
-        ASSERT_EQ(orc->output(l, 0), interp.output(l, 0)) << "lane " << l;
+        ASSERT_EQ(orc.output(l, 0), interp.output(l, 0)) << "lane " << l;
     }
     // reset() restores the constructed width on both sides.
-    orc->reset();
+    orc.reset();
     interp.reset();
-    EXPECT_EQ(orc->batch(), 7);
+    EXPECT_EQ(orc.batch(), 7);
     EXPECT_EQ(interp.batch(), 7);
 }
 
@@ -230,8 +232,10 @@ TEST(OrcJitModel, RandomModelsMatchInterpreterSlotForSlot) {
         const auto model = random_model(seed);
         constexpr int kWidth = 3;
         std::string error;
-        auto orc = OrcBatchModel::compile(model, kWidth, &error);
-        ASSERT_NE(orc, nullptr) << "seed " << seed << ": " << error;
+        const auto program =
+            OrcJitProgram::compile(runtime::ModelLayout::compile(model), &error);
+        ASSERT_NE(program, nullptr) << "seed " << seed << ": " << error;
+        OrcBatchModel orc(program, kWidth);
         runtime::BatchCompiledModel interp(model, kWidth);
 
         const int model_slots = static_cast<int>(interp.layout()->model_slot_count());
@@ -240,14 +244,14 @@ TEST(OrcJitModel, RandomModelsMatchInterpreterSlotForSlot) {
             const double t = k * dt;
             for (int l = 0; l < kWidth; ++l) {
                 const double v = 0.5 + 0.25 * static_cast<double>(l) + 0.1 * std::sin(t * 500.0);
-                orc->set_input(l, 0, v);
+                orc.set_input(l, 0, v);
                 interp.set_input(l, 0, v);
             }
-            orc->step(t);
+            orc.step(t);
             interp.step(t);
             for (int l = 0; l < kWidth; ++l) {
                 for (int s = 0; s < model_slots; ++s) {
-                    ASSERT_EQ(orc->slot_value(l, s), interp.slot_value(l, s))
+                    ASSERT_EQ(orc.slot_value(l, s), interp.slot_value(l, s))
                         << "seed " << seed << " lane " << l << " slot " << s
                         << " at step " << k;
                 }
@@ -262,7 +266,7 @@ TEST(OrcJitModel, WidthOneMatchesScalarInterpreter) {
     }
     const auto model = ladder_model(4);
     std::string error;
-    const auto program = OrcJitProgram::compile(model, &error);
+    const auto program = OrcJitProgram::compile(runtime::ModelLayout::compile(model), &error);
     ASSERT_NE(program, nullptr) << error;
 
     // One live lane in one padded row: the kernel computes three ghost
@@ -297,7 +301,8 @@ TEST(OrcJitModel, RandomNonlinearModelsMatchInterpreterWholeSlotFile) {
     for (unsigned seed = 1; seed <= 12; ++seed) {
         const auto model = testing_support::make_random_signal_flow(seed);
         std::string error;
-        const auto program = OrcJitProgram::compile(model, &error);
+        const auto program =
+            OrcJitProgram::compile(runtime::ModelLayout::compile(model), &error);
         ASSERT_NE(program, nullptr) << "seed " << seed << ": " << error;
         const int slots = static_cast<int>(program->layout()->slot_count());
         for (const int width : {1, 3, 4, 5, 17}) {
@@ -334,9 +339,10 @@ TEST(OrcJitModel, FallbackShardIsInterpreterAndBitIdentical) {
     }
     const auto model = ladder_model(3);
     std::string error;
-    auto orc = OrcBatchModel::compile(model, 4, &error);
-    ASSERT_NE(orc, nullptr) << error;
-    auto fallback = orc->make_fallback_shard(4);
+    const auto program = OrcJitProgram::compile(runtime::ModelLayout::compile(model), &error);
+    ASSERT_NE(program, nullptr) << error;
+    OrcBatchModel orc(program, 4);
+    auto fallback = orc.make_fallback_shard(4);
     ASSERT_NE(fallback, nullptr);
     // The degraded shard is an interpreter batch, not another ORC batch.
     EXPECT_EQ(dynamic_cast<OrcBatchModel*>(fallback.get()), nullptr);
@@ -344,14 +350,14 @@ TEST(OrcJitModel, FallbackShardIsInterpreterAndBitIdentical) {
     const double dt = model.timestep;
     for (int k = 1; k <= 100; ++k) {
         for (int l = 0; l < 4; ++l) {
-            orc->set_input(l, 0, 0.25 * static_cast<double>(l + 1));
+            orc.set_input(l, 0, 0.25 * static_cast<double>(l + 1));
             fallback->set_input(l, 0, 0.25 * static_cast<double>(l + 1));
         }
-        orc->step(k * dt);
+        orc.step(k * dt);
         fallback->step(k * dt);
     }
     for (int l = 0; l < 4; ++l) {
-        ASSERT_EQ(orc->output_lanes(0)[static_cast<std::size_t>(l)],
+        ASSERT_EQ(orc.output_lanes(0)[static_cast<std::size_t>(l)],
                   fallback->output_lanes(0)[static_cast<std::size_t>(l)]);
     }
 }
@@ -424,7 +430,7 @@ TEST(OrcJitSweepBackend, SteadyStateRetirementMatchesInterpreter) {
     ASSERT_TRUE(any_retired);
 
     std::string error;
-    const auto program = OrcJitProgram::compile(model, &error);
+    const auto program = OrcJitProgram::compile(runtime::ModelLayout::compile(model), &error);
     ASSERT_NE(program, nullptr) << error;
     for (const int threads : {1, 0}) {
         runtime::SweepOptions orc_options = options;
@@ -569,17 +575,19 @@ TEST(ThreadedSweepOrcCompile, ConcurrentCompilesAreIsolated) {
     support::ThreadPool pool(4);
     pool.run(kJobs, [&](int j) {
         const auto& model = models[static_cast<std::size_t>(j)];
-        auto batched = OrcBatchModel::compile(model, 4, &errors[static_cast<std::size_t>(j)]);
-        if (batched == nullptr) {
+        const auto program = OrcJitProgram::compile(runtime::ModelLayout::compile(model),
+                                                    &errors[static_cast<std::size_t>(j)]);
+        if (program == nullptr) {
             return;
         }
+        OrcBatchModel batched(program, 4);
         for (int k = 1; k <= 100; ++k) {
             for (int l = 0; l < 4; ++l) {
-                batched->set_input(l, 0, 1.0);
+                batched.set_input(l, 0, 1.0);
             }
-            batched->step(k * model.timestep);
+            batched.step(k * model.timestep);
         }
-        out[static_cast<std::size_t>(j)] = batched->output(0, 0);
+        out[static_cast<std::size_t>(j)] = batched.output(0, 0);
     });
 
     for (int j = 0; j < kJobs; ++j) {

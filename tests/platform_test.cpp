@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "abstraction/abstraction.hpp"
 #include "netlist/builder.hpp"
@@ -212,6 +213,45 @@ TEST(Platform, CustomFirmwareRuns) {
     )";
     const PlatformResult result = run_platform(config, 1e-4);
     EXPECT_EQ(result.uart_output, "HI");
+}
+
+TEST(Platform, BadFirmwareThrowsTheAssemblerDiagnostics) {
+    const Fixture f;
+    PlatformConfig config = f.config(AnalogIntegration::kCpp);
+    config.firmware = "        frobnicate $t0, $t1\n";
+    EXPECT_THROW(
+        {
+            try {
+                (void)run_platform(config, 1e-4);
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find("frobnicate"), std::string::npos);
+                throw;
+            }
+        },
+        std::invalid_argument);
+}
+
+TEST(Platform, UnmappedBusAccessThrowsNamingTheAddress) {
+    const Fixture f;
+    for (const auto integration : {AnalogIntegration::kCpp, AnalogIntegration::kDe}) {
+        SCOPED_TRACE(std::string(to_string(integration)));
+        PlatformConfig config = f.config(integration);
+        config.firmware = R"(
+            li   $t0, 0x20000000
+            lw   $t1, 0($t0)
+            halt
+        )";
+        EXPECT_THROW(
+            {
+                try {
+                    (void)run_platform(config, 1e-4);
+                } catch (const std::runtime_error& e) {
+                    EXPECT_NE(std::string(e.what()).find("0x20000000"), std::string::npos);
+                    throw;
+                }
+            },
+            std::runtime_error);
+    }
 }
 
 TEST(Platform, BusStatisticsAreCoherent) {

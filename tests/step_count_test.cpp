@@ -114,7 +114,7 @@ private:
 class Sink final : public tdf::TdfModule {
 public:
     explicit Sink(std::string name) : TdfModule(std::move(name)), in(*this, "in") {}
-    void processing() override { in.read(); }
+    void processing() override { (void)in.read(); }
     tdf::TdfIn in;
 };
 

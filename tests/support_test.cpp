@@ -22,27 +22,6 @@ TEST(Strings, SplitPreservesEmptyFields) {
     EXPECT_EQ(parts[3], "");
 }
 
-TEST(Strings, SplitWhitespaceDropsEmptyFields) {
-    const auto parts = split_whitespace("  one\ttwo \n three ");
-    ASSERT_EQ(parts.size(), 3u);
-    EXPECT_EQ(parts[0], "one");
-    EXPECT_EQ(parts[1], "two");
-    EXPECT_EQ(parts[2], "three");
-}
-
-TEST(Strings, JoinConcatenatesWithSeparator) {
-    EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-    EXPECT_EQ(join({}, ", "), "");
-    EXPECT_EQ(join({"solo"}, ", "), "solo");
-}
-
-TEST(Strings, StartsEndsWith) {
-    EXPECT_TRUE(starts_with("module foo", "module"));
-    EXPECT_FALSE(starts_with("mod", "module"));
-    EXPECT_TRUE(ends_with("file.vams", ".vams"));
-    EXPECT_FALSE(ends_with("vams", ".vams"));
-}
-
 TEST(Strings, ToLower) {
     EXPECT_EQ(to_lower("RC20 Model"), "rc20 model");
 }
@@ -65,10 +44,6 @@ TEST(FormatDouble, UsesCompactForms) {
     EXPECT_EQ(format_double(5e-8), "5e-08");    // shorter than 0.00000005
     EXPECT_EQ(format_double(0.001), "0.001");
     EXPECT_EQ(format_double(1.0), "1");
-}
-
-TEST(Indent, IndentsNonEmptyLines) {
-    EXPECT_EQ(indent("a\nb\n\nc", 2), "  a\n  b\n\n  c");
 }
 
 TEST(Diagnostics, CountsAndRendersErrors) {

@@ -192,7 +192,7 @@ TEST(TdfModules, ModelModuleWrapsCompiledModel) {
     m.outputs.push_back(expr::variable_symbol("y"));
 
     backends::TdfSource source("src", numeric::constant(2.0));
-    backends::TdfModel dut("dut", m);
+    backends::TdfModel dut("dut", m, std::make_unique<runtime::CompiledModel>(m));
     backends::TdfSink sink("sink");
     TdfCluster cluster;
     cluster.add(source);

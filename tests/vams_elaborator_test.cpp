@@ -14,7 +14,7 @@ ElaborationResult elaborate_ok(std::string_view source) {
     EXPECT_TRUE(module.has_value()) << diags.render_all();
     auto result = elaborate(*module, diags);
     EXPECT_TRUE(result.has_value()) << diags.render_all();
-    return result ? std::move(*result) : ElaborationResult{};
+    return result ? std::move(*result) : ElaborationResult{netlist::Circuit(), {}};
 }
 
 void elaborate_fails(std::string_view source) {
