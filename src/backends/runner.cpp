@@ -46,9 +46,7 @@ std::vector<const numeric::SourceFunction*> input_stimuli(const AnalogSetup& set
     AMSVP_CHECK(setup.model != nullptr, "generated-model styles need the abstracted model");
     std::vector<const numeric::SourceFunction*> sources;
     for (const expr::Symbol& in : setup.model->inputs) {
-        const auto it = setup.stimuli.find(in.name);
-        AMSVP_CHECK(it != setup.stimuli.end(), "missing stimulus");
-        sources.push_back(&it->second);
+        sources.push_back(&numeric::stimulus_for(setup.stimuli, in.name));
     }
     return sources;
 }

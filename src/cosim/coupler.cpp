@@ -22,11 +22,14 @@ CosimCoupler::CosimCoupler(de::Simulator& sim, const netlist::Circuit& circuit,
         throw std::invalid_argument("cosim: " + error);
     }
     engine_ = std::make_unique<spice::SpiceEngine>(std::move(*engine));
+    for (const std::string* node : {&pos_, &neg_}) {
+        if (!circuit.find_node(*node)) {
+            throw std::invalid_argument("cosim: unknown observed node '" + *node + "'");
+        }
+    }
 
     for (const std::string& name : engine_->input_names()) {
-        const auto it = stimuli.find(name);
-        AMSVP_CHECK(it != stimuli.end(), "missing stimulus for co-simulated input");
-        sources_.push_back(it->second);
+        sources_.push_back(numeric::stimulus_for(stimuli, name));
     }
     inputs_scratch_.assign(sources_.size(), 0.0);
     output_ = std::make_unique<de::Signal<double>>(sim, "cosim_out", 0.0);

@@ -42,7 +42,8 @@ public:
     /// Stimuli provide the analog input values; the voltage between
     /// `observed_pos`/`observed_neg` is published to a digital signal at
     /// every synchronization point. Throws std::invalid_argument when the
-    /// conservative engine cannot be created for `circuit`.
+    /// conservative engine cannot be created for `circuit`, when an observed
+    /// node is not in `circuit`, or when an input has no stimulus.
     CosimCoupler(de::Simulator& sim, const netlist::Circuit& circuit,
                  const spice::SpiceOptions& options,
                  std::map<std::string, numeric::SourceFunction> stimuli,

@@ -70,10 +70,13 @@ ElnDeModule::ElnDeModule(de::Simulator& sim, const netlist::Circuit& circuit, do
       neg_(std::move(observed_neg)),
       trace_(timestep, timestep),
       period_(de::from_seconds(timestep)) {
+    for (const std::string* node : {&pos_, &neg_}) {
+        if (!circuit.find_node(*node)) {
+            throw std::invalid_argument("ELN: unknown observed node '" + *node + "'");
+        }
+    }
     for (const std::string& name : engine_.input_names()) {
-        const auto it = stimuli.find(name);
-        AMSVP_CHECK(it != stimuli.end(), "missing stimulus for ELN input");
-        sources_.push_back(it->second);
+        sources_.push_back(numeric::stimulus_for(stimuli, name));
     }
     input_scratch_.assign(sources_.size(), 0.0);
     output_ = std::make_unique<de::Signal<double>>(sim, "eln_out", 0.0);

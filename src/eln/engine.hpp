@@ -55,6 +55,8 @@ private:
 
 /// DE-kernel wrapper: activates the engine every timestep, reading stimuli
 /// from source functions and publishing one observed voltage to a signal.
+/// The constructor throws std::invalid_argument on non-linear circuits, when
+/// an observed node is not in the circuit, or when an input has no stimulus.
 class ElnDeModule {
 public:
     ElnDeModule(de::Simulator& sim, const netlist::Circuit& circuit, double timestep,

@@ -45,8 +45,9 @@ std::optional<Tableau> Tableau::build(const Circuit& circuit, double timestep,
     }
     t.size_ = circuit.node_count() - 1 + circuit.branch_count();
 
-    // Offset programs read [inputs..., time].
-    t.offset_slot_count_ = t.inputs_.size() + 1;
+    // Offsets read [inputs..., time] and land in one slot per row after them.
+    const int first_offset_slot = static_cast<int>(t.inputs_.size()) + 1;
+    std::vector<expr::FusedProgram::AssignmentSpec> offsets;
     const expr::SlotResolver offset_resolver = [&t](const Symbol& s, int delay) -> int {
         AMSVP_CHECK(delay == 0, "tableau offsets cannot reference history");
         if (s.kind == SymbolKind::kTime) {
@@ -121,11 +122,17 @@ std::optional<Tableau> Tableau::build(const Circuit& circuit, double timestep,
             }
         }
         if (!form->offset()->is_constant(0.0)) {
-            row.offset = expr::Program::compile(form->offset(), offset_resolver);
+            row.offset_slot = first_offset_slot + static_cast<int>(offsets.size());
+            offsets.push_back({row.offset_slot, form->offset()});
         }
         t.rows_.push_back(std::move(row));
     }
     AMSVP_CHECK(t.rows_.size() == t.size_, "tableau row/column mismatch");
+
+    const int file_size = first_offset_slot + static_cast<int>(offsets.size());
+    t.offsets_ = expr::FusedProgram::compile(offsets, offset_resolver, file_size);
+    t.offset_slots_.assign(static_cast<std::size_t>(file_size + t.offsets_.scratch_count()), 0.0);
+    t.offsets_.initialize_constants(t.offset_slots_.data());
     return t;
 }
 
@@ -139,28 +146,25 @@ void Tableau::stamp_matrix(numeric::Matrix& a) const {
 }
 
 void Tableau::build_rhs(const numeric::Vector& x_prev, const std::vector<double>& input_values,
-                        double time_seconds, numeric::Vector& b) const {
+                        double time_seconds, numeric::Vector& b) {
     AMSVP_CHECK(x_prev.size() == size_, "previous solution size mismatch");
     AMSVP_CHECK(input_values.size() == inputs_.size(), "input value count mismatch");
     b.assign(size_, 0.0);
 
-    // Offset programs read [inputs..., time] from a small scratch buffer
-    // (reused member: build_rhs runs once per analog timestep and must not
-    // allocate in steady state).
-    std::vector<double>& slots = offset_slots_scratch_;
-    slots.assign(offset_slot_count_, 0.0);
-    for (std::size_t i = 0; i < input_values.size(); ++i) {
-        slots[i] = input_values[i];
-    }
-    slots[inputs_.size()] = time_seconds;
+    // Only the inputs and time are written: the constant pool was written
+    // once in build(), and build_rhs runs every analog timestep without
+    // allocating.
+    std::copy(input_values.begin(), input_values.end(), offset_slots_.begin());
+    offset_slots_[inputs_.size()] = time_seconds;
+    offsets_.execute(offset_slots_.data());
 
     for (std::size_t r = 0; r < rows_.size(); ++r) {
         double acc = 0.0;
         for (const auto& [col, coeff] : rows_[r].history) {
             acc += coeff * x_prev[static_cast<std::size_t>(col)];
         }
-        if (rows_[r].offset) {
-            acc -= rows_[r].offset->evaluate(slots.data());
+        if (rows_[r].offset_slot >= 0) {
+            acc -= offset_slots_[static_cast<std::size_t>(rows_[r].offset_slot)];
         }
         b[r] = acc;
     }

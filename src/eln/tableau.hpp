@@ -1,4 +1,4 @@
-// Sparse-tableau formulation shared by the ELN and SPICE engines.
+// Sparse-tableau formulation of the ELN engine.
 //
 // Unknown vector x = [ node potentials (ground excluded) | branch currents ].
 // Equations: one KCL row per non-ground node, one constitutive row per
@@ -8,17 +8,20 @@
 //
 //     ddt(q)  ->  (q - q_prev) / h
 //
-// The two engines differ only in policy: ELN factorises the (constant)
-// matrix once and back-substitutes per step, the SPICE engine re-stamps and
-// re-factorises every Newton iteration of every step — the exact cost split
-// the paper attributes to conservative simulation.
+// Only linear networks build: the matrix is constant, so ELN factorises it
+// once and back-substitutes per step. The SPICE engine (spice/engine.hpp)
+// does not use this class. It builds the same column layout and row order
+// itself, keeps every row as a residual, stamps nonlinear rows by finite
+// differences, and re-stamps and re-factorises every Newton iteration of
+// every step — the cost split the paper attributes to conservative
+// simulation.
 #pragma once
 
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "expr/bytecode.hpp"
+#include "expr/fused.hpp"
 #include "expr/linear_form.hpp"
 #include "netlist/circuit.hpp"
 #include "numeric/matrix.hpp"
@@ -42,9 +45,11 @@ public:
     void stamp_matrix(numeric::Matrix& a) const;
 
     /// Build the right-hand side for one step: needs the previous solution
-    /// and the current input values (model order: input_names()).
+    /// and the current input values (model order: input_names()). Runs the
+    /// offset program in a member slot file, so concurrent calls on one
+    /// Tableau are unsafe (copy it per thread).
     void build_rhs(const numeric::Vector& x_prev, const std::vector<double>& input_values,
-                   double time_seconds, numeric::Vector& b) const;
+                   double time_seconds, numeric::Vector& b);
 
     // --- Solution accessors -------------------------------------------------
     [[nodiscard]] double node_voltage(const numeric::Vector& x, netlist::NodeId node) const;
@@ -63,9 +68,9 @@ private:
         std::vector<std::pair<int, double>> coefficients;
         /// RHS contributions from the previous solution: b += c * x_prev[col].
         std::vector<std::pair<int, double>> history;
-        /// RHS contribution from inputs/time: b -= offset(t, u). Empty
-        /// program means no offset.
-        std::optional<expr::Program> offset;
+        /// RHS contribution from inputs/time: b -= offset_slots_[offset_slot];
+        /// -1 means the row has no offset.
+        int offset_slot = -1;
     };
 
     [[nodiscard]] int node_column(netlist::NodeId node) const;
@@ -77,10 +82,12 @@ private:
     std::vector<int> node_col_;  ///< per node; -1 for ground
     std::vector<Row> rows_;
     std::vector<std::string> inputs_;
-    std::size_t offset_slot_count_ = 0;
-    /// Scratch for offset-program inputs, reused across build_rhs calls
-    /// (makes concurrent build_rhs on one Tableau unsafe; copy per thread).
-    mutable std::vector<double> offset_slots_scratch_;
+    /// Every row's offset as one assignment over the offset file
+    /// [inputs..., time, offsets..., scratch and constant pool].
+    expr::FusedProgram offsets_;
+    /// The offset file, reused across build_rhs calls; the constant pool is
+    /// written once, in build().
+    std::vector<double> offset_slots_;
 };
 
 }  // namespace amsvp::eln

@@ -366,6 +366,30 @@ double evaluate_constant(const ExprPtr& e) {
     return 0.0;
 }
 
+double evaluate_tree(const ExprPtr& e, const SlotResolver& resolver, const double* slots) {
+    switch (e->kind()) {
+        case ExprKind::kConstant:
+            return e->constant_value();
+        case ExprKind::kSymbol:
+            return slots[resolver(e->symbol(), 0)];
+        case ExprKind::kDelayed:
+            return slots[resolver(e->symbol(), e->delay())];
+        case ExprKind::kUnary:
+            return apply_unary(e->unary_op(), evaluate_tree(e->operand(), resolver, slots));
+        case ExprKind::kBinary:
+            return apply_binary(e->binary_op(), evaluate_tree(e->left(), resolver, slots),
+                                evaluate_tree(e->right(), resolver, slots));
+        case ExprKind::kConditional:
+            return evaluate_tree(e->condition(), resolver, slots) != 0.0
+                       ? evaluate_tree(e->then_branch(), resolver, slots)
+                       : evaluate_tree(e->else_branch(), resolver, slots);
+        case ExprKind::kDdt:
+        case ExprKind::kIdt:
+            AMSVP_CHECK(false, "ddt/idt must be discretized before evaluation");
+    }
+    return 0.0;
+}
+
 double apply_unary(UnaryOp op, double x) {
     switch (op) {
         case UnaryOp::kNeg:

@@ -11,6 +11,7 @@
 // builds new trees that structurally share unchanged subtrees.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string_view>
 
@@ -147,6 +148,16 @@ private:
 
 /// Evaluate a tree of pure constants; asserts if symbols remain.
 [[nodiscard]] double evaluate_constant(const ExprPtr& e);
+
+/// Maps a (symbol, delay) reference to a slot index in the value file.
+/// delay == 0 is the current-time value.
+using SlotResolver = std::function<int(const Symbol&, int delay)>;
+
+/// Reference tree-walk evaluator over a slot file: the slow path the fused
+/// engine's differential tests compare against. The expression must be free
+/// of ddt/idt (discretized); violations abort.
+[[nodiscard]] double evaluate_tree(const ExprPtr& e, const SlotResolver& resolver,
+                                   const double* slots);
 
 /// Apply a unary/binary operator to already-evaluated operands.
 [[nodiscard]] double apply_unary(UnaryOp op, double x);

@@ -441,9 +441,9 @@ private:
                     return cond.cval != 0.0 ? compile_value(e->then_branch())
                                             : compile_value(e->else_branch());
                 }
-                // Like the stack bytecode, both arms evaluate eagerly; the
-                // select only picks a value (expressions are side-effect
-                // free).
+                // Both arms evaluate eagerly; the select only picks a value
+                // (expressions are side-effect free, so this matches the
+                // tree walk, which evaluates the taken arm only).
                 const std::int32_t t = materialize(compile_value(e->then_branch()));
                 const std::int32_t o = materialize(compile_value(e->else_branch()));
                 return in_slot(emit(FusedOp::kSelect, new_reg(), cond.slot, t, o));

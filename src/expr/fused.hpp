@@ -1,11 +1,11 @@
-// Fused register-machine compilation of whole signal-flow programs.
+// Fused register-machine compilation of assignment lists.
 //
-// The stack bytecode in expr/bytecode.hpp interprets one assignment at a
-// time through push/pop traffic on an evaluation stack. This engine instead
-// compiles *all* assignments of a model into a single flat stream of
+// The one expression engine of the library: signal-flow models, the SPICE
+// engine's residual rows and the ELN tableau's right-hand-side offsets all
+// compile here. All assignments of a program become a single flat stream of
 // three-address instructions that read and write the slot file directly:
 //
-//  * no push/pop — every operand names a slot, every result lands in one;
+//  * every operand names a slot, every result lands in one;
 //  * constant folding and a constant pool shared across assignments;
 //  * common-subexpression elimination across assignment boundaries
 //    (pointer identity for shared subtrees plus structural hashing for
@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "expr/bytecode.hpp"
 #include "expr/expr.hpp"
 
 namespace amsvp::expr {

@@ -1,6 +1,7 @@
 #include "numeric/sources.hpp"
 
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "support/check.hpp"
@@ -64,6 +65,15 @@ SourceFunction piecewise_linear(std::vector<PwlPoint> points) {
 
 SourceFunction constant(double value) {
     return [=](double) { return value; };
+}
+
+const SourceFunction& stimulus_for(const std::map<std::string, SourceFunction>& stimuli,
+                                   const std::string& input) {
+    const auto it = stimuli.find(input);
+    if (it == stimuli.end()) {
+        throw std::invalid_argument("missing stimulus for model input " + input);
+    }
+    return it->second;
 }
 
 }  // namespace amsvp::numeric

@@ -5,6 +5,8 @@
 #pragma once
 
 #include <functional>
+#include <map>
+#include <string>
 #include <vector>
 
 namespace amsvp::numeric {
@@ -34,5 +36,10 @@ struct PwlPoint {
 
 /// Constant value.
 [[nodiscard]] SourceFunction constant(double value);
+
+/// The stimulus of model input `input`. Throws std::invalid_argument naming
+/// the input when `stimuli` has none.
+[[nodiscard]] const SourceFunction& stimulus_for(
+    const std::map<std::string, SourceFunction>& stimuli, const std::string& input);
 
 }  // namespace amsvp::numeric

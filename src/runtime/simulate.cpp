@@ -40,11 +40,7 @@ TransientResult simulate_transient(ModelExecutor& compiled,
     std::vector<const numeric::SourceFunction*> sources;
     sources.reserve(input_symbols.size());
     for (const expr::Symbol& in : input_symbols) {
-        const auto it = stimuli.find(in.name);
-        if (it == stimuli.end()) {
-            throw std::invalid_argument("missing stimulus for model input " + in.name);
-        }
-        sources.push_back(&it->second);
+        sources.push_back(&numeric::stimulus_for(stimuli, in.name));
     }
 
     const std::size_t steps = support::step_count(duration_seconds, dt);

@@ -154,9 +154,9 @@ std::optional<SpiceEngine> SpiceEngine::create(const Circuit& circuit,
     e.size_ = circuit.node_count() - 1 + circuit.branch_count();
 
     const int nb = static_cast<int>(circuit.branch_count());
-    const std::size_t slot_count =
-        static_cast<std::size_t>(4 * nb) + e.inputs_.size() + 1;
-    e.slots_.assign(slot_count, 0.0);
+    const int row_base = 4 * nb + static_cast<int>(e.inputs_.size()) + 1;
+    e.row_slot_base_ = static_cast<std::size_t>(row_base);
+    std::vector<expr::FusedProgram::AssignmentSpec> residuals;
 
     const expr::SlotResolver resolver = [&e, nb](const Symbol& s, int delay) -> int {
         if (s.kind == SymbolKind::kTime) {
@@ -193,7 +193,7 @@ std::optional<SpiceEngine> SpiceEngine::create(const Circuit& circuit,
             row.jacobian.emplace_back(e.current_column(inc.branch),
                                       static_cast<double>(inc.sign));
         }
-        row.residual = expr::Program::compile(residual, resolver);
+        residuals.push_back({row_base + static_cast<int>(e.rows_.size()), std::move(residual)});
         e.rows_.push_back(std::move(row));
     }
 
@@ -211,7 +211,7 @@ std::optional<SpiceEngine> SpiceEngine::create(const Circuit& circuit,
         }
 
         Row row;
-        row.residual = expr::Program::compile(discretized, resolver);
+        residuals.push_back({row_base + static_cast<int>(e.rows_.size()), discretized});
 
         // Jacobian: static when the (discretized) constraint is linear in the
         // current-time branch quantities.
@@ -261,6 +261,11 @@ std::optional<SpiceEngine> SpiceEngine::create(const Circuit& circuit,
         e.rows_.push_back(std::move(row));
     }
 
+    const int slot_file_size = row_base + static_cast<int>(e.rows_.size());
+    e.program_ = expr::FusedProgram::compile(residuals, resolver, slot_file_size);
+    e.slots_.assign(static_cast<std::size_t>(slot_file_size + e.program_.scratch_count()), 0.0);
+    e.program_.initialize_constants(e.slots_.data());
+
     e.x_.assign(e.size_, 0.0);
     e.x_prev_.assign(e.size_, 0.0);
     return e;
@@ -300,16 +305,16 @@ void SpiceEngine::evaluate_residual(const numeric::Vector& x, const numeric::Vec
                                     const std::vector<double>& input_values,
                                     double time_seconds, numeric::Vector& f) {
     fill_slots(x, x_prev, input_values, time_seconds);
+    program_.execute(slots_.data());
     f.resize(size_);
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        f[r] = rows_[r].residual.evaluate(slots_.data());
-        ++stats_.device_evaluations;
-    }
+    std::copy_n(slots_.begin() + static_cast<std::ptrdiff_t>(row_slot_base_), rows_.size(),
+                f.begin());
+    stats_.device_evaluations += rows_.size();
 }
 
 void SpiceEngine::stamp_jacobian(const numeric::Vector& x, const numeric::Vector& x_prev,
                                  const std::vector<double>& input_values, double time_seconds,
-                                 numeric::Matrix& j) {
+                                 const numeric::Vector& f, numeric::Matrix& j) {
     j.reset(size_, size_);
     numeric::Vector& x_fd = fd_x_scratch_;
     for (std::size_t r = 0; r < rows_.size(); ++r) {
@@ -320,16 +325,17 @@ void SpiceEngine::stamp_jacobian(const numeric::Vector& x, const numeric::Vector
             }
             continue;
         }
-        // Finite differences for non-linear rows.
-        fill_slots(x, x_prev, input_values, time_seconds);
-        const double f0 = row.residual.evaluate(slots_.data());
+        // Finite differences for non-linear rows: rerun the program on a
+        // perturbed x and read this row's slot.
+        const double f0 = f[r];
         x_fd = x;
         for (const int col : row.depends_on) {
             const double base = x_fd[static_cast<std::size_t>(col)];
             const double eps = 1e-9 * (1.0 + std::fabs(base));
             x_fd[static_cast<std::size_t>(col)] = base + eps;
             fill_slots(x_fd, x_prev, input_values, time_seconds);
-            const double f1 = row.residual.evaluate(slots_.data());
+            program_.execute(slots_.data());
+            const double f1 = slots_[row_slot_base_ + r];
             j(r, static_cast<std::size_t>(col)) = (f1 - f0) / eps;
             x_fd[static_cast<std::size_t>(col)] = base;
         }
@@ -359,7 +365,7 @@ bool SpiceEngine::substep(const std::vector<double>& input_values, double time_s
     for (int iter = 0; iter < options_.max_iterations; ++iter) {
         ++stats_.newton_iterations;
         evaluate_residual(x_, x_prev_, input_values, time_seconds, residual);
-        stamp_jacobian(x_, x_prev_, input_values, time_seconds, jacobian);
+        stamp_jacobian(x_, x_prev_, input_values, time_seconds, residual, jacobian);
 
         ++stats_.factorizations;
         if (!lu_scratch_.refactorise(jacobian)) {
@@ -405,9 +411,7 @@ numeric::Waveform SpiceEngine::run_transient(
     reset();
     std::vector<const numeric::SourceFunction*> sources;
     for (const std::string& name : inputs_) {
-        const auto it = stimuli.find(name);
-        AMSVP_CHECK(it != stimuli.end(), "missing stimulus");
-        sources.push_back(&it->second);
+        sources.push_back(&numeric::stimulus_for(stimuli, name));
     }
     const double h = options_.timestep;
     const double h_sub = h / static_cast<double>(options_.internal_substeps);

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "expr/bytecode.hpp"
+#include "expr/fused.hpp"
 #include "netlist/circuit.hpp"
 #include "numeric/lu.hpp"
 #include "numeric/matrix.hpp"
@@ -82,20 +82,23 @@ public:
 private:
     SpiceEngine() = default;
 
-    /// Residual slot layout: [V(b) per branch | I(b) per branch |
-    ///  V_prev(b) | I_prev(b) | inputs | time].
+    /// Slot file of the residual program: [V(b) per branch | I(b) per
+    /// branch | V_prev(b) | I_prev(b) | inputs | time | one residual per
+    /// row | scratch and constant pool]. Every row's residual is one
+    /// assignment of `program_`, written to its own row slot.
     [[nodiscard]] int slot_of_voltage(netlist::BranchId b, bool prev) const;
     [[nodiscard]] int slot_of_current(netlist::BranchId b, bool prev) const;
 
     void fill_slots(const numeric::Vector& x, const numeric::Vector& x_prev,
                     const std::vector<double>& input_values, double time_seconds);
-    [[nodiscard]] double residual_row(std::size_t row) const;
     void evaluate_residual(const numeric::Vector& x, const numeric::Vector& x_prev,
                            const std::vector<double>& input_values, double time_seconds,
                            numeric::Vector& f);
+    /// `f` is the residual evaluate_residual() computed at the same `x`;
+    /// finite-difference rows take their unperturbed value from it.
     void stamp_jacobian(const numeric::Vector& x, const numeric::Vector& x_prev,
                         const std::vector<double>& input_values, double time_seconds,
-                        numeric::Matrix& j);
+                        const numeric::Vector& f, numeric::Matrix& j);
 
     [[nodiscard]] int node_column(netlist::NodeId node) const;
     [[nodiscard]] int current_column(netlist::BranchId branch) const;
@@ -107,13 +110,14 @@ private:
     std::size_t size_ = 0;
 
     struct Row {
-        expr::Program residual;                       ///< all rows have one
         bool linear = false;                          ///< static Jacobian available
         std::vector<std::pair<int, double>> jacobian; ///< linear rows
         std::vector<int> depends_on;                  ///< columns (nonlinear FD rows)
     };
     std::vector<Row> rows_;
-    mutable std::vector<double> slots_;
+    expr::FusedProgram program_;
+    std::size_t row_slot_base_ = 0;  ///< slot of row 0's residual
+    std::vector<double> slots_;
 
     numeric::Vector x_;
     numeric::Vector x_prev_;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "cosim/coupler.hpp"
 #include "netlist/builder.hpp"
@@ -40,6 +42,32 @@ TEST(Cosim, EngineCreationFailureThrows) {
             }
         },
         std::invalid_argument);
+}
+
+TEST(Cosim, UnknownObservedNodeThrows) {
+    // Both observed names are checked when the coupler is built, before
+    // anything is scheduled; the diagnostic names the missing node.
+    const netlist::Circuit c = netlist::make_rc_ladder(1);
+    const std::pair<std::string, std::string> observed[] = {{"nowhere", "gnd"},
+                                                           {"out", "nowhere"}};
+    for (const auto& [pos, neg] : observed) {
+        SCOPED_TRACE(pos + "/" + neg);
+        de::Simulator sim;
+        EXPECT_THROW(
+            {
+                try {
+                    CosimCoupler coupler(sim, c, options_1us(),
+                                         {{"u0", numeric::constant(1.0)}}, pos, neg);
+                    sim.run_until(de::from_seconds(10e-6));
+                } catch (const std::invalid_argument& e) {
+                    EXPECT_NE(std::string(e.what()).find("'nowhere'"), std::string::npos);
+                    throw;
+                }
+            },
+            std::invalid_argument);
+        sim.run_until(de::from_seconds(10e-6));
+        EXPECT_EQ(sim.stats().process_activations, 0u);
+    }
 }
 
 TEST(Cosim, SynchronizesEveryAnalogTimestep) {

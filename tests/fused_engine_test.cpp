@@ -1,8 +1,8 @@
 // Differential tests for the fused register-machine expression engine: the
 // fused interpreter must agree (to 1e-12 relative) with the per-assignment
-// stack-bytecode reference (reference_executor.hpp) on randomized
-// expression programs and on the four paper circuits, and the compiler must
-// actually fuse (lincomb/superinstructions, cross-assignment CSE).
+// tree-walk reference (reference_executor.hpp) on randomized expression
+// programs and on the four paper circuits, and the compiler must actually
+// fuse (lincomb/superinstructions, cross-assignment CSE).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -117,9 +117,9 @@ SignalFlowModel random_model(unsigned seed) {
 
 class FusedRandomDifferential : public ::testing::TestWithParam<unsigned> {};
 
-// The tree-walk half of the name is covered at expression level: the
-// reference's expr::Program is checked against expr::evaluate_tree by
-// BytecodeVsTreeWalk.
+// The reference tree-walks every assignment on its own
+// (expr::evaluate_tree); tree_walk_test.cpp checks that walk operator by
+// operator and against one-assignment fused programs (FusedVsTreeWalk).
 TEST_P(FusedRandomDifferential, AgreesWithBytecodeAndTreeWalk) {
     const SignalFlowModel m = random_model(GetParam());
     runtime::CompiledModel fused(m);
@@ -186,10 +186,10 @@ TEST_P(FusedPaperCircuit, MatchesBaselinesOverLongRun) {
 INSTANTIATE_TEST_SUITE_P(PaperCircuits, FusedPaperCircuit,
                          ::testing::Values("2IN", "RC1", "RC20", "OA"));
 
-TEST(FusedExecutorFactory, BackendRunnerTracksBytecodeFactory) {
+TEST(FusedExecutorFactory, BackendRunnerTracksReferenceFactory) {
     // The executor factory is how benches swap executors into the MoC
     // wrappers; a run with no factory (the fused interpreter) must track one
-    // whose factory builds the bytecode reference.
+    // whose factory builds the tree-walk reference.
     const netlist::Circuit circuit = netlist::make_rc_ladder(3);
     std::string error;
     auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);
@@ -227,7 +227,7 @@ TEST(FusedCompiler, EmitsLinearCombinationsForDiscretizedLadder) {
         << "discretized RC assignments should compile to linear combinations:\n"
         << program.describe();
 
-    // The fused stream must be far denser than the stack bytecode: fewer
+    // The fused stream must be far denser than a per-node evaluation: fewer
     // instructions than the model has expression nodes.
     EXPECT_LT(program.instructions().size(), model->node_count());
 }
@@ -302,7 +302,7 @@ TEST(FusedCompiler, FusesMultiplyAdd) {
 }
 
 TEST(FusedCompiler, SelfReferentialAssignmentInvalidatesCache) {
-    // `y := y + u` reads the pre-step y (stack-bytecode semantics); a
+    // `y := y + u` reads the pre-step y (per-assignment semantics); a
     // structurally identical `y + u` in a later assignment must be
     // recomputed with the *new* y, not served from the CSE cache.
     SignalFlowModel m;

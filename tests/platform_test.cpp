@@ -173,6 +173,27 @@ TEST(Platform, RejectsNegativeOrNonFiniteDuration) {
     }
 }
 
+TEST(Platform, MissingStimulusThrows) {
+    // A model input without a stimulus is a diagnostic naming the input,
+    // under every integration, raised before the run starts.
+    const Fixture f;
+    for (const AnalogIntegration integration : backends::all_backends()) {
+        SCOPED_TRACE(std::string(to_string(integration)));
+        PlatformConfig config = f.config(integration);
+        config.stimuli.clear();
+        EXPECT_THROW(
+            {
+                try {
+                    (void)run_platform(config, 1e-4);
+                } catch (const std::invalid_argument& e) {
+                    EXPECT_NE(std::string(e.what()).find("u0"), std::string::npos);
+                    throw;
+                }
+            },
+            std::invalid_argument);
+    }
+}
+
 TEST(Platform, GeneratedRowsStepAtTheModelTimestep) {
     // Every generated-model row steps at model->timestep, the pure-C++
     // platform included: RC1 abstracted at 200 ns is four CPU cycles per

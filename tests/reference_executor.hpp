@@ -1,8 +1,8 @@
 // Independent reference for the fused-engine differentials: every
-// assignment compiled on its own to the stack bytecode (expr::Program) over
-// the fused layout's model slots, evaluated in model order, then history
-// rotated. No fusion, no CSE, no scratch registers — the plain
-// per-assignment semantics the fused compiler must preserve.
+// assignment tree-walked on its own (expr::evaluate_tree) over the fused
+// layout's model slots, in model order, then history rotated. No fusion, no
+// CSE, no scratch registers — the plain per-assignment semantics the fused
+// compiler must preserve.
 #pragma once
 
 #include <algorithm>
@@ -10,7 +10,7 @@
 #include <utility>
 #include <vector>
 
-#include "expr/bytecode.hpp"
+#include "expr/expr.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/model_layout.hpp"
 
@@ -20,12 +20,11 @@ class ReferenceExecutor final : public runtime::ModelExecutor {
 public:
     explicit ReferenceExecutor(const abstraction::SignalFlowModel& model)
         : layout_(runtime::ModelLayout::compile(model)), slots_(layout_->model_slot_count()) {
-        const expr::SlotResolver resolver = [this](const expr::Symbol& s, int delay) {
-            return layout_->slot_for(s, delay);
+        resolver_ = [layout = layout_](const expr::Symbol& s, int delay) {
+            return layout->slot_for(s, delay);
         };
         for (const abstraction::Assignment& a : model.assignments) {
-            programs_.emplace_back(layout_->slot_for(a.target, 0),
-                                   expr::Program::compile(a.value, resolver));
+            assignments_.emplace_back(layout_->slot_for(a.target, 0), a.value);
         }
         reset();
     }
@@ -41,8 +40,9 @@ public:
     }
     void step(double time_seconds) override {
         slots_[static_cast<std::size_t>(layout_->time_slot())] = time_seconds;
-        for (const auto& [slot, program] : programs_) {
-            slots_[static_cast<std::size_t>(slot)] = program.evaluate(slots_.data());
+        for (const auto& [slot, value] : assignments_) {
+            slots_[static_cast<std::size_t>(slot)] =
+                expr::evaluate_tree(value, resolver_, slots_.data());
         }
         for (const runtime::ModelLayout::SymbolSlots& r : layout_->rotations()) {
             for (int k = r.depth; k >= 1; --k) {
@@ -65,7 +65,8 @@ public:
 private:
     std::shared_ptr<const runtime::ModelLayout> layout_;
     std::vector<double> slots_;
-    std::vector<std::pair<int, expr::Program>> programs_;
+    expr::SlotResolver resolver_;
+    std::vector<std::pair<int, expr::ExprPtr>> assignments_;
 };
 
 }  // namespace amsvp::testing_support

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "eln/engine.hpp"
 #include "netlist/builder.hpp"
@@ -29,6 +30,22 @@ TEST(SpiceEngine, ResistiveDividerDc) {
     ASSERT_TRUE(engine->step({10.0}, 1e-6));
     EXPECT_NEAR(engine->node_voltage("mid"), 5.0, 1e-9);
     EXPECT_NEAR(engine->branch_current("R1"), 2.5e-3, 1e-12);
+}
+
+TEST(SpiceEngine, RunTransientMissingStimulusThrows) {
+    const netlist::Circuit c = netlist::make_rc_ladder(1);
+    auto engine = SpiceEngine::create(c, fast_options());
+    ASSERT_TRUE(engine.has_value());
+    EXPECT_THROW(
+        {
+            try {
+                (void)engine->run_transient({}, 10e-6, "out", "gnd");
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find("u0"), std::string::npos);
+                throw;
+            }
+        },
+        std::invalid_argument);
 }
 
 TEST(SpiceEngine, NewtonConvergesInTwoIterationsForLinear) {
