@@ -30,19 +30,26 @@ std::uint64_t orc_compile_invocations() {
 // ---------------------------------------------------------------------------
 // Shared between the LLVM and the stub build.
 
+namespace {
+
+/// One kernel step over a padded slot file: the time row first — the
+/// kernel computes the ghost lanes too — then the kernel itself.
+void kernel_step(const OrcJitProgram& program, double* slots, double* time_row, int lanes,
+                 double time_seconds) {
+    const int padded = runtime::LaneLayout::padded_width(lanes);
+    for (int l = 0; l < padded; ++l) {
+        time_row[l] = time_seconds;
+    }
+    program.step_batch(slots, lanes);
+}
+
+}  // namespace
+
 OrcBatchModel::OrcBatchModel(std::shared_ptr<const OrcJitProgram> program, int batch)
     : BatchCompiledModel(program->layout(), batch), program_(std::move(program)) {}
 
 void OrcBatchModel::step(double time_seconds) {
-    double* slots = slot_data();
-    const int lanes = batch();
-    double* time_lane = slot_row(layout()->time_slot());
-    // Padded row: the kernel computes the ghost lanes too.
-    const int padded = runtime::LaneLayout::padded_width(lanes);
-    for (int l = 0; l < padded; ++l) {
-        time_lane[l] = time_seconds;
-    }
-    program_->step_batch(slots, lanes);
+    kernel_step(*program_, slot_data(), slot_row(layout()->time_slot()), batch(), time_seconds);
 }
 
 std::unique_ptr<runtime::BatchExecutor> OrcBatchModel::make_shard(int lane_count) const {
@@ -53,6 +60,70 @@ std::unique_ptr<runtime::BatchExecutor> OrcBatchModel::make_fallback_shard(
     int lane_count) const {
     // The base class builds a fused interpreter batch over the same layout:
     // no JIT artifact involved, results bit-identical to the kernel.
+    return BatchCompiledModel::make_shard(lane_count);
+}
+
+OrcCompileTicket::State OrcCompileTicket::wait() const {
+    std::unique_lock<std::mutex> lock(mutex_);
+    resolved_.wait(lock, [this] { return state() != State::kPending; });
+    return state();
+}
+
+void OrcCompileTicket::land(std::shared_ptr<const OrcJitProgram> program) {
+    program_ = std::move(program);
+    resolve(State::kLanded);
+}
+
+void OrcCompileTicket::fail(std::string error) {
+    error_ = std::move(error);
+    resolve(State::kFailed);
+}
+
+void OrcCompileTicket::drop() { resolve(State::kDropped); }
+
+void OrcCompileTicket::resolve(State state) {
+    {
+        // Under the waiters' mutex, so a waiter cannot check the state and
+        // then miss the notification.
+        std::lock_guard<std::mutex> lock(mutex_);
+        AMSVP_CHECK(state_.load(std::memory_order_relaxed) == State::kPending,
+                    "an ORC compile ticket resolves once");
+        state_.store(state, std::memory_order_release);
+    }
+    resolved_.notify_all();
+}
+
+TieredOrcBatchModel::TieredOrcBatchModel(std::shared_ptr<const runtime::ModelLayout> layout,
+                                         std::shared_ptr<const OrcCompileTicket> ticket,
+                                         int batch)
+    : BatchCompiledModel(std::move(layout), batch), ticket_(std::move(ticket)) {}
+
+void TieredOrcBatchModel::reset() {
+    BatchCompiledModel::reset();
+    steps_ = 0;
+    promoted_at_ = program_ != nullptr ? 0 : kNeverPromoted;
+}
+
+void TieredOrcBatchModel::step(double time_seconds) {
+    if (program_ == nullptr && ticket_->state() == OrcCompileTicket::State::kLanded) {
+        program_ = ticket_->program();
+        promoted_at_ = steps_;
+    }
+    ++steps_;
+    if (program_ != nullptr) {
+        kernel_step(*program_, slot_data(), slot_row(layout()->time_slot()), batch(),
+                    time_seconds);
+    } else {
+        BatchCompiledModel::step(time_seconds);
+    }
+}
+
+std::unique_ptr<runtime::BatchExecutor> TieredOrcBatchModel::make_shard(int lane_count) const {
+    return std::make_unique<TieredOrcBatchModel>(layout(), ticket_, lane_count);
+}
+
+std::unique_ptr<runtime::BatchExecutor> TieredOrcBatchModel::make_fallback_shard(
+    int lane_count) const {
     return BatchCompiledModel::make_shard(lane_count);
 }
 

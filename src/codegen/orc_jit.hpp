@@ -4,9 +4,10 @@
 // OrcJitProgram lowers a model's fused instruction stream to one batch
 // kernel in LLVM IR (llvm_lowering.hpp), runs the fixed pass pipeline and
 // materializes it through LLJIT — all inside this process, no compiler on
-// PATH, no temp files, no dlopen. A cold compile costs milliseconds.
-// Results are bit-identical to the fused interpreter: the lowering never
-// enables fast-math or FP contraction, and libm calls resolve to this very
+// PATH, no temp files, no dlopen. A cold compile costs milliseconds (3–4 ms
+// even for a two-instruction model, about 20 ms for RC20). Results are
+// bit-identical to the fused interpreter: the lowering never enables
+// fast-math or FP contraction, and libm calls resolve to this very
 // process's libm. The one kernel serves every width, width 1 included
 // (one padded row, three ghost lanes).
 //
@@ -15,6 +16,13 @@
 // fallback-shard / quarantine machinery unchanged. One
 // materialized program serves any number of shards and threads
 // concurrently — the kernel is a pure function of the slot file.
+//
+// TieredOrcBatchModel is the executor that can start before its program
+// exists. It holds an OrcCompileTicket — the handle of a compile queued or
+// running elsewhere (runtime::ModelCache's compile thread) — and steps the
+// fused interpreter until the ticket lands, then switches to the kernel at
+// the next step boundary. The switch is exact: both engines leave the
+// padded slot file bit-identical after every step.
 //
 // Built with AMSVP_WITH_LLVM=OFF, orc_available() is false and compile()
 // returns nullptr with an explanatory error; a kNativeOrc sweep then runs
@@ -25,8 +33,11 @@
 // the interpreter.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "runtime/batch_model.hpp"
@@ -96,6 +107,9 @@ public:
 
     void step(double time_seconds) override;
 
+    /// 0: every step runs the kernel.
+    [[nodiscard]] std::size_t promoted_at() const override { return 0; }
+
     /// A fresh ORC batch over the same materialized program.
     [[nodiscard]] std::unique_ptr<runtime::BatchExecutor> make_shard(
         int lane_count) const override;
@@ -111,6 +125,82 @@ public:
 
 private:
     std::shared_ptr<const OrcJitProgram> program_;
+};
+
+/// The handle of one ORC compile that may not have finished: a program
+/// that can be waited for or polled. Resolved exactly once — landed with a
+/// program, failed with the compile's error, or dropped before it ran —
+/// and immutable afterwards, so any number of executors and threads may
+/// share it.
+class OrcCompileTicket {
+public:
+    enum class State {
+        kPending,  ///< queued or compiling
+        kLanded,   ///< program() holds the kernel
+        kFailed,   ///< the compile returned no program; error() says why
+        kDropped,  ///< never ran: its cache entry was cleared or evicted first
+    };
+
+    /// One acquire load: program() and error() are safe to read once this
+    /// has returned anything but kPending.
+    [[nodiscard]] State state() const { return state_.load(std::memory_order_acquire); }
+    [[nodiscard]] const std::shared_ptr<const OrcJitProgram>& program() const {
+        return program_;
+    }
+    [[nodiscard]] const std::string& error() const { return error_; }
+
+    /// Block until the ticket resolves; returns the final state.
+    State wait() const;
+
+    /// Resolve the ticket; each may be called once, by whoever ran (or
+    /// dropped) the compile, and wakes every waiter.
+    void land(std::shared_ptr<const OrcJitProgram> program);
+    void fail(std::string error);
+    void drop();
+
+private:
+    void resolve(State state);
+
+    std::atomic<State> state_{State::kPending};
+    std::shared_ptr<const OrcJitProgram> program_;
+    std::string error_;
+    mutable std::mutex mutex_;
+    mutable std::condition_variable resolved_;
+};
+
+/// A batch that starts on the fused interpreter over `layout` and switches
+/// to the ORC kernel at the first step boundary after `ticket` lands. Until
+/// then each step() costs one acquire load on top of the interpreter step;
+/// afterwards it is an OrcBatchModel step holding its own reference to the
+/// program. A ticket that fails or is dropped leaves the batch on the
+/// interpreter, bit-identically.
+class TieredOrcBatchModel final : public runtime::BatchCompiledModel {
+public:
+    TieredOrcBatchModel(std::shared_ptr<const runtime::ModelLayout> layout,
+                        std::shared_ptr<const OrcCompileTicket> ticket, int batch);
+
+    /// Also restarts the step count; a batch that already switched keeps
+    /// the kernel and runs it from the next run's first step.
+    void reset() override;
+    void step(double time_seconds) override;
+
+    /// The step (counted from reset()) at which this batch switched, or
+    /// kNeverPromoted while it is still on the interpreter.
+    [[nodiscard]] std::size_t promoted_at() const override { return promoted_at_; }
+
+    /// A tiered batch over the same layout, sharing the ticket.
+    [[nodiscard]] std::unique_ptr<runtime::BatchExecutor> make_shard(
+        int lane_count) const override;
+
+    /// Degraded-mode shard: a plain interpreter batch over the same layout.
+    [[nodiscard]] std::unique_ptr<runtime::BatchExecutor> make_fallback_shard(
+        int lane_count) const override;
+
+private:
+    std::shared_ptr<const OrcCompileTicket> ticket_;
+    std::shared_ptr<const OrcJitProgram> program_;  ///< set at the switch
+    std::size_t steps_ = 0;                         ///< steps since reset()
+    std::size_t promoted_at_ = kNeverPromoted;
 };
 
 }  // namespace amsvp::codegen

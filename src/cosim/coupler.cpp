@@ -12,8 +12,6 @@ CosimCoupler::CosimCoupler(de::Simulator& sim, const netlist::Circuit& circuit,
                            std::map<std::string, numeric::SourceFunction> stimuli,
                            std::string observed_pos, std::string observed_neg)
     : sim_(sim),
-      pos_(std::move(observed_pos)),
-      neg_(std::move(observed_neg)),
       trace_(options.timestep, options.timestep),
       period_(de::from_seconds(options.timestep)) {
     std::string error;
@@ -22,11 +20,8 @@ CosimCoupler::CosimCoupler(de::Simulator& sim, const netlist::Circuit& circuit,
         throw std::invalid_argument("cosim: " + error);
     }
     engine_ = std::make_unique<spice::SpiceEngine>(std::move(*engine));
-    for (const std::string* node : {&pos_, &neg_}) {
-        if (!circuit.find_node(*node)) {
-            throw std::invalid_argument("cosim: unknown observed node '" + *node + "'");
-        }
-    }
+    pos_ = circuit.observed_node(observed_pos, "cosim");
+    neg_ = circuit.observed_node(observed_neg, "cosim");
 
     for (const std::string& name : engine_->input_names()) {
         sources_.push_back(numeric::stimulus_for(stimuli, name));

@@ -68,8 +68,8 @@ private:
     de::Simulator& sim_;
     std::unique_ptr<spice::SpiceEngine> engine_;
     std::vector<numeric::SourceFunction> sources_;
-    std::string pos_;
-    std::string neg_;
+    netlist::NodeId pos_ = -1;  ///< observed nodes, resolved once
+    netlist::NodeId neg_ = -1;
     std::unique_ptr<de::Signal<double>> output_;
     numeric::Waveform trace_;
     de::Time period_;

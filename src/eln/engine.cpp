@@ -58,7 +58,11 @@ double ElnEngine::voltage_between(std::string_view pos, std::string_view neg) co
     const auto p = tableau_.circuit().find_node(pos);
     const auto n = tableau_.circuit().find_node(neg);
     AMSVP_CHECK(p.has_value() && n.has_value(), "unknown node");
-    return tableau_.node_voltage(x_, *p) - tableau_.node_voltage(x_, *n);
+    return voltage_between(*p, *n);
+}
+
+double ElnEngine::voltage_between(netlist::NodeId pos, netlist::NodeId neg) const {
+    return tableau_.node_voltage(x_, pos) - tableau_.node_voltage(x_, neg);
 }
 
 ElnDeModule::ElnDeModule(de::Simulator& sim, const netlist::Circuit& circuit, double timestep,
@@ -66,15 +70,10 @@ ElnDeModule::ElnDeModule(de::Simulator& sim, const netlist::Circuit& circuit, do
                          std::string observed_pos, std::string observed_neg)
     : sim_(sim),
       engine_(circuit, timestep),
-      pos_(std::move(observed_pos)),
-      neg_(std::move(observed_neg)),
+      pos_(circuit.observed_node(observed_pos, "ELN")),
+      neg_(circuit.observed_node(observed_neg, "ELN")),
       trace_(timestep, timestep),
       period_(de::from_seconds(timestep)) {
-    for (const std::string* node : {&pos_, &neg_}) {
-        if (!circuit.find_node(*node)) {
-            throw std::invalid_argument("ELN: unknown observed node '" + *node + "'");
-        }
-    }
     for (const std::string& name : engine_.input_names()) {
         sources_.push_back(numeric::stimulus_for(stimuli, name));
     }

@@ -42,6 +42,8 @@ public:
     [[nodiscard]] double branch_current(std::string_view branch_name) const;
     /// Voltage between two nodes.
     [[nodiscard]] double voltage_between(std::string_view pos, std::string_view neg) const;
+    /// Same, by node id (Circuit::observed_node): no name lookup per call.
+    [[nodiscard]] double voltage_between(netlist::NodeId pos, netlist::NodeId neg) const;
 
     [[nodiscard]] std::uint64_t steps() const { return steps_; }
 
@@ -75,8 +77,8 @@ private:
     ElnEngine engine_;
     std::vector<numeric::SourceFunction> sources_;
     std::vector<double> input_scratch_;  ///< per-activation input samples
-    std::string pos_;
-    std::string neg_;
+    netlist::NodeId pos_;                ///< observed nodes, resolved once
+    netlist::NodeId neg_;
     std::unique_ptr<de::Signal<double>> output_;
     numeric::Waveform trace_;
     de::Time period_;

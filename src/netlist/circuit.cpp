@@ -1,6 +1,7 @@
 #include "netlist/circuit.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "support/check.hpp"
 
@@ -43,6 +44,14 @@ std::optional<NodeId> Circuit::find_node(std::string_view node_name) const {
         }
     }
     return std::nullopt;
+}
+
+NodeId Circuit::observed_node(std::string_view node_name, std::string_view who) const {
+    if (const auto node = find_node(node_name)) {
+        return *node;
+    }
+    throw std::invalid_argument(std::string(who) + ": unknown observed node '" +
+                                std::string(node_name) + "'");
 }
 
 NodeId Circuit::node(std::string_view node_name) {

@@ -66,6 +66,10 @@ public:
     NodeId add_node(std::string node_name);
     /// Find by name; creates nothing.
     [[nodiscard]] std::optional<NodeId> find_node(std::string_view node_name) const;
+    /// Find a node a caller asked to observe, or throw std::invalid_argument
+    /// "<who>: unknown observed node '<name>'". Engines resolve observed
+    /// names once, before stepping, and read voltages by id.
+    [[nodiscard]] NodeId observed_node(std::string_view node_name, std::string_view who) const;
     /// Find or create.
     NodeId node(std::string_view node_name);
 

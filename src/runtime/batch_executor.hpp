@@ -3,10 +3,12 @@
 // simulate_sweep's shard loop — per-lane stimuli, stepping, waveform
 // capture, steady-state retirement with in-place lane compaction — is
 // backend-agnostic: it drives this interface, and the backend decides what
-// a step costs. Two implementations exist: BatchCompiledModel (the fused
-// batch interpreter) and codegen::OrcBatchModel (the same padded slot file
-// stepped by an in-process ORC-JITed kernel). Both are bit-identical lane
-// for lane, so SweepOptions::backend is a pure performance choice.
+// a step costs. Three implementations exist: BatchCompiledModel (the fused
+// batch interpreter), codegen::OrcBatchModel (the same padded slot file
+// stepped by an in-process ORC-JITed kernel) and codegen::TieredOrcBatchModel
+// (the interpreter until the kernel lands, then the kernel). All are
+// bit-identical lane for lane, so SweepOptions::backend is a pure
+// performance choice.
 //
 // make_shard() is the dependency inversion that keeps the worker-pool path
 // backend-agnostic too: a shard is "a narrower sibling of this executor"
@@ -84,6 +86,15 @@ public:
     /// backend over the same compile artifact — the worker-pool sweep
     /// builds one per shard so shards never share mutable state.
     [[nodiscard]] virtual std::unique_ptr<BatchExecutor> make_shard(int lane_count) const = 0;
+
+    /// promoted_at() of an executor that has not stepped machine code.
+    static constexpr std::size_t kNeverPromoted = static_cast<std::size_t>(-1);
+
+    /// The step, counted from reset(), from which this executor steps ORC
+    /// machine code: 0 for codegen::OrcBatchModel, the switch step for a
+    /// codegen::TieredOrcBatchModel, kNeverPromoted for the interpreter.
+    /// Read once per shard after a sweep (SweepResult::promoted_at).
+    [[nodiscard]] virtual std::size_t promoted_at() const { return kNeverPromoted; }
 
     /// A shard for degraded operation when make_shard() fails mid-sweep:
     /// same lane semantics, but allowed to trade speed for independence

@@ -337,28 +337,37 @@ SweepResult sweep_model(ModelCache& cache, support::ThreadPool* pool,
     const std::string fingerprint = model_fingerprint(model);
     const int width = static_cast<int>(lanes.size());
     std::unique_ptr<BatchExecutor> batch;
-    std::string fallback_note;
+    std::shared_ptr<const codegen::OrcCompileTicket> ticket;
     if (options.backend == SweepBackend::kNativeOrc) {
-        std::string error;
-        if (auto program = cache.orc_program_for(model, fingerprint, &error)) {
-            batch = std::make_unique<codegen::OrcBatchModel>(std::move(program), width);
+        ModelCache::OrcRequest request = cache.request_orc_program(model, fingerprint);
+        ticket = std::move(request.ticket);
+        if (request.program != nullptr) {
+            batch = std::make_unique<codegen::OrcBatchModel>(std::move(request.program), width);
+        } else if (ticket->state() == codegen::OrcCompileTicket::State::kFailed) {
+            batch = std::make_unique<BatchCompiledModel>(std::move(request.layout), width);
         } else {
-            // No stderr note: the degradation is data, not chatter —
-            // headless and service callers read it in the diagnostics.
-            fallback_note = "native sweep backend unavailable (" + error +
-                            "); ran on the batch interpreter";
+            batch = std::make_unique<codegen::TieredOrcBatchModel>(std::move(request.layout),
+                                                                   ticket, width);
         }
-    }
-    if (batch == nullptr) {
+    } else {
         batch = std::make_unique<BatchCompiledModel>(cache.layout_for(model, fingerprint), width);
-    }
-    if (fell_back != nullptr) {
-        *fell_back = !fallback_note.empty();
     }
     SweepResult result = run_sweep(*batch, model.inputs, shared_stimuli, lanes,
                                    duration_seconds, options, pool);
-    if (!fallback_note.empty()) {
-        result.diagnostics.insert(result.diagnostics.begin(), std::move(fallback_note));
+    // Only a failed compile degrades the job. One still running when the
+    // job ended, or dropped by a cache clear, leaves a job that ran the
+    // reference engine by design.
+    const bool failed =
+        ticket != nullptr && ticket->state() == codegen::OrcCompileTicket::State::kFailed;
+    if (fell_back != nullptr) {
+        *fell_back = failed;
+    }
+    if (failed) {
+        // No stderr note: the degradation is data, not chatter — headless
+        // and service callers read it in the diagnostics.
+        result.diagnostics.insert(result.diagnostics.begin(),
+                                  "native sweep backend unavailable (" + ticket->error() +
+                                      "); ran on the batch interpreter");
     }
     return result;
 }
@@ -431,6 +440,7 @@ SweepResult run_sweep(BatchExecutor& batch,
     if (shards.size() == 1) {
         // Single-threaded: the caller's batch *is* the one shard.
         run_single_threaded();
+        result.promoted_at = std::min(steps, batch.promoted_at());
         return result;
     }
 
@@ -489,6 +499,10 @@ SweepResult run_sweep(BatchExecutor& batch,
                             dt, options, result.outputs, result.settled_at.data() + range.begin,
                             result.lane_health.data() + range.begin, &pool->cancel_flag());
         });
+        result.promoted_at = steps;
+        for (const std::unique_ptr<BatchExecutor>& shard : work) {
+            result.promoted_at = std::min(result.promoted_at, shard->promoted_at());
+        }
     } catch (const std::exception& e) {
         // A worker threw (a stimulus callable, an executor invariant, an
         // injected pool.worker fault). The pool has cancelled the job and
@@ -503,6 +517,7 @@ SweepResult run_sweep(BatchExecutor& batch,
         result.lane_health.assign(n_lanes, LaneHealth{});
         batch.reset();
         run_single_threaded();
+        result.promoted_at = std::min(steps, batch.promoted_at());
     }
     return result;
 }

@@ -69,6 +69,11 @@ struct SweepResult {
     /// detection step land here, and every healthy lane finishes
     /// bit-identically to a sweep that never contained the poisoned lane.
     std::vector<LaneHealth> lane_health;
+    /// The earliest step at which any shard stepped the ORC kernel: 0 when
+    /// the kernel ran from the first step, `steps` when the sweep ran on
+    /// the interpreter throughout. A cold kNativeOrc sweep switches at the
+    /// first step boundary after its compile lands (SweepBackend).
+    std::size_t promoted_at = 0;
     /// Human-readable notes about degraded-mode recoveries the sweep took
     /// (ORC→interpreter backend fallback, per-shard fallback executors,
     /// worker-failure single-threaded retry). Empty on an untroubled run.
@@ -81,24 +86,27 @@ enum class SweepBackend {
     /// The in-process fused batch interpreter (BatchCompiledModel).
     kInterpreter,
     /// In-process LLVM ORC JIT: the fused instruction stream lowered to
-    /// LLVM IR and materialized through LLJIT (codegen::OrcJitProgram),
-    /// a cold compile of milliseconds. Bit-identical to the interpreter
-    /// lane for lane — outputs and settled_at — at every batch width and
-    /// thread count (the lowering never enables fast-math or FP
+    /// LLVM IR and materialized through LLJIT (codegen::OrcJitProgram) —
+    /// the ORC kernel as soon as it exists. Bit-identical to the
+    /// interpreter lane for lane — outputs and settled_at — at every batch
+    /// width and thread count (the lowering never enables fast-math or FP
     /// contraction and libm resolves in-process).
     ///
-    /// When the program cannot be had — the library was built without
-    /// LLVM (AMSVP_WITH_LLVM=OFF), or materialization failed (e.g. the
-    /// injected jit.orc_materialize fault) — the sweep runs on the
-    /// interpreter and reports "native sweep backend unavailable" in
-    /// SweepResult::diagnostics (no stderr chatter — headless and service
-    /// callers observe the fallback programmatically).
+    /// The model-compiling simulate_sweep overload and SweepService take
+    /// the program from a ModelCache (sweep_service.hpp). A warm hit runs
+    /// the kernel from step 0. On a miss the sweep does not wait for the
+    /// compile, which costs milliseconds: it starts on the interpreter,
+    /// queues the compile on the cache's compile thread, and every shard
+    /// switches to the kernel at the first step boundary after it lands
+    /// (SweepResult::promoted_at). A sweep that ends first never ran the
+    /// kernel, and says nothing about it.
     ///
-    /// The model-compiling simulate_sweep overload serves the program from
-    /// the process-wide ModelCache (sweep_service.hpp), so only the first
-    /// sweep of a model pays the materialization. Long-lived callers
-    /// juggling many models and jobs should run a SweepService, which
-    /// additionally keeps a persistent worker pool.
+    /// When the program cannot be had — the library was built without
+    /// LLVM (AMSVP_WITH_LLVM=OFF), or the compile failed before the sweep
+    /// ended (e.g. the injected jit.orc_materialize fault) — the sweep runs
+    /// on the interpreter and reports "native sweep backend unavailable"
+    /// in SweepResult::diagnostics (no stderr chatter — headless and
+    /// service callers observe the fallback programmatically).
     kNativeOrc,
 };
 
@@ -213,12 +221,13 @@ void validate_sweep(const std::vector<expr::Symbol>& input_symbols,
 
 /// The model sweep behind simulate_sweep(model, ...) and SweepService:
 /// validate the request (validate_sweep), fingerprint the model once, take
-/// the ORC program (kNativeOrc) or the kFused layout from `cache`, build
-/// the job's full-width executor and run_sweep it on `pool`. A kNativeOrc
-/// job that cannot get its program runs on the interpreter with the
-/// "native sweep backend unavailable" note first in
-/// SweepResult::diagnostics; `*fell_back` (when non-null) reports whether
-/// that happened.
+/// the ORC program or its compile ticket (kNativeOrc) or the kFused layout
+/// from `cache`, build the job's full-width executor — an OrcBatchModel on
+/// a hit, a TieredOrcBatchModel while the compile is pending — and
+/// run_sweep it on `pool`. A kNativeOrc job whose compile failed before it
+/// ended ran on the interpreter and carries the "native sweep backend
+/// unavailable" note first in SweepResult::diagnostics; `*fell_back` (when
+/// non-null) reports whether that happened.
 [[nodiscard]] SweepResult sweep_model(
     ModelCache& cache, support::ThreadPool* pool, const abstraction::SignalFlowModel& model,
     const std::map<std::string, numeric::SourceFunction>& shared_stimuli,

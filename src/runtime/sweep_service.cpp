@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -69,10 +70,16 @@ std::string model_fingerprint(const abstraction::SignalFlowModel& model) {
 // ---------------------------------------------------------------------------
 // ModelCache
 
+ModelCache::~ModelCache() { stop_compiler(); }
+
 ModelCache& ModelCache::global() {
     // Leaked on purpose: executors handed out against cached layouts may
     // legally outlive every static-destruction order.
-    static ModelCache* cache = new ModelCache();
+    static ModelCache* cache = [] {
+        auto* global = new ModelCache();
+        global->is_global_ = true;
+        return global;
+    }();
     return *cache;
 }
 
@@ -95,9 +102,33 @@ void ModelCache::locked_evict_over_capacity() {
     // Never evict the front — that is the entry the caller is about to
     // fill or read, and its reference must stay valid.
     while (entries_.size() > capacity_ && lru_.size() > 1) {
-        entries_.erase(lru_.back());
-        lru_.pop_back();
-        ++stats_.evictions;
+        locked_evict_back();
+    }
+}
+
+void ModelCache::locked_evict_back() {
+    const auto it = entries_.find(lru_.back());
+    if (it->second.orc_ticket != nullptr) {
+        locked_drop_queued(it->second.orc_ticket.get());
+    }
+    entries_.erase(it);
+    lru_.pop_back();
+    ++stats_.evictions;
+}
+
+void ModelCache::locked_drop_queued(const codegen::OrcCompileTicket* which) {
+    for (auto it = compile_queue_.begin(); it != compile_queue_.end();) {
+        if (which != nullptr && it->ticket.get() != which) {
+            ++it;
+            continue;
+        }
+        const auto entry = entries_.find(it->fingerprint);
+        if (entry != entries_.end() && entry->second.orc_ticket == it->ticket) {
+            entry->second.orc_ticket.reset();
+        }
+        it->ticket->drop();
+        ++stats_.orc_dropped;
+        it = compile_queue_.erase(it);
     }
 }
 
@@ -131,6 +162,37 @@ std::shared_ptr<const ModelLayout> ModelCache::layout_for(
     return locked_layout_for(model, fingerprint);
 }
 
+ModelCache::OrcRequest ModelCache::request_orc_program(
+    const abstraction::SignalFlowModel& model, const std::string& fingerprint) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    OrcRequest request;
+    Entry& entry = locked_touch_entry(fingerprint);
+    if (entry.orc_program != nullptr) {
+        ++stats_.orc_hits;
+        stats_.orc_compile_seconds_saved += entry.orc_compile_seconds;
+        request.program = entry.orc_program;
+        return request;
+    }
+    request.layout = locked_layout_for(model, fingerprint);
+    if (entry.orc_ticket == nullptr) {
+        entry.orc_ticket = std::make_shared<codegen::OrcCompileTicket>();
+        CompileJob job{fingerprint, request.layout, entry.orc_ticket};
+        request.ticket = job.ticket;
+        if (!codegen::orc_available() || compiler_stopped_) {
+            // Nothing to wait for (the stub fails at once) or nobody left
+            // to compile (the global cache after exit began): compile here.
+            run_compile(lock, job);
+            return request;
+        }
+        compile_queue_.push_back(std::move(job));
+        locked_start_compiler();
+        compile_wake_.notify_one();
+        return request;
+    }
+    request.ticket = entry.orc_ticket;
+    return request;
+}
+
 std::shared_ptr<const codegen::OrcJitProgram> ModelCache::orc_program_for(
     const abstraction::SignalFlowModel& model, std::string* error) {
     return orc_program_for(model, model_fingerprint(model), error);
@@ -139,38 +201,103 @@ std::shared_ptr<const codegen::OrcJitProgram> ModelCache::orc_program_for(
 std::shared_ptr<const codegen::OrcJitProgram> ModelCache::orc_program_for(
     const abstraction::SignalFlowModel& model, const std::string& fingerprint,
     std::string* error) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    {
-        Entry& entry = locked_touch_entry(fingerprint);
-        if (entry.orc_program != nullptr) {
-            ++stats_.orc_hits;
-            stats_.orc_compile_seconds_saved += entry.orc_compile_seconds;
-            return entry.orc_program;
+    for (;;) {
+        const OrcRequest request = request_orc_program(model, fingerprint);
+        if (request.program != nullptr) {
+            return request.program;
         }
+        const codegen::OrcCompileTicket::State state = request.ticket->wait();
+        if (state == codegen::OrcCompileTicket::State::kLanded) {
+            return request.ticket->program();
+        }
+        if (state == codegen::OrcCompileTicket::State::kFailed) {
+            if (error != nullptr) {
+                *error = request.ticket->error();
+            }
+            return nullptr;
+        }
+        // Dropped by clear() or eviction before it ran: ask again.
     }
-    std::shared_ptr<const ModelLayout> layout = locked_layout_for(model, fingerprint);
+}
+
+void ModelCache::run_compile(std::unique_lock<std::mutex>& lock, CompileJob& job) {
+    lock.unlock();
     const auto start = std::chrono::steady_clock::now();
-    std::string compile_error;
+    std::string error;
     std::shared_ptr<const codegen::OrcJitProgram> program =
-        codegen::OrcJitProgram::compile(layout, &compile_error);
+        codegen::OrcJitProgram::compile(job.layout, &error);
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    lock.lock();
     stats_.orc_compile_seconds += seconds;
+    // Land only in the entry that still holds this compile's ticket: after
+    // clear() or eviction the entry is gone or holds a newer ticket.
+    const auto it = entries_.find(job.fingerprint);
+    const bool current = it != entries_.end() && it->second.orc_ticket == job.ticket;
+    if (current) {
+        it->second.orc_ticket.reset();
+    }
     if (program == nullptr) {
         // NOT cached: the next request retries, so a transient failure (an
         // injected jit.orc_materialize fault) cannot poison the entry.
         ++stats_.orc_failures;
-        if (error != nullptr) {
-            *error = compile_error.empty() ? "orc jit compilation failed" : compile_error;
-        }
-        return nullptr;
+        job.ticket->fail(error.empty() ? "orc jit compilation failed" : error);
+        return;
     }
-    ++stats_.orc_misses;
-    Entry& entry = locked_touch_entry(fingerprint);
-    entry.orc_program = program;
-    entry.orc_compile_seconds = seconds;
-    return program;
+    if (current) {
+        it->second.orc_program = program;
+        it->second.orc_compile_seconds = seconds;
+        ++stats_.orc_misses;
+    } else {
+        ++stats_.orc_discarded;
+    }
+    job.ticket->land(std::move(program));
 }
+
+void ModelCache::compiler_loop() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+        compile_wake_.wait(lock, [this] { return compiler_stopped_ || !compile_queue_.empty(); });
+        if (compile_queue_.empty()) {
+            return;  // stopped: stop_compiler() dropped whatever was queued
+        }
+        CompileJob job = std::move(compile_queue_.front());
+        compile_queue_.pop_front();
+        run_compile(lock, job);
+        // A discarded program dies with the job's last ticket reference:
+        // tear its LLJIT down off the lock.
+        lock.unlock();
+        job = CompileJob{};
+        lock.lock();
+    }
+}
+
+void ModelCache::locked_start_compiler() {
+    if (compiler_.joinable()) {
+        return;
+    }
+    if (is_global_) {
+        // Exit runs atexit handlers and static destructors in reverse order
+        // of registration, so this join precedes the destructors of every
+        // static constructed so far — LLVM's global options among them.
+        std::atexit(stop_global_compiler);
+    }
+    compiler_ = std::thread([this] { compiler_loop(); });
+}
+
+void ModelCache::stop_compiler() {
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        compiler_stopped_ = true;
+        locked_drop_queued(nullptr);
+    }
+    compile_wake_.notify_all();
+    if (compiler_.joinable()) {
+        compiler_.join();
+    }
+}
+
+void ModelCache::stop_global_compiler() { global().stop_compiler(); }
 
 ModelCache::Stats ModelCache::stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -183,9 +310,7 @@ void ModelCache::set_capacity(std::size_t capacity) {
     // they just touched staying resident for the duration of the call.
     capacity_ = std::max<std::size_t>(1, capacity);
     while (entries_.size() > capacity_) {
-        entries_.erase(lru_.back());
-        lru_.pop_back();
-        ++stats_.evictions;
+        locked_evict_back();
     }
 }
 
@@ -196,6 +321,7 @@ std::size_t ModelCache::capacity() const {
 
 void ModelCache::clear() {
     std::lock_guard<std::mutex> lock(mutex_);
+    locked_drop_queued(nullptr);
     entries_.clear();
     lru_.clear();
 }

@@ -1,18 +1,21 @@
 // Persistent sweep service: Monte-Carlo as a served workload.
 //
 // A single simulate_sweep call pays cold-start costs that dominate short
-// jobs — the FusedCompiler run, the ORC materialization (tens of ms per
-// model) and, with threads > 1, a worker pool spun up for the call. This
-// header owns the machinery that makes repeat sweeps warm:
+// jobs — the fingerprint, the FusedCompiler run and, with threads > 1, a
+// worker pool spun up for the call. The ORC materialization (milliseconds
+// per model) runs on the cache's compile thread while a cold kNativeOrc
+// job starts on the interpreter. This header owns the machinery that makes
+// repeat sweeps warm:
 //
 //  * model_fingerprint(): a deterministic canonical text of a
 //    SignalFlowModel — same program, same fingerprint — used as the cache
 //    key everywhere below;
 //  * ModelCache: a thread-safe fingerprint-keyed cache of the two shared,
 //    immutable compile artifacts (runtime::ModelLayout and
-//    codegen::OrcJitProgram). The model-compiling simulate_sweep
-//    overload serves from ModelCache::global(), so even service-less
-//    callers skip recompiles after the first sweep of a model;
+//    codegen::OrcJitProgram), with the thread that compiles the latter.
+//    The model-compiling simulate_sweep overload serves from
+//    ModelCache::global(), so even service-less callers skip recompiles
+//    after the first sweep of a model;
 //  * SweepService: a long-lived object owning a ModelCache, one
 //    persistent support::ThreadPool shared across jobs, and an async job
 //    queue — submit(SweepJob) -> std::future — accepting concurrent sweep
@@ -45,6 +48,7 @@
 #include "support/thread_pool.hpp"
 
 namespace amsvp::codegen {
+class OrcCompileTicket;
 class OrcJitProgram;
 }  // namespace amsvp::codegen
 
@@ -63,29 +67,62 @@ namespace amsvp::runtime {
 /// and threads, so one cache entry serves every width, shard and job of a
 /// model.
 ///
-/// Compiles run under the cache lock: concurrent first requests for one
-/// model dedupe into a single compile (the losers wait, then hit), at the
-/// cost of briefly blocking unrelated lookups — the right trade for a
-/// compile measured in milliseconds against lookups measured in
-/// microseconds. Failed ORC compiles are NOT cached: the next request
-/// retries, so a transient failure (or an injected jit.orc_materialize
-/// fault) cannot permanently poison the entry.
+/// Layouts compile under the cache lock (microseconds to a millisecond).
+/// ORC compiles take milliseconds, so they run off the lock, one at a time,
+/// on a compile thread the cache owns, started by its first ORC request
+/// and inheriting that thread's CPU mask. Each entry holds at most one
+/// compile ticket (codegen::OrcCompileTicket): concurrent requests for a
+/// model share it, so a model costs one compile however many jobs ask. A
+/// compile lands only in the entry whose ticket it carries: clear() and
+/// eviction drop queued compiles (Stats::orc_dropped) and detach the
+/// running one, whose program then reaches its waiting jobs but never the
+/// cache (Stats::orc_discarded). Failed compiles are NOT cached: the next
+/// request retries, so a transient failure (or an injected
+/// jit.orc_materialize fault) cannot permanently poison the entry.
+///
+/// Destruction drops queued compiles and joins the thread. The global()
+/// cache is never destroyed, so it joins its thread from an atexit handler
+/// registered when the thread starts, before static destructors (LLVM's
+/// among them) run. Built without LLVM, ORC requests fail synchronously on
+/// the calling thread and no thread starts.
 class ModelCache {
 public:
     struct Stats {
         std::uint64_t layout_hits = 0;
         std::uint64_t layout_misses = 0;
         std::uint64_t orc_hits = 0;
+        /// ORC compiles that landed in their cache entry.
         std::uint64_t orc_misses = 0;
         std::uint64_t orc_failures = 0;  ///< ORC compiles that returned null
+        /// Queued ORC compiles dropped by clear() or eviction before they ran.
+        std::uint64_t orc_dropped = 0;
+        /// ORC compiles that finished after clear() or eviction removed
+        /// their entry: the program reached the jobs holding the ticket and
+        /// was not cached.
+        std::uint64_t orc_discarded = 0;
         /// Entries dropped by the LRU capacity bound (set_capacity).
         std::uint64_t evictions = 0;
-        /// Wall-clock seconds spent in ORC compiles (misses and failures).
+        /// Wall-clock seconds spent in ORC compiles (every compile that ran).
         double orc_compile_seconds = 0.0;
         /// Estimated seconds NOT spent: each ORC hit credits the model's
         /// measured compile cost.
         double orc_compile_seconds_saved = 0.0;
     };
+
+    /// What a kNativeOrc job takes from the cache: the landed program on a
+    /// hit; otherwise the layout and the ticket of the model's compile,
+    /// queued by this request or shared with an earlier one. Built without
+    /// LLVM the ticket has already failed.
+    struct OrcRequest {
+        std::shared_ptr<const codegen::OrcJitProgram> program;
+        std::shared_ptr<const ModelLayout> layout;
+        std::shared_ptr<const codegen::OrcCompileTicket> ticket;
+    };
+
+    ModelCache() = default;
+    ~ModelCache();
+    ModelCache(const ModelCache&) = delete;
+    ModelCache& operator=(const ModelCache&) = delete;
 
     /// The process-wide cache behind the model-compiling simulate_sweep
     /// overload. Never destroyed (function-local static); entries live for
@@ -98,12 +135,17 @@ public:
     [[nodiscard]] std::shared_ptr<const ModelLayout> layout_for(
         const abstraction::SignalFlowModel& model, const std::string& fingerprint);
 
+    /// The model's ORC program if it has landed, else its compile ticket
+    /// (never blocks on a compile). The ORC program and the layout live in
+    /// the same entry, so one model's artifacts age (and evict) together.
+    [[nodiscard]] OrcRequest request_orc_program(const abstraction::SignalFlowModel& model,
+                                                 const std::string& fingerprint);
+
     /// The cached in-process ORC JIT program of `model` (the artifact
-    /// behind SweepBackend::kNativeOrc), materializing over the cached
-    /// layout on first request. Returns nullptr with `error` set when the
-    /// library was built without LLVM or the compile fails — the failure
-    /// is not cached. Lives in the same Entry as the layout, so one
-    /// model's artifacts age (and evict) together.
+    /// behind SweepBackend::kNativeOrc), blocking until it lands: joins the
+    /// model's in-flight compile, or queues one. Returns nullptr with
+    /// `error` set when the library was built without LLVM or the compile
+    /// fails — the failure is not cached.
     [[nodiscard]] std::shared_ptr<const codegen::OrcJitProgram> orc_program_for(
         const abstraction::SignalFlowModel& model, std::string* error = nullptr);
     [[nodiscard]] std::shared_ptr<const codegen::OrcJitProgram> orc_program_for(
@@ -124,9 +166,10 @@ public:
     [[nodiscard]] std::size_t capacity() const;
     static constexpr std::size_t kDefaultCapacity = 1024;
 
-    /// Drop every cached entry (counters survive; does not count as
-    /// eviction). Artifacts still referenced by live executors stay alive
-    /// through their shared_ptrs.
+    /// Drop every cached entry and every queued compile (counters survive;
+    /// does not count as eviction). A compile already running finishes for
+    /// the jobs holding its ticket but lands nowhere. Artifacts still
+    /// referenced by live executors stay alive through their shared_ptrs.
     void clear();
 
     [[nodiscard]] std::size_t size() const;
@@ -135,9 +178,18 @@ private:
     struct Entry {
         std::shared_ptr<const ModelLayout> layout;
         std::shared_ptr<const codegen::OrcJitProgram> orc_program;
+        /// The model's queued or running compile; reset when it resolves.
+        std::shared_ptr<codegen::OrcCompileTicket> orc_ticket;
         double orc_compile_seconds = 0.0;
         /// This entry's position in lru_ (front = most recent).
         std::list<std::string>::iterator lru_position;
+    };
+
+    /// One ORC compile for the compile thread.
+    struct CompileJob {
+        std::string fingerprint;  ///< the entry it lands in, if still there
+        std::shared_ptr<const ModelLayout> layout;
+        std::shared_ptr<codegen::OrcCompileTicket> ticket;
     };
 
     /// Serve-or-compile the layout under the held lock.
@@ -149,6 +201,19 @@ private:
     /// creation pushes the map over capacity. Call with mutex_ held.
     [[nodiscard]] Entry& locked_touch_entry(const std::string& fingerprint);
     void locked_evict_over_capacity();
+    void locked_evict_back();
+    /// Drop the queued compile carrying `which` (nullptr: every queued
+    /// compile): its ticket resolves kDropped and leaves its entry.
+    void locked_drop_queued(const codegen::OrcCompileTicket* which);
+
+    /// Run `job`'s compile with `lock` released, then, holding it again,
+    /// book the outcome and resolve the ticket.
+    void run_compile(std::unique_lock<std::mutex>& lock, CompileJob& job);
+    void compiler_loop();
+    void locked_start_compiler();
+    /// Drop the queue and join the compile thread (destructor, exit).
+    void stop_compiler();
+    static void stop_global_compiler();
 
     mutable std::mutex mutex_;
     std::unordered_map<std::string, Entry> entries_;
@@ -156,6 +221,12 @@ private:
     std::list<std::string> lru_;
     std::size_t capacity_ = kDefaultCapacity;
     Stats stats_;
+
+    std::deque<CompileJob> compile_queue_;
+    std::condition_variable compile_wake_;
+    bool compiler_stopped_ = false;
+    bool is_global_ = false;  ///< join the compile thread at exit
+    std::thread compiler_;
 };
 
 /// One queued sweep request: exactly the arguments of the model-compiling
@@ -192,9 +263,10 @@ struct ServiceStats {
     std::uint64_t jobs_completed = 0;
     /// Jobs whose future carries an exception instead of a result.
     std::uint64_t jobs_failed = 0;
-    /// Completed kNativeOrc jobs that ran on the interpreter because the
-    /// ORC program failed to materialize or the build has no LLVM (the
-    /// job's SweepResult::diagnostics carries the detail).
+    /// Completed kNativeOrc jobs that ran on the interpreter because their
+    /// ORC compile failed before they ended or the build has no LLVM (the
+    /// job's SweepResult::diagnostics carries the detail). A job that ended
+    /// while its compile was still running is not counted.
     std::uint64_t native_fallbacks = 0;
     /// Full-width executors built: one per completed job (shards are not
     /// counted). executors_reused is always 0 — every job builds its own

@@ -391,7 +391,11 @@ bool SpiceEngine::substep(const std::vector<double>& input_values, double time_s
 double SpiceEngine::node_voltage(std::string_view node_name) const {
     const auto node = circuit_->find_node(node_name);
     AMSVP_CHECK(node.has_value(), "unknown node");
-    const int c = node_column(*node);
+    return voltage_at(*node);
+}
+
+double SpiceEngine::voltage_at(NodeId node) const {
+    const int c = node_column(node);
     return c < 0 ? 0.0 : x_[static_cast<std::size_t>(c)];
 }
 
@@ -405,9 +409,15 @@ double SpiceEngine::voltage_between(std::string_view pos, std::string_view neg) 
     return node_voltage(pos) - node_voltage(neg);
 }
 
+double SpiceEngine::voltage_between(NodeId pos, NodeId neg) const {
+    return voltage_at(pos) - voltage_at(neg);
+}
+
 numeric::Waveform SpiceEngine::run_transient(
     const std::map<std::string, numeric::SourceFunction>& stimuli, double duration,
     std::string_view observed_pos, std::string_view observed_neg) {
+    const NodeId pos = circuit_->observed_node(observed_pos, "SPICE");
+    const NodeId neg = circuit_->observed_node(observed_neg, "SPICE");
     reset();
     std::vector<const numeric::SourceFunction*> sources;
     for (const std::string& name : inputs_) {
@@ -431,7 +441,7 @@ numeric::Waveform SpiceEngine::run_transient(
             const bool ok = substep(inputs, t);
             AMSVP_CHECK(ok, "transient engine failed to converge");
         }
-        trace.append(voltage_between(observed_pos, observed_neg));
+        trace.append(voltage_between(pos, neg));
     }
     return trace;
 }

@@ -73,8 +73,12 @@ public:
     [[nodiscard]] double node_voltage(std::string_view node_name) const;
     [[nodiscard]] double branch_current(std::string_view branch_name) const;
     [[nodiscard]] double voltage_between(std::string_view pos, std::string_view neg) const;
+    /// Same, by node id (Circuit::observed_node): no name lookup per call.
+    [[nodiscard]] double voltage_between(netlist::NodeId pos, netlist::NodeId neg) const;
 
     /// Convenience: full transient run observing one node-pair voltage.
+    /// Throws std::invalid_argument naming an observed node the circuit
+    /// does not have, before the first step.
     [[nodiscard]] numeric::Waveform run_transient(
         const std::map<std::string, numeric::SourceFunction>& stimuli, double duration,
         std::string_view observed_pos, std::string_view observed_neg);
@@ -102,6 +106,7 @@ private:
 
     [[nodiscard]] int node_column(netlist::NodeId node) const;
     [[nodiscard]] int current_column(netlist::BranchId branch) const;
+    [[nodiscard]] double voltage_at(netlist::NodeId node) const;
 
     const netlist::Circuit* circuit_ = nullptr;
     SpiceOptions options_;

@@ -21,6 +21,7 @@
 #include "runtime/batch_model.hpp"
 #include "runtime/lane_layout.hpp"
 #include "runtime/simulate.hpp"
+#include "runtime/sweep_service.hpp"
 
 namespace amsvp::runtime {
 namespace {
@@ -121,6 +122,11 @@ TEST(LaneLayoutDifferential, OddWidthsBitIdenticalAcrossBackends) {
     ASSERT_TRUE(maybe_model.has_value()) << error;
     const auto model = std::move(*maybe_model);
     const double duration = 250 * model.timestep;
+    if (codegen::orc_available()) {
+        // Warm the global cache: every kNativeOrc sweep below runs the
+        // kernel from the first step.
+        ASSERT_NE(ModelCache::global().orc_program_for(model), nullptr);
+    }
 
     for (const int width : {3, 4, 5, 17}) {
         const auto lanes = varied_lanes(model, width);
@@ -133,8 +139,9 @@ TEST(LaneLayoutDifferential, OddWidthsBitIdenticalAcrossBackends) {
             if (codegen::orc_available()) {
                 SweepOptions orc = options;
                 orc.backend = SweepBackend::kNativeOrc;
-                expect_identical(simulate_sweep(model, {}, lanes, duration, orc),
-                                 reference);
+                const SweepResult swept = simulate_sweep(model, {}, lanes, duration, orc);
+                EXPECT_EQ(swept.promoted_at, 0u);
+                expect_identical(swept, reference);
             }
         }
     }

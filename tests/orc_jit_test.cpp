@@ -25,6 +25,7 @@
 #include "runtime/sweep_service.hpp"
 #include "support/fault.hpp"
 #include "support/thread_pool.hpp"
+#include "tiering_support.hpp"
 
 namespace amsvp::codegen {
 namespace {
@@ -377,6 +378,10 @@ TEST(OrcJitSweepBackend, BitIdenticalAcrossWidthsThreadsAndBackends) {
     }
     const auto model = random_model(901u);
     const double duration = 300 * model.timestep;
+    // This differential is about the kernel: warm the global cache so every
+    // kNativeOrc sweep below runs it from the first step.
+    std::string error;
+    ASSERT_NE(runtime::ModelCache::global().orc_program_for(model, &error), nullptr) << error;
     for (const int width : {1, 4, 7, 8, 16, 33}) {
         const auto lanes = varied_lanes(model, width);
         for (const int threads : {1, 0}) {
@@ -390,6 +395,7 @@ TEST(OrcJitSweepBackend, BitIdenticalAcrossWidthsThreadsAndBackends) {
             options.backend = runtime::SweepBackend::kNativeOrc;
             const auto orc = runtime::simulate_sweep(model, {}, lanes, duration, options);
             EXPECT_TRUE(orc.diagnostics.empty());
+            EXPECT_EQ(orc.promoted_at, 0u);
             expect_identical(orc, reference);
         }
     }
@@ -458,6 +464,7 @@ TEST(OrcJitSweepBackend, OrcBackendDegradesGracefullyWithoutLlvm) {
     const auto swept = runtime::simulate_sweep(model, {}, lanes, duration, options);
     expect_identical(swept, reference);
     EXPECT_TRUE(diagnostics_mention(swept, "native sweep backend unavailable"));
+    EXPECT_EQ(swept.promoted_at, swept.steps);
 }
 
 // ---------------------------------------------------------------------------
@@ -489,6 +496,9 @@ TEST(SweepServiceOrc, WarmRepeatJobRunsZeroOrcCompiles) {
 
     const auto cold = service.run(make_job(model, 24, duration, options));
     EXPECT_TRUE(cold.diagnostics.empty());
+    // The cold job started on the interpreter and may end before its
+    // compile lands: join the compile so the counters read it landed.
+    ASSERT_NE(service.cache()->orc_program_for(model), nullptr);
     const runtime::ServiceStats after_cold = service.stats();
     EXPECT_EQ(after_cold.cache.orc_misses, 1u);
     EXPECT_EQ(after_cold.cache.orc_failures, 0u);
@@ -500,6 +510,7 @@ TEST(SweepServiceOrc, WarmRepeatJobRunsZeroOrcCompiles) {
     const std::uint64_t compiles_before = orc_detail::orc_compile_invocations();
     const auto warm = service.run(make_job(model, 24, duration, options));
     EXPECT_EQ(orc_detail::orc_compile_invocations(), compiles_before);
+    EXPECT_EQ(warm.promoted_at, 0u);  // the kernel from the first step
     expect_identical(warm, cold);
     EXPECT_EQ(warm.diagnostics, cold.diagnostics);
     const runtime::ServiceStats after_warm = service.stats();
@@ -527,7 +538,13 @@ TEST(FaultInjectionOrc, MaterializeFaultFallsBackToInterpreterShard) {
     options.backend = runtime::SweepBackend::kNativeOrc;
     runtime::SweepService service;
     support::fault::arm("jit.orc_materialize", support::fault::Trigger::kAlways);
-    const auto faulted = service.run(make_job(model, 8, duration, options));
+    // The job starts on the interpreter while its compile runs on the
+    // cache's thread: lane 0 holds the job at its first step until the
+    // compile has failed, and the fault stays armed until then.
+    runtime::SweepJob job = make_job(model, 8, duration, options);
+    job.lanes[0].stimuli["u0"] = testing_support::hold_until_compile_fails(
+        service.cache(), std::move(job.lanes[0].stimuli["u0"]));
+    const auto faulted = service.run(std::move(job));
     support::fault::disarm("jit.orc_materialize");
 
     // The job completed on the interpreter shard, bit-identically, and
@@ -546,6 +563,8 @@ TEST(FaultInjectionOrc, MaterializeFaultFallsBackToInterpreterShard) {
     const auto healed = service.run(make_job(model, 8, duration, options));
     expect_identical(healed, reference);
     EXPECT_TRUE(healed.diagnostics.empty());
+    // The healed job may end before its compile lands: join it.
+    ASSERT_NE(service.cache()->orc_program_for(model), nullptr);
     stats = service.stats();
     EXPECT_EQ(stats.native_fallbacks, 1u);
     EXPECT_EQ(stats.cache.orc_misses, 1u);

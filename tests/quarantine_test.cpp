@@ -21,6 +21,7 @@
 #include "codegen/orc_jit.hpp"
 #include "netlist/builder.hpp"
 #include "runtime/simulate.hpp"
+#include "runtime/sweep_service.hpp"
 
 namespace amsvp::runtime {
 namespace {
@@ -100,10 +101,17 @@ TEST_P(QuarantineEquivalence, HealthyLanesBitIdenticalToSweepWithoutPoisonedLane
     options.steady_tolerance = 1e-6;
     options.steady_window = 16;
     options.backend = native ? SweepBackend::kNativeOrc : SweepBackend::kInterpreter;
+    if (native) {
+        // Warm the global cache: both sweeps run the kernel from the first
+        // step.
+        ASSERT_NE(ModelCache::global().orc_program_for(model), nullptr);
+    }
 
     const SweepResult faulted = simulate_sweep(model, stimuli, lanes, duration, options);
     const SweepResult reference =
         simulate_sweep(model, stimuli, reference_lanes, duration, options);
+    EXPECT_EQ(faulted.promoted_at, native ? 0u : faulted.steps);
+    EXPECT_EQ(reference.promoted_at, native ? 0u : reference.steps);
 
     // The poisoned lane was caught at the very first scan (its state is NaN
     // from step one) and only it was flagged.

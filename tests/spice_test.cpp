@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "eln/engine.hpp"
 #include "netlist/builder.hpp"
+#include "numeric/sources.hpp"
 #include "spice/engine.hpp"
 
 namespace amsvp::spice {
@@ -46,6 +50,29 @@ TEST(SpiceEngine, RunTransientMissingStimulusThrows) {
             }
         },
         std::invalid_argument);
+}
+
+TEST(SpiceEngine, RunTransientUnknownObservedNodeThrows) {
+    const netlist::Circuit c = netlist::make_rc_ladder(1);
+    auto engine = SpiceEngine::create(c, fast_options());
+    ASSERT_TRUE(engine.has_value());
+    const std::map<std::string, numeric::SourceFunction> stimuli{
+        {"u0", numeric::constant(1.0)}};
+    for (const auto& [pos, neg] : {std::pair{"nowhere", "gnd"}, std::pair{"out", "nowhere"}}) {
+        EXPECT_THROW(
+            {
+                try {
+                    (void)engine->run_transient(stimuli, 10e-6, pos, neg);
+                } catch (const std::invalid_argument& e) {
+                    EXPECT_NE(std::string(e.what()).find("'nowhere'"), std::string::npos)
+                        << e.what();
+                    throw;
+                }
+            },
+            std::invalid_argument);
+    }
+    // Both names resolve before the first step.
+    EXPECT_EQ(engine->stats().steps, 0u);
 }
 
 TEST(SpiceEngine, NewtonConvergesInTwoIterationsForLinear) {

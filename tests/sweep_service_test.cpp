@@ -22,6 +22,7 @@
 #include "runtime/simulate.hpp"
 #include "runtime/sweep_service.hpp"
 #include "support/fault.hpp"
+#include "tiering_support.hpp"
 
 namespace amsvp::runtime {
 namespace {
@@ -168,6 +169,11 @@ TEST_F(SweepServiceTest, ColdAndWarmResultsBitIdenticalToSimulateSweep) {
         if (backend == SweepBackend::kNativeOrc && !codegen::orc_available()) {
             continue;
         }
+        const bool orc = backend == SweepBackend::kNativeOrc;
+        if (orc) {
+            // The reference runs the kernel from the first step.
+            ASSERT_NE(ModelCache::global().orc_program_for(model), nullptr);
+        }
         for (const int width : {1, 7, 8, 33}) {
             for (const int threads : {1, 0}) {
                 SweepOptions options;
@@ -180,6 +186,12 @@ TEST_F(SweepServiceTest, ColdAndWarmResultsBitIdenticalToSimulateSweep) {
 
                 const SweepResult cold =
                     service.run(make_job(model, width, duration, options));
+                if (orc) {
+                    // The first cold job queued the compile and may have
+                    // ended on the interpreter: join it, so every warm job
+                    // runs the kernel from the first step.
+                    ASSERT_NE(service.cache()->orc_program_for(model), nullptr);
+                }
                 const SweepResult warm =
                     service.run(make_job(model, width, duration, options));
                 SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(backend)) +
@@ -189,6 +201,8 @@ TEST_F(SweepServiceTest, ColdAndWarmResultsBitIdenticalToSimulateSweep) {
                 expect_identical(warm, reference);
                 EXPECT_EQ(cold.diagnostics, reference.diagnostics);
                 EXPECT_EQ(warm.diagnostics, reference.diagnostics);
+                EXPECT_EQ(reference.promoted_at, orc ? 0u : reference.steps);
+                EXPECT_EQ(warm.promoted_at, orc ? 0u : warm.steps);
             }
         }
     }
@@ -205,6 +219,11 @@ TEST_F(SweepServiceTest, WarmRepeatSkipsCompile) {
     SweepJob job = make_job(model, 33, 120 * model.timestep, options);
 
     const SweepResult cold = service.run(job);
+    if (codegen::orc_available()) {
+        // The cold job may end before its compile lands: join it, so the
+        // warm job below finds the kernel cached.
+        ASSERT_NE(service.cache()->orc_program_for(model), nullptr);
+    }
     const ServiceStats after_cold = service.stats();
     EXPECT_GT(after_cold.executors_built, 0u);
 
@@ -216,6 +235,7 @@ TEST_F(SweepServiceTest, WarmRepeatSkipsCompile) {
     // every compile artifact came from the cache.
     EXPECT_EQ(codegen::orc_detail::orc_compile_invocations(), invocations_before);
     EXPECT_EQ(after_warm.cache.layout_misses, 1u);
+    EXPECT_EQ(warm.promoted_at, codegen::orc_available() ? 0u : warm.steps);
     expect_identical(warm, cold);
 }
 
@@ -269,11 +289,14 @@ TEST_F(SweepServiceTest, FreeFunctionSharesTheGlobalModelCache) {
     const double duration = 80 * model.timestep;
 
     const SweepResult first = simulate_sweep(model, {}, lanes, duration, options);
+    // The first sweep may end before its compile lands: join it.
+    ASSERT_NE(ModelCache::global().orc_program_for(model), nullptr);
     const std::uint64_t invocations_before = codegen::orc_detail::orc_compile_invocations();
     const SweepResult second = simulate_sweep(model, {}, lanes, duration, options);
     // The repeat sweep served the kernel from ModelCache::global() — no
     // JIT compile — and stayed bit-identical.
     EXPECT_EQ(codegen::orc_detail::orc_compile_invocations(), invocations_before);
+    EXPECT_EQ(second.promoted_at, 0u);
     expect_identical(second, first);
 }
 
@@ -380,7 +403,13 @@ TEST_F(FaultInjectionService, CompileFailureFallsBackAndDoesNotPoisonTheCache) {
 
     SweepService service;
     fault::arm("jit.orc_materialize", fault::Trigger::kAlways);
-    const SweepResult faulted = service.run(make_job(model, 16, duration, options));
+    // The job starts on the interpreter while its compile runs on the
+    // cache's thread: lane 0 holds its shard at the first step until the
+    // compile has failed, and the fault stays armed until then.
+    SweepJob job = make_job(model, 16, duration, options);
+    job.lanes[0].stimuli["u0"] = testing_support::hold_until_compile_fails(
+        service.cache(), std::move(job.lanes[0].stimuli["u0"]));
+    const SweepResult faulted = service.run(std::move(job));
     fault::disarm("jit.orc_materialize");
 
     // The job completed on the interpreter, bit-identically, and said so.
@@ -399,6 +428,8 @@ TEST_F(FaultInjectionService, CompileFailureFallsBackAndDoesNotPoisonTheCache) {
     const SweepResult healed = service.run(make_job(model, 16, duration, options));
     expect_identical(healed, reference);
     EXPECT_TRUE(healed.diagnostics.empty());
+    // The healed job may end before its compile lands: join it.
+    ASSERT_NE(service.cache()->orc_program_for(model), nullptr);
     stats = service.stats();
     EXPECT_EQ(stats.native_fallbacks, 1u);
     EXPECT_EQ(stats.cache.orc_misses, 1u);
