@@ -17,7 +17,8 @@
 
 int main(int argc, char** argv) {
     using namespace amsvp;
-    const double duration = bench::duration_from_args(argc, argv, 2e-3);
+    const double duration =
+        bench::Args(argc, argv, {bench::kDurationFlag}).duration_seconds(2e-3);
 
     std::printf("ABLATION — PER-LAYER COST OF THE SIMULATION STACK (RC ladder sweep)\n");
     std::printf("# duration %.3f ms per cell; columns are wall seconds.\n\n", duration * 1e3);

@@ -8,10 +8,12 @@
 #include <cstdio>
 
 #include "abstraction/abstraction.hpp"
+#include "bench_common.hpp"
 #include "netlist/builder.hpp"
 #include "runtime/simulate.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+    (void)amsvp::bench::Args(argc, argv, {});
     using namespace amsvp;
     using Clock = std::chrono::steady_clock;
 

@@ -5,9 +5,11 @@
 #include <cstdio>
 
 #include "abstraction/abstraction.hpp"
+#include "bench_common.hpp"
 #include "netlist/builder.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+    (void)amsvp::bench::Args(argc, argv, {});
     using namespace amsvp;
 
     std::printf("ABSTRACTION TOOL PROCESSING TIME (RCn sweep; paper: RC20 in 7.67 s)\n\n");

@@ -1,12 +1,13 @@
-// Shared plumbing for the table benches: the paper's four test circuits,
-// their abstracted models, the square-wave stimulus, duration handling and
-// table formatting.
+// Shared plumbing for the benches: the paper's four test circuits, their
+// abstracted models, the square-wave stimulus, the checked command line and
+// JSON output.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -68,61 +69,116 @@ inline std::map<std::string, numeric::SourceFunction> paper_stimuli() {
             {"u1", numeric::square_wave(1e-3, 0.0, 0.5)}};
 }
 
-/// Report a bad command line on stderr and exit with status 2.
-[[noreturn]] inline void usage_error(const char* program, const std::string& message) {
-    std::fprintf(stderr, "%s: %s\nusage: %s [--duration-ms <ms>] [--json <path>]\n", program,
-                 message.c_str(), program);
-    std::exit(2);
-}
+/// A value-taking command-line flag and its placeholder in the usage line.
+struct Flag {
+    const char* name;
+    const char* placeholder;
+};
+inline constexpr Flag kDurationFlag{"--duration-ms", "<ms>"};
+inline constexpr Flag kJsonFlag{"--json", "<path>"};
 
-/// The value after `flag`, or null when `flag` is absent. A `flag` with
-/// no value after it is a usage error.
-inline const char* option_value(int argc, char** argv, const char* flag) {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], flag) == 0) {
-            if (i + 1 == argc) {
-                usage_error(argv[0], std::string(flag) + " needs a value");
+/// A bench's command line, checked before the bench measures anything.
+/// Each bench names the flags it takes; `--help` prints the usage line and
+/// exits 0, and an unknown flag, a stray argument or a flag without its
+/// value is a usage error: the message and the usage line on stderr, exit
+/// status 2.
+class Args {
+public:
+    Args(int argc, char** argv, std::vector<Flag> flags)
+        : program_(argv[0]), flags_(std::move(flags)) {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            if (arg == "--help") {
+                std::printf("%s\n", usage().c_str());
+                std::exit(0);
             }
-            return argv[i + 1];
+            const bool known = std::any_of(flags_.begin(), flags_.end(),
+                                           [&](const Flag& f) { return arg == f.name; });
+            if (!known) {
+                error((arg.rfind('-', 0) == 0 ? "unknown option '" : "unexpected argument '") +
+                      arg + "'");
+            }
+            if (i + 1 == argc) {
+                error(arg + " needs a value");
+            }
+            values_[arg] = argv[++i];
         }
     }
-    return nullptr;
-}
 
-/// Simulated duration: default (seconds), overridable via --duration-ms or
-/// the AMSVP_DURATION_MS environment variable. Either must be a positive
-/// number of milliseconds; anything else is a usage error.
-inline double duration_from_args(int argc, char** argv, double default_seconds) {
-    const char* source = "--duration-ms";
-    const char* text = option_value(argc, argv, source);
-    if (text == nullptr) {
-        source = "AMSVP_DURATION_MS";
-        text = std::getenv(source);
+    /// Simulated duration: default (seconds), overridable via --duration-ms
+    /// or the AMSVP_DURATION_MS environment variable. Either must be a
+    /// positive number of milliseconds; anything else is a usage error.
+    [[nodiscard]] double duration_seconds(double default_seconds) const {
+        const char* source = kDurationFlag.name;
+        const char* text = value(source);
+        if (text == nullptr) {
+            source = "AMSVP_DURATION_MS";
+            text = std::getenv(source);
+        }
+        if (text == nullptr) {
+            return default_seconds;
+        }
+        char* end = nullptr;
+        const double ms = std::strtod(text, &end);
+        if (end == text || *end != '\0' || !std::isfinite(ms) || ms <= 0.0) {
+            error(std::string(source) + " must be a positive number of ms, got '" + text + "'");
+        }
+        return ms * 1e-3;
     }
-    if (text == nullptr) {
-        return default_seconds;
+
+    /// Machine-readable output: `--json <path>` writes the collected
+    /// results for the perf gate table (bench/compare.py). Empty when
+    /// absent.
+    [[nodiscard]] std::string json_path() const {
+        const char* path = value(kJsonFlag.name);
+        return path != nullptr ? path : std::string();
     }
-    char* end = nullptr;
-    const double ms = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(ms) || ms <= 0.0) {
-        usage_error(argv[0], std::string(source) + " must be a positive number of ms, got '" +
-                                 text + "'");
+
+    /// `flag`'s value as a positive integer, `fallback` when absent.
+    [[nodiscard]] int positive_int(const char* flag, int fallback) const {
+        const char* text = value(flag);
+        if (text == nullptr) {
+            return fallback;
+        }
+        char* end = nullptr;
+        const long n = std::strtol(text, &end, 10);
+        if (end == text || *end != '\0' || n < 1 || n > std::numeric_limits<int>::max()) {
+            error(std::string(flag) + " must be a positive integer, got '" + text + "'");
+        }
+        return static_cast<int>(n);
     }
-    return ms * 1e-3;
-}
+
+private:
+    /// The value given for `flag`, or null when it is absent.
+    [[nodiscard]] const char* value(const char* flag) const {
+        const auto it = values_.find(flag);
+        return it != values_.end() ? it->second.c_str() : nullptr;
+    }
+
+    /// Report a bad command line on stderr and exit with status 2.
+    [[noreturn]] void error(const std::string& message) const {
+        std::fprintf(stderr, "%s: %s\n%s\n", program_.c_str(), message.c_str(), usage().c_str());
+        std::exit(2);
+    }
+
+    [[nodiscard]] std::string usage() const {
+        std::string line = "usage: " + program_;
+        for (const Flag& f : flags_) {
+            line += std::string(" [") + f.name + " " + f.placeholder + "]";
+        }
+        return line;
+    }
+
+    std::string program_;
+    std::vector<Flag> flags_;
+    std::map<std::string, std::string> values_;
+};
 
 inline void print_scaling_note(double duration, double paper_duration) {
     std::printf("# simulated time: %.3f ms (paper: %.0f ms on a 2009-era testbed).\n"
                 "# absolute times differ by construction; compare the ordering and the\n"
                 "# speed-up ratios. Override with --duration-ms <ms>.\n\n",
                 duration * 1e3, paper_duration * 1e3);
-}
-
-/// Machine-readable output: `--json <path>` writes the collected results
-/// for the perf gate table (bench/compare.py). Returns empty when absent.
-inline std::string json_path_from_args(int argc, char** argv) {
-    const char* path = option_value(argc, argv, "--json");
-    return path != nullptr ? path : std::string();
 }
 
 /// Tiny flat-schema JSON emitter: one object per result, string labels plus

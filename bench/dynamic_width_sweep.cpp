@@ -83,7 +83,7 @@ void run_window(Arm& arm, double dt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const std::string json_path = bench::json_path_from_args(argc, argv);
+    const std::string json_path = bench::Args(argc, argv, {bench::kJsonFlag}).json_path();
     bench::JsonReport report("dynamic_width_sweep");
 
     std::printf("DYNAMIC WIDTH SWEEP — odd lane counts vs pinned row-multiple neighbours\n\n");

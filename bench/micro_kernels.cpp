@@ -97,7 +97,7 @@ numeric::Matrix random_spd(std::size_t n, unsigned seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const std::string json_path = bench::json_path_from_args(argc, argv);
+    const std::string json_path = bench::Args(argc, argv, {bench::kJsonFlag}).json_path();
     bench::JsonReport report("micro_kernels");
 
     std::printf("MICRO KERNELS — fused model step, batching, periodic kernel, dense LU\n\n");

@@ -58,17 +58,14 @@ runtime::SweepJob make_job(const abstraction::SignalFlowModel& model, int width,
     return job;
 }
 
-int int_arg(int argc, char** argv, const char* flag, int fallback) {
-    const char* value = bench::option_value(argc, argv, flag);
-    return value != nullptr ? std::atoi(value) : fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-    const std::string json_path = bench::json_path_from_args(argc, argv);
-    const int clients = int_arg(argc, argv, "--clients", 4);
-    const int jobs_per_client = int_arg(argc, argv, "--jobs", 25);
+    const bench::Args args(argc, argv,
+                           {bench::kJsonFlag, {"--clients", "<n>"}, {"--jobs", "<n>"}});
+    const std::string json_path = args.json_path();
+    const int clients = args.positive_int("--clients", 4);
+    const int jobs_per_client = args.positive_int("--jobs", 25);
     bench::JsonReport report("sweep_service_load");
 
     std::printf("SWEEP SERVICE LOAD — persistent service vs per-call rebuild\n\n");

@@ -12,8 +12,9 @@
 
 int main(int argc, char** argv) {
     using namespace amsvp;
-    const double duration = bench::duration_from_args(argc, argv, 1e-3);
-    const std::string json_path = bench::json_path_from_args(argc, argv);
+    const bench::Args args(argc, argv, {bench::kDurationFlag, bench::kJsonFlag});
+    const double duration = args.duration_seconds(1e-3);
+    const std::string json_path = args.json_path();
     bench::JsonReport report("table1_isolation");
 
     std::printf("TABLE I — SIMULATION PERFORMANCE AND ACCURACY, MODELS IN ISOLATION\n");

@@ -8,7 +8,8 @@
 
 int main(int argc, char** argv) {
     using namespace amsvp;
-    const double duration = bench::duration_from_args(argc, argv, 20e-3);
+    const double duration =
+        bench::Args(argc, argv, {bench::kDurationFlag}).duration_seconds(20e-3);
 
     std::printf("TABLE II — LONGER RUN, SPEED-UP RELATIVE TO SC-AMS/ELN\n");
     bench::print_scaling_note(duration, 10000e-3);

@@ -14,7 +14,8 @@
 
 int main(int argc, char** argv) {
     using namespace amsvp;
-    const double duration = bench::duration_from_args(argc, argv, 0.5e-3);
+    const double duration =
+        bench::Args(argc, argv, {bench::kDurationFlag}).duration_seconds(0.5e-3);
 
     std::printf("TABLE III — ABSTRACTED MODELS INTEGRATED IN THE VIRTUAL PLATFORM\n");
     bench::print_scaling_note(duration, 100e-3);

@@ -115,12 +115,17 @@ int main() {
 
     // 4. The same sharded sweep through the machine-code backend this build
     //    prefers. With LLVM the fused program is JIT-compiled in process
-    //    (ORC) once. The compile takes milliseconds, so this cold sweep does
-    //    not wait for it: it starts on the interpreter, the compile runs on
-    //    the model cache's compile thread, and every shard switches to the
-    //    machine code at the first step boundary after it lands
-    //    (promoted_at). Results are bit-identical to the interpreter backend
-    //    whenever the switch happens; a build without LLVM simply interprets.
+    //    (ORC) once — but only once it pays: the compile takes milliseconds,
+    //    and the model cache buys it when the model's sweeps have planned
+    //    as many lane-steps as the kernel needs to repay it
+    //    (ModelCache::compile_budget, about 0.5-4 M). This sweep plans
+    //    64 x 1,500 = 96 k, so it queues no compile and runs on the
+    //    interpreter throughout (promoted_at == steps). A larger one would
+    //    start on the interpreter while the compile runs on the cache's
+    //    compile thread, and switch to the machine code at the first step
+    //    boundary after it lands. Results are bit-identical to the
+    //    interpreter backend whenever the switch happens; a build without
+    //    LLVM simply interprets.
     options.backend = runtime::preferred_native_backend();
     const auto native = runtime::simulate_sweep(
         *decay_model, {{"u0", [](double) { return 0.0; }}}, wide, 1.5, options);
@@ -134,7 +139,7 @@ int main() {
     }
     std::printf("\n--- Machine-code sweep (%s) ---\n"
                 "  %d lanes, %zu steps: %s the interpreter backend\n"
-                "  kernel from step %zu (%zu = never: the sweep ended first)\n",
+                "  kernel from step %zu (%zu = never: under the compile budget)\n",
                 options.backend == runtime::SweepBackend::kNativeOrc
                     ? "ORC JIT kernel"
                     : "built without LLVM: interpreter",
@@ -146,12 +151,13 @@ int main() {
 
     // 5. The same workload as a served one: a long-lived SweepService owns
     //    the compile cache and one persistent worker pool, and accepts jobs
-    //    from any number of client threads (submit() returns a future). The
-    //    first job starts on the interpreter while the kernel compiles;
-    //    orc_program_for() blocks until the kernel has landed, so the repeat
-    //    job runs it from its first step and skips the recompile — watch
-    //    the stats. Every job stays bit-identical to the direct
-    //    simulate_sweep calls above.
+    //    from any number of client threads (submit() returns a future). A
+    //    service buys the compile at a model's first job, whatever its size:
+    //    the first job, as small as section 4's, starts on the interpreter
+    //    while the kernel compiles; orc_program_for() blocks until the
+    //    kernel has landed, so the repeat job runs it from its first step
+    //    and skips the recompile — watch the stats. Every job stays
+    //    bit-identical to the direct simulate_sweep calls above.
     runtime::SweepService service;
     runtime::SweepJob job;
     job.model = *decay_model;
@@ -181,13 +187,14 @@ int main() {
                 "  2 jobs served: %s direct simulate_sweep\n"
                 "  kernel from step %zu cold, %zu warm (of %zu)\n"
                 "  executors built %llu; layout compiles %llu; "
-                "ORC compiles %llu, hits %llu (%.1f ms saved warm)\n",
+                "ORC compiles %llu, hits %llu (%.1f ms saved warm), deferred jobs %llu\n",
                 service_identical ? "bit-identical to" : "DIVERGED from",
                 served_cold.promoted_at, served_warm.promoted_at, served_warm.steps,
                 static_cast<unsigned long long>(stats.executors_built),
                 static_cast<unsigned long long>(stats.cache.layout_misses),
                 static_cast<unsigned long long>(stats.cache.orc_misses),
                 static_cast<unsigned long long>(stats.cache.orc_hits),
-                stats.cache.orc_compile_seconds_saved * 1e3);
+                stats.cache.orc_compile_seconds_saved * 1e3,
+                static_cast<unsigned long long>(stats.cache.orc_deferred));
     return service_identical ? 0 : 1;
 }

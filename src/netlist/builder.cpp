@@ -1,10 +1,28 @@
 #include "netlist/builder.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "support/check.hpp"
+#include "support/strings.hpp"
 
 namespace amsvp::netlist {
+
+namespace {
+
+/// Throws std::invalid_argument naming `function`, the branch and the value
+/// unless `value` is positive and finite.
+void require_positive(const char* function, const std::string& branch, const char* quantity,
+                      double value) {
+    if (!(std::isfinite(value) && value > 0.0)) {
+        throw std::invalid_argument(std::string("netlist::CircuitBuilder::") + function + ": " +
+                                    branch + " " + quantity +
+                                    " must be positive and finite, got " +
+                                    support::format_double(value));
+    }
+}
+
+}  // namespace
 
 using expr::Equation;
 using expr::EquationKind;
@@ -36,7 +54,7 @@ Branch CircuitBuilder::make_branch(std::string name, std::string_view pos, std::
 
 BranchId CircuitBuilder::resistor(std::string name, std::string_view pos, std::string_view neg,
                                   double ohms) {
-    AMSVP_CHECK(ohms > 0.0, "resistance must be positive");
+    require_positive("resistor", name, "resistance", ohms);
     Branch b = make_branch(name, pos, neg, DeviceKind::kResistor);
     b.value = ohms;
     Equation eq = expr::make_equation(
@@ -47,7 +65,7 @@ BranchId CircuitBuilder::resistor(std::string name, std::string_view pos, std::s
 
 BranchId CircuitBuilder::capacitor(std::string name, std::string_view pos, std::string_view neg,
                                    double farads) {
-    AMSVP_CHECK(farads > 0.0, "capacitance must be positive");
+    require_positive("capacitor", name, "capacitance", farads);
     Branch b = make_branch(name, pos, neg, DeviceKind::kCapacitor);
     b.value = farads;
     Equation eq = expr::make_equation(
@@ -59,7 +77,7 @@ BranchId CircuitBuilder::capacitor(std::string name, std::string_view pos, std::
 
 BranchId CircuitBuilder::inductor(std::string name, std::string_view pos, std::string_view neg,
                                   double henries) {
-    AMSVP_CHECK(henries > 0.0, "inductance must be positive");
+    require_positive("inductor", name, "inductance", henries);
     Branch b = make_branch(name, pos, neg, DeviceKind::kInductor);
     b.value = henries;
     Equation eq = expr::make_equation(
@@ -148,7 +166,10 @@ Circuit CircuitBuilder::build() {
 }
 
 Circuit make_rc_ladder(int stages, double r_ohms, double c_farads) {
-    AMSVP_CHECK(stages >= 1, "ladder needs at least one stage");
+    if (stages < 1) {
+        throw std::invalid_argument("netlist::make_rc_ladder: needs at least one stage, got " +
+                                    std::to_string(stages));
+    }
     CircuitBuilder cb("RC" + std::to_string(stages));
     cb.ground("gnd");
     cb.voltage_source("VIN", "in", "gnd", "u0");

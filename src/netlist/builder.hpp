@@ -27,6 +27,8 @@ public:
     NodeId node(std::string_view name);
     void ground(std::string_view name);
 
+    /// resistor, capacitor and inductor throw std::invalid_argument naming
+    /// the branch and the value unless it is positive and finite.
     BranchId resistor(std::string name, std::string_view pos, std::string_view neg,
                       double ohms);
     BranchId capacitor(std::string name, std::string_view pos, std::string_view neg,
@@ -66,7 +68,8 @@ private:
 };
 
 /// The paper's test circuits (Section V-A), with its published parameters.
-/// R = 5 kOhm, C = 25 nF per stage; stimulus input name "u0".
+/// R = 5 kOhm, C = 25 nF per stage; stimulus input name "u0". Throws
+/// std::invalid_argument for fewer than one stage.
 [[nodiscard]] Circuit make_rc_ladder(int stages, double r_ohms = 5e3, double c_farads = 25e-9);
 
 /// Two-inputs summing amplifier (Fig. 8a): R1 = 3k, R2 = 14k, R3 = 10k,

@@ -4,12 +4,16 @@
 #include <stdexcept>
 #include <utility>
 
-#include "support/check.hpp"
+#include "support/strings.hpp"
 
 namespace amsvp::numeric {
 
 SourceFunction square_wave(double period_seconds, double low, double high) {
-    AMSVP_CHECK(period_seconds > 0.0, "square_wave: period must be positive");
+    if (!(std::isfinite(period_seconds) && period_seconds > 0.0)) {
+        throw std::invalid_argument(
+            "numeric::square_wave: period must be positive and finite, got " +
+            support::format_double(period_seconds));
+    }
     return [=](double t) {
         double phase = std::fmod(t, period_seconds);
         // Different backends compute the same nominal sample time through
@@ -40,9 +44,16 @@ SourceFunction step(double at_seconds, double amplitude) {
 }
 
 SourceFunction piecewise_linear(std::vector<PwlPoint> points) {
-    AMSVP_CHECK(!points.empty(), "piecewise_linear: no points");
-    for (std::size_t i = 1; i < points.size(); ++i) {
-        AMSVP_CHECK(points[i].time > points[i - 1].time, "piecewise_linear: unsorted points");
+    if (points.empty()) {
+        throw std::invalid_argument("numeric::piecewise_linear: needs at least one point");
+    }
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const double time = points[i].time;
+        if (!std::isfinite(time) || (i > 0 && !(time > points[i - 1].time))) {
+            throw std::invalid_argument(
+                "numeric::piecewise_linear: point times must be finite and strictly increasing, "
+                "got " + support::format_double(time) + " at point " + std::to_string(i));
+        }
     }
     return [pts = std::move(points)](double t) {
         if (t <= pts.front().time) {

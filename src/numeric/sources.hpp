@@ -15,7 +15,8 @@ namespace amsvp::numeric {
 using SourceFunction = std::function<double(double)>;
 
 /// Square wave toggling between `low` and `high`, starting at `high` for the
-/// first half period (matching the paper's generator).
+/// first half period (matching the paper's generator). Throws
+/// std::invalid_argument when the period is not positive and finite.
 [[nodiscard]] SourceFunction square_wave(double period_seconds, double low = 0.0,
                                          double high = 1.0);
 
@@ -27,7 +28,8 @@ using SourceFunction = std::function<double(double)>;
 [[nodiscard]] SourceFunction step(double at_seconds, double amplitude = 1.0);
 
 /// Piecewise-linear source through (time, value) points; constant
-/// extrapolation outside the range. Points must be sorted by time.
+/// extrapolation outside the range. Throws std::invalid_argument when there
+/// are no points or their times are not finite and strictly increasing.
 struct PwlPoint {
     double time;
     double value;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <optional>
@@ -79,8 +80,8 @@ SweepResult simulate_sweep(const abstraction::SignalFlowModel& model,
     // — the ORC materialization, even without a SweepService. Results are
     // unaffected (layouts and programs are immutable); only cold-start cost
     // changes.
-    return detail::sweep_model(ModelCache::global(), nullptr, model, shared_stimuli, lanes,
-                               duration_seconds, options, nullptr);
+    return detail::sweep_model(ModelCache::global(), nullptr, detail::CompilePurchase::kRentOrBuy,
+                               model, shared_stimuli, lanes, duration_seconds, options, nullptr);
 }
 
 namespace {
@@ -327,7 +328,7 @@ void validate_sweep(const std::vector<expr::Symbol>& input_symbols,
     }
 }
 
-SweepResult sweep_model(ModelCache& cache, support::ThreadPool* pool,
+SweepResult sweep_model(ModelCache& cache, support::ThreadPool* pool, CompilePurchase purchase,
                         const abstraction::SignalFlowModel& model,
                         const std::map<std::string, numeric::SourceFunction>& shared_stimuli,
                         const std::vector<SweepLane>& lanes, double duration_seconds,
@@ -339,11 +340,25 @@ SweepResult sweep_model(ModelCache& cache, support::ThreadPool* pool,
     std::unique_ptr<BatchExecutor> batch;
     std::shared_ptr<const codegen::OrcCompileTicket> ticket;
     if (options.backend == SweepBackend::kNativeOrc) {
-        ModelCache::OrcRequest request = cache.request_orc_program(model, fingerprint);
+        ModelCache::OrcRequest request;
+        if (purchase == CompilePurchase::kAtFirstJob) {
+            request = cache.request_orc_program(model, fingerprint);
+        } else {
+            // The job's planned work, saturating: steady retirement can
+            // only make it an overestimate.
+            const std::uint64_t steps = support::step_count(duration_seconds, model.timestep);
+            const std::uint64_t lane_steps =
+                steps > std::numeric_limits<std::uint64_t>::max() / lanes.size()
+                    ? std::numeric_limits<std::uint64_t>::max()
+                    : steps * lanes.size();
+            request = cache.request_orc_for_job(model, fingerprint, lane_steps);
+        }
         ticket = std::move(request.ticket);
         if (request.program != nullptr) {
             batch = std::make_unique<codegen::OrcBatchModel>(std::move(request.program), width);
-        } else if (ticket->state() == codegen::OrcCompileTicket::State::kFailed) {
+        } else if (ticket == nullptr ||
+                   ticket->state() == codegen::OrcCompileTicket::State::kFailed) {
+            // Under the compile budget, or the compile failed.
             batch = std::make_unique<BatchCompiledModel>(std::move(request.layout), width);
         } else {
             batch = std::make_unique<codegen::TieredOrcBatchModel>(std::move(request.layout),
@@ -354,9 +369,9 @@ SweepResult sweep_model(ModelCache& cache, support::ThreadPool* pool,
     }
     SweepResult result = run_sweep(*batch, model.inputs, shared_stimuli, lanes,
                                    duration_seconds, options, pool);
-    // Only a failed compile degrades the job. One still running when the
-    // job ended, or dropped by a cache clear, leaves a job that ran the
-    // reference engine by design.
+    // Only a failed compile degrades the job. One not bought yet, still
+    // running when the job ended, or dropped by a cache clear leaves a job
+    // that ran the reference engine by design.
     const bool failed =
         ticket != nullptr && ticket->state() == codegen::OrcCompileTicket::State::kFailed;
     if (fell_back != nullptr) {

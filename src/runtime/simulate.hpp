@@ -72,7 +72,8 @@ struct SweepResult {
     /// The earliest step at which any shard stepped the ORC kernel: 0 when
     /// the kernel ran from the first step, `steps` when the sweep ran on
     /// the interpreter throughout. A cold kNativeOrc sweep switches at the
-    /// first step boundary after its compile lands (SweepBackend).
+    /// first step boundary after its compile lands, if it queued or shared
+    /// one (SweepBackend).
     std::size_t promoted_at = 0;
     /// Human-readable notes about degraded-mode recoveries the sweep took
     /// (ORC→interpreter backend fallback, per-shard fallback executors,
@@ -94,17 +95,25 @@ enum class SweepBackend {
     ///
     /// The model-compiling simulate_sweep overload and SweepService take
     /// the program from a ModelCache (sweep_service.hpp). A warm hit runs
-    /// the kernel from step 0. On a miss the sweep does not wait for the
-    /// compile, which costs milliseconds: it starts on the interpreter,
-    /// queues the compile on the cache's compile thread, and every shard
-    /// switches to the kernel at the first step boundary after it lands
-    /// (SweepResult::promoted_at). A sweep that ends first never ran the
-    /// kernel, and says nothing about it.
+    /// the kernel from step 0. On a miss the sweep never waits for the
+    /// compile, which costs milliseconds, and runs on the interpreter.
+    /// A SweepService job queues the compile at its model's first job, so
+    /// a service warms with one job per model. A simulate_sweep call
+    /// queues it only once its model's kNativeOrc sweeps, this one
+    /// included, have planned as many lane-steps (lanes × steps) as the
+    /// kernel needs to repay the compile (ModelCache::compile_budget, about
+    /// 0.5–4 M): below that it queues nothing and never runs the kernel
+    /// (promoted_at == steps), so a model swept once never pays a compile.
+    /// The sweep that queues the compile runs it on the cache's compile
+    /// thread, and every shard switches to the kernel at the first step
+    /// boundary after it lands (SweepResult::promoted_at). A sweep that
+    /// ends first never ran the kernel, and says nothing about it.
     ///
     /// When the program cannot be had — the library was built without
-    /// LLVM (AMSVP_WITH_LLVM=OFF), or the compile failed before the sweep
-    /// ended (e.g. the injected jit.orc_materialize fault) — the sweep runs
-    /// on the interpreter and reports "native sweep backend unavailable"
+    /// LLVM (AMSVP_WITH_LLVM=OFF; every sweep, whatever its size), or the
+    /// compile failed before the sweep ended (e.g. the injected
+    /// jit.orc_materialize fault) — the sweep runs on the interpreter and
+    /// reports "native sweep backend unavailable"
     /// in SweepResult::diagnostics (no stderr chatter — headless and
     /// service callers observe the fallback programmatically).
     kNativeOrc,
@@ -219,17 +228,32 @@ void validate_sweep(const std::vector<expr::Symbol>& input_symbols,
                     const std::vector<SweepLane>& lanes, double duration_seconds, double dt,
                     const SweepOptions& options);
 
+/// When a kNativeOrc job that finds no ORC program queues its compile.
+enum class CompilePurchase {
+    /// Once the model's planned lane-steps reach its compile budget
+    /// (ModelCache::request_orc_for_job): simulate_sweep, whose callers may
+    /// sweep a model once and exit.
+    kRentOrBuy,
+    /// At the model's first job (ModelCache::request_orc_program):
+    /// SweepService, which its owner warms with one job per model, so the
+    /// compile does not land at an unchosen moment of the served traffic.
+    kAtFirstJob,
+};
+
 /// The model sweep behind simulate_sweep(model, ...) and SweepService:
 /// validate the request (validate_sweep), fingerprint the model once, take
-/// the ORC program or its compile ticket (kNativeOrc) or the kFused layout
+/// the ORC program or its compile ticket (kNativeOrc, bought as `purchase`
+/// says, with the job's lanes × steps as its rent) or the kFused layout
 /// from `cache`, build the job's full-width executor — an OrcBatchModel on
-/// a hit, a TieredOrcBatchModel while the compile is pending — and
-/// run_sweep it on `pool`. A kNativeOrc job whose compile failed before it
+/// a hit, a TieredOrcBatchModel while the compile is pending, a
+/// BatchCompiledModel while it is not bought — and run_sweep it on `pool`.
+/// A kNativeOrc job whose compile failed before it
 /// ended ran on the interpreter and carries the "native sweep backend
 /// unavailable" note first in SweepResult::diagnostics; `*fell_back` (when
 /// non-null) reports whether that happened.
 [[nodiscard]] SweepResult sweep_model(
-    ModelCache& cache, support::ThreadPool* pool, const abstraction::SignalFlowModel& model,
+    ModelCache& cache, support::ThreadPool* pool, CompilePurchase purchase,
+    const abstraction::SignalFlowModel& model,
     const std::map<std::string, numeric::SourceFunction>& shared_stimuli,
     const std::vector<SweepLane>& lanes, double duration_seconds, const SweepOptions& options,
     bool* fell_back);

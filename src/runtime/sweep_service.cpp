@@ -1,8 +1,11 @@
 #include "runtime/sweep_service.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -162,8 +165,42 @@ std::shared_ptr<const ModelLayout> ModelCache::layout_for(
     return locked_layout_for(model, fingerprint);
 }
 
+std::uint64_t ModelCache::compile_budget(const ModelLayout& layout) {
+    // Measured on a 4-vCPU x86-64 host (LLVM 14 already loaded, one CPU)
+    // over the paper circuits, n fused instructions each:
+    //  * an ORC compile costs about 3.5 ms + 0.18 ms * n: RC1 (n = 2)
+    //    3.8-4.4 ms, 2IN (13) 5.1-5.6, OA (15) 5.0-6.0, RC20 (100) 21.5-25.8;
+    //  * the kernel saves about 0.3-0.5 ns * n per lane-step over the
+    //    interpreter in a width-8 sweep (interpreter vs kernel, ns per
+    //    lane-step: RC1 12.2 vs 11.3, 2IN 25.8 vs 21.8, OA 19.6 vs 13.3,
+    //    RC20 92.7 vs 40.6).
+    // The budget is their quotient: RC20 478 k lane-steps, OA 919 k,
+    // 2IN 998 k, RC1 4.29 M.
+    constexpr double kCompileFixedNs = 3.5e6;
+    constexpr double kCompilePerInstructionNs = 0.18e6;
+    constexpr double kSavedPerInstructionNs = 0.45;
+    const auto n = static_cast<double>(layout.fused_program().instructions().size());
+    if (n == 0.0) {
+        return std::numeric_limits<std::uint64_t>::max();  // no kernel saves anything
+    }
+    return static_cast<std::uint64_t>(
+        std::ceil((kCompileFixedNs + kCompilePerInstructionNs * n) / (kSavedPerInstructionNs * n)));
+}
+
 ModelCache::OrcRequest ModelCache::request_orc_program(
     const abstraction::SignalFlowModel& model, const std::string& fingerprint) {
+    return request_orc(model, fingerprint, std::nullopt);
+}
+
+ModelCache::OrcRequest ModelCache::request_orc_for_job(const abstraction::SignalFlowModel& model,
+                                                       const std::string& fingerprint,
+                                                       std::uint64_t lane_steps) {
+    return request_orc(model, fingerprint, lane_steps);
+}
+
+ModelCache::OrcRequest ModelCache::request_orc(const abstraction::SignalFlowModel& model,
+                                               const std::string& fingerprint,
+                                               std::optional<std::uint64_t> job_lane_steps) {
     std::unique_lock<std::mutex> lock(mutex_);
     OrcRequest request;
     Entry& entry = locked_touch_entry(fingerprint);
@@ -174,22 +211,33 @@ ModelCache::OrcRequest ModelCache::request_orc_program(
         return request;
     }
     request.layout = locked_layout_for(model, fingerprint);
-    if (entry.orc_ticket == nullptr) {
-        entry.orc_ticket = std::make_shared<codegen::OrcCompileTicket>();
-        CompileJob job{fingerprint, request.layout, entry.orc_ticket};
-        request.ticket = job.ticket;
-        if (!codegen::orc_available() || compiler_stopped_) {
-            // Nothing to wait for (the stub fails at once) or nobody left
-            // to compile (the global cache after exit began): compile here.
-            run_compile(lock, job);
-            return request;
-        }
-        compile_queue_.push_back(std::move(job));
-        locked_start_compiler();
-        compile_wake_.notify_one();
+    if (entry.orc_ticket != nullptr) {
+        request.ticket = entry.orc_ticket;
         return request;
     }
-    request.ticket = entry.orc_ticket;
+    if (job_lane_steps.has_value() && codegen::orc_available()) {
+        // Rent or buy: interpret until the model's planned interpreted work
+        // reaches what the compile costs.
+        entry.interpreted_lane_steps +=
+            std::min(*job_lane_steps,
+                     std::numeric_limits<std::uint64_t>::max() - entry.interpreted_lane_steps);
+        if (entry.interpreted_lane_steps < compile_budget(*request.layout)) {
+            ++stats_.orc_deferred;
+            return request;
+        }
+    }
+    entry.orc_ticket = std::make_shared<codegen::OrcCompileTicket>();
+    CompileJob job{fingerprint, request.layout, entry.orc_ticket};
+    request.ticket = job.ticket;
+    if (!codegen::orc_available() || compiler_stopped_) {
+        // Nothing to wait for (the stub fails at once) or nobody left to
+        // compile (the global cache after exit began): compile here.
+        run_compile(lock, job);
+        return request;
+    }
+    compile_queue_.push_back(std::move(job));
+    locked_start_compiler();
+    compile_wake_.notify_one();
     return request;
 }
 
@@ -421,8 +469,8 @@ void SweepService::dispatcher_loop() {
 SweepResult SweepService::execute(SweepJob& job) {
     bool fell_back = false;
     SweepResult result =
-        detail::sweep_model(*cache_, &pool_, job.model, job.stimuli, job.lanes,
-                            job.duration_seconds, job.options, &fell_back);
+        detail::sweep_model(*cache_, &pool_, detail::CompilePurchase::kAtFirstJob, job.model,
+                            job.stimuli, job.lanes, job.duration_seconds, job.options, &fell_back);
     executors_built_.fetch_add(1, std::memory_order_relaxed);
     if (fell_back) {
         native_fallbacks_.fetch_add(1, std::memory_order_relaxed);

@@ -3,9 +3,11 @@
 // A single simulate_sweep call pays cold-start costs that dominate short
 // jobs — the fingerprint, the FusedCompiler run and, with threads > 1, a
 // worker pool spun up for the call. The ORC materialization (milliseconds
-// per model) runs on the cache's compile thread while a cold kNativeOrc
-// job starts on the interpreter. This header owns the machinery that makes
-// repeat sweeps warm:
+// per model) runs on the cache's compile thread while the job starts on the
+// interpreter: a service job queues it at its model's first job, a
+// simulate_sweep call only once the model's interpreted kNativeOrc work
+// would have paid for it. This header owns the machinery that makes repeat
+// sweeps warm:
 //
 //  * model_fingerprint(): a deterministic canonical text of a
 //    SignalFlowModel — same program, same fingerprint — used as the cache
@@ -39,6 +41,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -67,24 +70,40 @@ namespace amsvp::runtime {
 /// and threads, so one cache entry serves every width, shard and job of a
 /// model.
 ///
+/// simulate_sweep's kNativeOrc jobs buy the compile by the rent-or-buy
+/// ("ski rental") rule: each entry counts the lane-steps its jobs have
+/// planned to run without the kernel, and request_orc_for_job queues the
+/// compile only once that count, the asking job included, reaches the
+/// model's compile_budget — the lane-steps whose kernel savings would repay
+/// the compile. Until then jobs run the interpreter and queue nothing
+/// (Stats::orc_deferred), so a model swept once never pays a compile.
+/// Paying rent until it equals the purchase price costs at most twice the
+/// offline optimum (Karlin, Manasse, Rudolph, Sleator, "Competitive Snoopy
+/// Caching", Algorithmica 3, 1988). request_orc_program and orc_program_for
+/// compile whatever the count says; SweepService jobs take the former, so a
+/// service warms with one job per model and no compile lands in its
+/// traffic later.
+///
 /// Layouts compile under the cache lock (microseconds to a millisecond).
 /// ORC compiles take milliseconds, so they run off the lock, one at a time,
-/// on a compile thread the cache owns, started by its first ORC request
-/// and inheriting that thread's CPU mask. Each entry holds at most one
+/// on a compile thread the cache owns, started by the first compile it
+/// queues and inheriting the queuing thread's CPU mask. Each entry holds at most one
 /// compile ticket (codegen::OrcCompileTicket): concurrent requests for a
 /// model share it, so a model costs one compile however many jobs ask. A
 /// compile lands only in the entry whose ticket it carries: clear() and
 /// eviction drop queued compiles (Stats::orc_dropped) and detach the
 /// running one, whose program then reaches its waiting jobs but never the
-/// cache (Stats::orc_discarded). Failed compiles are NOT cached: the next
-/// request retries, so a transient failure (or an injected
-/// jit.orc_materialize fault) cannot permanently poison the entry.
+/// cache (Stats::orc_discarded); both forget the entry's lane-step count
+/// with the entry. Failed compiles are NOT cached and leave the count over
+/// budget: the next request or job retries, so a transient failure (or an
+/// injected jit.orc_materialize fault) cannot permanently poison the entry.
 ///
 /// Destruction drops queued compiles and joins the thread. The global()
 /// cache is never destroyed, so it joins its thread from an atexit handler
 /// registered when the thread starts, before static destructors (LLVM's
-/// among them) run. Built without LLVM, ORC requests fail synchronously on
-/// the calling thread and no thread starts.
+/// among them) run. Built without LLVM, ORC requests — every job's
+/// included, whatever its size — fail synchronously on the calling thread
+/// and no thread starts.
 class ModelCache {
 public:
     struct Stats {
@@ -94,6 +113,10 @@ public:
         /// ORC compiles that landed in their cache entry.
         std::uint64_t orc_misses = 0;
         std::uint64_t orc_failures = 0;  ///< ORC compiles that returned null
+        /// kNativeOrc jobs (request_orc_for_job) that ran on the
+        /// interpreter and queued no compile: their model's count stayed
+        /// below its compile budget. Service jobs are never deferred.
+        std::uint64_t orc_deferred = 0;
         /// Queued ORC compiles dropped by clear() or eviction before they ran.
         std::uint64_t orc_dropped = 0;
         /// ORC compiles that finished after clear() or eviction removed
@@ -111,7 +134,8 @@ public:
 
     /// What a kNativeOrc job takes from the cache: the landed program on a
     /// hit; otherwise the layout and the ticket of the model's compile,
-    /// queued by this request or shared with an earlier one. Built without
+    /// queued by this request or shared with an earlier one — or no ticket
+    /// when request_orc_for_job left the compile unbought. Built without
     /// LLVM the ticket has already failed.
     struct OrcRequest {
         std::shared_ptr<const codegen::OrcJitProgram> program;
@@ -135,11 +159,27 @@ public:
     [[nodiscard]] std::shared_ptr<const ModelLayout> layout_for(
         const abstraction::SignalFlowModel& model, const std::string& fingerprint);
 
-    /// The model's ORC program if it has landed, else its compile ticket
-    /// (never blocks on a compile). The ORC program and the layout live in
-    /// the same entry, so one model's artifacts age (and evict) together.
+    /// The model's ORC program if it has landed, else its compile ticket,
+    /// queuing the compile whatever the compile budget says (never blocks
+    /// on a compile). The ORC program and the layout live in the same
+    /// entry, so one model's artifacts age (and evict) together.
     [[nodiscard]] OrcRequest request_orc_program(const abstraction::SignalFlowModel& model,
                                                  const std::string& fingerprint);
+
+    /// The same for a kNativeOrc job that plans `lane_steps` lane-steps
+    /// (lanes × steps): with neither the program nor a compile in flight,
+    /// the job's lane-steps join the entry's count, and the compile is
+    /// queued only when the count reaches compile_budget(). Below it the
+    /// request carries the layout and no ticket, and the job is counted in
+    /// Stats::orc_deferred. Built without LLVM it fails like any request.
+    [[nodiscard]] OrcRequest request_orc_for_job(const abstraction::SignalFlowModel& model,
+                                                 const std::string& fingerprint,
+                                                 std::uint64_t lane_steps);
+
+    /// The interpreted lane-steps whose kernel savings repay one ORC
+    /// compile of `layout`: a pure function of its fused instruction count
+    /// (no clock read), so jobs can be sized against it exactly.
+    [[nodiscard]] static std::uint64_t compile_budget(const ModelLayout& layout);
 
     /// The cached in-process ORC JIT program of `model` (the artifact
     /// behind SweepBackend::kNativeOrc), blocking until it lands: joins the
@@ -166,10 +206,11 @@ public:
     [[nodiscard]] std::size_t capacity() const;
     static constexpr std::size_t kDefaultCapacity = 1024;
 
-    /// Drop every cached entry and every queued compile (counters survive;
-    /// does not count as eviction). A compile already running finishes for
-    /// the jobs holding its ticket but lands nowhere. Artifacts still
-    /// referenced by live executors stay alive through their shared_ptrs.
+    /// Drop every cached entry, with its lane-step count, and every queued
+    /// compile (counters survive; does not count as eviction). A compile
+    /// already running finishes for the jobs holding its ticket but lands
+    /// nowhere. Artifacts still referenced by live executors stay alive
+    /// through their shared_ptrs.
     void clear();
 
     [[nodiscard]] std::size_t size() const;
@@ -180,6 +221,9 @@ private:
         std::shared_ptr<const codegen::OrcJitProgram> orc_program;
         /// The model's queued or running compile; reset when it resolves.
         std::shared_ptr<codegen::OrcCompileTicket> orc_ticket;
+        /// Lane-steps that kNativeOrc jobs planned while the program was
+        /// missing (saturating): the rent paid against compile_budget().
+        std::uint64_t interpreted_lane_steps = 0;
         double orc_compile_seconds = 0.0;
         /// This entry's position in lru_ (front = most recent).
         std::list<std::string>::iterator lru_position;
@@ -195,6 +239,11 @@ private:
     /// Serve-or-compile the layout under the held lock.
     [[nodiscard]] std::shared_ptr<const ModelLayout> locked_layout_for(
         const abstraction::SignalFlowModel& model, const std::string& fingerprint);
+
+    /// request_orc_program (no `job_lane_steps`) and request_orc_for_job.
+    [[nodiscard]] OrcRequest request_orc(const abstraction::SignalFlowModel& model,
+                                         const std::string& fingerprint,
+                                         std::optional<std::uint64_t> job_lane_steps);
 
     /// The entry for `fingerprint`, created if absent, bumped to the front
     /// of the recency list either way; evicts from the back when the
@@ -280,7 +329,10 @@ struct ServiceStats {
 
 /// The long-lived sweep server. One dispatcher thread drains the job queue
 /// in FIFO order; each job runs through detail::sweep_model over cached
-/// artifacts and the persistent worker pool. submit() is
+/// artifacts and the persistent worker pool. A kNativeOrc job queues its
+/// model's ORC compile at the model's first job, whatever its size
+/// (detail::CompilePurchase::kAtFirstJob), so one warm-up job per model
+/// warms the service and no compile runs during later traffic. submit() is
 /// thread-safe and non-blocking (enqueue + notify); concurrency across
 /// clients is queued, concurrency within a job comes from
 /// SweepOptions::threads.

@@ -1,12 +1,16 @@
 #include "vams/circuits.hpp"
 
-#include "support/check.hpp"
+#include <stdexcept>
+
 #include "support/strings.hpp"
 
 namespace amsvp::vams {
 
 std::string rc_ladder_source(int stages, double r_ohms, double c_farads) {
-    AMSVP_CHECK(stages >= 1, "ladder needs at least one stage");
+    if (stages < 1) {
+        throw std::invalid_argument("vams::rc_ladder_source: needs at least one stage, got " +
+                                    std::to_string(stages));
+    }
     std::string src;
     src += "// n-order RC filter built by cascading RC stages (Section V-A).\n";
     src += "module rc" + std::to_string(stages) + "(in, out, gnd);\n";

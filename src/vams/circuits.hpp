@@ -7,6 +7,7 @@
 namespace amsvp::vams {
 
 /// n-stage RC ladder (paper: R = 5 kOhm, C = 25 nF per stage). Input "u0".
+/// Throws std::invalid_argument for fewer than one stage.
 [[nodiscard]] std::string rc_ladder_source(int stages, double r_ohms = 5e3,
                                            double c_farads = 25e-9);
 

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "netlist/builder.hpp"
 #include "netlist/topology.hpp"
+#include "vams/circuits.hpp"
 
 namespace amsvp::netlist {
 namespace {
@@ -92,6 +95,42 @@ TEST(Builder, InvalidCircuitThrowsItsProblems) {
             }
         },
         std::invalid_argument);
+}
+
+/// Expects `make()` to throw std::invalid_argument mentioning `needle`.
+template <typename Make>
+void expect_rejected(Make make, const std::string& needle) {
+    try {
+        (void)make();
+        ADD_FAILURE() << "no exception; expected one mentioning: " << needle;
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
+}
+
+TEST(Builder, ElementValuesMustBePositiveAndFinite) {
+    CircuitBuilder cb("t");
+    cb.ground("gnd");
+    expect_rejected([&] { return cb.resistor("R1", "a", "gnd", 0.0); },
+                    "netlist::CircuitBuilder::resistor: R1 resistance must be positive and "
+                    "finite, got 0");
+    expect_rejected(
+        [&] { return cb.resistor("R2", "a", "gnd", std::numeric_limits<double>::infinity()); },
+        "R2 resistance must be positive and finite, got inf");
+    expect_rejected([&] { return cb.capacitor("C1", "a", "gnd", -25e-9); },
+                    "netlist::CircuitBuilder::capacitor: C1 capacitance must be positive and "
+                    "finite, got -2.5e-08");
+    expect_rejected(
+        [&] { return cb.inductor("L1", "a", "gnd", std::numeric_limits<double>::quiet_NaN()); },
+        "netlist::CircuitBuilder::inductor: L1 inductance must be positive and finite");
+    EXPECT_EQ(cb.peek().branch_count(), 0u);  // nothing half-added
+}
+
+TEST(Builder, LaddersNeedAtLeastOneStage) {
+    expect_rejected([] { return make_rc_ladder(0); },
+                    "netlist::make_rc_ladder: needs at least one stage, got 0");
+    expect_rejected([] { return vams::rc_ladder_source(-1); },
+                    "vams::rc_ladder_source: needs at least one stage, got -1");
 }
 
 TEST(Builder, PaperCircuitShapes) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
+#include <stdexcept>
+#include <string>
 
 #include "numeric/lu.hpp"
 #include "numeric/matrix.hpp"
@@ -195,6 +198,42 @@ TEST(Sources, ConstantIsConstant) {
     auto c = constant(42.0);
     EXPECT_DOUBLE_EQ(c(0.0), 42.0);
     EXPECT_DOUBLE_EQ(c(123.0), 42.0);
+}
+
+/// Expects `make()` to throw std::invalid_argument mentioning `needle`.
+template <typename Make>
+void expect_rejected(Make make, const std::string& needle) {
+    try {
+        (void)make();
+        ADD_FAILURE() << "no exception; expected one mentioning: " << needle;
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
+}
+
+TEST(Sources, SquareWaveRejectsABadPeriod) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+    expect_rejected([] { return square_wave(0.0); },
+                    "numeric::square_wave: period must be positive and finite, got 0");
+    expect_rejected([] { return square_wave(-1e-3); }, "got -0.001");
+    expect_rejected([] { return square_wave(kInf); }, "got inf");
+    expect_rejected([] { return square_wave(kNan); }, "numeric::square_wave: period");
+}
+
+TEST(Sources, PiecewiseLinearRejectsMissingUnsortedOrNonFiniteTimes) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+    expect_rejected([] { return piecewise_linear({}); },
+                    "numeric::piecewise_linear: needs at least one point");
+    expect_rejected([] { return piecewise_linear({{1.0, 0.0}, {0.5, 1.0}}); },
+                    "numeric::piecewise_linear: point times must be finite and strictly "
+                    "increasing, got 0.5 at point 1");
+    expect_rejected([] { return piecewise_linear({{0.0, 0.0}, {0.0, 1.0}}); },
+                    "got 0 at point 1");
+    expect_rejected([] { return piecewise_linear({{kNan, 0.0}}); }, "at point 0");
+    expect_rejected([] { return piecewise_linear({{0.0, 0.0}, {kInf, 1.0}}); },
+                    "got inf at point 1");
 }
 
 }  // namespace

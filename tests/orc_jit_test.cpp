@@ -496,8 +496,10 @@ TEST(SweepServiceOrc, WarmRepeatJobRunsZeroOrcCompiles) {
 
     const auto cold = service.run(make_job(model, 24, duration, options));
     EXPECT_TRUE(cold.diagnostics.empty());
-    // The cold job started on the interpreter and may end before its
-    // compile lands: join the compile so the counters read it landed.
+    // The cold job queued the compile at its start, far under the model's
+    // compile budget, and may end before it lands: join it, so the
+    // counters read it landed.
+    EXPECT_EQ(service.stats().cache.orc_deferred, 0u);
     ASSERT_NE(service.cache()->orc_program_for(model), nullptr);
     const runtime::ServiceStats after_cold = service.stats();
     EXPECT_EQ(after_cold.cache.orc_misses, 1u);
@@ -568,6 +570,7 @@ TEST(FaultInjectionOrc, MaterializeFaultFallsBackToInterpreterShard) {
     stats = service.stats();
     EXPECT_EQ(stats.native_fallbacks, 1u);
     EXPECT_EQ(stats.cache.orc_misses, 1u);
+    EXPECT_EQ(stats.cache.orc_deferred, 0u);  // service jobs queue the compile at once
 }
 
 // ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 // Tiered kNativeOrc sweeps and the ModelCache compile thread behind them.
 //
-// A cold kNativeOrc sweep starts on the fused interpreter while the
-// cache's compile thread builds the ORC kernel, and each shard switches to
-// the kernel at the first step boundary after the program lands. The
+// A cold kNativeOrc sweep runs on the fused interpreter. A service job
+// queues the ORC compile at its model's first job; a simulate_sweep job
+// only once its model's planned interpreted lane-steps reach the compile
+// budget. The cache's compile thread builds the kernel, and each shard
+// switches to it at the first step boundary after the program lands. The
 // OrcJitTiering differential forces that switch at chosen steps with a
 // deterministic handshake (a shard barrier inside the stimuli) and checks
-// the result bit for bit against the interpreter; ModelCacheCompile pins
-// the cache contract: one compile per model however many requests, nothing
-// lands in a cleared or evicted entry, failures are not cached, and a
-// cache never leaks its thread. Suite names OrcJitTiering* and
-// ModelCacheCompile* feed the `jit` and `service` ctest labels and the
-// repeated, shuffled orc_tiering_stress run.
+// the result bit for bit against the interpreter; OrcJitTieringBudget runs
+// jobs on either side of the budget; ModelCacheCompile pins the cache
+// contract: one compile per model however many requests, jobs buy it only
+// at the budget, nothing lands in a cleared or evicted entry, failures are
+// not cached, and a cache never leaks its thread. Suite names
+// OrcJitTiering* and ModelCacheCompile* feed the `jit` and `service` ctest
+// labels and the repeated, shuffled orc_tiering_stress run.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -32,6 +35,7 @@
 #include "runtime/sweep_service.hpp"
 #include "support/fault.hpp"
 #include "support/thread_pool.hpp"
+#include "tiering_support.hpp"
 
 namespace amsvp::codegen {
 namespace {
@@ -252,8 +256,13 @@ TEST(OrcJitTiering, ColdServiceJobSwitchesAtTheStepAfterTheCompileLands) {
     }
     const auto model = ladder_model(6);
     const double dt = model.timestep;
-    constexpr std::size_t kSteps = 200;
-    constexpr std::size_t kHoldAt = 40;
+    // Far under the model's compile budget: a service job queues the
+    // compile at its start whatever its size.
+    const double duration = 200 * dt;
+    // The hold is at the first step: the compile can land before any later
+    // step, but never after the first one's hold. The switch at a step in
+    // mid-run is pinned by the promotion differential above.
+    constexpr std::size_t kHoldAt = 0;
     runtime::SweepOptions options;
     options.backend = runtime::SweepBackend::kNativeOrc;
     std::vector<runtime::SweepLane> lanes(5);
@@ -261,28 +270,18 @@ TEST(OrcJitTiering, ColdServiceJobSwitchesAtTheStepAfterTheCompileLands) {
         lanes[l].stimuli["u0"] = numeric::square_wave(40 * dt, 0.0, 0.2 * (l + 1.0));
     }
     runtime::SweepOptions reference_options;
-    const auto reference = runtime::simulate_sweep(model, {}, lanes, kSteps * dt,
-                                                   reference_options);
+    const auto reference = runtime::simulate_sweep(model, {}, lanes, duration, reference_options);
 
     runtime::SweepService service;
     runtime::SweepJob job;
     job.model = model;
     job.lanes = lanes;
-    job.duration_seconds = kSteps * dt;
+    job.duration_seconds = duration;
     job.options = options;
     // Lane 0 holds step kHoldAt until the compile has landed in the cache,
     // which happens before its ticket resolves: the job switches there.
-    const std::shared_ptr<runtime::ModelCache> cache = service.cache();
-    const double hold_at = static_cast<double>(kHoldAt + 1) * dt;
-    job.lanes[0].stimuli["u0"] = [cache, hold_at,
-                                  source = job.lanes[0].stimuli["u0"]](double t) {
-        if (t == hold_at) {
-            while (cache->stats().orc_misses == 0) {
-                std::this_thread::yield();
-            }
-        }
-        return source(t);
-    };
+    job.lanes[0].stimuli["u0"] = testing_support::hold_until_compile_lands(
+        service.cache(), static_cast<double>(kHoldAt + 1) * dt, job.lanes[0].stimuli["u0"]);
     const auto cold = service.run(job);
     EXPECT_TRUE(cold.diagnostics.empty());
     EXPECT_EQ(cold.promoted_at, kHoldAt);
@@ -294,6 +293,7 @@ TEST(OrcJitTiering, ColdServiceJobSwitchesAtTheStepAfterTheCompileLands) {
     const runtime::ServiceStats stats = service.stats();
     EXPECT_EQ(stats.cache.orc_misses, 1u);
     EXPECT_EQ(stats.cache.orc_hits, 1u);
+    EXPECT_EQ(stats.cache.orc_deferred, 0u);
     EXPECT_EQ(stats.native_fallbacks, 0u);
 }
 
@@ -315,6 +315,10 @@ TEST(OrcJitTiering, ExitWithTheGlobalCompileInFlightIsClean) {
                 lane.stimuli["u0"] = numeric::constant(1.0);
             }
             const std::uint64_t before = orc_detail::orc_compile_invocations();
+            // A job this short stays under the compile budget, so the
+            // compile is requested explicitly; the sweep then tiers on it.
+            (void)runtime::ModelCache::global().request_orc_program(
+                model, runtime::model_fingerprint(model));
             (void)runtime::simulate_sweep(model, {}, lanes, 4 * model.timestep, options);
             // Leave once the compile thread has started the compile: the
             // process exits with the compile running.
@@ -325,6 +329,165 @@ TEST(OrcJitTiering, ExitWithTheGlobalCompileInFlightIsClean) {
         },
         ::testing::ExitedWithCode(0), "");
     ::testing::FLAGS_gtest_death_test_style = style;
+}
+
+TEST(OrcJitTiering, OneShotColdSweepStartsNoCompileAndExitsCleanly) {
+    if (!orc_available()) {
+        GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
+    }
+    const std::string style = ::testing::FLAGS_gtest_death_test_style;
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            // cold_text's shape: 8 lanes, 2000 steps, far under the budget.
+            const auto model = ladder_model(20);
+            runtime::SweepOptions options;
+            options.backend = runtime::SweepBackend::kNativeOrc;
+            std::vector<runtime::SweepLane> lanes(8);
+            for (runtime::SweepLane& lane : lanes) {
+                lane.stimuli["u0"] = numeric::constant(1.0);
+            }
+            const std::uint64_t before = orc_detail::orc_compile_invocations();
+            const std::uint64_t deferred = runtime::ModelCache::global().stats().orc_deferred;
+            const auto result =
+                runtime::simulate_sweep(model, {}, lanes, 2000 * model.timestep, options);
+            const bool rented = orc_detail::orc_compile_invocations() == before &&
+                                runtime::ModelCache::global().stats().orc_deferred ==
+                                    deferred + 1 &&
+                                result.promoted_at == result.steps;
+            std::exit(rented ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
+    ::testing::FLAGS_gtest_death_test_style = style;
+}
+
+// ---------------------------------------------------------------------------
+// The compile budget, through whole jobs: a cold simulate_sweep job queues
+// the compile only once its model's planned interpreted lane-steps reach
+// ModelCache::compile_budget; a service job queues it at once.
+
+class OrcJitTieringBudget : public ::testing::Test {
+protected:
+    void SetUp() override {
+        if (!orc_available()) {
+            GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
+        }
+    }
+
+    /// A job of undriven, charged ladder lanes planning `fraction` of the
+    /// model's compile budget. Steady detection retires every lane after
+    /// its decay: the budget counts planned lane-steps, so the job is sized
+    /// against it exactly yet steps only the transient.
+    static runtime::SweepJob decaying_job(const abstraction::SignalFlowModel& model,
+                                          std::size_t lanes, double fraction) {
+        runtime::SweepJob job;
+        job.model = model;
+        job.lanes.resize(lanes);
+        for (std::size_t l = 0; l < lanes; ++l) {
+            job.lanes[l].stimuli["u0"] = numeric::constant(0.0);
+            for (const expr::Symbol& s : model.state_symbols()) {
+                job.lanes[l].overrides[s] = 1e-3 * static_cast<double>(l + 1);
+            }
+        }
+        job.duration_seconds =
+            static_cast<double>(testing_support::steps_for_budget(model, lanes, fraction)) *
+            model.timestep;
+        job.options.backend = runtime::SweepBackend::kNativeOrc;
+        job.options.steady_tolerance = 1e-6;
+        job.options.steady_window = 16;
+        return job;
+    }
+
+    static runtime::SweepResult interpreted(const runtime::SweepJob& job) {
+        runtime::SweepOptions options = job.options;
+        options.backend = runtime::SweepBackend::kInterpreter;
+        return runtime::simulate_sweep(job.model, job.stimuli, job.lanes, job.duration_seconds,
+                                       options);
+    }
+
+    /// `job` as simulate_sweep runs it, over `cache` instead of the global
+    /// cache.
+    static runtime::SweepResult one_shot(runtime::ModelCache& cache, const runtime::SweepJob& job) {
+        return runtime::detail::sweep_model(cache, nullptr,
+                                            runtime::detail::CompilePurchase::kRentOrBuy,
+                                            job.model, job.stimuli, job.lanes,
+                                            job.duration_seconds, job.options, nullptr);
+    }
+};
+
+TEST_F(OrcJitTieringBudget, JobUnderTheBudgetRunsTheInterpreterAndQueuesNoCompile) {
+    const auto model = ladder_model(8, 1e-3);
+    const runtime::SweepJob job = decaying_job(model, 8, 0.6);
+    const auto reference = interpreted(job);
+    ASSERT_LT(reference.settled_at[0], reference.steps);  // the lanes retired
+
+    runtime::ModelCache cache;
+    const std::uint64_t before = orc_detail::orc_compile_invocations();
+    const auto result = one_shot(cache, job);
+    EXPECT_EQ(orc_detail::orc_compile_invocations(), before);
+    EXPECT_EQ(result.promoted_at, result.steps);
+    EXPECT_TRUE(result.diagnostics.empty());
+    expect_identical(result, reference);
+    const runtime::ModelCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.orc_deferred, 1u);
+    EXPECT_EQ(stats.orc_misses + stats.orc_failures + stats.orc_dropped + stats.orc_discarded,
+              0u);
+}
+
+TEST_F(OrcJitTieringBudget, ServiceJobUnderTheBudgetQueuesTheCompileAtOnce) {
+    const auto model = ladder_model(8, 1e-3);
+    const runtime::SweepJob job = decaying_job(model, 8, 0.6);
+    const auto reference = interpreted(job);
+
+    runtime::SweepService service;
+    const std::uint64_t before = orc_detail::orc_compile_invocations();
+    const auto result = service.run(job);
+    EXPECT_TRUE(result.diagnostics.empty());
+    expect_identical(result, reference);
+    // The job queued the compile at its start: joining it compiles nothing
+    // more.
+    ASSERT_NE(service.cache()->orc_program_for(model), nullptr);
+    EXPECT_EQ(orc_detail::orc_compile_invocations(), before + 1);
+    const runtime::ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.cache.orc_deferred, 0u);
+    EXPECT_EQ(stats.cache.orc_misses, 1u);
+    EXPECT_EQ(stats.native_fallbacks, 0u);
+}
+
+TEST_F(OrcJitTieringBudget, TheJobThatReachesTheBudgetQueuesOneCompile) {
+    const auto model = ladder_model(8, 1e-3);
+    const runtime::SweepJob job = decaying_job(model, 8, 0.6);  // two of them reach it
+    const auto reference = interpreted(job);
+
+    const auto cache = std::make_shared<runtime::ModelCache>();
+    const std::uint64_t before = orc_detail::orc_compile_invocations();
+    const auto first = one_shot(*cache, job);
+    EXPECT_EQ(first.promoted_at, first.steps);
+    EXPECT_EQ(orc_detail::orc_compile_invocations(), before);
+
+    // The second job reaches the budget and queues the compile at its
+    // start; lane 0 holds the first step until it has landed, so the job
+    // switches there (the compile may land before any later step).
+    runtime::SweepJob crossing = job;
+    crossing.lanes[0].stimuli["u0"] = testing_support::hold_until_compile_lands(
+        cache, model.timestep, job.lanes[0].stimuli.at("u0"));
+    const auto second = one_shot(*cache, crossing);
+    EXPECT_EQ(second.promoted_at, 0u);
+    EXPECT_TRUE(second.diagnostics.empty());
+    EXPECT_EQ(orc_detail::orc_compile_invocations(), before + 1);
+    EXPECT_EQ(cache->stats().orc_hits, 0u);  // it held the ticket
+
+    // Landed: the next job runs the kernel from its first step.
+    const auto third = one_shot(*cache, job);
+    EXPECT_EQ(third.promoted_at, 0u);
+    for (const runtime::SweepResult* result : {&first, &second, &third}) {
+        expect_identical(*result, reference);
+    }
+    const runtime::ModelCache::Stats stats = cache->stats();
+    EXPECT_EQ(stats.orc_deferred, 1u);
+    EXPECT_EQ(stats.orc_misses, 1u);
+    EXPECT_EQ(stats.orc_hits, 1u);
+    EXPECT_EQ(orc_detail::orc_compile_invocations(), before + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -493,6 +656,95 @@ TEST_F(ModelCacheCompile, FailureIsNotCachedAndTheNextRequestRetries) {
     EXPECT_EQ(stats.orc_misses, 1u);
 }
 
+TEST_F(ModelCacheCompile, JobsQueueTheCompileOnlyOnceTheirLaneStepsReachTheBudget) {
+    const auto model = ladder_model(10);
+    const std::string fingerprint = model_fingerprint(model);
+    ModelCache cache;
+    const std::uint64_t budget =
+        ModelCache::compile_budget(*cache.layout_for(model, fingerprint));
+    const std::uint64_t before = orc_detail::orc_compile_invocations();
+    const ModelCache::OrcRequest rented = cache.request_orc_for_job(model, fingerprint, budget - 1);
+    EXPECT_EQ(rented.program, nullptr);
+    EXPECT_EQ(rented.ticket, nullptr);
+    ASSERT_NE(rented.layout, nullptr);
+    EXPECT_EQ(cache.stats().orc_deferred, 1u);
+
+    // One more lane-step reaches the budget: this job buys the compile.
+    const ModelCache::OrcRequest bought = cache.request_orc_for_job(model, fingerprint, 1);
+    ASSERT_NE(bought.ticket, nullptr);
+    EXPECT_EQ(bought.ticket->wait(), State::kLanded);
+    EXPECT_EQ(orc_detail::orc_compile_invocations(), before + 1);
+
+    // Landed: every job hits, however small.
+    const ModelCache::OrcRequest warm = cache.request_orc_for_job(model, fingerprint, 1);
+    EXPECT_EQ(warm.program.get(), bought.ticket->program().get());
+    const ModelCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.orc_deferred, 1u);
+    EXPECT_EQ(stats.orc_misses, 1u);
+    EXPECT_EQ(stats.orc_hits, 1u);
+}
+
+TEST_F(ModelCacheCompile, ExplicitRequestsCompileWhateverTheBudget) {
+    const auto a = ladder_model(9);
+    const auto b = ladder_model(11);
+    const std::string fingerprint = model_fingerprint(a);
+    ModelCache cache;
+    const std::uint64_t before = orc_detail::orc_compile_invocations();
+    const ModelCache::OrcRequest requested = cache.request_orc_program(a, fingerprint);
+    ASSERT_NE(requested.ticket, nullptr);
+    // A job under the budget shares the compile in flight, or hits.
+    const ModelCache::OrcRequest job = cache.request_orc_for_job(a, fingerprint, 1);
+    EXPECT_TRUE(job.ticket == requested.ticket || job.program != nullptr);
+    EXPECT_EQ(requested.ticket->wait(), State::kLanded);
+    EXPECT_NE(cache.orc_program_for(b), nullptr);
+    EXPECT_EQ(orc_detail::orc_compile_invocations(), before + 2);
+    const ModelCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.orc_misses, 2u);
+    EXPECT_EQ(stats.orc_deferred, 0u);
+}
+
+TEST_F(ModelCacheCompile, ClearAndEvictionForgetTheLaneStepCount) {
+    const auto model = ladder_model(10);
+    const auto other = ladder_model(3);
+    const std::string fingerprint = model_fingerprint(model);
+    ModelCache cache;
+    const std::uint64_t budget =
+        ModelCache::compile_budget(*cache.layout_for(model, fingerprint));
+    const std::uint64_t before = orc_detail::orc_compile_invocations();
+    EXPECT_EQ(cache.request_orc_for_job(model, fingerprint, budget - 1).ticket, nullptr);
+    cache.clear();
+    // The count went with the entry: the same job is under budget again.
+    EXPECT_EQ(cache.request_orc_for_job(model, fingerprint, budget - 1).ticket, nullptr);
+    cache.set_capacity(1);
+    (void)cache.layout_for(other);  // evicts the model's entry
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(cache.request_orc_for_job(model, fingerprint, budget - 1).ticket, nullptr);
+    EXPECT_EQ(cache.stats().orc_deferred, 3u);
+    EXPECT_EQ(orc_detail::orc_compile_invocations(), before);
+}
+
+TEST_F(ModelCacheCompile, FailedCompileLeavesTheModelOverBudget) {
+    const auto model = ladder_model(4);
+    const std::string fingerprint = model_fingerprint(model);
+    ModelCache cache;
+    const std::uint64_t budget =
+        ModelCache::compile_budget(*cache.layout_for(model, fingerprint));
+    support::fault::arm("jit.orc_materialize", support::fault::Trigger::kOnce);
+    const ModelCache::OrcRequest failed = cache.request_orc_for_job(model, fingerprint, budget);
+    ASSERT_NE(failed.ticket, nullptr);
+    EXPECT_EQ(failed.ticket->wait(), State::kFailed);
+
+    // Not cached, and the count stays over budget: the next job retries,
+    // however small.
+    const ModelCache::OrcRequest retried = cache.request_orc_for_job(model, fingerprint, 1);
+    ASSERT_NE(retried.ticket, nullptr);
+    EXPECT_EQ(retried.ticket->wait(), State::kLanded);
+    const ModelCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.orc_failures, 1u);
+    EXPECT_EQ(stats.orc_misses, 1u);
+    EXPECT_EQ(stats.orc_deferred, 0u);
+}
+
 TEST_F(ModelCacheCompile, DestroyingACacheWithCompilesInFlightJoinsItsThread) {
     const auto a = ladder_model(14);
     const auto b = ladder_model(7);
@@ -522,6 +774,46 @@ TEST(ModelCacheCompileUnavailable, RequestsFailSynchronouslyWithoutLlvm) {
     EXPECT_EQ(request.ticket->state(), State::kFailed);
     EXPECT_NE(request.ticket->error().find("AMSVP_WITH_LLVM=OFF"), std::string::npos);
     EXPECT_EQ(cache.stats().orc_failures, 1u);
+}
+
+TEST(ModelCacheCompileUnavailable, EveryJobReportsTheMissingBackendWithoutLlvm) {
+    if (orc_available()) {
+        GTEST_SKIP() << "LLVM build: jobs under the compile budget queue nothing";
+    }
+    // The kernel can never exist, so the budget never defers the request:
+    // every job, however short and however bought, says it ran on the
+    // interpreter.
+    const auto model = ladder_model(4);
+    runtime::SweepJob job;
+    job.model = model;
+    job.lanes.resize(4);
+    for (runtime::SweepLane& lane : job.lanes) {
+        lane.stimuli["u0"] = numeric::constant(1.0);
+    }
+    job.duration_seconds = 10 * model.timestep;
+    job.options.backend = runtime::SweepBackend::kNativeOrc;
+    const auto expect_fell_back = [](const runtime::SweepResult& result) {
+        ASSERT_FALSE(result.diagnostics.empty());
+        EXPECT_NE(result.diagnostics.front().find("native sweep backend unavailable"),
+                  std::string::npos);
+        EXPECT_EQ(result.promoted_at, result.steps);
+    };
+    runtime::SweepService service;
+    ModelCache one_shot_cache;
+    for (int j = 0; j < 2; ++j) {
+        expect_fell_back(service.run(job));
+        bool fell_back = false;
+        expect_fell_back(runtime::detail::sweep_model(
+            one_shot_cache, nullptr, runtime::detail::CompilePurchase::kRentOrBuy, job.model,
+            job.stimuli, job.lanes, job.duration_seconds, job.options, &fell_back));
+        EXPECT_TRUE(fell_back);
+    }
+    const runtime::ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.native_fallbacks, 2u);
+    EXPECT_EQ(stats.cache.orc_failures, 2u);
+    EXPECT_EQ(stats.cache.orc_deferred, 0u);
+    EXPECT_EQ(one_shot_cache.stats().orc_failures, 2u);
+    EXPECT_EQ(one_shot_cache.stats().orc_deferred, 0u);
 }
 
 }  // namespace
