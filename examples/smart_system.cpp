@@ -3,8 +3,10 @@
 // filter integrated at every abstraction level of Table III.
 //
 // The firmware's UART output must be identical regardless of how the analog
-// component is integrated; only the simulation cost changes.
+// component is integrated; only the simulation cost changes. Exits 1 when
+// the rows disagree on instructions, ADC conversions or UART output.
 #include <cstdio>
+#include <optional>
 
 #include "abstraction/abstraction.hpp"
 #include "netlist/builder.hpp"
@@ -27,6 +29,8 @@ int main() {
     std::printf("%-20s %12s %14s %10s  %s\n", "integration", "wall [s]", "instructions",
                 "ADC conv", "UART output");
 
+    bool agree = true;
+    std::optional<vp::PlatformResult> first;
     const vp::AnalogIntegration integrations[] = {
         vp::AnalogIntegration::kVamsCosim, vp::AnalogIntegration::kEln,
         vp::AnalogIntegration::kTdf,       vp::AnalogIntegration::kDe,
@@ -47,9 +51,21 @@ int main() {
                     static_cast<unsigned long long>(result.instructions),
                     static_cast<unsigned long long>(result.adc_conversions),
                     result.uart_output.c_str());
+        if (!first) {
+            first = result;
+        } else if (result.instructions != first->instructions ||
+                   result.adc_conversions != first->adc_conversions ||
+                   result.uart_output != first->uart_output) {
+            agree = false;
+        }
     }
 
     std::printf("\nThe application reports '0'/'1' transitions of the filtered square\n"
                 "wave; every integration style must produce the same report.\n");
+    if (!agree) {
+        std::fprintf(stderr, "integration styles disagree on instructions, ADC conversions "
+                             "or UART output\n");
+        return 1;
+    }
     return 0;
 }

@@ -5,8 +5,10 @@
 //
 // The same detection firmware runs against the abstracted model in the
 // pure-C++ platform and against the conservative solver behind the
-// co-simulation coupler — the report must be identical.
+// co-simulation coupler — the report must be identical. Exits 1 unless
+// every row reports "KKK" with the same instruction and ADC counts.
 #include <cstdio>
+#include <optional>
 
 #include "abstraction/abstraction.hpp"
 #include "netlist/builder.hpp"
@@ -85,6 +87,8 @@ int main() {
     std::printf("%-20s %12s %14s  %s\n", "integration", "wall [s]", "instructions",
                 "UART report");
 
+    bool agree = true;
+    std::optional<vp::PlatformResult> first;
     for (const auto integration :
          {vp::AnalogIntegration::kVamsCosim, vp::AnalogIntegration::kEln,
           vp::AnalogIntegration::kCpp}) {
@@ -101,7 +105,19 @@ int main() {
                     std::string(to_string(integration)).c_str(), result.wall_seconds,
                     static_cast<unsigned long long>(result.instructions),
                     result.uart_output.c_str());
+        if (!first) {
+            first = result;
+        }
+        if (result.uart_output != "KKK" || result.instructions != first->instructions ||
+            result.adc_conversions != first->adc_conversions) {
+            agree = false;
+        }
     }
     std::printf("\nthree taps -> three 'K's, independent of the integration style.\n");
+    if (!agree) {
+        std::fprintf(stderr, "a row missed the \"KKK\" report or disagrees on instructions "
+                             "or ADC conversions\n");
+        return 1;
+    }
     return 0;
 }

@@ -4,22 +4,34 @@
 #include <stdexcept>
 
 #include "support/check.hpp"
+#include "support/strings.hpp"
 
 namespace amsvp::cosim {
 
-CosimCoupler::CosimCoupler(de::Simulator& sim, const netlist::Circuit& circuit,
-                           const spice::SpiceOptions& options,
-                           std::map<std::string, numeric::SourceFunction> stimuli,
-                           std::string observed_pos, std::string observed_neg)
-    : sim_(sim),
-      trace_(options.timestep, options.timestep),
-      period_(de::from_seconds(options.timestep)) {
+namespace {
+
+std::unique_ptr<spice::SpiceEngine> create_engine(const netlist::Circuit& circuit,
+                                                  const spice::SpiceOptions& options) {
     std::string error;
     auto engine = spice::SpiceEngine::create(circuit, options, &error);
     if (!engine) {
         throw std::invalid_argument("cosim: " + error);
     }
-    engine_ = std::make_unique<spice::SpiceEngine>(std::move(*engine));
+    return std::make_unique<spice::SpiceEngine>(std::move(*engine));
+}
+
+}  // namespace
+
+// The engine is created first: it rejects a bad timestep with a diagnostic
+// before the period conversion would abort on it.
+CosimCoupler::CosimCoupler(de::Simulator& sim, const netlist::Circuit& circuit,
+                           const spice::SpiceOptions& options,
+                           std::map<std::string, numeric::SourceFunction> stimuli,
+                           std::string observed_pos, std::string observed_neg)
+    : sim_(sim),
+      engine_(create_engine(circuit, options)),
+      trace_(options.timestep, options.timestep),
+      period_(de::from_seconds(options.timestep)) {
     pos_ = circuit.observed_node(observed_pos, "cosim");
     neg_ = circuit.observed_node(observed_neg, "cosim");
 
@@ -59,8 +71,10 @@ void CosimCoupler::synchronize() {
     // "Context switch" to the analog solver: it unpacks the message,
     // advances its own time by one step, and packs the observations.
     unmarshal(to_analog_, analog_inputs_scratch_);
-    const bool ok = engine_->step(analog_inputs_scratch_, t);
-    AMSVP_CHECK(ok, "analog solver failed to converge during co-simulation");
+    if (!engine_->step(analog_inputs_scratch_, t)) {
+        throw std::runtime_error("cosim: analog solver failed to converge at t = " +
+                                 support::format_double(t) + " s");
+    }
     observations_scratch_.assign(1, engine_->voltage_between(pos_, neg_));
     marshal(observations_scratch_, from_analog_);
 

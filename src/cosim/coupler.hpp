@@ -43,7 +43,9 @@ public:
     /// `observed_pos`/`observed_neg` is published to a digital signal at
     /// every synchronization point. Throws std::invalid_argument when the
     /// conservative engine cannot be created for `circuit`, when an observed
-    /// node is not in `circuit`, or when an input has no stimulus.
+    /// node is not in `circuit`, or when an input has no stimulus. A
+    /// synchronization point whose analog step fails to converge throws
+    /// std::runtime_error naming the simulated time, out of the kernel run.
     CosimCoupler(de::Simulator& sim, const netlist::Circuit& circuit,
                  const spice::SpiceOptions& options,
                  std::map<std::string, numeric::SourceFunction> stimuli,

@@ -1,10 +1,16 @@
 // ELN engine — the SystemC-AMS Electrical-Linear-Network stand-in.
 //
-// At elaboration the network equations are set up once and the system matrix
-// is LU-factorised once (linear network, fixed timestep); every activation
-// only rebuilds the right-hand side and back-substitutes. Embedded in the DE
-// kernel the engine behaves like the SC-AMS synchronisation layer: one timed
-// activation per analog timestep, values exchanged through kernel channels.
+// At elaboration the circuit's sparse tableau (netlist/tableau.hpp) is
+// stamped in companion form and LU-factorised once (linear network, fixed
+// timestep); every activation only rebuilds the right-hand side and
+// back-substitutes. Derivative terms are discretized with backward Euler:
+//
+//     c * ddt(q)  ->  (c/h) q  -  (c/h) q_prev
+//
+// the first term a constant matrix entry, the second a history term of the
+// right-hand side. Embedded in the DE kernel the engine behaves like the
+// SC-AMS synchronisation layer: one timed activation per analog timestep,
+// values exchanged through kernel channels.
 #pragma once
 
 #include <map>
@@ -12,7 +18,8 @@
 
 #include "de/kernel.hpp"
 #include "de/signal.hpp"
-#include "eln/tableau.hpp"
+#include "expr/fused.hpp"
+#include "netlist/tableau.hpp"
 #include "numeric/lu.hpp"
 #include "numeric/sources.hpp"
 #include "numeric/waveform.hpp"
@@ -21,24 +28,25 @@ namespace amsvp::eln {
 
 class ElnEngine {
 public:
-    /// Build + factorise. Throws std::invalid_argument on non-linear
-    /// circuits (use the SPICE engine for those) — check with
-    /// Tableau::build first when unsure.
+    /// Stamp + factorise. Throws std::invalid_argument when a constitutive
+    /// equation is not linear (use the SPICE engine for those), when the
+    /// matrix is singular, when `timestep` is not positive and finite, or
+    /// when the circuit has no ground node. Keeps a pointer to `circuit`.
     ElnEngine(const netlist::Circuit& circuit, double timestep);
 
-    [[nodiscard]] double timestep() const { return tableau_.timestep(); }
-    [[nodiscard]] const std::vector<std::string>& input_names() const {
-        return tableau_.input_names();
-    }
+    [[nodiscard]] double timestep() const { return timestep_; }
+    [[nodiscard]] const std::vector<std::string>& input_names() const { return inputs_; }
 
     /// Reset state (previous solution) to zero.
     void reset();
 
-    /// Advance one step at absolute time `time_seconds`.
+    /// Advance one step at absolute time `time_seconds`, with the input
+    /// values in input_names() order.
     void step(const std::vector<double>& input_values, double time_seconds);
 
+    /// By-name reads throw std::invalid_argument naming an unknown node or
+    /// branch.
     [[nodiscard]] double node_voltage(std::string_view node_name) const;
-    [[nodiscard]] double branch_voltage(std::string_view branch_name) const;
     [[nodiscard]] double branch_current(std::string_view branch_name) const;
     /// Voltage between two nodes.
     [[nodiscard]] double voltage_between(std::string_view pos, std::string_view neg) const;
@@ -48,7 +56,22 @@ public:
     [[nodiscard]] std::uint64_t steps() const { return steps_; }
 
 private:
-    Tableau tableau_;
+    /// Right-hand side of one tableau row: b = sum(c * x_prev[col]) over
+    /// `history`, minus the row's offset slot (-1: no offset).
+    struct Row {
+        netlist::Tableau::Row history;
+        int offset_slot = -1;
+    };
+
+    netlist::Tableau tableau_;
+    double timestep_;
+    std::vector<std::string> inputs_;
+    std::vector<Row> rows_;
+    /// Every row's offset as one assignment over the offset file
+    /// [inputs..., time, offsets..., scratch and constant pool]. The file is
+    /// reused across steps, so concurrent steps on one engine are unsafe.
+    expr::FusedProgram offsets_;
+    std::vector<double> offset_slots_;
     numeric::LuFactorization lu_;
     numeric::Vector x_;
     numeric::Vector b_;

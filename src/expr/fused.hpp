@@ -1,7 +1,7 @@
 // Fused register-machine compilation of assignment lists.
 //
 // The one expression engine of the library: signal-flow models, the SPICE
-// engine's residual rows and the ELN tableau's right-hand-side offsets all
+// engine's residual rows and the ELN engine's right-hand-side offsets all
 // compile here. All assignments of a program become a single flat stream of
 // three-address instructions that read and write the slot file directly:
 //

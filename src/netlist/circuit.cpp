@@ -146,6 +146,14 @@ std::optional<BranchId> Circuit::find_branch(std::string_view branch_name) const
     return std::nullopt;
 }
 
+BranchId Circuit::observed_branch(std::string_view branch_name, std::string_view who) const {
+    if (const auto branch = find_branch(branch_name)) {
+        return *branch;
+    }
+    throw std::invalid_argument(std::string(who) + ": unknown observed branch '" +
+                                std::string(branch_name) + "'");
+}
+
 std::vector<std::string> Circuit::validate() const {
     std::vector<std::string> problems;
     if (!has_ground()) {

@@ -3,9 +3,9 @@
 // A Circuit owns the node/branch topology plus one constitutive (dipole)
 // equation per branch. It is produced either programmatically through
 // CircuitBuilder or by elaborating a Verilog-AMS module, and consumed by
-//  * the abstraction pipeline (which adds Kirchhoff equations),
-//  * the SPICE-like conservative engine, and
-//  * the ELN engine.
+//  * the abstraction pipeline (which adds Kirchhoff equations), and
+//  * the sparse tableau (netlist/tableau.hpp) that the two conservative
+//    engines, SPICE and ELN, both build from.
 #pragma once
 
 #include <optional>
@@ -116,6 +116,10 @@ public:
     /// First branch whose terminals are exactly {a, b} in either orientation.
     [[nodiscard]] std::optional<BranchId> find_branch_between(NodeId a, NodeId b) const;
     [[nodiscard]] std::optional<BranchId> find_branch(std::string_view branch_name) const;
+    /// Find a branch a caller asked to read, or throw std::invalid_argument
+    /// "<who>: unknown observed branch '<name>'" (observed_node's counterpart).
+    [[nodiscard]] BranchId observed_branch(std::string_view branch_name,
+                                           std::string_view who) const;
 
     /// Structural validation: ground present, all terminals valid, graph
     /// connected, no self-loop branches. Returns problems as text (empty when

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "expr/linear_form.hpp"
 #include "expr/printer.hpp"
@@ -9,6 +10,7 @@
 #include "numeric/lu.hpp"
 #include "support/check.hpp"
 #include "support/step_count.hpp"
+#include "support/strings.hpp"
 
 namespace amsvp::spice {
 
@@ -117,48 +119,50 @@ ExprPtr rewrite_ddt(const ExprPtr& e, double h, std::string* error) {
 
 }  // namespace
 
-int SpiceEngine::node_column(NodeId node) const {
-    return node_col_[static_cast<std::size_t>(node)];
-}
-
-int SpiceEngine::current_column(BranchId branch) const {
-    return static_cast<int>(circuit_->node_count()) - 1 + branch;
-}
+SpiceEngine::SpiceEngine(const Circuit& circuit, const SpiceOptions& options)
+    : tableau_(circuit), options_(options), inputs_(circuit.input_names()) {}
 
 int SpiceEngine::slot_of_voltage(BranchId b, bool prev) const {
-    const int nb = static_cast<int>(circuit_->branch_count());
+    const int nb = static_cast<int>(tableau_.circuit().branch_count());
     return prev ? 2 * nb + b : b;
 }
 
 int SpiceEngine::slot_of_current(BranchId b, bool prev) const {
-    const int nb = static_cast<int>(circuit_->branch_count());
+    const int nb = static_cast<int>(tableau_.circuit().branch_count());
     return prev ? 3 * nb + b : nb + b;
 }
 
 std::optional<SpiceEngine> SpiceEngine::create(const Circuit& circuit,
                                                const SpiceOptions& options,
                                                std::string* error) {
-    AMSVP_CHECK(circuit.has_ground(), "transient engine requires a ground node");
-    SpiceEngine e;
-    e.circuit_ = &circuit;
-    e.options_ = options;
-    e.inputs_ = circuit.input_names();
-
-    e.node_col_.assign(circuit.node_count(), -1);
-    int col = 0;
-    for (NodeId n = 0; n < static_cast<NodeId>(circuit.node_count()); ++n) {
-        if (n != circuit.ground()) {
-            e.node_col_[static_cast<std::size_t>(n)] = col++;
+    const auto fail = [error](std::string message) -> std::optional<SpiceEngine> {
+        if (error != nullptr) {
+            *error = std::move(message);
         }
+        return std::nullopt;
+    };
+    if (!(std::isfinite(options.timestep) && options.timestep > 0.0)) {
+        return fail("SPICE: timestep must be positive and finite, got " +
+                    support::format_double(options.timestep));
     }
-    e.size_ = circuit.node_count() - 1 + circuit.branch_count();
+    if (options.internal_substeps < 1) {
+        return fail("SPICE: internal_substeps must be at least 1, got " +
+                    std::to_string(options.internal_substeps));
+    }
+    if (options.max_iterations < kMinIterations) {
+        return fail("SPICE: max_iterations must be at least " + std::to_string(kMinIterations) +
+                    " (convergence is always re-verified), got " +
+                    std::to_string(options.max_iterations));
+    }
 
+    SpiceEngine e(circuit, options);
+    const netlist::Tableau& tableau = e.tableau_;
     const int nb = static_cast<int>(circuit.branch_count());
     const int row_base = 4 * nb + static_cast<int>(e.inputs_.size()) + 1;
     e.row_slot_base_ = static_cast<std::size_t>(row_base);
     std::vector<expr::FusedProgram::AssignmentSpec> residuals;
 
-    const expr::SlotResolver resolver = [&e, nb](const Symbol& s, int delay) -> int {
+    const expr::SlotResolver resolver = [&e, &circuit, nb](const Symbol& s, int delay) -> int {
         if (s.kind == SymbolKind::kTime) {
             AMSVP_CHECK(delay == 0, "delayed time reference");
             return 4 * nb + static_cast<int>(e.inputs_.size());
@@ -169,7 +173,7 @@ std::optional<SpiceEngine> SpiceEngine::create(const Circuit& circuit,
             AMSVP_CHECK(it != e.inputs_.end(), "unknown input");
             return 4 * nb + static_cast<int>(it - e.inputs_.begin());
         }
-        const auto bid = e.circuit_->find_branch(s.name);
+        const auto bid = circuit.find_branch(s.name);
         AMSVP_CHECK(bid.has_value(), "unknown branch in equation");
         AMSVP_CHECK(delay <= 1, "only one step of history is kept");
         const bool prev = delay == 1;
@@ -178,34 +182,20 @@ std::optional<SpiceEngine> SpiceEngine::create(const Circuit& circuit,
     };
 
     // KCL rows.
-    for (NodeId n = 0; n < static_cast<NodeId>(circuit.node_count()); ++n) {
-        if (n == circuit.ground()) {
-            continue;
-        }
-        ExprPtr residual = Expr::constant(0.0);
+    for (std::size_t r = 0; r < tableau.kcl_rows().size(); ++r) {
         Row row;
         row.linear = true;
-        for (const Circuit::Incidence& inc : circuit.incident(n)) {
-            const Symbol cur = circuit.branch(inc.branch).current_symbol();
-            ExprPtr term = Expr::symbol(cur);
-            residual = (inc.sign > 0) ? Expr::add(residual, term)
-                                      : Expr::sub(residual, term);
-            row.jacobian.emplace_back(e.current_column(inc.branch),
-                                      static_cast<double>(inc.sign));
-        }
-        residuals.push_back({row_base + static_cast<int>(e.rows_.size()), std::move(residual)});
+        row.jacobian = tableau.kcl_rows()[r];
+        residuals.push_back({row_base + static_cast<int>(e.rows_.size()), tableau.kcl_residual(r)});
         e.rows_.push_back(std::move(row));
     }
 
-    AMSVP_CHECK(options.internal_substeps >= 1, "need at least one internal substep");
     const double h_internal =
         options.timestep / static_cast<double>(options.internal_substeps);
 
     // Constitutive rows.
     for (BranchId b = 0; b < nb; ++b) {
-        const expr::Equation& eq = circuit.dipole_equation(b);
-        ExprPtr constraint = Expr::sub(eq.lhs, eq.rhs);
-        ExprPtr discretized = rewrite_ddt(constraint, h_internal, error);
+        ExprPtr discretized = rewrite_ddt(tableau.constraint(b), h_internal, error);
         if (!discretized) {
             return std::nullopt;
         }
@@ -220,43 +210,22 @@ std::optional<SpiceEngine> SpiceEngine::create(const Circuit& circuit,
             row.linear = true;
             for (const auto& [key, coeff] : form->coefficients()) {
                 AMSVP_CHECK(!key.derivative, "ddt survived rewrite");
-                const auto bid = circuit.find_branch(key.symbol.name);
-                AMSVP_CHECK(bid.has_value(), "unknown branch");
-                if (key.symbol.kind == SymbolKind::kBranchVoltage) {
-                    const netlist::Branch& br = circuit.branch(*bid);
-                    if (const int cp = e.node_column(br.pos); cp >= 0) {
-                        row.jacobian.emplace_back(cp, coeff);
-                    }
-                    if (const int cn = e.node_column(br.neg); cn >= 0) {
-                        row.jacobian.emplace_back(cn, -coeff);
-                    }
-                } else {
-                    row.jacobian.emplace_back(e.current_column(*bid), coeff);
-                }
+                tableau.stamp(key.symbol, coeff, row.jacobian);
             }
         } else {
             // Columns this row's residual depends on, for finite differences.
-            std::vector<int> cols;
+            netlist::Tableau::Row stamped;
             for (const Symbol& s : expr::collect_symbols(discretized)) {
-                if (s.kind == SymbolKind::kBranchVoltage) {
-                    const auto bid = circuit.find_branch(s.name);
-                    AMSVP_CHECK(bid.has_value(), "unknown branch");
-                    const netlist::Branch& br = circuit.branch(*bid);
-                    if (const int cp = e.node_column(br.pos); cp >= 0) {
-                        cols.push_back(cp);
-                    }
-                    if (const int cn = e.node_column(br.neg); cn >= 0) {
-                        cols.push_back(cn);
-                    }
-                } else if (s.kind == SymbolKind::kBranchCurrent) {
-                    const auto bid = circuit.find_branch(s.name);
-                    AMSVP_CHECK(bid.has_value(), "unknown branch");
-                    cols.push_back(e.current_column(*bid));
+                if (s.kind == SymbolKind::kBranchVoltage || s.kind == SymbolKind::kBranchCurrent) {
+                    tableau.stamp(s, 1.0, stamped);
                 }
             }
-            std::sort(cols.begin(), cols.end());
-            cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-            row.depends_on = std::move(cols);
+            for (const auto& [col, unused] : stamped) {
+                row.depends_on.push_back(col);
+            }
+            std::sort(row.depends_on.begin(), row.depends_on.end());
+            row.depends_on.erase(std::unique(row.depends_on.begin(), row.depends_on.end()),
+                                 row.depends_on.end());
         }
         e.rows_.push_back(std::move(row));
     }
@@ -266,34 +235,29 @@ std::optional<SpiceEngine> SpiceEngine::create(const Circuit& circuit,
     e.slots_.assign(static_cast<std::size_t>(slot_file_size + e.program_.scratch_count()), 0.0);
     e.program_.initialize_constants(e.slots_.data());
 
-    e.x_.assign(e.size_, 0.0);
-    e.x_prev_.assign(e.size_, 0.0);
+    e.x_.assign(tableau.size(), 0.0);
+    e.x_prev_.assign(tableau.size(), 0.0);
     return e;
 }
 
 void SpiceEngine::reset() {
-    x_.assign(size_, 0.0);
-    x_prev_.assign(size_, 0.0);
+    x_.assign(tableau_.size(), 0.0);
+    x_prev_.assign(tableau_.size(), 0.0);
     stats_ = {};
 }
 
 void SpiceEngine::fill_slots(const numeric::Vector& x, const numeric::Vector& x_prev,
                              const std::vector<double>& input_values, double time_seconds) {
-    const int nb = static_cast<int>(circuit_->branch_count());
-    auto node_v = [&](const numeric::Vector& v, NodeId n) {
-        const int c = node_column(n);
-        return c < 0 ? 0.0 : v[static_cast<std::size_t>(c)];
-    };
+    const int nb = static_cast<int>(tableau_.circuit().branch_count());
     for (BranchId b = 0; b < nb; ++b) {
-        const netlist::Branch& br = circuit_->branch(b);
         slots_[static_cast<std::size_t>(slot_of_voltage(b, false))] =
-            node_v(x, br.pos) - node_v(x, br.neg);
+            tableau_.branch_voltage(x, b);
         slots_[static_cast<std::size_t>(slot_of_current(b, false))] =
-            x[static_cast<std::size_t>(current_column(b))];
+            tableau_.branch_current(x, b);
         slots_[static_cast<std::size_t>(slot_of_voltage(b, true))] =
-            node_v(x_prev, br.pos) - node_v(x_prev, br.neg);
+            tableau_.branch_voltage(x_prev, b);
         slots_[static_cast<std::size_t>(slot_of_current(b, true))] =
-            x_prev[static_cast<std::size_t>(current_column(b))];
+            tableau_.branch_current(x_prev, b);
     }
     for (std::size_t i = 0; i < input_values.size(); ++i) {
         slots_[static_cast<std::size_t>(4 * nb) + i] = input_values[i];
@@ -306,7 +270,7 @@ void SpiceEngine::evaluate_residual(const numeric::Vector& x, const numeric::Vec
                                     double time_seconds, numeric::Vector& f) {
     fill_slots(x, x_prev, input_values, time_seconds);
     program_.execute(slots_.data());
-    f.resize(size_);
+    f.resize(tableau_.size());
     std::copy_n(slots_.begin() + static_cast<std::ptrdiff_t>(row_slot_base_), rows_.size(),
                 f.begin());
     stats_.device_evaluations += rows_.size();
@@ -315,7 +279,7 @@ void SpiceEngine::evaluate_residual(const numeric::Vector& x, const numeric::Vec
 void SpiceEngine::stamp_jacobian(const numeric::Vector& x, const numeric::Vector& x_prev,
                                  const std::vector<double>& input_values, double time_seconds,
                                  const numeric::Vector& f, numeric::Matrix& j) {
-    j.reset(size_, size_);
+    j.reset(tableau_.size(), tableau_.size());
     numeric::Vector& x_fd = fd_x_scratch_;
     for (std::size_t r = 0; r < rows_.size(); ++r) {
         const Row& row = rows_[r];
@@ -376,7 +340,12 @@ bool SpiceEngine::substep(const std::vector<double>& input_values, double time_s
         }
         lu_scratch_.solve_in_place(residual);  // residual now holds dx
         double dx_norm = 0.0;
-        for (std::size_t i = 0; i < size_; ++i) {
+        for (std::size_t i = 0; i < x_.size(); ++i) {
+            // A non-finite residual makes the update non-finite (or the
+            // factorisation fail), and std::max below would drop a NaN.
+            if (!std::isfinite(residual[i])) {
+                return false;
+            }
             x_[i] += residual[i];
             dx_norm = std::max(dx_norm, std::fabs(residual[i]));
         }
@@ -389,20 +358,11 @@ bool SpiceEngine::substep(const std::vector<double>& input_values, double time_s
 }
 
 double SpiceEngine::node_voltage(std::string_view node_name) const {
-    const auto node = circuit_->find_node(node_name);
-    AMSVP_CHECK(node.has_value(), "unknown node");
-    return voltage_at(*node);
-}
-
-double SpiceEngine::voltage_at(NodeId node) const {
-    const int c = node_column(node);
-    return c < 0 ? 0.0 : x_[static_cast<std::size_t>(c)];
+    return tableau_.node_potential(x_, tableau_.circuit().observed_node(node_name, "SPICE"));
 }
 
 double SpiceEngine::branch_current(std::string_view branch_name) const {
-    const auto branch = circuit_->find_branch(branch_name);
-    AMSVP_CHECK(branch.has_value(), "unknown branch");
-    return x_[static_cast<std::size_t>(current_column(*branch))];
+    return tableau_.branch_current(x_, tableau_.circuit().observed_branch(branch_name, "SPICE"));
 }
 
 double SpiceEngine::voltage_between(std::string_view pos, std::string_view neg) const {
@@ -410,14 +370,14 @@ double SpiceEngine::voltage_between(std::string_view pos, std::string_view neg) 
 }
 
 double SpiceEngine::voltage_between(NodeId pos, NodeId neg) const {
-    return voltage_at(pos) - voltage_at(neg);
+    return tableau_.node_potential(x_, pos) - tableau_.node_potential(x_, neg);
 }
 
 numeric::Waveform SpiceEngine::run_transient(
     const std::map<std::string, numeric::SourceFunction>& stimuli, double duration,
     std::string_view observed_pos, std::string_view observed_neg) {
-    const NodeId pos = circuit_->observed_node(observed_pos, "SPICE");
-    const NodeId neg = circuit_->observed_node(observed_neg, "SPICE");
+    const NodeId pos = tableau_.circuit().observed_node(observed_pos, "SPICE");
+    const NodeId neg = tableau_.circuit().observed_node(observed_neg, "SPICE");
     reset();
     std::vector<const numeric::SourceFunction*> sources;
     for (const std::string& name : inputs_) {
@@ -438,8 +398,10 @@ numeric::Waveform SpiceEngine::run_transient(
             for (std::size_t i = 0; i < sources.size(); ++i) {
                 inputs[i] = (*sources[i])(t);
             }
-            const bool ok = substep(inputs, t);
-            AMSVP_CHECK(ok, "transient engine failed to converge");
+            if (!substep(inputs, t)) {
+                throw std::runtime_error("SPICE: Newton iteration failed at t = " +
+                                         support::format_double(t) + " s");
+            }
         }
         trace.append(voltage_between(pos, neg));
     }

@@ -9,8 +9,9 @@
 //   3. Newton-Raphson iterates until the update norm converges (linear
 //      circuits converge after one solve; a second iteration verifies).
 //
-// Non-linear constitutive equations are supported through numeric
-// finite-difference Jacobian rows.
+// The rows are the circuit's sparse tableau (netlist/tableau.hpp), which the
+// ELN engine builds from too. Non-linear constitutive equations are supported
+// through numeric finite-difference Jacobian rows.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +21,7 @@
 #include <vector>
 
 #include "expr/fused.hpp"
-#include "netlist/circuit.hpp"
+#include "netlist/tableau.hpp"
 #include "numeric/lu.hpp"
 #include "numeric/matrix.hpp"
 #include "numeric/sources.hpp"
@@ -28,6 +29,8 @@
 
 namespace amsvp::spice {
 
+/// SpiceEngine::create rejects a timestep that is not positive and finite,
+/// internal_substeps below 1 and max_iterations below 2.
 struct SpiceOptions {
     double timestep = 50e-9;       ///< external sampling / synchronization step
     /// Internal refinement: the analog solver advances `internal_substeps`
@@ -49,7 +52,11 @@ struct SpiceStats {
 class SpiceEngine {
 public:
     /// Fails (error set) when an equation references unsupported constructs
-    /// (idt) or the initial operating point cannot be found.
+    /// (idt), when `options.timestep` is not positive and finite, when
+    /// `internal_substeps` is below 1, or when `max_iterations` is below 2
+    /// (every step re-verifies convergence with a second iteration). Throws
+    /// std::invalid_argument when the circuit has no ground node. Keeps a
+    /// pointer to `circuit`.
     [[nodiscard]] static std::optional<SpiceEngine> create(const netlist::Circuit& circuit,
                                                            const SpiceOptions& options,
                                                            std::string* error = nullptr);
@@ -62,7 +69,8 @@ public:
 
     /// Advance one external step (= internal_substeps solver steps) with the
     /// inputs held constant (zero-order hold, as in co-simulation). Returns
-    /// false when Newton fails to converge.
+    /// false when Newton fails to converge: a singular Jacobian, a
+    /// non-finite residual or update, or max_iterations spent.
     [[nodiscard]] bool step(const std::vector<double>& input_values, double time_seconds);
 
     /// One internal solver step of size timestep/internal_substeps, with
@@ -70,6 +78,8 @@ public:
     /// solver owns the testbench).
     [[nodiscard]] bool substep(const std::vector<double>& input_values, double time_seconds);
 
+    /// By-name reads throw std::invalid_argument naming an unknown node or
+    /// branch.
     [[nodiscard]] double node_voltage(std::string_view node_name) const;
     [[nodiscard]] double branch_current(std::string_view branch_name) const;
     [[nodiscard]] double voltage_between(std::string_view pos, std::string_view neg) const;
@@ -78,13 +88,14 @@ public:
 
     /// Convenience: full transient run observing one node-pair voltage.
     /// Throws std::invalid_argument naming an observed node the circuit
-    /// does not have, before the first step.
+    /// does not have, before the first step, and std::runtime_error naming
+    /// the simulated time of a substep whose Newton iteration fails.
     [[nodiscard]] numeric::Waveform run_transient(
         const std::map<std::string, numeric::SourceFunction>& stimuli, double duration,
         std::string_view observed_pos, std::string_view observed_neg);
 
 private:
-    SpiceEngine() = default;
+    SpiceEngine(const netlist::Circuit& circuit, const SpiceOptions& options);
 
     /// Slot file of the residual program: [V(b) per branch | I(b) per
     /// branch | V_prev(b) | I_prev(b) | inputs | time | one residual per
@@ -104,20 +115,14 @@ private:
                         const std::vector<double>& input_values, double time_seconds,
                         const numeric::Vector& f, numeric::Matrix& j);
 
-    [[nodiscard]] int node_column(netlist::NodeId node) const;
-    [[nodiscard]] int current_column(netlist::BranchId branch) const;
-    [[nodiscard]] double voltage_at(netlist::NodeId node) const;
-
-    const netlist::Circuit* circuit_ = nullptr;
+    netlist::Tableau tableau_;
     SpiceOptions options_;
     std::vector<std::string> inputs_;
-    std::vector<int> node_col_;
-    std::size_t size_ = 0;
 
     struct Row {
-        bool linear = false;                          ///< static Jacobian available
-        std::vector<std::pair<int, double>> jacobian; ///< linear rows
-        std::vector<int> depends_on;                  ///< columns (nonlinear FD rows)
+        bool linear = false;              ///< static Jacobian available
+        netlist::Tableau::Row jacobian;   ///< linear rows
+        std::vector<int> depends_on;      ///< columns (nonlinear FD rows)
     };
     std::vector<Row> rows_;
     expr::FusedProgram program_;

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "conservative_support.hpp"
 #include "cosim/coupler.hpp"
 #include "netlist/builder.hpp"
 
@@ -42,6 +44,35 @@ TEST(Cosim, EngineCreationFailureThrows) {
             }
         },
         std::invalid_argument);
+}
+
+TEST(Cosim, InvalidOptionsThrow) {
+    // The engine's own diagnostic, before the coupler turns the timestep
+    // into a kernel period.
+    const netlist::Circuit c = netlist::make_rc_ladder(1);
+    for (const double dt : {0.0, -1e-6, std::numeric_limits<double>::quiet_NaN()}) {
+        SCOPED_TRACE(dt);
+        spice::SpiceOptions options = options_1us();
+        options.timestep = dt;
+        de::Simulator sim;
+        testing_support::expect_throw_containing<std::invalid_argument>(
+            [&] {
+                CosimCoupler coupler(sim, c, options, {{"u0", numeric::constant(1.0)}}, "out",
+                                     "gnd");
+            },
+            {"cosim: ", "timestep"});
+    }
+}
+
+TEST(Cosim, NewtonFailureThrowsNamingTheTime) {
+    // Parallel voltage sources make the Jacobian singular: the first
+    // synchronization point, at 1 us, cannot step the analog solver.
+    const netlist::Circuit c = testing_support::parallel_sources_circuit();
+    de::Simulator sim;
+    CosimCoupler coupler(sim, c, options_1us(), {{"u0", numeric::constant(1.0)}}, "a", "gnd");
+    testing_support::expect_throw_containing<std::runtime_error>(
+        [&] { sim.run_until(de::from_seconds(10e-6)); }, {"cosim: ", "t = 1e-06 s"});
+    EXPECT_EQ(coupler.trace().size(), 0u);
 }
 
 TEST(Cosim, UnknownObservedNodeThrows) {

@@ -1,25 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "conservative_support.hpp"
 #include "eln/engine.hpp"
 #include "netlist/builder.hpp"
 
 namespace amsvp::eln {
 namespace {
-
-TEST(Tableau, BuildsForLinearCircuits) {
-    const netlist::Circuit c = netlist::make_rc_ladder(2);
-    std::string error;
-    auto tableau = Tableau::build(c, 50e-9, &error);
-    ASSERT_TRUE(tableau.has_value()) << error;
-    // Unknowns: (nodes - 1) potentials + one current per branch.
-    EXPECT_EQ(tableau->size(), c.node_count() - 1 + c.branch_count());
-    EXPECT_EQ(tableau->input_names(), std::vector<std::string>{"u0"});
-}
 
 netlist::Circuit square_law_circuit() {
     netlist::CircuitBuilder cb("nl");
@@ -30,13 +23,6 @@ netlist::Circuit square_law_circuit() {
                expr::make_equation(expr::EquationKind::kDipole, expr::branch_current("D1"),
                                    expr::Expr::mul(v(), v()), "dipole(D1)"));
     return cb.build();
-}
-
-TEST(Tableau, RejectsNonlinearCircuits) {
-    const netlist::Circuit c = square_law_circuit();
-    std::string error;
-    EXPECT_FALSE(Tableau::build(c, 50e-9, &error).has_value());
-    EXPECT_NE(error.find("not linear"), std::string::npos);
 }
 
 TEST(ElnEngine, NonlinearCircuitThrowsTheTableauError) {
@@ -52,6 +38,35 @@ TEST(ElnEngine, NonlinearCircuitThrowsTheTableauError) {
             }
         },
         std::invalid_argument);
+}
+
+using testing_support::expect_throw_containing;
+
+TEST(ElnEngine, SingularMatrixThrows) {
+    const netlist::Circuit c = testing_support::parallel_sources_circuit();
+    expect_throw_containing<std::invalid_argument>([&] { ElnEngine engine(c, 50e-9); },
+                                                   {"ELN: ", "singular"});
+}
+
+TEST(ElnEngine, TimestepMustBePositiveAndFinite) {
+    const netlist::Circuit c = netlist::make_rc_ladder(1);
+    for (const double dt : {0.0, -50e-9, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+        SCOPED_TRACE(dt);
+        expect_throw_containing<std::invalid_argument>([&] { ElnEngine engine(c, dt); },
+                                                       {"ELN: ", "timestep"});
+    }
+}
+
+TEST(ElnEngine, UnknownNameThrows) {
+    const netlist::Circuit c = netlist::make_rc_ladder(1);
+    ElnEngine engine(c, 50e-9);
+    expect_throw_containing<std::invalid_argument>(
+        [&] { (void)engine.node_voltage("nowhere"); }, {"ELN: ", "node 'nowhere'"});
+    expect_throw_containing<std::invalid_argument>(
+        [&] { (void)engine.branch_current("nowhere"); }, {"ELN: ", "branch 'nowhere'"});
+    expect_throw_containing<std::invalid_argument>(
+        [&] { (void)engine.voltage_between("out", "nowhere"); }, {"node 'nowhere'"});
 }
 
 TEST(ElnEngine, ResistiveDividerIsExactImmediately) {
@@ -73,6 +88,7 @@ TEST(ElnEngine, RcStepResponseMatchesAnalytic) {
     const netlist::Circuit c = netlist::make_rc_ladder(1);
     const double dt = 50e-9;
     ElnEngine engine(c, dt);
+    EXPECT_EQ(engine.input_names(), std::vector<std::string>{"u0"});
     const double tau = 125e-6;
     for (int k = 1; k <= 20000; ++k) {
         engine.step({1.0}, k * dt);
