@@ -2,13 +2,43 @@
 // isolation. Five rows per circuit: Verilog-AMS (conservative reference,
 // co-simulated), manual SC-AMS/ELN, generated SC-AMS/TDF, SC-DE and C++.
 // NRMSE is measured against the Verilog-AMS trace, speed-up against its
-// simulation time — exactly the paper's columns.
+// simulation time — exactly the paper's columns. Each row's time is the
+// best of kRunsPerRow runs: one run spreads wider than the differences
+// between rows the table is read for.
+//
+// The generated rows (TDF, DE, C++) run the generated program as machine
+// code through codegen::orc_executor_factory(): the same program the C++
+// emitter renders, compiled by in-process LLVM (the scalar ORC kernel)
+// where the paper compiled it with g++ -O2.
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "backends/runner.hpp"
-#include "codegen/native_model.hpp"
+#include "codegen/orc_jit.hpp"
 #include "bench_common.hpp"
 #include "numeric/metrics.hpp"
+
+namespace {
+
+constexpr int kRunsPerRow = 3;
+
+/// The fastest of kRunsPerRow runs. Every run computes the same trace, so
+/// only the time differs between them.
+amsvp::backends::BackendRun best_run(amsvp::backends::AnalogIntegration kind,
+                                     const amsvp::backends::AnalogSetup& setup,
+                                     double duration) {
+    amsvp::backends::BackendRun best = amsvp::backends::run_isolated(kind, setup, duration);
+    for (int run = 1; run < kRunsPerRow; ++run) {
+        amsvp::backends::BackendRun next = amsvp::backends::run_isolated(kind, setup, duration);
+        if (next.wall_seconds < best.wall_seconds) {
+            best = std::move(next);
+        }
+    }
+    return best;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
     using namespace amsvp;
@@ -19,6 +49,7 @@ int main(int argc, char** argv) {
 
     std::printf("TABLE I — SIMULATION PERFORMANCE AND ACCURACY, MODELS IN ISOLATION\n");
     bench::print_scaling_note(duration, 100e-3);
+    std::printf("# Sim. time: best of %d runs per row.\n", kRunsPerRow);
     std::printf("%-10s %-14s %-10s %14s %12s %10s\n", "Component", "Target", "Generation",
                 "Sim. time (s)", "NRMSE", "Speed-up");
 
@@ -28,7 +59,7 @@ int main(int argc, char** argv) {
         setup.model = &c.model;
         setup.stimuli = bench::paper_stimuli();
         setup.timestep = c.model.timestep;
-        setup.executor_factory = codegen::native_executor_factory();
+        setup.executor_factory = codegen::orc_executor_factory();
 
         struct Row {
             backends::AnalogIntegration kind;
@@ -44,8 +75,7 @@ int main(int argc, char** argv) {
 
         backends::BackendRun reference;
         for (const Row& row : rows) {
-            const backends::BackendRun run =
-                backends::run_isolated(row.kind, setup, duration);
+            const backends::BackendRun run = best_run(row.kind, setup, duration);
             double error = 0.0;
             double speedup = 0.0;
             if (row.kind == backends::AnalogIntegration::kVamsCosim) {
@@ -61,7 +91,8 @@ int main(int argc, char** argv) {
             report.add({{"name", "backend_run"},
                         {"circuit", c.name},
                         {"backend", std::string(to_string(row.kind))},
-                        {"generation", row.generation}},
+                        {"generation", row.generation},
+                        {"timing", "best of " + std::to_string(kRunsPerRow)}},
                        {{"wall_seconds", run.wall_seconds},
                         {"ns_per_step", run.wall_seconds * 1e9 / steps},
                         {"nrmse", error},

@@ -5,11 +5,14 @@
 //   Verilog-AMS in a SystemC (TLM-fidelity) platform  — co-simulation
 //   SC-AMS/ELN, SC-AMS/TDF, SC-DE                     — single kernel
 //   C++                                               — no kernel at all
-// Speed-ups are relative to the first row, as in the paper.
+// Speed-ups are relative to the first row, as in the paper. The generated
+// rows run the scalar ORC kernel (codegen::orc_executor_factory()): the
+// generated program compiled by in-process LLVM where the paper used
+// g++ -O2.
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "codegen/native_model.hpp"
+#include "codegen/orc_jit.hpp"
 #include "vp/platform.hpp"
 
 int main(int argc, char** argv) {
@@ -55,7 +58,7 @@ int main(int argc, char** argv) {
             config.circuit = &c.circuit;
             config.model = &c.model;
             config.stimuli = bench::paper_stimuli();
-            config.executor_factory = codegen::native_executor_factory();
+            config.executor_factory = codegen::orc_executor_factory();
             const vp::PlatformResult result = vp::run_platform(config, duration);
 
             double speedup = 0.0;

@@ -3,20 +3,19 @@
 // the paper's abstract promises, as a usable utility.
 //
 // Usage:
-//   codegen_tool [--target cpp|sc-de|sc-tdf] [--output V(pos,neg)]
-//                [--keep-temps] [file.vams]
+//   codegen_tool [--target cpp|sc-de|sc-tdf] [--output V(pos,neg)] [file.vams]
 //   codegen_tool --builtin rc1|rc20|2in|oa        # bundled paper circuits
 //
-// --keep-temps (C++ target) also compile-checks the emission with the
-// system compiler (the path codegen::NativeModel takes) and keeps every
-// build artifact (.cpp/.so/.log) for inspection — the debugging loop for
-// "the generated model does not compile" reports. Reading from stdin is
-// the default when no file is given.
+// Reading from stdin is the default when no file is given. The emitted C++
+// is compile-checked by the `codegen_smoke` ctest, which builds and runs
+// it with the toolchain compiler.
 //
 // --backend orc swaps the C++ emitter for the in-process LLVM lowering:
-// it dumps the model's generated LLVM IR, first as lowered and then after
-// the fixed optimization pipeline — the debugging surface for "what does the
-// ORC sweep backend actually run". Requires an AMSVP_WITH_LLVM=ON build.
+// it dumps the model's generated LLVM IR, first the batch kernel (as
+// lowered, then after the fixed optimization pipeline) and then the scalar
+// kernel the same way — the debugging surface for "what does the ORC
+// backend actually run", in sweeps and in the per-instance "C++" rows.
+// Requires an AMSVP_WITH_LLVM=ON build.
 // Adding --vector-width prefixes the dumps with a vectorization report:
 // the runtime::LaneLayout row width the batch kernel was lowered at, the
 // explicit vector-operation counts and the row loads and stores in both
@@ -36,7 +35,6 @@
 #include "codegen/codegen.hpp"
 #include "codegen/emit_common.hpp"
 #include "codegen/llvm_lowering.hpp"
-#include "codegen/native_jit.hpp"
 #include "codegen/orc_jit.hpp"
 #include "runtime/lane_layout.hpp"
 #include "runtime/model_layout.hpp"
@@ -50,13 +48,14 @@ namespace {
 void usage() {
     std::fprintf(stderr,
                  "usage: codegen_tool [--target cpp|sc-de|sc-tdf] [--backend cpp|orc]\n"
-                 "                    [--output pos,neg] [--keep-temps]\n"
+                 "                    [--output pos,neg]\n"
                  "                    [--vector-width] [--verify] [--lint]\n"
                  "                    [--builtin rc<N>|2in|oa|sf] [file.vams]\n"
                  "\n"
                  "  --verify  run the fused-IR structural/dataflow verifier plus the\n"
-                 "            emit-plan and ORC lowering conformance checks instead of\n"
-                 "            emitting code; diagnostics go to stderr, exit 1 on error\n"
+                 "            emit-plan and ORC lowering conformance checks (batch and\n"
+                 "            scalar kernel) instead of emitting code; diagnostics go to\n"
+                 "            stderr, exit 1 on error\n"
                  "  --lint    --verify plus the numeric-hazard lint (unguarded\n"
                  "            division/log/sqrt operands)\n");
 }
@@ -72,7 +71,6 @@ int main(int argc, char** argv) {
     std::string output_neg = "gnd";
     std::string source;
     std::string file;
-    bool keep_temps = false;
     bool vector_width_report = false;
     bool run_verify = false;
     bool run_lint = false;
@@ -126,8 +124,6 @@ int main(int argc, char** argv) {
             }
         } else if (arg == "--vector-width") {
             vector_width_report = true;
-        } else if (arg == "--keep-temps") {
-            keep_temps = true;
         } else if (arg == "--verify") {
             run_verify = true;
         } else if (arg == "--lint") {
@@ -192,7 +188,7 @@ int main(int argc, char** argv) {
     if (run_verify) {
         // Analysis mode replaces emission: verify the IR itself, then every
         // lowering a backend would consume — the emit plan's statement
-        // stream and, when this build has LLVM, the ORC IR.
+        // stream and, when this build has LLVM, both ORC kernels' IR.
         const auto layout = runtime::ModelLayout::compile(*model);
         support::DiagnosticEngine analysis_diags;
         bool ok = analysis::verify_layout(*layout, analysis_diags);
@@ -232,8 +228,10 @@ int main(int argc, char** argv) {
         }
         const auto layout = runtime::ModelLayout::compile(*model);
         std::string ir_error;
-        const auto ir = codegen::lower_to_ir_text(layout, &ir_error);
-        if (!ir) {
+        const auto ir =
+            codegen::lower_to_ir_text(layout, runtime::LaneLayout::kVectorRow, &ir_error);
+        const auto scalar_ir = codegen::lower_to_ir_text(layout, 1, &ir_error);
+        if (!ir || !scalar_ir) {
             std::fprintf(stderr, "--backend orc: lowering failed: %s\n", ir_error.c_str());
             return 1;
         }
@@ -270,6 +268,10 @@ int main(int argc, char** argv) {
         std::fputs(ir->unoptimized.c_str(), stdout);
         std::printf("\n; === optimized LLVM IR (post fixed pass pipeline) ===\n");
         std::fputs(ir->optimized.c_str(), stdout);
+        std::printf("\n; === scalar kernel: lowered LLVM IR (pre pass pipeline) ===\n");
+        std::fputs(scalar_ir->unoptimized.c_str(), stdout);
+        std::printf("\n; === scalar kernel: optimized LLVM IR (post fixed pass pipeline) ===\n");
+        std::fputs(scalar_ir->optimized.c_str(), stdout);
         return 0;
     }
     if (vector_width_report) {
@@ -279,31 +281,5 @@ int main(int argc, char** argv) {
 
     const std::string generated = codegen::generate(*model, target);
     std::fputs(generated.c_str(), stdout);
-
-    if (keep_temps) {
-        if (target != codegen::Target::kCpp) {
-            std::fprintf(stderr, "--keep-temps compile-checks the cpp target only\n");
-            return 2;
-        }
-        if (!codegen::detail::jit_available()) {
-            std::fprintf(stderr, "--keep-temps: no C++ compiler in PATH\n");
-            return 1;
-        }
-        codegen::detail::JitOptions jit;
-        jit.keep_temps = true;
-        std::string jit_error;
-        const auto library =
-            codegen::detail::JitLibrary::compile(generated, {}, &jit_error, jit);
-        if (library == nullptr) {
-            // The error already names the kept source and log paths.
-            std::fprintf(stderr, "--keep-temps: compile check failed: %s\n",
-                         jit_error.c_str());
-            return 1;
-        }
-        std::fprintf(stderr,
-                     "--keep-temps: compile check passed; artifacts kept at %s "
-                     "(.cpp and .log alongside)\n",
-                     library->so_path().c_str());
-    }
     return 0;
 }

@@ -112,29 +112,6 @@ bool verify_orc_lowering(const std::shared_ptr<const runtime::ModelLayout>& layo
         return true;
     }
     const std::size_t before = diags.error_count();
-    std::string error;
-    const auto lowered = codegen::lower_to_ir_text(layout, &error);
-    if (!lowered) {
-        diags.error({}, "ORC lowering failed: " + error);
-        return false;
-    }
-    const std::string& ir = lowered->unoptimized;
-    const auto expect_count = [&](const std::string& needle, std::size_t expected,
-                                  const std::string& why) {
-        const std::size_t found = count_occurrences(ir, needle);
-        if (found != expected) {
-            diags.error({}, "ORC batch kernel: " + std::to_string(found) + " \"" + needle +
-                                "\", expected " + std::to_string(expected) + " (" + why +
-                                ")");
-        }
-    };
-
-    // One <kVectorRow x double> store per instruction (history rotation
-    // uses llvm.memcpy, never a store); a wrong row width drops them all.
-    const std::string row = "<" + std::to_string(runtime::LaneLayout::kVectorRow) +
-                            " x double>";
-    expect_count("store " + row, layout->fused_program().instructions().size(),
-                 "one per instruction; vector row width drifted from runtime::LaneLayout?");
 
     // One row load per distinct upward-exposed slot — a use that reaching
     // definitions traces to no def in the pass. The dataflow pass is the
@@ -148,14 +125,45 @@ bool verify_orc_lowering(const std::shared_ptr<const runtime::ModelLayout>& layo
             exposed.insert(du.uses[u]);
         }
     }
-    expect_count("load " + row, exposed.size(), "one per distinct upward-exposed slot");
-
-    // The batch kernel is the only function defined, and it moves whole
-    // rows.
-    expect_count("define ", 1, "the batch kernel is the only function defined");
-    expect_count("define void @amsvp_orc_step_batch(", 1, "the batch kernel");
-    expect_count("load double", 0, "rows move whole");
-    expect_count("store double", 0, "rows move whole");
+    const std::string vector_row =
+        "<" + std::to_string(runtime::LaneLayout::kVectorRow) + " x double>";
+    for (const int row_width : {runtime::LaneLayout::kVectorRow, 1}) {
+        const bool scalar = row_width == 1;
+        const std::string prefix = scalar ? "ORC scalar kernel: " : "ORC batch kernel: ";
+        std::string error;
+        const auto lowered = codegen::lower_to_ir_text(layout, row_width, &error);
+        if (!lowered) {
+            diags.error({}, prefix + "lowering failed: " + error);
+            continue;
+        }
+        const std::string& ir = lowered->unoptimized;
+        const auto expect_count = [&](const std::string& needle, std::size_t expected,
+                                      const std::string& why) {
+            const std::size_t found = count_occurrences(ir, needle);
+            if (found != expected) {
+                diags.error({}, prefix + std::to_string(found) + " \"" + needle +
+                                    "\", expected " + std::to_string(expected) + " (" + why +
+                                    ")");
+            }
+        };
+        // One row store per instruction (history rotation uses llvm.memcpy,
+        // never a store); a wrong row width drops them all. The batch
+        // kernel moves whole <kVectorRow x double> rows, the scalar kernel
+        // single doubles and no vector rows at all.
+        const std::string row = scalar ? "double" : vector_row;
+        expect_count("store " + row, layout->fused_program().instructions().size(),
+                     "one per instruction; row width drifted from the kernel's?");
+        expect_count("load " + row, exposed.size(), "one per distinct upward-exposed slot");
+        expect_count("define ", 1, "the kernel is the only function defined");
+        expect_count(scalar ? "define void @amsvp_orc_step(" : "define void @amsvp_orc_step_batch(",
+                     1, "the kernel's entry point");
+        if (scalar) {
+            expect_count(vector_row, 0, "no vector rows");
+        } else {
+            expect_count("load double", 0, "rows move whole");
+            expect_count("store double", 0, "rows move whole");
+        }
+    }
     return diags.error_count() == before;
 }
 

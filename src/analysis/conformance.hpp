@@ -15,11 +15,12 @@
 //    locals), mentioning every non-constant read operand, with one scratch
 //    local per distinct scratch register and one rotation statement per
 //    history slot.
-//  * verify_orc_lowering: the ORC JIT's unoptimized IR must define only
-//    the batch kernel, move only whole LaneLayout::kVectorRow-wide rows,
-//    store one row per instruction, and load one row per distinct
-//    upward-exposed slot — the count compute_reaching_defs derives
-//    independently of the lowering.
+//  * verify_orc_lowering: the ORC JIT's unoptimized IR, for both kernels,
+//    must define only that kernel, store one row per instruction, and load
+//    one row per distinct upward-exposed slot — the count
+//    compute_reaching_defs derives independently of the lowering. The
+//    batch kernel's rows are whole LaneLayout::kVectorRow-wide vectors; the
+//    scalar kernel's are single doubles, with no vector row anywhere.
 #pragma once
 
 #include <memory>
@@ -41,8 +42,9 @@ namespace amsvp::analysis {
                                     const codegen::detail::EmitPlan& plan,
                                     support::DiagnosticEngine& diags);
 
-/// Lower `layout` through the ORC pipeline and check the unoptimized IR's
-/// row load/store counts, vector-row width and entry points. Without LLVM
+/// Lower `layout` through the ORC pipeline, as the batch and as the scalar
+/// kernel, and check each unoptimized IR's row load/store counts, row width
+/// and entry point. Without LLVM
 /// (AMSVP_WITH_LLVM=OFF) this records a note and returns true — there is
 /// no lowering to drift.
 [[nodiscard]] bool verify_orc_lowering(

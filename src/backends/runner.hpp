@@ -53,9 +53,10 @@ struct AnalogSetup {
     double timestep = 50e-9;
     spice::SpiceOptions spice;  ///< timestep is overridden by `timestep`
     /// How generated models execute (TDF / DE / C++ rows). Null = the
-    /// in-process fused interpreter (runtime::CompiledModel); benches install
-    /// codegen::native_executor_factory() to run the generated C++ as
-    /// compiled machine code, like the paper does.
+    /// in-process fused interpreter (runtime::CompiledModel); the table
+    /// benches install codegen::orc_executor_factory() to run the generated
+    /// program as machine code, like the paper does (its scalar ORC kernel
+    /// instead of the paper's g++ build).
     /// Executor construction (including compilation) happens outside the
     /// timed region.
     runtime::ExecutorFactory executor_factory;

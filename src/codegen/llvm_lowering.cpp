@@ -45,15 +45,16 @@ void ensure_native_target() {
     });
 }
 
-/// Emits `amsvp_orc_step_batch` into the module. All the bit-exactness
-/// rules live here: the builder never receives fast-math flags, multiplies
-/// and adds stay separate instructions (no llvm.fmuladd, no `contract`),
-/// and every libm call is nobuiltin so the pass pipeline cannot swap in a
+/// Emits one step kernel into the module. All the bit-exactness rules
+/// live here: the builder never receives fast-math flags, multiplies and
+/// adds stay separate instructions (no llvm.fmuladd, no `contract`), and
+/// every libm call is nobuiltin so the pass pipeline cannot swap in a
 /// differently-rounded replacement.
 ///
-/// The kernel is vector-native: it iterates the runtime::LaneLayout rows
-/// explicitly — one loop stepping LaneLayout::kVectorRow lanes at a time
-/// with every fused instruction lowered to <4 x double> operations —
+/// The row width picks the kernel. At runtime::LaneLayout::kVectorRow it
+/// emits the batch kernel `amsvp_orc_step_batch`: it iterates the
+/// LaneLayout rows explicitly — one loop stepping kVectorRow lanes at a
+/// time with every fused instruction lowered to <4 x double> operations —
 /// instead of asking the loop vectorizer to rediscover the shape. The loop
 /// covers every padded row, ghost lanes included: a non-row-multiple batch
 /// computes its padding lanes as throwaway extra instances rather than
@@ -64,7 +65,8 @@ void ensure_native_target() {
 /// instruction permutes only the order in which independent lane results
 /// are produced — and ghost-lane results are never observed: every live
 /// lane still executes exactly the scalar instruction sequence, bit for
-/// bit.
+/// bit. At width 1 it emits the scalar kernel `amsvp_orc_step`: the same
+/// program over one unpadded lane, `double` rows, no loop, direct libm calls.
 ///
 /// The row body is load-minimal: a slot defined or loaded earlier in the
 /// same row iteration is reused as its SSA value, so the only rows read
@@ -74,26 +76,32 @@ void ensure_native_target() {
 /// slots occupy disjoint rows. Every instruction still stores its row, so
 /// after each step the slot file, scratch rows included, is bit-identical
 /// to the interpreter's.
-class BatchKernelLowering {
+class KernelLowering {
 public:
-    BatchKernelLowering(llvm::Module& module, const runtime::ModelLayout& layout)
+    KernelLowering(llvm::Module& module, const runtime::ModelLayout& layout, int row_width)
         : ctx_(module.getContext()),
           module_(module),
           layout_(layout),
           builder_(module.getContext()),
           f64_(llvm::Type::getDoubleTy(ctx_)),
           i64_(llvm::Type::getInt64Ty(ctx_)),
-          vec_ty_(llvm::FixedVectorType::get(
-              llvm::Type::getDoubleTy(module.getContext()),
-              static_cast<unsigned>(runtime::LaneLayout::kVectorRow))) {}
+          row_width_(row_width),
+          row_ty_(row_width == 1 ? f64_
+                                 : llvm::FixedVectorType::get(
+                                       f64_, static_cast<unsigned>(row_width))) {
+        AMSVP_CHECK(row_width == 1 || row_width == runtime::LaneLayout::kVectorRow,
+                    "a kernel is lowered at row width 1 or runtime::LaneLayout::kVectorRow");
+    }
 
     void run() {
-        auto* fn_type = llvm::FunctionType::get(
-            llvm::Type::getVoidTy(ctx_),
-            {llvm::PointerType::getUnqual(f64_), llvm::Type::getInt32Ty(ctx_)},
-            /*isVarArg=*/false);
-        fn_ = llvm::Function::Create(fn_type, llvm::Function::ExternalLinkage,
-                                     kStepBatchSymbol, module_);
+        const bool scalar = row_width_ == 1;
+        std::vector<llvm::Type*> params{llvm::PointerType::getUnqual(f64_)};
+        if (!scalar) {
+            params.push_back(llvm::Type::getInt32Ty(ctx_));
+        }
+        fn_ = llvm::Function::Create(
+            llvm::FunctionType::get(llvm::Type::getVoidTy(ctx_), params, /*isVarArg=*/false),
+            llvm::Function::ExternalLinkage, scalar ? kStepSymbol : kStepBatchSymbol, module_);
         fn_->addFnAttr(llvm::Attribute::NoUnwind);
         // Belt and braces beside the per-call nobuiltin: no pass may treat
         // any call inside this body as a recognized library routine.
@@ -102,24 +110,38 @@ public:
         fn_->addParamAttr(0, llvm::Attribute::NoCapture);
         slots_ = fn_->getArg(0);
         slots_->setName("slots");
-        llvm::Argument* batch = fn_->getArg(1);
-        batch->setName("batch");
-
         builder_.SetInsertPoint(llvm::BasicBlock::Create(ctx_, "entry", fn_));
-        llvm::Value* batch64 = builder_.CreateSExt(batch, i64_, "batch64");
-        const std::int64_t row = runtime::LaneLayout::kVectorRow;
-        // stride = padded_width(batch) — the LaneLayout row arithmetic on
-        // power-of-two kVectorRow.
-        llvm::Value* row_minus_1 = llvm::ConstantInt::get(i64_, row - 1);
-        llvm::Value* row_mask = llvm::ConstantInt::get(i64_, ~(row - 1));
-        stride64_ = builder_.CreateAnd(builder_.CreateAdd(batch64, row_minus_1), row_mask,
-                                       "stride64");
-        emit_row_loop();
+        if (scalar) {
+            // One straight-line block: stride 1 and lane 0 are constants, so
+            // every slot address folds to `slots + slot`.
+            stride64_ = llvm::ConstantInt::get(i64_, 1);
+            emit_program(llvm::ConstantInt::get(i64_, 0));
+        } else {
+            llvm::Argument* batch = fn_->getArg(1);
+            batch->setName("batch");
+            llvm::Value* batch64 = builder_.CreateSExt(batch, i64_, "batch64");
+            const std::int64_t row = runtime::LaneLayout::kVectorRow;
+            // stride = padded_width(batch) — the LaneLayout row arithmetic on
+            // power-of-two kVectorRow.
+            llvm::Value* row_minus_1 = llvm::ConstantInt::get(i64_, row - 1);
+            llvm::Value* row_mask = llvm::ConstantInt::get(i64_, ~(row - 1));
+            stride64_ = builder_.CreateAnd(builder_.CreateAdd(batch64, row_minus_1), row_mask,
+                                           "stride64");
+            emit_row_loop();
+        }
         emit_history_rotations();
         builder_.CreateRetVoid();
     }
 
 private:
+    /// The fused program once, over the rows at `lane`.
+    void emit_program(llvm::Value* lane) {
+        row_values_.assign(layout_.slot_count(), nullptr);
+        for (const expr::FusedInstr& instr : layout_.fused_program().instructions()) {
+            emit_instruction(instr, lane);
+        }
+    }
+
     /// `for (lane = 0; lane < stride; lane += kVectorRow)` around the
     /// program: each instruction is one <kVectorRow x double> operation per
     /// padded row. Ghost lanes ([batch, stride) of the last row) compute
@@ -142,10 +164,7 @@ private:
         builder_.CreateCondBr(builder_.CreateICmpSLT(lane, stride64_), body, exit);
 
         builder_.SetInsertPoint(body);
-        row_values_.assign(layout_.slot_count(), nullptr);
-        for (const expr::FusedInstr& instr : layout_.fused_program().instructions()) {
-            emit_instruction(instr, lane);
-        }
+        emit_program(lane);
         llvm::Value* next = builder_.CreateAdd(
             lane, llvm::ConstantInt::get(i64_, runtime::LaneLayout::kVectorRow));
         lane->addIncoming(next, builder_.GetInsertBlock());
@@ -160,11 +179,12 @@ private:
         return builder_.CreateInBoundsGEP(f64_, slots_, builder_.CreateAdd(row, lane));
     }
 
-    /// The lane address as a <kVectorRow x double>* (typed pointers: the
-    /// GEP yields double*, the row ops need the vector view of it).
+    /// The lane address as a row pointer (typed pointers: the GEP yields
+    /// double*, the batch kernel's row ops need the <kVectorRow x double>*
+    /// view of it; at width 1 the cast folds away).
     [[nodiscard]] llvm::Value* row_addr(std::int64_t slot, llvm::Value* lane) {
         return builder_.CreateBitCast(slot_addr(slot, lane),
-                                      llvm::PointerType::getUnqual(vec_ty_));
+                                      llvm::PointerType::getUnqual(row_ty_));
     }
 
     /// `slot`'s row in this iteration: the SSA value an earlier instruction
@@ -174,7 +194,7 @@ private:
     [[nodiscard]] llvm::Value* read_row(std::int32_t slot, llvm::Value* lane) {
         llvm::Value*& value = row_values_[static_cast<std::size_t>(slot)];
         if (value == nullptr) {
-            value = builder_.CreateAlignedLoad(vec_ty_, row_addr(slot, lane),
+            value = builder_.CreateAlignedLoad(row_ty_, row_addr(slot, lane),
                                                llvm::Align(alignof(double)));
         }
         return value;
@@ -188,7 +208,7 @@ private:
 
     /// An fp immediate, splatted across the row.
     [[nodiscard]] llvm::Constant* fp(double value) {
-        return llvm::ConstantFP::get(vec_ty_, value);
+        return llvm::ConstantFP::get(row_ty_, value);
     }
 
     /// C++'s `cond ? 1.0 : 0.0` over an i1.
@@ -203,9 +223,10 @@ private:
 
     /// Declared-only libm call, nobuiltin at the call site: the symbol
     /// resolves to this process's own libm, the exact functions the fused
-    /// interpreter calls through <cmath>. libm has no vector ABI here, so
-    /// the row scalarizes — extract each lane, call, reinsert — preserving
-    /// the exact per-lane libm rounding.
+    /// interpreter calls through <cmath>. The scalar kernel calls it
+    /// directly. libm has no vector ABI here, so a batch row scalarizes —
+    /// extract each lane, call, reinsert — preserving the exact per-lane
+    /// libm rounding.
     [[nodiscard]] llvm::Value* call_libm(llvm::StringRef name,
                                          llvm::ArrayRef<llvm::Value*> args) {
         llvm::SmallVector<llvm::Type*, 2> params(args.size(), f64_);
@@ -214,9 +235,13 @@ private:
         if (auto* decl = llvm::dyn_cast<llvm::Function>(callee.getCallee())) {
             decl->setDoesNotThrow();
         }
-        llvm::Value* result = llvm::UndefValue::get(vec_ty_);
-        for (unsigned j = 0; j < static_cast<unsigned>(runtime::LaneLayout::kVectorRow);
-             ++j) {
+        if (row_width_ == 1) {
+            llvm::CallInst* call = builder_.CreateCall(callee, args);
+            call->addFnAttr(llvm::Attribute::NoBuiltin);
+            return call;
+        }
+        llvm::Value* result = llvm::UndefValue::get(row_ty_);
+        for (unsigned j = 0; j < static_cast<unsigned>(row_width_); ++j) {
             llvm::SmallVector<llvm::Value*, 2> lane_args;
             for (llvm::Value* arg : args) {
                 lane_args.push_back(builder_.CreateExtractElement(arg, j));
@@ -228,8 +253,8 @@ private:
         return result;
     }
 
-    /// llvm.sqrt / llvm.fabs — IEEE-exact, and defined directly on vector
-    /// types.
+    /// llvm.sqrt / llvm.fabs — IEEE-exact, and defined directly on scalar
+    /// and vector types.
     [[nodiscard]] llvm::Value* call_intrinsic(llvm::Intrinsic::ID id, llvm::Value* arg) {
         return builder_.CreateUnaryIntrinsic(id, arg);
     }
@@ -396,6 +421,7 @@ private:
     /// image of BatchCompiledModel::step's memcpy loop: row (base+k) <-
     /// row (base+k-1), one padded row each
     /// (copying the pad columns is harmless — they are zero on both sides).
+    /// In the scalar kernel each row is one 8-byte slot.
     void emit_history_rotations() {
         llvm::Value* row_bytes =
             builder_.CreateMul(stride64_, llvm::ConstantInt::get(i64_, sizeof(double)));
@@ -416,10 +442,11 @@ private:
     llvm::IRBuilder<> builder_;
     llvm::Type* f64_;
     llvm::Type* i64_;
-    llvm::FixedVectorType* vec_ty_;
+    int row_width_;       ///< lanes per row: 1 or LaneLayout::kVectorRow
+    llvm::Type* row_ty_;  ///< double, or <kVectorRow x double>
     llvm::Function* fn_ = nullptr;
     llvm::Value* slots_ = nullptr;
-    llvm::Value* stride64_ = nullptr;  ///< LaneLayout::padded_width(batch)
+    llvm::Value* stride64_ = nullptr;  ///< LaneLayout::padded_width(batch); 1 when scalar
     /// Per slot: its row's SSA value in the current row iteration (null
     /// until the iteration first defines or loads it).
     std::vector<llvm::Value*> row_values_;
@@ -471,7 +498,7 @@ std::string module_to_string(const llvm::Module& module) {
 }  // namespace
 
 std::optional<PreparedModule> prepare_module(const runtime::ModelLayout& layout,
-                                             std::string* unoptimized_ir,
+                                             int row_width, std::string* unoptimized_ir,
                                              std::string* error) {
     ensure_native_target();
     auto jtmb = llvm::orc::JITTargetMachineBuilder::detectHost();
@@ -479,12 +506,13 @@ std::optional<PreparedModule> prepare_module(const runtime::ModelLayout& layout,
         set_error(error, "cannot detect host target: " + llvm::toString(jtmb.takeError()));
         return std::nullopt;
     }
-    // FastISel + linear-scan register allocation: the mid-end pipeline has
-    // already CSE'd the kernel, and SelectionDAG at any higher level costs
-    // ~10x the materialize time on these straight-line bodies for a modest
-    // steady-state gain. Cold-compile latency is the reason this backend
-    // exists.
-    jtmb->setCodeGenOptLevel(llvm::CodeGenOpt::None);
+    // Batch kernels use FastISel: the mid-end pipeline has already CSE'd
+    // the kernel, and SelectionDAG costs ~10x the materialize time on these
+    // straight-line bodies, which a cold sweep waits for. A scalar kernel is
+    // stepped for a whole run per compile, so it takes SelectionDAG at -O1:
+    // on the paper circuits it steps up to 1.3x faster for 2-20 ms more
+    // compile. Neither level forms FMAs without `contract` flags.
+    jtmb->setCodeGenOptLevel(row_width == 1 ? llvm::CodeGenOpt::Less : llvm::CodeGenOpt::None);
     auto tm = jtmb->createTargetMachine();
     if (!tm) {
         set_error(error, "cannot create target machine: " + llvm::toString(tm.takeError()));
@@ -493,7 +521,7 @@ std::optional<PreparedModule> prepare_module(const runtime::ModelLayout& layout,
 
     auto context = std::make_unique<llvm::LLVMContext>();
     auto module = std::make_unique<llvm::Module>("amsvp_orc", *context);
-    BatchKernelLowering(*module, layout).run();
+    KernelLowering(*module, layout, row_width).run();
     module->setDataLayout((*tm)->createDataLayout());
     module->setTargetTriple((*tm)->getTargetTriple().str());
 
@@ -515,9 +543,11 @@ std::optional<PreparedModule> prepare_module(const runtime::ModelLayout& layout,
 std::string llvm_backend_version() { return LLVM_VERSION_STRING; }
 
 std::optional<LoweredIrText> lower_to_ir_text(
-    const std::shared_ptr<const runtime::ModelLayout>& layout, std::string* error) {
+    const std::shared_ptr<const runtime::ModelLayout>& layout, int row_width,
+    std::string* error) {
     LoweredIrText text;
-    const auto prepared = orc_detail::prepare_module(*layout, &text.unoptimized, error);
+    const auto prepared =
+        orc_detail::prepare_module(*layout, row_width, &text.unoptimized, error);
     if (!prepared) {
         return std::nullopt;
     }
@@ -537,7 +567,8 @@ namespace amsvp::codegen {
 std::string llvm_backend_version() { return "none"; }
 
 std::optional<LoweredIrText> lower_to_ir_text(
-    const std::shared_ptr<const runtime::ModelLayout>& /*layout*/, std::string* error) {
+    const std::shared_ptr<const runtime::ModelLayout>& /*layout*/, int /*row_width*/,
+    std::string* error) {
     if (error != nullptr) {
         *error = "in-process LLVM backend unavailable: built with AMSVP_WITH_LLVM=OFF";
     }

@@ -5,15 +5,19 @@
 // strided slot file, so lowering is a 1:1 translation: every FusedOp —
 // including the mul-add / immediate superinstructions and kLinComb —
 // becomes the exact same arithmetic the interpreter executes, as one
-// <runtime::LaneLayout::kVectorRow x double> operation per padded lane row.
-// One function is emitted per model:
+// operation per row. The row width picks one of two kernels, each the only
+// function of its module:
 //
-//   void amsvp_orc_step_batch(double* slots, int batch)
+//   void amsvp_orc_step_batch(double* slots, int batch)   // row width
+//                                  // runtime::LaneLayout::kVectorRow
+//   void amsvp_orc_step(double* slots)                     // row width 1
 //
-// It writes nothing but the slot file: an explicit loop over every padded
-// row (ghost lanes computed, never observed) runs the program, then history
-// rows rotate (llvm.memcpy, deepest row first) exactly like
-// BatchCompiledModel::step — the caller writes inputs and the $abstime row
+// Both write nothing but the slot file: the batch kernel runs the program
+// as <kVectorRow x double> operations in an explicit loop over every padded
+// row (ghost lanes computed, never observed), the scalar kernel once over
+// an unpadded slot file of doubles; then history rotates (llvm.memcpy,
+// deepest row first) exactly like BatchCompiledModel::step and
+// CompiledModel::step. The caller writes inputs and the $abstime slot
 // first.
 //
 // Load/store contract (checked by analysis::verify_orc_lowering on the IR
@@ -59,11 +63,14 @@ struct LoweredIrText {
     std::string optimized;    ///< after the fixed pass pipeline
 };
 
-/// Lower `layout`'s fused program and run the pass pipeline — the same
-/// prelude OrcJitProgram::compile materializes — returning both IR
-/// printouts. Returns nullopt with `error` set when built without LLVM or
-/// when lowering/verification fails.
+/// Lower `layout`'s fused program at `row_width` (runtime::LaneLayout::
+/// kVectorRow: the batch kernel; 1: the scalar kernel) and run the pass
+/// pipeline — the same prelude OrcJitProgram::compile and
+/// OrcModel::compile materialize — returning both IR printouts. Returns
+/// nullopt with `error` set when built without LLVM or when
+/// lowering/verification fails.
 [[nodiscard]] std::optional<LoweredIrText> lower_to_ir_text(
-    const std::shared_ptr<const runtime::ModelLayout>& layout, std::string* error = nullptr);
+    const std::shared_ptr<const runtime::ModelLayout>& layout, int row_width,
+    std::string* error = nullptr);
 
 }  // namespace amsvp::codegen

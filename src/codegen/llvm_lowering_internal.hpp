@@ -24,9 +24,12 @@
 
 namespace amsvp::codegen::orc_detail {
 
-/// The one entry point the lowering defines in every module:
+/// The entry point a batch module defines:
 /// `void amsvp_orc_step_batch(double* slots, int batch)`.
 inline constexpr const char* kStepBatchSymbol = "amsvp_orc_step_batch";
+
+/// The entry point a scalar module defines: `void amsvp_orc_step(double* slots)`.
+inline constexpr const char* kStepSymbol = "amsvp_orc_step";
 
 /// One lowered model, verified and run through the fixed pass pipeline,
 /// plus the host target it was lowered for. `context` owns the module's
@@ -40,13 +43,15 @@ struct PreparedModule {
 
 /// The lowering prelude: detect the host, create its target machine
 /// (FastISel code generation, the level ORC materializes with), lower
-/// `layout`'s fused program into a module defining kStepBatchSymbol, stamp
-/// the data layout and triple, verifyModule, and run the fixed pass
-/// pipeline. When `unoptimized_ir` is non-null it receives the module text
+/// `layout`'s fused program into a module defining kStepBatchSymbol (at
+/// `row_width` runtime::LaneLayout::kVectorRow) or kStepSymbol (at
+/// `row_width` 1), stamp the data layout and triple, verifyModule, and run
+/// the fixed pass pipeline. When `unoptimized_ir` is non-null it receives the module text
 /// between verification and the pipeline. Returns nullopt with `error` set
 /// when the host cannot be targeted or the module fails verification.
 [[nodiscard]] std::optional<PreparedModule> prepare_module(
-    const runtime::ModelLayout& layout, std::string* unoptimized_ir, std::string* error);
+    const runtime::ModelLayout& layout, int row_width, std::string* unoptimized_ir,
+    std::string* error);
 
 /// Store `message` in `*error` when the caller asked for error text.
 inline void set_error(std::string* error, std::string message) {

@@ -1,7 +1,10 @@
 #include "codegen/orc_jit.hpp"
 
 #include <atomic>
+#include <cstdio>
 
+#include "analysis/verifier.hpp"
+#include "runtime/lane_layout.hpp"
 #include "support/check.hpp"
 #include "support/fault.hpp"
 
@@ -93,6 +96,40 @@ void OrcCompileTicket::resolve(State state) {
     resolved_.notify_all();
 }
 
+void OrcModel::step(double time_seconds) {
+    double* slots = slot_data();
+    slots[layout()->time_slot()] = time_seconds;
+    step_fn_(slots);
+}
+
+
+runtime::ExecutorFactory orc_executor_factory() {
+    return [](const abstraction::SignalFlowModel& model)
+               -> std::unique_ptr<runtime::ModelExecutor> {
+        std::shared_ptr<const runtime::ModelLayout> layout =
+            runtime::ModelLayout::compile(model);
+#ifdef NDEBUG
+        // As at ModelCache admission: Release builds verify once, before the
+        // layout is lowered. (Debug builds already verified inside
+        // ModelLayout::compile.)
+        analysis::verify_layout_or_abort(*layout, "codegen::orc_executor_factory");
+#endif
+        std::string error;
+        if (auto orc = OrcModel::compile(layout, &error)) {
+            return orc;
+        }
+        // atomic: executor factories run from worker threads too.
+        static std::atomic<bool> warned{false};
+        if (!warned.exchange(true)) {
+            std::fprintf(stderr,
+                         "amsvp: native model execution unavailable (%s); "
+                         "falling back to the fused interpreter\n",
+                         error.c_str());
+        }
+        return std::make_unique<runtime::CompiledModel>(std::move(layout));
+    };
+}
+
 TieredOrcBatchModel::TieredOrcBatchModel(std::shared_ptr<const runtime::ModelLayout> layout,
                                          std::shared_ptr<const OrcCompileTicket> ticket,
                                          int batch)
@@ -133,20 +170,27 @@ std::unique_ptr<runtime::BatchExecutor> TieredOrcBatchModel::make_fallback_shard
 // The real thing: the lowering prelude (lower -> verify -> fixed pass
 // pipeline) -> LLJIT materialize.
 
-/// Owns the LLJIT instance. Kept out of the header so public includes
-/// stay LLVM-free; destruction releases the JITed code (after every
-/// shared_ptr<const OrcJitProgram> holder is gone).
-class OrcJitProgram::Engine {
+namespace orc_detail {
+
+/// Kept out of the header so public includes stay LLVM-free; destruction
+/// releases the JITed code (after every holder of its program or model is
+/// gone).
+class Engine {
 public:
     std::unique_ptr<llvm::orc::LLJIT> jit;
+    std::uint64_t kernel = 0;  ///< address of the materialized kernel
 };
 
-OrcJitProgram::~OrcJitProgram() = default;
+}  // namespace orc_detail
 
-bool orc_available() { return true; }
+namespace {
 
-std::shared_ptr<const OrcJitProgram> OrcJitProgram::compile(
-    std::shared_ptr<const runtime::ModelLayout> layout, std::string* error) {
+/// The one materialization path of both kernels: lower `layout` at
+/// `row_width` (see orc_detail::prepare_module), materialize it through
+/// LLJIT and resolve `symbol`. Returns nullptr with `error` set on failure.
+std::unique_ptr<orc_detail::Engine> materialize(const runtime::ModelLayout& layout,
+                                                int row_width, const char* symbol,
+                                                std::string* error) {
     using orc_detail::set_error;
     orc_detail::g_orc_compile_invocations.fetch_add(1, std::memory_order_relaxed);
     // Deterministic failure leg for robustness tests: models "the JIT could
@@ -160,7 +204,8 @@ std::shared_ptr<const OrcJitProgram> OrcJitProgram::compile(
     // The fixed pipeline runs inside the prelude (LLJIT adds no IR
     // optimization of its own), so what materializes is exactly the
     // optimized module the codegen_tool dumps show.
-    auto prepared = orc_detail::prepare_module(*layout, /*unoptimized_ir=*/nullptr, error);
+    auto prepared =
+        orc_detail::prepare_module(layout, row_width, /*unoptimized_ir=*/nullptr, error);
     if (!prepared) {
         return nullptr;
     }
@@ -190,38 +235,88 @@ std::shared_ptr<const OrcJitProgram> OrcJitProgram::compile(
         return nullptr;
     }
 
-    auto step_batch = (*jit)->lookup(orc_detail::kStepBatchSymbol);
-    if (!step_batch) {
-        set_error(error, "cannot materialize step_batch kernel: " +
-                             llvm::toString(step_batch.takeError()));
+    auto kernel = (*jit)->lookup(symbol);
+    if (!kernel) {
+        set_error(error, std::string("cannot materialize ") + symbol + ": " +
+                             llvm::toString(kernel.takeError()));
         return nullptr;
     }
+    auto engine = std::make_unique<orc_detail::Engine>();
+    engine->jit = std::move(*jit);
+    engine->kernel = kernel->getAddress();
+    return engine;
+}
 
+}  // namespace
+
+OrcJitProgram::~OrcJitProgram() = default;
+
+bool orc_available() { return true; }
+
+std::shared_ptr<const OrcJitProgram> OrcJitProgram::compile(
+    std::shared_ptr<const runtime::ModelLayout> layout, std::string* error) {
+    auto engine = materialize(*layout, runtime::LaneLayout::kVectorRow,
+                              orc_detail::kStepBatchSymbol, error);
+    if (engine == nullptr) {
+        return nullptr;
+    }
     auto program = std::shared_ptr<OrcJitProgram>(new OrcJitProgram());
-    program->engine_ = std::make_unique<Engine>();
-    program->engine_->jit = std::move(*jit);
-    program->step_batch_fn_ = reinterpret_cast<StepBatchFn>(step_batch->getAddress());
+    program->step_batch_fn_ = reinterpret_cast<StepBatchFn>(engine->kernel);
+    program->engine_ = std::move(engine);
     program->layout_ = std::move(layout);
     return program;
 }
 
+std::unique_ptr<OrcModel> OrcModel::compile(std::shared_ptr<const runtime::ModelLayout> layout,
+                                            std::string* error) {
+    auto engine = materialize(*layout, /*row_width=*/1, orc_detail::kStepSymbol, error);
+    if (engine == nullptr) {
+        return nullptr;
+    }
+    return std::unique_ptr<OrcModel>(new OrcModel(std::move(layout), std::move(engine)));
+}
+
+OrcModel::OrcModel(std::shared_ptr<const runtime::ModelLayout> layout,
+                   std::unique_ptr<orc_detail::Engine> engine)
+    : CompiledModel(std::move(layout)),
+      engine_(std::move(engine)),
+      step_fn_(reinterpret_cast<StepFn>(engine_->kernel)) {}
+
+OrcModel::~OrcModel() = default;
+
 #else  // !AMSVP_HAS_LLVM
 
 // ---------------------------------------------------------------------------
-// Stub build (AMSVP_WITH_LLVM=OFF): compile() reports unavailability and
-// sweeps that asked for kNativeOrc run on the fused interpreter.
+// Stub build (AMSVP_WITH_LLVM=OFF): both compile()s report unavailability;
+// sweeps that asked for kNativeOrc and orc_executor_factory() executors run
+// on the fused interpreter.
 
-class OrcJitProgram::Engine {};
+namespace orc_detail {
+class Engine {};
+}  // namespace orc_detail
+
+namespace {
+void set_unavailable(std::string* error) {
+    if (error != nullptr) {
+        *error = "in-process ORC JIT unavailable: built with AMSVP_WITH_LLVM=OFF";
+    }
+}
+}  // namespace
 
 OrcJitProgram::~OrcJitProgram() = default;
+OrcModel::~OrcModel() = default;
 
 bool orc_available() { return false; }
 
 std::shared_ptr<const OrcJitProgram> OrcJitProgram::compile(
     std::shared_ptr<const runtime::ModelLayout> /*layout*/, std::string* error) {
-    if (error != nullptr) {
-        *error = "in-process ORC JIT unavailable: built with AMSVP_WITH_LLVM=OFF";
-    }
+    set_unavailable(error);
+    return nullptr;
+}
+
+std::unique_ptr<OrcModel> OrcModel::compile(
+    std::shared_ptr<const runtime::ModelLayout> /*layout*/, std::string* error) {
+    set_unavailable(error);
     return nullptr;
 }
 

@@ -1,15 +1,17 @@
 // In-process ORC JIT execution of the fused program: the library's one
-// machine-code sweep engine.
+// machine-code engine, beside the fused interpreter that is its reference
+// and fallback.
 //
-// OrcJitProgram lowers a model's fused instruction stream to one batch
-// kernel in LLVM IR (llvm_lowering.hpp), runs the fixed pass pipeline and
-// materializes it through LLJIT — all inside this process, no compiler on
-// PATH, no temp files, no dlopen. A cold compile costs milliseconds (3–4 ms
-// even for a two-instruction model, about 20 ms for RC20). Results are
-// bit-identical to the fused interpreter: the lowering never enables
+// A model's fused instruction stream lowers to one of two kernels in LLVM
+// IR (llvm_lowering.hpp), runs the fixed pass pipeline and materializes
+// through one LLJIT path — all inside this process, no compiler on PATH, no
+// temp files, no dlopen. A cold compile costs milliseconds (3–4 ms even for
+// a two-instruction model, about 20 ms for RC20's batch kernel). Results
+// are bit-identical to the fused interpreter: the lowering never enables
 // fast-math or FP contraction, and libm calls resolve to this very
-// process's libm. The one kernel serves every width, width 1 included
-// (one padded row, three ghost lanes).
+// process's libm. Sweeps run OrcJitProgram's batch kernel at every width,
+// width 1 included (one padded row, three ghost lanes); per-instance
+// executors (the Tables' "C++" rows) run OrcModel's scalar kernel.
 //
 // OrcBatchModel is a BatchCompiledModel whose step() drives the JITed
 // kernel over the same padded slot file, slotting into the make_shard /
@@ -24,13 +26,15 @@
 // the next step boundary. The switch is exact: both engines leave the
 // padded slot file bit-identical after every step.
 //
-// Built with AMSVP_WITH_LLVM=OFF, orc_available() is false and compile()
-// returns nullptr with an explanatory error; a kNativeOrc sweep then runs
-// on the fused interpreter and says so in SweepResult::diagnostics.
+// Built with AMSVP_WITH_LLVM=OFF, orc_available() is false and both
+// compile()s return nullptr with an explanatory error; a kNativeOrc sweep
+// then runs on the fused interpreter and says so in
+// SweepResult::diagnostics, and orc_executor_factory() hands out the
+// interpreter.
 //
 // Fault site "jit.orc_materialize" (support/fault.hpp) models a
-// materialization failure so tests can exercise the graceful fallback to
-// the interpreter.
+// materialization failure of either kernel so tests can exercise the
+// graceful fallback to the interpreter.
 #pragma once
 
 #include <atomic>
@@ -41,6 +45,8 @@
 #include <string>
 
 #include "runtime/batch_model.hpp"
+#include "runtime/compiled_model.hpp"
+#include "runtime/executor.hpp"
 
 namespace amsvp::codegen {
 
@@ -56,6 +62,10 @@ namespace orc_detail {
 /// model runs zero JIT compiles" — are asserted as a zero delta of this
 /// counter.
 [[nodiscard]] std::uint64_t orc_compile_invocations();
+
+/// Owns one materialized LLJIT instance and with it the JITed code; defined
+/// in orc_jit.cpp so public includes stay LLVM-free.
+class Engine;
 
 }  // namespace orc_detail
 
@@ -91,8 +101,7 @@ private:
 
     using StepBatchFn = void (*)(double*, int);
 
-    class Engine;  ///< owns the LLJIT (and with it the JITed code)
-    std::unique_ptr<Engine> engine_;
+    std::unique_ptr<orc_detail::Engine> engine_;
     StepBatchFn step_batch_fn_ = nullptr;
     std::shared_ptr<const runtime::ModelLayout> layout_;
 };
@@ -126,6 +135,40 @@ public:
 private:
     std::shared_ptr<const OrcJitProgram> program_;
 };
+
+/// A CompiledModel stepped by the ORC-JITed scalar kernel. It keeps the
+/// interpreter's slot file with its reset, set_input and output; step()
+/// writes the $abstime slot and calls the kernel, which runs the program
+/// and rotates history. After every step the slot file, scratch included,
+/// is bit-identical to the interpreter's.
+class OrcModel final : public runtime::CompiledModel {
+public:
+    /// Lower, optimize and materialize the scalar kernel for a compiled
+    /// layout. Returns nullptr (with `error` set) when built without LLVM,
+    /// or when lowering/verification/materialization fails.
+    [[nodiscard]] static std::unique_ptr<OrcModel> compile(
+        std::shared_ptr<const runtime::ModelLayout> layout, std::string* error = nullptr);
+
+    ~OrcModel() override;
+
+    void step(double time_seconds) override;
+
+private:
+    using StepFn = void (*)(double*);
+
+    OrcModel(std::shared_ptr<const runtime::ModelLayout> layout,
+             std::unique_ptr<orc_detail::Engine> engine);
+
+    std::unique_ptr<orc_detail::Engine> engine_;
+    StepFn step_fn_ = nullptr;
+};
+
+/// Executor factory for per-instance runs (the Tables' "C++" rows): the
+/// model's layout, verified as at runtime::ModelCache admission, stepped by
+/// an OrcModel; when the kernel cannot be had (a failed compile, or a build
+/// without LLVM) a runtime::CompiledModel on the fused interpreter instead —
+/// bit-identical, just slower — with a note on stderr the first time.
+[[nodiscard]] runtime::ExecutorFactory orc_executor_factory();
 
 /// The handle of one ORC compile that may not have finished: a program
 /// that can be waited for or polled. Resolved exactly once — landed with a

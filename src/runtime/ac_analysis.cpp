@@ -1,9 +1,11 @@
 #include "runtime/ac_analysis.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "runtime/compiled_model.hpp"
-#include "support/check.hpp"
+#include "support/strings.hpp"
 
 namespace amsvp::runtime {
 
@@ -15,7 +17,11 @@ constexpr std::uint64_t kMeasureCycles = 8;  ///< DFT window length
 }  // namespace
 
 std::vector<double> log_frequency_grid(double f_min, double f_max, int points) {
-    AMSVP_CHECK(f_min > 0.0 && f_max > f_min && points >= 2, "bad frequency grid");
+    if (!(f_min > 0.0 && f_max > f_min && points >= 2)) {
+        throw std::invalid_argument("bad frequency grid: f_min " + support::format_double(f_min) +
+                                    ", f_max " + support::format_double(f_max) + ", " +
+                                    std::to_string(points) + " points");
+    }
     std::vector<double> out;
     out.reserve(static_cast<std::size_t>(points));
     const double ratio = std::log(f_max / f_min);
@@ -32,12 +38,18 @@ std::vector<AcPoint> measure_frequency_response(const abstraction::SignalFlowMod
     CompiledModel compiled(model);
     const std::size_t input = compiled.input_index(input_name);
     const double dt = model.timestep;
-    AMSVP_CHECK(dt > 0.0, "model has no timestep");
+    if (!(dt > 0.0)) {
+        throw std::invalid_argument("model has no timestep: dt " + support::format_double(dt));
+    }
 
     std::vector<AcPoint> out;
     out.reserve(frequencies_hz.size());
     for (const double f : frequencies_hz) {
-        AMSVP_CHECK(f > 0.0 && f < 0.25 / dt, "frequency outside the model's band");
+        if (!(f > 0.0 && f < 0.25 / dt)) {
+            throw std::invalid_argument("frequency outside the model's band: " +
+                                        support::format_double(f) + " Hz not in (0, " +
+                                        support::format_double(0.25 / dt) + ") Hz");
+        }
         const double omega = 2.0 * M_PI * f;
         const auto steps_per_cycle = static_cast<std::uint64_t>(1.0 / (f * dt) + 0.5);
         const std::uint64_t settle = steps_per_cycle * kSettleCycles;

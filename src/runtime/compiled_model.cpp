@@ -1,12 +1,26 @@
 #include "runtime/compiled_model.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "support/check.hpp"
 
 namespace amsvp::runtime {
 
 using expr::Symbol;
+
+namespace {
+
+/// Out of line and cold: set_input and output run on every analog step of
+/// the DE platform, so their check must cost one compare, not a string.
+[[noreturn]] [[gnu::cold]] [[gnu::noinline]] void throw_index_out_of_range(
+    const char* what, std::size_t index, std::size_t count) {
+    throw std::out_of_range(std::string(what) + " index " + std::to_string(index) +
+                            " out of range: the model has " + std::to_string(count));
+}
+
+}  // namespace
 
 CompiledModel::CompiledModel(const abstraction::SignalFlowModel& model)
     : CompiledModel(ModelLayout::compile(model)) {}
@@ -27,7 +41,9 @@ void CompiledModel::reset() {
 }
 
 void CompiledModel::set_input(std::size_t index, double value) {
-    AMSVP_CHECK(index < layout_->input_count(), "input index out of range");
+    if (index >= layout_->input_count()) [[unlikely]] {
+        throw_index_out_of_range("input", index, layout_->input_count());
+    }
     slots_[static_cast<std::size_t>(layout_->input_slots()[index])] = value;
 }
 
@@ -45,7 +61,9 @@ void CompiledModel::step(double time_seconds) {
 }
 
 double CompiledModel::output(std::size_t index) const {
-    AMSVP_CHECK(index < layout_->output_count(), "output index out of range");
+    if (index >= layout_->output_count()) [[unlikely]] {
+        throw_index_out_of_range("output", index, layout_->output_count());
+    }
     return slots_[static_cast<std::size_t>(layout_->output_slots()[index])];
 }
 

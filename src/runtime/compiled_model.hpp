@@ -10,7 +10,8 @@
 // CompiledModel is one executing instance over it — a slot vector plus thin
 // step logic. N instances of the same model can (and should) share one
 // layout: see ModelLayout::compile and BatchCompiledModel for the batched
-// form that also shares the slot file.
+// form that also shares the slot file. codegen::OrcModel is a CompiledModel
+// whose step() runs the ORC-JITed scalar kernel over the same slot file.
 #pragma once
 
 #include <memory>
@@ -23,7 +24,7 @@
 
 namespace amsvp::runtime {
 
-class CompiledModel final : public ModelExecutor {
+class CompiledModel : public ModelExecutor {
 public:
     explicit CompiledModel(const abstraction::SignalFlowModel& model);
 
@@ -31,24 +32,27 @@ public:
     explicit CompiledModel(std::shared_ptr<const ModelLayout> layout);
 
     /// Reset state to the model's initial values (zeros by default).
-    void reset() override;
+    void reset() final;
 
-    [[nodiscard]] std::size_t input_count() const override { return layout_->input_count(); }
-    [[nodiscard]] std::size_t output_count() const override { return layout_->output_count(); }
-    [[nodiscard]] double timestep() const override { return layout_->timestep(); }
+    [[nodiscard]] std::size_t input_count() const final { return layout_->input_count(); }
+    [[nodiscard]] std::size_t output_count() const final { return layout_->output_count(); }
+    [[nodiscard]] double timestep() const final { return layout_->timestep(); }
 
-    /// Input index by stimulus name; aborts on unknown names.
+    /// Input index by stimulus name; throws std::invalid_argument naming an
+    /// unknown one.
     [[nodiscard]] std::size_t input_index(const std::string& name) const {
         return layout_->input_index(name);
     }
 
-    void set_input(std::size_t index, double value) override;
+    /// Throws std::out_of_range for an index at or past input_count().
+    void set_input(std::size_t index, double value) final;
 
     /// Evaluate one step at absolute time `time_seconds` (drives $abstime),
     /// then rotate history.
     void step(double time_seconds) override;
 
-    [[nodiscard]] double output(std::size_t index) const override;
+    /// Throws std::out_of_range for an index at or past output_count().
+    [[nodiscard]] double output(std::size_t index) const final;
 
     /// Value of an arbitrary model symbol at the current step (testing).
     [[nodiscard]] double value_of(const expr::Symbol& symbol) const;
@@ -68,6 +72,10 @@ public:
     [[nodiscard]] const expr::FusedProgram& fused_program() const {
         return layout_->fused_program();
     }
+
+protected:
+    /// The slot file, slot_count() doubles in layout order.
+    [[nodiscard]] double* slot_data() { return slots_.data(); }
 
 private:
     std::shared_ptr<const ModelLayout> layout_;

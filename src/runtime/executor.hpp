@@ -2,13 +2,14 @@
 //
 // Two implementations exist:
 //  * runtime::CompiledModel — the in-process fused interpreter (always
-//    available);
-//  * codegen::NativeModel   — the generated C++ compiled by the system
-//    compiler and loaded via dlopen (the paper's actual deployment path).
+//    available), the reference and the fallback;
+//  * codegen::OrcModel      — a CompiledModel whose step() runs the
+//    generated program as machine code: the scalar kernel the in-process
+//    ORC JIT lowers from the same fused program (the paper's "C++" rows).
 //
 // Backends accept a factory so benchmarks can swap the execution strategy
 // without touching the MoC wrappers; an empty factory means the fused
-// interpreter.
+// interpreter, codegen::orc_executor_factory() the scalar ORC kernel.
 #pragma once
 
 #include <functional>

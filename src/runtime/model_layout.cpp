@@ -1,6 +1,7 @@
 #include "runtime/model_layout.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "analysis/verifier.hpp"
 #include "expr/traversal.hpp"
@@ -139,7 +140,9 @@ const ModelLayout::SymbolSlots& ModelLayout::slots_of(const Symbol& s) const {
 
 std::size_t ModelLayout::input_index(const std::string& name) const {
     const auto it = input_names_.find(name);
-    AMSVP_CHECK(it != input_names_.end(), "unknown input name");
+    if (it == input_names_.end()) {
+        throw std::invalid_argument("unknown input name '" + name + "'");
+    }
     return it->second;
 }
 

@@ -68,7 +68,8 @@ public:
     [[nodiscard]] const std::vector<int>& output_slots() const { return output_slots_; }
     [[nodiscard]] int time_slot() const { return time_slot_; }
 
-    /// Input index by stimulus name; aborts on unknown names.
+    /// Input index by stimulus name; throws std::invalid_argument naming an
+    /// unknown one.
     [[nodiscard]] std::size_t input_index(const std::string& name) const;
 
     /// Slot of `s` delayed by `delay` steps; aborts on unknown symbols.

@@ -1,7 +1,7 @@
 // Deterministic fault injection for robustness tests.
 //
-// Production code is sprinkled with named *fault sites* — e.g. the JIT's
-// compiler invocation ("jit.compile"), the worker pool's task dispatch
+// Production code is sprinkled with named *fault sites* — e.g. the ORC
+// JIT's materialization ("jit.orc_materialize"), the worker pool's task dispatch
 // ("pool.worker"), the sweep driver's per-lane stimulus write
 // ("sweep.lane_nan"). A site is one `fault::should_fire(...)` call; tests
 // *arm* a site to make it fire once, always, or after N matching checks,
@@ -14,11 +14,9 @@
 // their fault sites in production builds.
 //
 // Known sites (keep this list in sync with the code and README):
-//   jit.compile       compiler invocation fails (exit != 0)
-//   jit.dlopen        loading the compiled shared object fails
-//   jit.dlsym         a required entry point is missing from the .so
-//   jit.orc_materialize  the in-process ORC JIT fails to materialize the
-//                     batch kernel (codegen::OrcJitProgram::compile)
+//   jit.orc_materialize  the in-process ORC JIT fails to materialize a
+//                     kernel (codegen::OrcJitProgram::compile for the batch
+//                     kernel, codegen::OrcModel::compile for the scalar one)
 //   pool.worker       a ThreadPool task throws (context = task index)
 //   sweep.lane_nan    a sweep lane's input goes NaN (context = global lane)
 //   sweep.shard_alloc building a per-worker sweep shard fails

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "abstraction/abstraction.hpp"
 #include "netlist/builder.hpp"
@@ -8,6 +10,25 @@
 
 namespace amsvp::runtime {
 namespace {
+
+/// `call` throws std::invalid_argument with a message containing `text`.
+template <typename F>
+void expect_invalid_argument_naming(F&& call, const std::string& text) {
+    try {
+        call();
+        ADD_FAILURE() << "nothing thrown; expected a message naming \"" << text << "\"";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(text), std::string::npos) << e.what();
+    }
+}
+
+abstraction::SignalFlowModel rc_model() {
+    const netlist::Circuit circuit = netlist::make_rc_ladder(1);
+    std::string error;
+    auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);
+    EXPECT_TRUE(model.has_value()) << error;
+    return std::move(*model);
+}
 
 TEST(AcAnalysis, LogGridSpansEndpoints) {
     const auto grid = log_frequency_grid(10.0, 1e5, 5);
@@ -89,13 +110,38 @@ TEST(AcAnalysis, RlcResonancePeaksAtF0) {
 }
 
 TEST(AcAnalysis, RejectsFrequencyAboveBand) {
-    const netlist::Circuit circuit = netlist::make_rc_ladder(1);
-    std::string error;
-    auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);
-    ASSERT_TRUE(model.has_value()) << error;
-    EXPECT_DEATH(
-        (void)measure_frequency_response(*model, "u0", {1.0 / model->timestep}),
+    const auto model = rc_model();
+    expect_invalid_argument_naming(
+        [&] { (void)measure_frequency_response(model, "u0", {1.0 / model.timestep}); },
         "frequency outside");
+}
+
+TEST(AcAnalysis, RejectsBadFrequenciesNamingTheValue) {
+    const auto model = rc_model();
+    expect_invalid_argument_naming(
+        [&] { (void)measure_frequency_response(model, "u0", {1e3, 0.0}); },
+        "band: 0 Hz");
+    expect_invalid_argument_naming(
+        [&] { (void)measure_frequency_response(model, "u0", {-5.0}); }, "band: -5 Hz");
+}
+
+TEST(AcAnalysis, RejectsUnknownInputAndMissingTimestep) {
+    auto model = rc_model();
+    expect_invalid_argument_naming(
+        [&] { (void)measure_frequency_response(model, "vin", {1e3}); },
+        "unknown input name 'vin'");
+    model.timestep = 0.0;
+    expect_invalid_argument_naming(
+        [&] { (void)measure_frequency_response(model, "u0", {1e3}); }, "no timestep");
+}
+
+TEST(AcAnalysis, RejectsBadGridNamingTheValues) {
+    expect_invalid_argument_naming([] { (void)log_frequency_grid(0.0, 1e3, 5); },
+                                   "f_min 0, f_max 1000, 5 points");
+    expect_invalid_argument_naming([] { (void)log_frequency_grid(1e3, 10.0, 5); },
+                                   "f_min 1000, f_max 10");
+    expect_invalid_argument_naming([] { (void)log_frequency_grid(10.0, 1e3, 1); },
+                                   "1 points");
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "netlist/builder.hpp"
 #include "random_models.hpp"
 #include "runtime/compiled_model.hpp"
+#include "runtime/lane_layout.hpp"
 #include "runtime/simulate.hpp"
 #include "runtime/sweep_service.hpp"
 #include "support/fault.hpp"
@@ -102,11 +103,11 @@ TEST(OrcJitLowering, EmitsOneBatchEntryPointWithoutFastMath) {
     const auto model = ladder_model(3);
     const auto layout = runtime::ModelLayout::compile(model);
     std::string error;
-    const auto ir = lower_to_ir_text(layout, &error);
+    const auto ir = lower_to_ir_text(layout, runtime::LaneLayout::kVectorRow, &error);
     ASSERT_TRUE(ir.has_value()) << error;
 
     // The batch kernel is the only function defined, before and after the
-    // pipeline: there is no scalar step kernel beside it.
+    // pipeline: the scalar kernel is lowered into a module of its own.
     for (const std::string* text : {&ir->unoptimized, &ir->optimized}) {
         const std::size_t first = text->find("define ");
         ASSERT_NE(first, std::string::npos);
@@ -133,6 +134,32 @@ TEST(OrcJitLowering, EmitsOneBatchEntryPointWithoutFastMath) {
     EXPECT_EQ(ir->unoptimized.find("tail.body"), std::string::npos);
 }
 
+TEST(OrcJitLowering, EmitsOneScalarEntryPointWithoutFastMath) {
+    if (!orc_available()) {
+        GTEST_SKIP() << "built with AMSVP_WITH_LLVM=OFF";
+    }
+    const auto layout = runtime::ModelLayout::compile(ladder_model(3));
+    std::string error;
+    const auto ir = lower_to_ir_text(layout, 1, &error);
+    ASSERT_TRUE(ir.has_value()) << error;
+
+    // One straight-line function over single doubles, before and after the
+    // pipeline: no batch argument, no row loop, no vector rows, and the
+    // same bit-exactness contract as the batch kernel.
+    for (const std::string* text : {&ir->unoptimized, &ir->optimized}) {
+        const std::size_t first = text->find("define ");
+        ASSERT_NE(first, std::string::npos);
+        EXPECT_EQ(text->find("define void @amsvp_orc_step(double* noalias nocapture"), first)
+            << *text;
+        EXPECT_EQ(text->rfind("define "), first);
+        EXPECT_EQ(text->find(" x double>"), std::string::npos);
+        EXPECT_EQ(text->find("row."), std::string::npos);
+        EXPECT_EQ(text->find("fast "), std::string::npos);
+        EXPECT_EQ(text->find(" contract "), std::string::npos);
+        EXPECT_EQ(text->find("llvm.fmuladd"), std::string::npos);
+    }
+}
+
 TEST(OrcJitLowering, UnavailableBuildReportsCleanError) {
     if (orc_available()) {
         GTEST_SKIP() << "LLVM build: the stub error path is compiled out";
@@ -140,10 +167,17 @@ TEST(OrcJitLowering, UnavailableBuildReportsCleanError) {
     const auto model = ladder_model(2);
     const auto layout = runtime::ModelLayout::compile(model);
     std::string error;
-    EXPECT_FALSE(lower_to_ir_text(layout, &error).has_value());
-    EXPECT_NE(error.find("AMSVP_WITH_LLVM=OFF"), std::string::npos);
+    for (const int row_width : {runtime::LaneLayout::kVectorRow, 1}) {
+        error.clear();
+        EXPECT_FALSE(lower_to_ir_text(layout, row_width, &error).has_value());
+        EXPECT_NE(error.find("AMSVP_WITH_LLVM=OFF"), std::string::npos);
+    }
     EXPECT_EQ(llvm_backend_version(), "none");
+    error.clear();
     EXPECT_EQ(OrcJitProgram::compile(layout, &error), nullptr);
+    EXPECT_NE(error.find("AMSVP_WITH_LLVM=OFF"), std::string::npos);
+    error.clear();
+    EXPECT_EQ(OrcModel::compile(layout, &error), nullptr);
     EXPECT_NE(error.find("AMSVP_WITH_LLVM=OFF"), std::string::npos);
 }
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "abstraction/abstraction.hpp"
+#include "codegen/orc_jit.hpp"
 #include "netlist/builder.hpp"
 #include "vp/platform.hpp"
 
@@ -155,6 +156,31 @@ TEST(Platform, KernelCountsArePinned) {
         EXPECT_EQ(result.bus_reads, 4662u);
         EXPECT_EQ(result.bus_writes, 333u);
         EXPECT_EQ(result.uart_output, "0101");
+    }
+}
+
+TEST(Platform, OrcScalarKernelRowsMatchTheInterpreter) {
+    // The Table III C++ and SC-DE rows step the scalar ORC kernel (the
+    // interpreter in a build without LLVM): the firmware must observe
+    // exactly what it observes over the interpreter.
+    const netlist::Circuit circuit = netlist::make_opamp();
+    std::string error;
+    auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);
+    ASSERT_TRUE(model.has_value()) << error;
+    for (const auto integration : {AnalogIntegration::kCpp, AnalogIntegration::kDe}) {
+        SCOPED_TRACE(std::string(to_string(integration)));
+        PlatformConfig config;
+        config.integration = integration;
+        config.circuit = &circuit;
+        config.model = &*model;
+        config.stimuli = {{"u0", numeric::square_wave(1e-4, -1.0, 1.0)}};
+        const PlatformResult interpreted = run_platform(config, 2e-4);
+        config.executor_factory = codegen::orc_executor_factory();
+        const PlatformResult compiled = run_platform(config, 2e-4);
+        EXPECT_EQ(compiled.instructions, interpreted.instructions);
+        EXPECT_EQ(compiled.adc_conversions, interpreted.adc_conversions);
+        EXPECT_EQ(compiled.uart_output, interpreted.uart_output);
+        EXPECT_FALSE(compiled.uart_output.empty());
     }
 }
 

@@ -1,7 +1,9 @@
 // Shared random-model generation for property-based tests: random linear
 // RC networks (random_circuit_test, the generated-code and ORC
 // differentials) and random nonlinear signal-flow models (the batch, ORC
-// and lowering-conformance suites) each come from one distribution.
+// and lowering-conformance suites) each come from one distribution. Two
+// fixed models that the generated-code and scalar-kernel differentials
+// share sit at the end.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -189,6 +191,62 @@ inline abstraction::SignalFlowModel make_random_signal_flow(unsigned seed) {
         m.outputs.push_back(v);
     }
     return m;
+}
+
+/// A model built to hit the linear-combination superinstruction hard: wide
+/// affine assignments over three inputs and state history.
+inline abstraction::SignalFlowModel make_lincomb_heavy_model() {
+    using expr::Expr;
+    const expr::Symbol u0 = expr::input_symbol("u0");
+    const expr::Symbol u1 = expr::input_symbol("u1");
+    const expr::Symbol u2 = expr::input_symbol("u2");
+    const expr::Symbol y{expr::SymbolKind::kVariable, "y"};
+    const expr::Symbol z{expr::SymbolKind::kVariable, "z"};
+
+    abstraction::SignalFlowModel model;
+    model.name = "lincomb_heavy";
+    model.timestep = 1e-6;
+    model.inputs = {u0, u1, u2};
+    // y := 0.75*y' + 0.25*u0 - 0.5*u1 + 0.125*u2 + 3.5
+    model.assignments.push_back(
+        {y, Expr::add(
+                Expr::add(Expr::add(Expr::mul(Expr::constant(0.75), Expr::delayed(y, 1)),
+                                    Expr::mul(Expr::constant(0.25), Expr::symbol(u0))),
+                          Expr::sub(Expr::mul(Expr::constant(0.125), Expr::symbol(u2)),
+                                    Expr::mul(Expr::constant(0.5), Expr::symbol(u1)))),
+                Expr::constant(3.5))});
+    // z := 2*y - 0.0625*u0 + 0.03125*u1 - 7*z'
+    model.assignments.push_back(
+        {z, Expr::sub(
+                Expr::add(Expr::mul(Expr::constant(2.0), Expr::symbol(y)),
+                          Expr::sub(Expr::mul(Expr::constant(0.03125), Expr::symbol(u1)),
+                                    Expr::mul(Expr::constant(0.0625), Expr::symbol(u0)))),
+                Expr::mul(Expr::constant(7.0), Expr::delayed(z, 1)))});
+    model.outputs = {z};
+    model.initial_values[y] = 0.25;
+    EXPECT_TRUE(model.validate().empty());
+    return model;
+}
+
+/// A small FIR over input history only: y := 0.5*u0 + 0.3*u0' + 0.2*u0''.
+/// The delayed input makes the input symbol a state variable too, which
+/// the emitters must not declare twice.
+inline abstraction::SignalFlowModel make_delayed_input_model() {
+    using expr::Expr;
+    const expr::Symbol u0 = expr::input_symbol("u0");
+    const expr::Symbol y{expr::SymbolKind::kVariable, "y"};
+
+    abstraction::SignalFlowModel model;
+    model.name = "fir_taps";
+    model.timestep = 1e-6;
+    model.inputs = {u0};
+    model.assignments.push_back(
+        {y, Expr::add(Expr::add(Expr::mul(Expr::constant(0.5), Expr::symbol(u0)),
+                                Expr::mul(Expr::constant(0.3), Expr::delayed(u0, 1))),
+                      Expr::mul(Expr::constant(0.2), Expr::delayed(u0, 2)))});
+    model.outputs = {y};
+    EXPECT_TRUE(model.validate().empty());
+    return model;
 }
 
 }  // namespace amsvp::testing_support

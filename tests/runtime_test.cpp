@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "abstraction/signal_flow_model.hpp"
 #include "runtime/simulate.hpp"
@@ -15,6 +16,17 @@ using expr::Symbol;
 
 Symbol var(const char* name) {
     return expr::variable_symbol(name);
+}
+
+/// `call` throws an E whose message contains `text`.
+template <typename E, typename F>
+void expect_throw_naming(F&& call, const std::string& text) {
+    try {
+        call();
+        ADD_FAILURE() << "nothing thrown; expected a message naming \"" << text << "\"";
+    } catch (const E& e) {
+        EXPECT_NE(std::string(e.what()).find(text), std::string::npos) << e.what();
+    }
 }
 
 SignalFlowModel accumulator_model() {
@@ -96,6 +108,24 @@ TEST(CompiledModel, TimeSymbolTracksStepTime) {
 TEST(CompiledModel, InputIndexLookup) {
     CompiledModel compiled(accumulator_model());
     EXPECT_EQ(compiled.input_index("u"), 0u);
+}
+
+TEST(CompiledModel, UnknownInputNameThrowsNamingIt) {
+    CompiledModel compiled(accumulator_model());
+    expect_throw_naming<std::invalid_argument>([&] { (void)compiled.input_index("v"); },
+                                               "unknown input name 'v'");
+}
+
+TEST(CompiledModel, IndexOutOfRangeThrowsNamingIndexAndCount) {
+    CompiledModel compiled(accumulator_model());
+    expect_throw_naming<std::out_of_range>([&] { compiled.set_input(1, 0.0); },
+                                           "input index 1 out of range: the model has 1");
+    expect_throw_naming<std::out_of_range>([&] { (void)compiled.output(3); },
+                                           "output index 3 out of range: the model has 1");
+    // The executor stays usable after a rejected index.
+    compiled.set_input(0, 2.0);
+    compiled.step(0.0);
+    EXPECT_DOUBLE_EQ(compiled.output(0), 2.0);
 }
 
 TEST(CompiledModel, ValueOfArbitrarySymbol) {

@@ -1,8 +1,8 @@
 # Lowering conformance on every bundled paper circuit, run as a ctest
 # (label `analysis`): `codegen_tool --verify --builtin <circuit>` runs the
-# fused-IR verifier, the emit-plan check and the ORC load/store contract
-# (analysis::verify_orc_lowering). A build without LLVM prints the ORC
-# check's skip note and still passes.
+# fused-IR verifier, the emit-plan check and the ORC load/store contract of
+# both the batch and the scalar kernel (analysis::verify_orc_lowering). A
+# build without LLVM prints the ORC check's skip note and still passes.
 #
 # Invoked as:
 #   cmake -DCODEGEN_TOOL=... -P codegen_verify.cmake
