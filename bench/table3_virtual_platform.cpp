@@ -8,8 +8,11 @@
 // Speed-ups are relative to the first row, as in the paper. The generated
 // rows run the scalar ORC kernel (codegen::orc_executor_factory()): the
 // generated program compiled by in-process LLVM where the paper used
-// g++ -O2.
+// g++ -O2. Every row must report its circuit's first-row UART text and
+// instruction count; the bench prints any row that does not and exits 1.
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hpp"
 #include "codegen/orc_jit.hpp"
@@ -48,9 +51,12 @@ int main(int argc, char** argv) {
          "algo"},
     };
 
+    bool rows_agree = true;
     for (const bench::BenchCircuit& c : bench::paper_circuits()) {
         double reference_seconds = 0.0;
         std::string reference_uart;
+        std::uint64_t reference_instructions = 0;
+        std::string mismatches;
         for (const Row& row : rows) {
             vp::PlatformConfig config;
             config.integration = row.integration;
@@ -62,19 +68,39 @@ int main(int argc, char** argv) {
             const vp::PlatformResult result = vp::run_platform(config, duration);
 
             double speedup = 0.0;
-            if (reference_seconds == 0.0) {
+            if (&row == &rows[0]) {
                 reference_seconds = result.wall_seconds;
                 reference_uart = result.uart_output;
+                reference_instructions = result.instructions;
             } else {
                 speedup = reference_seconds / result.wall_seconds;
+                if (result.uart_output != reference_uart ||
+                    result.instructions != reference_instructions) {
+                    mismatches += "# MISMATCH " + c.name + " " + row.component_language + " in " +
+                                  row.vp_language + ": UART \"" + result.uart_output + "\", " +
+                                  std::to_string(result.instructions) +
+                                  " instructions; first row: UART \"" + reference_uart +
+                                  "\", " + std::to_string(reference_instructions) +
+                                  " instructions\n";
+                }
             }
             std::printf("%-10s %-18s %-10s %-10s %-8s %14.4f %9.2fx\n", c.name.c_str(),
                         row.component_language, row.vp_language, row.simulator,
                         row.generation, result.wall_seconds, speedup);
         }
-        std::printf("\n");
+        if (mismatches.empty()) {
+            std::printf("# %s: every row printed UART \"%s\" in %llu instructions\n\n",
+                        c.name.c_str(), reference_uart.c_str(),
+                        static_cast<unsigned long long>(reference_instructions));
+        } else {
+            std::printf("%s\n", mismatches.c_str());
+            rows_agree = false;
+        }
     }
-    std::printf("# (the firmware's UART report is identical across rows; see the\n"
-                "#  platform tests for the functional-equivalence checks)\n");
+    if (!rows_agree) {
+        std::printf("# rows disagree: see the MISMATCH lines above\n");
+        return 1;
+    }
+    std::printf("# every row's UART report and instruction count equal its circuit's first row\n");
     return 0;
 }

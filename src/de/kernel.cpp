@@ -61,61 +61,60 @@ void Simulator::cancel_periodic(PeriodicId id) {
     periodic_tasks_[static_cast<std::size_t>(id)]->active = false;
 }
 
-void Simulator::settle() {
-    while (!runnable_.empty() || !updates_.empty()) {
-        // Evaluate phase. The scratch buffers are members so both sides of
-        // the swap keep their capacity — no allocation per delta cycle.
-        runnable_scratch_.clear();
-        runnable_scratch_.swap(runnable_);
-        for (const ProcessId pid : runnable_scratch_) {
-            Process& p = processes_[static_cast<std::size_t>(pid)];
-            p.runnable = false;
-            p.fn();
-            ++stats_.process_activations;
-        }
-        // Update phase.
-        updates_scratch_.clear();
-        updates_scratch_.swap(updates_);
-        for (Updatable* channel : updates_scratch_) {
-            channel->apply_update();
-            ++stats_.channel_updates;
-        }
-        ++stats_.delta_cycles;
-    }
-}
-
-void Simulator::fire_periodic(PeriodicId id, Time at) {
-    // One lookup: the task never moves, even when its callback registers
-    // more periodic tasks.
-    PeriodicTask& task = *periodic_tasks_[static_cast<std::size_t>(id)];
-    if (task.active) {
-        task.fn();
-        if (task.active) {
-            timed_.push(TimedEvent{at + task.period, next_seq_++, id});
-            return;
-        }
-    }
-    // Cancelled, before or during this occurrence: this was its last
-    // pending entry — release the closure and recycle the slot.
-    task.fn = nullptr;
-    free_periodic_.push_back(id);
-}
-
 Time Simulator::run_until(Time end) {
     AMSVP_CHECK(end >= now_, "cannot run the simulation backwards in time");
-    // Settle anything already runnable at the current time (e.g. triggers
-    // issued before run).
-    settle();
-    while (!timed_.empty() && timed_.top().at <= end) {
+    // One loop, no call per timestamp or per timed event: settle the delta
+    // cycles at now_ (on entry, anything triggered before the run), then
+    // drain the next timestamp's events and come back to settle them.
+    for (;;) {
+        while (!runnable_.empty() || !updates_.empty()) {
+            // Evaluate phase. The scratch buffers are members so both sides
+            // of the swap keep their capacity: no allocation per delta.
+            runnable_scratch_.clear();
+            runnable_scratch_.swap(runnable_);
+            for (const ProcessId pid : runnable_scratch_) {
+                Process& p = processes_[static_cast<std::size_t>(pid)];
+                p.runnable = false;
+                p.fn();
+                ++stats_.process_activations;
+            }
+            // Update phase.
+            updates_scratch_.clear();
+            updates_scratch_.swap(updates_);
+            for (Updatable* channel : updates_scratch_) {
+                channel->apply_update();
+                ++stats_.channel_updates;
+            }
+            ++stats_.delta_cycles;
+        }
+        if (timed_.empty() || timed_.top().at > end) {
+            break;
+        }
         const Time at = timed_.top().at;
         now_ = at;
-        // Drain all events at this timestamp in FIFO order.
+        // Drain all events at this timestamp in FIFO order, those the
+        // callbacks schedule for `at` included.
         do {
             const TimedEvent event = timed_.top();
             timed_.pop();
             ++stats_.timed_events;
             if (event.id >= 0) {
-                fire_periodic(static_cast<PeriodicId>(event.id), at);
+                // The task never moves, even when its callback registers
+                // more periodic tasks.
+                const auto id = static_cast<PeriodicId>(event.id);
+                PeriodicTask& task = *periodic_tasks_[static_cast<std::size_t>(id)];
+                if (task.active) {
+                    task.fn();
+                    if (task.active) {
+                        timed_.push(TimedEvent{at + task.period, next_seq_++, id});
+                        continue;
+                    }
+                }
+                // Cancelled, before or during this occurrence: this was its
+                // last pending entry, so release the closure and recycle
+                // the slot.
+                task.fn = nullptr;
+                free_periodic_.push_back(id);
             } else {
                 // Move the callback out before it runs: it may schedule
                 // further one-shots into the slot it frees.
@@ -125,7 +124,6 @@ Time Simulator::run_until(Time end) {
                 cb();
             }
         } while (!timed_.empty() && timed_.top().at == at);
-        settle();
     }
     now_ = end;
     return now_;

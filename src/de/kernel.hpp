@@ -142,16 +142,10 @@ private:
         }
     };
 
-    /// Run delta cycles at the current time until quiescent.
-    void settle();
-    /// Fire the periodic task `id` popped at time `at`, then re-arm it or,
-    /// once cancelled, recycle its slot.
-    void fire_periodic(PeriodicId id, Time at);
-
     std::vector<Process> processes_;
     std::vector<ProcessId> runnable_;
     std::vector<Updatable*> updates_;
-    /// settle() scratch, kept as members so the evaluate/update double
+    /// Delta-cycle scratch, kept as members so the evaluate/update double
     /// buffers retain their capacity across delta cycles (no per-delta
     /// allocation in steady state).
     std::vector<ProcessId> runnable_scratch_;

@@ -28,6 +28,8 @@ CompiledModel::CompiledModel(const abstraction::SignalFlowModel& model)
 CompiledModel::CompiledModel(std::shared_ptr<const ModelLayout> layout)
     : layout_(std::move(layout)) {
     AMSVP_CHECK(layout_ != nullptr, "CompiledModel needs a layout");
+    input_slots_ = layout_->input_slots();
+    output_slots_ = layout_->output_slots();
     slots_.assign(layout_->slot_count(), 0.0);
     reset();
 }
@@ -41,10 +43,10 @@ void CompiledModel::reset() {
 }
 
 void CompiledModel::set_input(std::size_t index, double value) {
-    if (index >= layout_->input_count()) [[unlikely]] {
-        throw_index_out_of_range("input", index, layout_->input_count());
+    if (index >= input_slots_.size()) [[unlikely]] {
+        throw_index_out_of_range("input", index, input_slots_.size());
     }
-    slots_[static_cast<std::size_t>(layout_->input_slots()[index])] = value;
+    slots_[static_cast<std::size_t>(input_slots_[index])] = value;
 }
 
 void CompiledModel::step(double time_seconds) {
@@ -61,10 +63,10 @@ void CompiledModel::step(double time_seconds) {
 }
 
 double CompiledModel::output(std::size_t index) const {
-    if (index >= layout_->output_count()) [[unlikely]] {
-        throw_index_out_of_range("output", index, layout_->output_count());
+    if (index >= output_slots_.size()) [[unlikely]] {
+        throw_index_out_of_range("output", index, output_slots_.size());
     }
-    return slots_[static_cast<std::size_t>(layout_->output_slots()[index])];
+    return slots_[static_cast<std::size_t>(output_slots_[index])];
 }
 
 double CompiledModel::value_of(const Symbol& symbol) const {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,8 +35,8 @@ public:
     /// Reset state to the model's initial values (zeros by default).
     void reset() final;
 
-    [[nodiscard]] std::size_t input_count() const final { return layout_->input_count(); }
-    [[nodiscard]] std::size_t output_count() const final { return layout_->output_count(); }
+    [[nodiscard]] std::size_t input_count() const final { return input_slots_.size(); }
+    [[nodiscard]] std::size_t output_count() const final { return output_slots_.size(); }
     [[nodiscard]] double timestep() const final { return layout_->timestep(); }
 
     /// Input index by stimulus name; throws std::invalid_argument naming an
@@ -80,6 +81,11 @@ protected:
 private:
     std::shared_ptr<const ModelLayout> layout_;
     std::vector<double> slots_;
+    /// The layout's input and output slot indices, held here so set_input
+    /// and output (every analog step of the DE and TDF wrappers) reach
+    /// them without going through layout_. The immutable layout owns them.
+    std::span<const int> input_slots_;
+    std::span<const int> output_slots_;
 };
 
 }  // namespace amsvp::runtime

@@ -1,5 +1,6 @@
 #include "vp/bus.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
@@ -27,6 +28,13 @@ void SystemBus::map_region(std::string name, std::uint32_t base, std::uint32_t s
         AMSVP_CHECK(!overlap, "overlapping bus regions");
     }
     regions_.push_back(Region{std::move(name), base, size, &target});
+    const std::span<std::uint8_t> bytes = target.direct_memory();
+    const std::size_t reach = std::min<std::size_t>(size, bytes.size());
+    if (window_ == nullptr && reach >= 4) {
+        window_ = bytes.data();
+        window_base_ = base;
+        window_limit_ = static_cast<std::uint32_t>(reach - 3);
+    }
 }
 
 SystemBus::Region* SystemBus::decode(std::uint32_t address) {
@@ -38,8 +46,7 @@ SystemBus::Region* SystemBus::decode(std::uint32_t address) {
     return nullptr;
 }
 
-std::uint32_t SystemBus::read32(std::uint32_t address) {
-    ++stats_.reads;
+std::uint32_t SystemBus::decoded_read32(std::uint32_t address) {
     Region* r = decode(address);
     if (r == nullptr) {
         throw_unmapped("read from", address);
@@ -47,8 +54,7 @@ std::uint32_t SystemBus::read32(std::uint32_t address) {
     return r->target->read32(address - r->base);
 }
 
-void SystemBus::write32(std::uint32_t address, std::uint32_t value) {
-    ++stats_.writes;
+void SystemBus::decoded_write32(std::uint32_t address, std::uint32_t value) {
     Region* r = decode(address);
     if (r == nullptr) {
         throw_unmapped("write to", address);
@@ -73,18 +79,12 @@ void SystemBus::write8(std::uint32_t address, std::uint8_t value) {
 
 std::uint32_t Ram::read32(std::uint32_t offset) {
     AMSVP_CHECK(offset + 4 <= bytes_.size(), "RAM read out of range");
-    return static_cast<std::uint32_t>(bytes_[offset]) |
-           (static_cast<std::uint32_t>(bytes_[offset + 1]) << 8) |
-           (static_cast<std::uint32_t>(bytes_[offset + 2]) << 16) |
-           (static_cast<std::uint32_t>(bytes_[offset + 3]) << 24);
+    return detail::load_le32(bytes_.data() + offset);
 }
 
 void Ram::write32(std::uint32_t offset, std::uint32_t value) {
     AMSVP_CHECK(offset + 4 <= bytes_.size(), "RAM write out of range");
-    bytes_[offset] = static_cast<std::uint8_t>(value);
-    bytes_[offset + 1] = static_cast<std::uint8_t>(value >> 8);
-    bytes_[offset + 2] = static_cast<std::uint8_t>(value >> 16);
-    bytes_[offset + 3] = static_cast<std::uint8_t>(value >> 24);
+    detail::store_le32(bytes_.data() + offset, value);
 }
 
 void Ram::load(std::uint32_t offset, const std::vector<std::uint32_t>& words) {

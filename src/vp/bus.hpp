@@ -3,15 +3,36 @@
 // The CPU issues 32-bit transactions into a SystemBus that decodes them to
 // RAM or to the APB bridge; the bridge forwards to peripherals with the
 // two-phase (setup/access) bookkeeping of a real APB, so bus statistics in
-// the Table III experiments mean something.
+// the Table III experiments mean something. RAM is decoded once, when it
+// is mapped: the bus keeps a window onto its bytes (the idea of TLM-2.0's
+// direct memory interface) and serves every fetch, load and store inside
+// it without a decode or a virtual call, counting each as before.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace amsvp::vp {
+
+namespace detail {
+
+/// Little-endian word access to host bytes (the bus's byte-lane order).
+[[nodiscard]] inline std::uint32_t load_le32(const std::uint8_t* bytes) {
+    return static_cast<std::uint32_t>(bytes[0]) | (static_cast<std::uint32_t>(bytes[1]) << 8) |
+           (static_cast<std::uint32_t>(bytes[2]) << 16) |
+           (static_cast<std::uint32_t>(bytes[3]) << 24);
+}
+inline void store_le32(std::uint8_t* bytes, std::uint32_t value) {
+    bytes[0] = static_cast<std::uint8_t>(value);
+    bytes[1] = static_cast<std::uint8_t>(value >> 8);
+    bytes[2] = static_cast<std::uint8_t>(value >> 16);
+    bytes[3] = static_cast<std::uint8_t>(value >> 24);
+}
+
+}  // namespace detail
 
 /// A slave on the bus: offsets are relative to the mapped base.
 class BusTarget {
@@ -19,6 +40,12 @@ public:
     virtual ~BusTarget() = default;
     [[nodiscard]] virtual std::uint32_t read32(std::uint32_t offset) = 0;
     virtual void write32(std::uint32_t offset, std::uint32_t value) = 0;
+
+    /// Direct memory access: a target whose contents are plain host bytes,
+    /// little-endian, at an address fixed for its lifetime, returns them,
+    /// and the bus then reads and writes them itself instead of calling
+    /// read32/write32. Empty (null) by default: every access stays a call.
+    [[nodiscard]] virtual std::span<std::uint8_t> direct_memory() { return {}; }
 };
 
 struct BusStats {
@@ -28,13 +55,30 @@ struct BusStats {
 
 class SystemBus {
 public:
-    /// Map `target` at [base, base + size). Regions must not overlap.
+    /// Map `target` at [base, base + size). Regions must not overlap. The
+    /// first region whose target offers direct_memory() becomes the window.
     void map_region(std::string name, std::uint32_t base, std::uint32_t size,
                     BusTarget& target);
 
     /// Throw std::runtime_error naming the address when no region maps it.
-    [[nodiscard]] std::uint32_t read32(std::uint32_t address);
-    void write32(std::uint32_t address, std::uint32_t value);
+    /// A word wholly inside the window is served inline.
+    [[nodiscard]] std::uint32_t read32(std::uint32_t address) {
+        ++stats_.reads;
+        const std::uint32_t offset = address - window_base_;
+        if (offset < window_limit_) [[likely]] {
+            return detail::load_le32(window_ + offset);
+        }
+        return decoded_read32(address);
+    }
+    void write32(std::uint32_t address, std::uint32_t value) {
+        ++stats_.writes;
+        const std::uint32_t offset = address - window_base_;
+        if (offset < window_limit_) [[likely]] {
+            detail::store_le32(window_ + offset, value);
+            return;
+        }
+        decoded_write32(address, value);
+    }
 
     /// Sub-word access implemented over aligned 32-bit transactions
     /// (little-endian byte lanes, as a real bus bridge would).
@@ -51,9 +95,17 @@ private:
         BusTarget* target;
     };
     [[nodiscard]] Region* decode(std::uint32_t address);
+    [[nodiscard]] std::uint32_t decoded_read32(std::uint32_t address);
+    void decoded_write32(std::uint32_t address, std::uint32_t value);
 
     std::vector<Region> regions_;
     BusStats stats_;
+    /// The window: bytes of the mapped target at window_base_. An offset
+    /// from the base is in the window when a whole word fits there, i.e.
+    /// below window_limit_ (0 while nothing is mapped with direct memory).
+    std::uint8_t* window_ = nullptr;
+    std::uint32_t window_base_ = 0;
+    std::uint32_t window_limit_ = 0;
 };
 
 /// Byte-addressable RAM (little-endian).
@@ -63,6 +115,8 @@ public:
 
     [[nodiscard]] std::uint32_t read32(std::uint32_t offset) override;
     void write32(std::uint32_t offset, std::uint32_t value) override;
+    /// The bytes never move: the vector is sized once, at construction.
+    [[nodiscard]] std::span<std::uint8_t> direct_memory() override { return bytes_; }
 
     /// Bulk load (program images).
     void load(std::uint32_t offset, const std::vector<std::uint32_t>& words);

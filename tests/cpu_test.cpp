@@ -2,6 +2,9 @@
 
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "support/diagnostics.hpp"
 #include "vp/assembler.hpp"
@@ -210,6 +213,63 @@ TEST(Cpu, HaltStopsExecution) {
     const auto executed = m.cpu->stats().instructions;
     m.cpu->step();  // no-op once halted
     EXPECT_EQ(m.cpu->stats().instructions, executed);
+}
+
+// The bus serves RAM from a decoded-once window (the idea of TLM-2.0's
+// direct memory interface); these pin what the window must keep: fetches
+// see stores, the window's last word is in range, and an address past RAM
+// still decodes and throws.
+
+TEST(BusWindow, StoredInstructionRunsWhenJumpedTo) {
+    // A subroutine written at run time, called, overwritten and called
+    // again: the second call must run the new instruction, not a stale one.
+    TestMachine m(R"(
+        li   $t1, 0x1000
+        li   $t2, 0x25080001   # addiu $t0, $t0, 1
+        sw   $t2, 0($t1)
+        li   $t2, 0x03E00008   # jr $ra
+        sw   $t2, 4($t1)
+        jal  call
+        li   $t2, 0x25080064   # addiu $t0, $t0, 100
+        sw   $t2, 0($t1)
+        jal  call
+        halt
+call:   jr   $t1
+    )");
+    m.run();
+    EXPECT_EQ(m.cpu->reg(reg_index("t0")), 101u);
+}
+
+TEST(BusWindow, FetchesAndLoadsRamsLastWord) {
+    TestMachine m(R"(
+        li   $t0, 0xFFFC       # RAM's last word
+        li   $t1, 0x0000000D   # break
+        sw   $t1, 0($t0)
+        lw   $t2, 0($t0)
+        jr   $t0
+    )");
+    m.run();
+    EXPECT_EQ(m.cpu->reg(reg_index("t2")), 0x0000000Du);
+    EXPECT_EQ(m.cpu->pc(), 0x10000u);
+}
+
+TEST(BusWindow, AccessPastRamThrowsNamingTheAddress) {
+    const auto expect_unmapped = [](std::string_view source, const std::string& message) {
+        TestMachine m(source);
+        try {
+            for (int i = 0; i < 16; ++i) {
+                m.cpu->step();
+            }
+            ADD_FAILURE() << "no exception; expected: " << message;
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()), message);
+        }
+    };
+    expect_unmapped("li $t0, 0x10000\njr $t0\n", "bus: read from unmapped address 0x00010000");
+    expect_unmapped("li $t0, 0x10000\nlw $t1, 0($t0)\n",
+                    "bus: read from unmapped address 0x00010000");
+    expect_unmapped("li $t0, 0x10000\nsw $t0, 0($t0)\n",
+                    "bus: write to unmapped address 0x00010000");
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "de/clock.hpp"
 #include "de/signal.hpp"
@@ -261,6 +264,80 @@ TEST(Simulator, StatsCountActivity) {
     EXPECT_EQ(sim.stats().timed_events, 2u);
     EXPECT_EQ(sim.stats().process_activations, 2u);
     EXPECT_GE(sim.stats().channel_updates, 2u);
+}
+
+TEST(Simulator, MixedScenarioActivationOrderAndStatsArePinned) {
+    // Two same-period clocks, a periodic task whose callback schedules a
+    // same-time one-shot, a periodic task that cancels itself on its third
+    // firing and a two-delta signal chain (s1 -> p1 -> s2 -> p2). Every
+    // timed callback and process activation logs (time, name), so any
+    // change to the (at, seq) order, the evaluate/update phases or the
+    // re-arm sequencing shows in the literal below.
+    Simulator sim;
+    std::vector<std::pair<Time, std::string>> log;
+    const auto record = [&](const char* name) { log.emplace_back(sim.now(), name); };
+
+    Clock clk_a(sim, "clk_a", 10);
+    Clock clk_b(sim, "clk_b", 10);
+    Signal<int> s1(sim, "s1", 0);
+    Signal<int> s2(sim, "s2", 0);
+
+    const ProcessId pa = sim.add_process("pa", [&] {
+        record("pa");
+        s1.write(s1.read() + 1);
+    });
+    const ProcessId pb = sim.add_process("pb", [&] { record("pb"); });
+    const ProcessId p1 = sim.add_process("p1", [&] {
+        record("p1");
+        s2.write(10 * s1.read());
+    });
+    const ProcessId p2 = sim.add_process("p2", [&] { record("p2"); });
+    const ProcessId pq = sim.add_process("pq", [&] { record("pq"); });
+    clk_a.pos_sensitive(pa);
+    clk_b.pos_sensitive(pb);
+    s1.add_sensitive(p1);
+    s2.add_sensitive(p2);
+
+    sim.schedule_periodic(10, 10, [&] {
+        record("tick");
+        sim.schedule_at(sim.now(), [&] {
+            record("oneshot");
+            sim.trigger(pq);
+        });
+    });
+    int cancel_fires = 0;
+    PeriodicId self_cancelling = -1;
+    self_cancelling = sim.schedule_periodic(15, 5, [&] {
+        record("cancel");
+        if (++cancel_fires == 3) {
+            sim.cancel_periodic(self_cancelling);
+        }
+    });
+
+    sim.run_until(30);
+
+    const std::vector<std::pair<Time, std::string>> expected = {
+        // Both clocks (registered first) rise before the tick; its one-shot
+        // follows; pa, pb, pq evaluate in trigger order, then the chain.
+        {10, "tick"}, {10, "oneshot"}, {10, "pa"}, {10, "pb"}, {10, "pq"}, {10, "p1"},
+        {10, "p2"},
+        {15, "cancel"},
+        // The tick and cancel re-armed at 10 and 15 precede the clocks
+        // re-armed at 15; the one-shot, scheduled last, fires last.
+        {20, "tick"}, {20, "cancel"}, {20, "oneshot"}, {20, "pa"}, {20, "pb"}, {20, "pq"},
+        {20, "p1"}, {20, "p2"},
+        {25, "cancel"},  // cancelled inside its callback: no entry at 30
+        {30, "tick"}, {30, "oneshot"}, {30, "pa"}, {30, "pb"}, {30, "pq"}, {30, "p1"},
+        {30, "p2"},
+    };
+    EXPECT_EQ(log, expected);
+    EXPECT_EQ(s2.read(), 30);
+    EXPECT_EQ(sim.now(), 30u);
+    const KernelStats& stats = sim.stats();
+    EXPECT_EQ(stats.process_activations, 15u);
+    EXPECT_EQ(stats.delta_cycles, 11u);
+    EXPECT_EQ(stats.timed_events, 19u);
+    EXPECT_EQ(stats.channel_updates, 16u);
 }
 
 TEST(Simulator, ProcessNamesAreKept) {

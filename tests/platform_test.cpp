@@ -310,5 +310,32 @@ TEST(Platform, BusStatisticsAreCoherent) {
     EXPECT_LE(result.apb_transfers, result.bus_reads + result.bus_writes);
 }
 
+TEST(Platform, BusReadsCountEveryFetchAndLoad) {
+    // Eleven instructions, each fetched once through the RAM window; one
+    // APB and one RAM load; one APB and one RAM store. The counts must not
+    // depend on whether the CPU runs in a loop or under the DE kernel.
+    const Fixture f;
+    for (const auto integration : {AnalogIntegration::kCpp, AnalogIntegration::kDe}) {
+        SCOPED_TRACE(std::string(to_string(integration)));
+        PlatformConfig config = f.config(integration);
+        config.firmware = R"(
+            li   $t1, 0x10000000
+            li   $t0, 0x48          # 'H'
+            sw   $t0, 0($t1)
+            lw   $t2, 4($t1)
+            li   $t3, 0x100
+            lw   $t4, 0($t3)
+            sw   $t4, 4($t3)
+            halt
+        )";
+        const PlatformResult result = run_platform(config, 1e-4);
+        EXPECT_EQ(result.instructions, 11u);
+        EXPECT_EQ(result.bus_reads, 13u);
+        EXPECT_EQ(result.bus_writes, 2u);
+        EXPECT_EQ(result.apb_transfers, 2u);
+        EXPECT_EQ(result.uart_output, "H");
+    }
+}
+
 }  // namespace
 }  // namespace amsvp::vp
