@@ -46,10 +46,11 @@ struct AssembledSystem {
     [[nodiscard]] const AssembledRoot* find_root(const expr::Symbol& s) const;
 };
 
-/// Assemble the system for the given output symbols. The database is copied
-/// per pass (class enablement is pass-local); the root set must stabilise
-/// within 256 passes. On failure returns nullopt and stores a human-readable
-/// reason in `error` (when non-null).
+/// Assemble the system for the given output symbols. The database is read,
+/// never changed: it is indexed once per call, and each pass keeps its own
+/// consumed-class flags. The root set must stabilise within 256 passes. On
+/// failure returns nullopt and stores a human-readable reason in `error`
+/// (when non-null).
 [[nodiscard]] std::optional<AssembledSystem> assemble(const EquationDatabase& database,
                                                       const std::vector<expr::Symbol>& outputs,
                                                       std::string* error = nullptr);

@@ -6,14 +6,10 @@
 
 namespace amsvp::abstraction {
 
-ClassId EquationDatabase::new_class() {
-    class_disabled_.push_back(false);
-    return static_cast<ClassId>(class_disabled_.size() - 1);
-}
+ClassId EquationDatabase::new_class() { return static_cast<ClassId>(class_count_++); }
 
 EquationId EquationDatabase::insert(expr::Equation equation, ClassId cls) {
-    AMSVP_CHECK(cls >= 0 && cls < static_cast<ClassId>(class_disabled_.size()),
-                "unknown class id");
+    AMSVP_CHECK(cls >= 0 && cls < static_cast<ClassId>(class_count_), "unknown class id");
     const expr::LinearKey key = equation.lhs_key();
     entries_.push_back(Entry{std::move(equation), cls});
     const EquationId id = static_cast<EquationId>(entries_.size() - 1);
@@ -33,29 +29,11 @@ ClassId EquationDatabase::class_of(EquationId id) const {
     return entries_[static_cast<std::size_t>(id)].cls;
 }
 
-bool EquationDatabase::class_enabled(ClassId cls) const {
-    AMSVP_CHECK(cls >= 0 && cls < static_cast<ClassId>(class_disabled_.size()),
-                "unknown class id");
-    return !class_disabled_[static_cast<std::size_t>(cls)];
-}
-
-void EquationDatabase::disable_class(ClassId cls) {
-    AMSVP_CHECK(cls >= 0 && cls < static_cast<ClassId>(class_disabled_.size()),
-                "unknown class id");
-    class_disabled_[static_cast<std::size_t>(cls)] = true;
-}
-
-void EquationDatabase::reset_enabled() {
-    std::fill(class_disabled_.begin(), class_disabled_.end(), false);
-}
-
 std::vector<EquationId> EquationDatabase::candidates(const expr::LinearKey& key) const {
     std::vector<EquationId> out;
     auto [begin, end] = by_key_.equal_range(key);
     for (auto it = begin; it != end; ++it) {
-        if (class_enabled(entries_[static_cast<std::size_t>(it->second)].cls)) {
-            out.push_back(it->second);
-        }
+        out.push_back(it->second);
     }
     // unordered_multimap iteration order is not deterministic across
     // insert patterns; sort for reproducible assembly decisions.
@@ -73,17 +51,10 @@ std::vector<EquationId> EquationDatabase::class_members(ClassId cls) const {
     return out;
 }
 
-std::size_t EquationDatabase::enabled_class_count() const {
-    return static_cast<std::size_t>(
-        std::count(class_disabled_.begin(), class_disabled_.end(), false));
-}
-
 std::string EquationDatabase::describe() const {
     std::string out;
-    for (ClassId cls = 0; cls < static_cast<ClassId>(class_disabled_.size()); ++cls) {
-        out += "class #" + std::to_string(cls);
-        out += class_enabled(cls) ? "" : " (disabled)";
-        out += ":\n";
+    for (ClassId cls = 0; cls < static_cast<ClassId>(class_count_); ++cls) {
+        out += "class #" + std::to_string(cls) + ":\n";
         for (EquationId id : class_members(cls)) {
             const Entry& e = entries_[static_cast<std::size_t>(id)];
             out += "  [" + std::string(to_string(e.equation.kind)) + "] " +

@@ -35,23 +35,18 @@ public:
     EquationId insert(expr::Equation equation, ClassId cls);
 
     [[nodiscard]] std::size_t equation_count() const { return entries_.size(); }
-    [[nodiscard]] std::size_t class_count() const { return class_disabled_.size(); }
+    [[nodiscard]] std::size_t class_count() const { return class_count_; }
 
     [[nodiscard]] const expr::Equation& equation(EquationId id) const;
     [[nodiscard]] ClassId class_of(EquationId id) const;
 
-    [[nodiscard]] bool class_enabled(ClassId cls) const;
-    void disable_class(ClassId cls);
-    /// Re-enable everything (used between assembly passes).
-    void reset_enabled();
-
-    /// Enabled equations whose lhs is exactly `key` (same derivative flag).
+    /// Equations whose lhs is exactly `key` (same derivative flag), ids
+    /// ascending. Which classes are consumed is the assembler's pass-local
+    /// state, not the database's.
     [[nodiscard]] std::vector<EquationId> candidates(const expr::LinearKey& key) const;
 
     /// All equations of one class, in insertion order (the paper's chain).
     [[nodiscard]] std::vector<EquationId> class_members(ClassId cls) const;
-
-    [[nodiscard]] std::size_t enabled_class_count() const;
 
     /// Render the table grouped by class (Fig. 5 style).
     [[nodiscard]] std::string describe() const;
@@ -62,7 +57,7 @@ private:
         ClassId cls;
     };
     std::vector<Entry> entries_;
-    std::vector<bool> class_disabled_;
+    std::size_t class_count_ = 0;
     std::unordered_multimap<expr::LinearKey, EquationId, expr::LinearKeyHash> by_key_;
 };
 

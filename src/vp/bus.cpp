@@ -39,8 +39,8 @@ void SystemBus::map_region(std::string name, std::uint32_t base, std::uint32_t s
 
 SystemBus::Region* SystemBus::decode(std::uint32_t address) {
     for (Region& r : regions_) {
-        if (address >= r.base && address < r.base + r.size) {
-            return &r;
+        if (address >= r.base && address - r.base < r.size) {
+            return r.target->maps(address - r.base) ? &r : nullptr;
         }
     }
     return nullptr;
@@ -102,8 +102,8 @@ void ApbBridge::attach(std::string name, std::uint32_t base, std::uint32_t size,
     slots_.push_back(Slot{std::move(name), base, size, &peripheral});
 }
 
-ApbBridge::Slot* ApbBridge::decode(std::uint32_t offset) {
-    for (Slot& s : slots_) {
+const ApbBridge::Slot* ApbBridge::decode(std::uint32_t offset) const {
+    for (const Slot& s : slots_) {
         if (offset >= s.base && offset < s.base + s.size) {
             return &s;
         }
@@ -111,15 +111,17 @@ ApbBridge::Slot* ApbBridge::decode(std::uint32_t offset) {
     return nullptr;
 }
 
+bool ApbBridge::maps(std::uint32_t offset) const { return decode(offset) != nullptr; }
+
 std::uint32_t ApbBridge::read32(std::uint32_t offset) {
-    Slot* s = decode(offset);
+    const Slot* s = decode(offset);
     AMSVP_CHECK(s != nullptr, "APB read decodes to no peripheral");
     ++transfers_;  // setup phase + access phase
     return s->peripheral->read32(offset - s->base);
 }
 
 void ApbBridge::write32(std::uint32_t offset, std::uint32_t value) {
-    Slot* s = decode(offset);
+    const Slot* s = decode(offset);
     AMSVP_CHECK(s != nullptr, "APB write decodes to no peripheral");
     ++transfers_;
     s->peripheral->write32(offset - s->base, value);

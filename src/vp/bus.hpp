@@ -41,6 +41,11 @@ public:
     [[nodiscard]] virtual std::uint32_t read32(std::uint32_t offset) = 0;
     virtual void write32(std::uint32_t offset, std::uint32_t value) = 0;
 
+    /// True when a word at `offset` reaches something in this target; the
+    /// bus decodes an address to the target only then, and otherwise throws
+    /// naming the address. Every offset inside the region by default.
+    [[nodiscard]] virtual bool maps(std::uint32_t /*offset*/) const { return true; }
+
     /// Direct memory access: a target whose contents are plain host bytes,
     /// little-endian, at an address fixed for its lifetime, returns them,
     /// and the bus then reads and writes them itself instead of calling
@@ -60,8 +65,9 @@ public:
     void map_region(std::string name, std::uint32_t base, std::uint32_t size,
                     BusTarget& target);
 
-    /// Throw std::runtime_error naming the address when no region maps it.
-    /// A word wholly inside the window is served inline.
+    /// Throw std::runtime_error naming the address when no region maps the
+    /// whole word there (see BusTarget::maps). A word wholly inside the
+    /// window is served inline.
     [[nodiscard]] std::uint32_t read32(std::uint32_t address) {
         ++stats_.reads;
         const std::uint32_t offset = address - window_base_;
@@ -115,6 +121,10 @@ public:
 
     [[nodiscard]] std::uint32_t read32(std::uint32_t offset) override;
     void write32(std::uint32_t offset, std::uint32_t value) override;
+    /// A word maps when all four of its bytes lie in RAM.
+    [[nodiscard]] bool maps(std::uint32_t offset) const override {
+        return bytes_.size() >= 4 && offset <= bytes_.size() - 4;
+    }
     /// The bytes never move: the vector is sized once, at construction.
     [[nodiscard]] std::span<std::uint8_t> direct_memory() override { return bytes_; }
 
@@ -135,6 +145,8 @@ public:
 
     [[nodiscard]] std::uint32_t read32(std::uint32_t offset) override;
     void write32(std::uint32_t offset, std::uint32_t value) override;
+    /// An offset maps when a peripheral slot decodes it.
+    [[nodiscard]] bool maps(std::uint32_t offset) const override;
 
     /// Completed APB transfers (each costs a setup + an access phase).
     [[nodiscard]] std::uint64_t transfers() const { return transfers_; }
@@ -148,7 +160,7 @@ private:
         std::uint32_t size;
         BusTarget* peripheral;
     };
-    [[nodiscard]] Slot* decode(std::uint32_t offset);
+    [[nodiscard]] const Slot* decode(std::uint32_t offset) const;
 
     std::vector<Slot> slots_;
     std::uint64_t transfers_ = 0;

@@ -1,10 +1,20 @@
 #include "vp/cpu.hpp"
 
-#include "support/check.hpp"
+#include <cstdio>
+#include <stdexcept>
 
 namespace amsvp::vp {
 
 namespace {
+
+/// Out of line and cold, so the throw stays off the per-instruction path.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_unimplemented(std::uint32_t instruction,
+                                                               std::uint32_t address) {
+    char text[80];
+    std::snprintf(text, sizeof text, "cpu: unimplemented instruction 0x%08x at 0x%08x",
+                  instruction, address);
+    throw std::runtime_error(text);
+}
 
 constexpr std::uint32_t kOpSpecial = 0x00;
 constexpr std::uint32_t kOpJ = 0x02;
@@ -122,7 +132,7 @@ void Cpu::execute(std::uint32_t ins) {
                     set_reg(rd, r(rs) < r(rt) ? 1 : 0);
                     break;
                 default:
-                    AMSVP_CHECK(false, "unimplemented R-type instruction");
+                    throw_unimplemented(ins, last_fetch_address_);
             }
             break;
         case kOpJ:
@@ -188,7 +198,7 @@ void Cpu::execute(std::uint32_t ins) {
             last_memory_access_ = true;
             break;
         default:
-            AMSVP_CHECK(false, "unimplemented opcode");
+            throw_unimplemented(ins, last_fetch_address_);
     }
 }
 

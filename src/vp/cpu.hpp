@@ -27,7 +27,9 @@ class Cpu {
 public:
     explicit Cpu(SystemBus& bus, std::uint32_t reset_pc = 0) : bus_(bus), pc_(reset_pc) {}
 
-    /// Execute one instruction. No-op when halted.
+    /// Execute one instruction. No-op when halted. Throws std::runtime_error
+    /// naming the word and its address for an instruction outside the
+    /// subset above, and the bus's error for an unmapped access.
     void step();
 
     [[nodiscard]] bool halted() const { return halted_; }

@@ -48,8 +48,10 @@ struct PlatformResult {
 /// be finite, non-negative and below 2^64 fs for every integration. Throws
 /// std::invalid_argument (the assembler's diagnostics) when
 /// `config.firmware` does not assemble, and std::runtime_error when the
-/// firmware touches an unmapped bus address or the co-simulated analog
-/// solver (kVamsCosim) fails to converge.
+/// firmware touches a bus address no region maps a whole word at (naming
+/// the address), executes an instruction the CPU does not implement (naming
+/// the word and its address), or the co-simulated analog solver
+/// (kVamsCosim) fails to converge.
 [[nodiscard]] PlatformResult run_platform(const PlatformConfig& config, double duration);
 
 }  // namespace amsvp::vp

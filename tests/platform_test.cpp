@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <stdexcept>
+#include <string>
 
 #include "abstraction/abstraction.hpp"
 #include "codegen/orc_jit.hpp"
@@ -299,6 +301,54 @@ TEST(Platform, UnmappedBusAccessThrowsNamingTheAddress) {
             },
             std::runtime_error);
     }
+}
+
+/// Run `firmware` under kCpp and kDe and expect run_platform to throw a
+/// std::runtime_error whose text is exactly `message`.
+void expect_firmware_error(const char* firmware, const std::string& message,
+                           std::initializer_list<AnalogIntegration> integrations = {
+                               AnalogIntegration::kCpp, AnalogIntegration::kDe}) {
+    const Fixture f;
+    for (const auto integration : integrations) {
+        SCOPED_TRACE(std::string(to_string(integration)) + ": " + firmware);
+        PlatformConfig config = f.config(integration);
+        config.firmware = firmware;
+        try {
+            (void)run_platform(config, 1e-4);
+            ADD_FAILURE() << "no exception; expected: " << message;
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()), message);
+        }
+    }
+}
+
+TEST(Platform, WordStraddlingRamsEndThrowsNamingTheAddress) {
+    expect_firmware_error("li $t0, 0xFFFE\nlw $t1, 0($t0)\nhalt\n",
+                          "bus: read from unmapped address 0x0000fffe");
+    expect_firmware_error("li $t0, 0xFFFE\nsw $t0, 0($t0)\nhalt\n",
+                          "bus: write to unmapped address 0x0000fffe");
+    expect_firmware_error("li $t0, 0xFFFE\njr $t0\n",
+                          "bus: read from unmapped address 0x0000fffe");
+}
+
+TEST(Platform, ApbAddressInNoSlotThrowsNamingTheAddress) {
+    expect_firmware_error("li $t0, 0x10003000\nlw $t1, 0($t0)\nhalt\n",
+                          "bus: read from unmapped address 0x10003000");
+    expect_firmware_error("li $t0, 0x10003000\nsw $t0, 0($t0)\nhalt\n",
+                          "bus: write to unmapped address 0x10003000");
+    // Only the kernel platforms attach the timer at 0x10002000.
+    expect_firmware_error("li $t0, 0x10002000\nlw $t1, 0($t0)\nhalt\n",
+                          "bus: read from unmapped address 0x10002000",
+                          {AnalogIntegration::kCpp});
+}
+
+TEST(Platform, UnimplementedInstructionThrowsNamingTheWordAndAddress) {
+    expect_firmware_error(".word 0xFC000000\n",
+                          "cpu: unimplemented instruction 0xfc000000 at 0x00000000");
+    // Opcode 0 (R-type) with function code 0x01, which the CPU lacks, after
+    // the two words `li` assembles to.
+    expect_firmware_error("li $t0, 1\n.word 0x00000001\n",
+                          "cpu: unimplemented instruction 0x00000001 at 0x00000008");
 }
 
 TEST(Platform, BusStatisticsAreCoherent) {
