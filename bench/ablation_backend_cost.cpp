@@ -8,12 +8,11 @@
 //   kernel-hosted generated model     vs  bare C++ loop
 //
 // plus the co-simulation surcharge and the cost of the reference solver's
-// internal substepping. The TDF, DE and C++ columns run the scalar ORC
-// kernel (codegen::orc_executor_factory()).
+// internal substepping. The TDF, DE and C++ columns run the default
+// executor: the model's cached scalar ORC kernel.
 #include <cstdio>
 
 #include "backends/runner.hpp"
-#include "codegen/orc_jit.hpp"
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
@@ -41,7 +40,6 @@ int main(int argc, char** argv) {
         setup.model = &*model;
         setup.stimuli = bench::paper_stimuli();
         setup.timestep = model->timestep;
-        setup.executor_factory = codegen::orc_executor_factory();
 
         // Full SPICE policy (8 internal substeps) vs single-step re-factorise.
         setup.spice.internal_substeps = 8;

@@ -6,16 +6,15 @@
 // best of kRunsPerRow runs: one run spreads wider than the differences
 // between rows the table is read for.
 //
-// The generated rows (TDF, DE, C++) run the generated program as machine
-// code through codegen::orc_executor_factory(): the same program the C++
-// emitter renders, compiled by in-process LLVM (the scalar ORC kernel)
-// where the paper compiled it with g++ -O2.
+// The generated rows (TDF, DE, C++) run the default executor, the generated
+// program as machine code: the same program the C++ emitter renders,
+// compiled by in-process LLVM (the model's cached scalar ORC kernel) where
+// the paper compiled it with g++ -O2.
 #include <cstdio>
 #include <string>
 #include <utility>
 
 #include "backends/runner.hpp"
-#include "codegen/orc_jit.hpp"
 #include "bench_common.hpp"
 #include "numeric/metrics.hpp"
 
@@ -59,7 +58,6 @@ int main(int argc, char** argv) {
         setup.model = &c.model;
         setup.stimuli = bench::paper_stimuli();
         setup.timestep = c.model.timestep;
-        setup.executor_factory = codegen::orc_executor_factory();
 
         struct Row {
             backends::AnalogIntegration kind;

@@ -1,12 +1,11 @@
 // Table II: the same isolation experiment over a longer simulated time with
 // the Verilog-AMS row removed; speed-ups are relative to SC-AMS/ELN. As in
-// Table I, the generated rows run the scalar ORC kernel
-// (codegen::orc_executor_factory()): the generated program compiled by
-// in-process LLVM where the paper used g++ -O2.
+// Table I, the generated rows run the default executor, the model's cached
+// scalar ORC kernel: the generated program compiled by in-process LLVM
+// where the paper used g++ -O2.
 #include <cstdio>
 
 #include "backends/runner.hpp"
-#include "codegen/orc_jit.hpp"
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
@@ -25,7 +24,6 @@ int main(int argc, char** argv) {
         setup.model = &c.model;
         setup.stimuli = bench::paper_stimuli();
         setup.timestep = c.model.timestep;
-        setup.executor_factory = codegen::orc_executor_factory();
 
         struct Row {
             backends::AnalogIntegration kind;

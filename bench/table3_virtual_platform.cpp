@@ -6,17 +6,38 @@
 //   SC-AMS/ELN, SC-AMS/TDF, SC-DE                     — single kernel
 //   C++                                               — no kernel at all
 // Speed-ups are relative to the first row, as in the paper. The generated
-// rows run the scalar ORC kernel (codegen::orc_executor_factory()): the
-// generated program compiled by in-process LLVM where the paper used
-// g++ -O2. Every row must report its circuit's first-row UART text and
-// instruction count; the bench prints any row that does not and exits 1.
+// rows (TDF, DE, C++) run the default executor, the model's cached scalar
+// ORC kernel: the generated program compiled by in-process LLVM where the
+// paper used g++ -O2. The Executor column says what each generated row ran
+// on, read from the global ModelCache's scalar counters: "ORC scalar" or
+// "interpreter". Every row must report its circuit's first-row UART text
+// and instruction count, and in a build with LLVM every generated row must
+// run the kernel; the bench prints any row that does not and exits 1.
 #include <cstdint>
 #include <cstdio>
 #include <string>
 
 #include "bench_common.hpp"
 #include "codegen/orc_jit.hpp"
+#include "runtime/sweep_service.hpp"
 #include "vp/platform.hpp"
+
+namespace {
+
+/// What the generated row that moved the global cache's scalar counters
+/// from `before` to `after` ran on: every scalar executor request counts
+/// one of them.
+const char* executor_name(const amsvp::runtime::ModelCache::Stats& before,
+                          const amsvp::runtime::ModelCache::Stats& after) {
+    if (after.scalar_fallbacks != before.scalar_fallbacks) {
+        return "interpreter";
+    }
+    return after.scalar_hits + after.scalar_misses != before.scalar_hits + before.scalar_misses
+               ? "ORC scalar"
+               : "other";
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
     using namespace amsvp;
@@ -25,8 +46,9 @@ int main(int argc, char** argv) {
 
     std::printf("TABLE III — ABSTRACTED MODELS INTEGRATED IN THE VIRTUAL PLATFORM\n");
     bench::print_scaling_note(duration, 100e-3);
-    std::printf("%-10s %-18s %-10s %-10s %-8s %14s %10s\n", "Component", "Comp. language",
-                "VP lang.", "Simulator", "Gener.", "Sim. time (s)", "Speed-up");
+    std::printf("%-10s %-18s %-10s %-10s %-8s %14s %10s  %s\n", "Component",
+                "Comp. language", "VP lang.", "Simulator", "Gener.", "Sim. time (s)",
+                "Speed-up", "Executor");
 
     struct Row {
         vp::AnalogIntegration integration;
@@ -52,6 +74,7 @@ int main(int argc, char** argv) {
     };
 
     bool rows_agree = true;
+    runtime::ModelCache& cache = runtime::ModelCache::global();
     for (const bench::BenchCircuit& c : bench::paper_circuits()) {
         double reference_seconds = 0.0;
         std::string reference_uart;
@@ -64,8 +87,18 @@ int main(int argc, char** argv) {
             config.circuit = &c.circuit;
             config.model = &c.model;
             config.stimuli = bench::paper_stimuli();
-            config.executor_factory = codegen::orc_executor_factory();
+            const runtime::ModelCache::Stats before = cache.stats();
             const vp::PlatformResult result = vp::run_platform(config, duration);
+            const bool generated = row.integration == vp::AnalogIntegration::kTdf ||
+                                   row.integration == vp::AnalogIntegration::kDe ||
+                                   row.integration == vp::AnalogIntegration::kCpp;
+            const char* executor = generated ? executor_name(before, cache.stats()) : "-";
+            if (generated && codegen::orc_available() &&
+                std::string(executor) != "ORC scalar") {
+                mismatches += "# NOT COMPILED " + c.name + " " + row.component_language +
+                              " in " + row.vp_language + ": ran on the " + executor +
+                              " in a build with LLVM\n";
+            }
 
             double speedup = 0.0;
             if (&row == &rows[0]) {
@@ -84,9 +117,9 @@ int main(int argc, char** argv) {
                                   " instructions\n";
                 }
             }
-            std::printf("%-10s %-18s %-10s %-10s %-8s %14.4f %9.2fx\n", c.name.c_str(),
+            std::printf("%-10s %-18s %-10s %-10s %-8s %14.4f %9.2fx  %s\n", c.name.c_str(),
                         row.component_language, row.vp_language, row.simulator,
-                        row.generation, result.wall_seconds, speedup);
+                        row.generation, result.wall_seconds, speedup, executor);
         }
         if (mismatches.empty()) {
             std::printf("# %s: every row printed UART \"%s\" in %llu instructions\n\n",
@@ -98,7 +131,8 @@ int main(int argc, char** argv) {
         }
     }
     if (!rows_agree) {
-        std::printf("# rows disagree: see the MISMATCH lines above\n");
+        std::printf("# rows disagree or ran uncompiled: see the MISMATCH and NOT COMPILED lines "
+                    "above\n");
         return 1;
     }
     std::printf("# every row's UART report and instruction count equal its circuit's first row\n");

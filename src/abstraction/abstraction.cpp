@@ -1,6 +1,8 @@
 #include "abstraction/abstraction.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <string>
 
 #include "expr/equation.hpp"
 #include "expr/simplify.hpp"
@@ -60,7 +62,11 @@ std::optional<SignalFlowModel> abstract_circuit(const netlist::Circuit& original
     // Work on a copy: probe insertion must not mutate the caller's netlist.
     netlist::Circuit circuit = original;
 
+    // Distinct root symbols, in first-request order: two specs naming the
+    // same branch voltage (in either orientation) share one root, which the
+    // assembler defines once.
     std::vector<expr::Symbol> output_symbols;
+    std::vector<std::size_t> output_root;
     std::vector<bool> output_negated;
     for (const OutputSpec& spec : outputs) {
         bool negate = false;
@@ -68,7 +74,11 @@ std::optional<SignalFlowModel> abstract_circuit(const netlist::Circuit& original
         if (!symbol) {
             return std::nullopt;
         }
-        output_symbols.push_back(*symbol);
+        const auto seen = std::find(output_symbols.begin(), output_symbols.end(), *symbol);
+        output_root.push_back(static_cast<std::size_t>(seen - output_symbols.begin()));
+        if (seen == output_symbols.end()) {
+            output_symbols.push_back(*symbol);
+        }
         output_negated.push_back(negate);
     }
 
@@ -121,18 +131,30 @@ std::optional<SignalFlowModel> abstract_circuit(const netlist::Circuit& original
     for (Assignment& a : model.assignments) {
         a.value = expr::simplify(a.value);
     }
-    for (std::size_t i = 0; i < output_symbols.size(); ++i) {
-        if (output_negated[i]) {
-            // Orientation of the spanning branch is reversed w.r.t. the
-            // requested (pos, neg): emit an alias assignment.
-            const expr::Symbol alias =
-                expr::variable_symbol("out_" + outputs[i].pos + "_" + outputs[i].neg);
-            model.assignments.push_back(Assignment{
-                alias, expr::Expr::neg(expr::Expr::symbol(output_symbols[i]))});
-            model.outputs.push_back(alias);
-        } else {
-            model.outputs.push_back(output_symbols[i]);
+    for (std::size_t i = 0; i < outputs.size(); ++i) {
+        const expr::Symbol& root = output_symbols[output_root[i]];
+        const bool repeat =
+            std::find(model.outputs.begin(), model.outputs.end(), root) != model.outputs.end();
+        if (!output_negated[i] && !repeat) {
+            model.outputs.push_back(root);
+            continue;
         }
+        // The spanning branch is reversed w.r.t. the requested (pos, neg),
+        // or an earlier output already is this root: emit an alias
+        // assignment, negated when reversed, under a name no earlier output
+        // took.
+        std::string name = "out_" + outputs[i].pos + "_" + outputs[i].neg;
+        if (std::find(model.outputs.begin(), model.outputs.end(),
+                      expr::variable_symbol(name)) != model.outputs.end()) {
+            name += "_" + std::to_string(i);
+        }
+        const expr::Symbol alias = expr::variable_symbol(name);
+        expr::ExprPtr value = expr::Expr::symbol(root);
+        if (output_negated[i]) {
+            value = expr::Expr::neg(std::move(value));
+        }
+        model.assignments.push_back(Assignment{alias, std::move(value)});
+        model.outputs.push_back(alias);
     }
 
     local.model_nodes = model.node_count();

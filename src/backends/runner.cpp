@@ -3,8 +3,8 @@
 #include <chrono>
 #include <optional>
 
-#include "runtime/compiled_model.hpp"
 #include "runtime/simulate.hpp"
+#include "runtime/sweep_service.hpp"
 #include "support/check.hpp"
 
 namespace amsvp::backends {
@@ -39,7 +39,7 @@ std::unique_ptr<runtime::ModelExecutor> make_executor(const AnalogSetup& setup) 
     if (setup.executor_factory) {
         return setup.executor_factory(*setup.model);
     }
-    return std::make_unique<runtime::CompiledModel>(*setup.model);
+    return runtime::ModelCache::global().scalar_executor(*setup.model);
 }
 
 std::vector<const numeric::SourceFunction*> input_stimuli(const AnalogSetup& setup) {

@@ -52,17 +52,21 @@ struct AnalogSetup {
     /// model->timestep.
     double timestep = 50e-9;
     spice::SpiceOptions spice;  ///< timestep is overridden by `timestep`
-    /// How generated models execute (TDF / DE / C++ rows). Null = the
-    /// in-process fused interpreter (runtime::CompiledModel); the table
-    /// benches install codegen::orc_executor_factory() to run the generated
-    /// program as machine code, like the paper does (its scalar ORC kernel
-    /// instead of the paper's g++ build).
+    /// How generated models execute (TDF / DE / C++ rows). Empty = the
+    /// generated program as machine code, as the paper runs it: the
+    /// model's scalar ORC kernel from runtime::ModelCache::global()
+    /// (ModelCache::scalar_executor), compiled by the first executor of
+    /// the model on the calling thread and reused by every later one — the
+    /// in-process LLVM build where the paper used g++. Without LLVM, or
+    /// when the compile fails, the fused interpreter (bit-identical). A
+    /// factory replaces that, e.g. to wrap or time an executor.
     /// Executor construction (including compilation) happens outside the
     /// timed region.
     runtime::ExecutorFactory executor_factory;
 };
 
-/// setup.model's executor: the factory's, else the fused interpreter.
+/// setup.model's executor: the factory's, else the cached scalar ORC
+/// kernel (the fused interpreter when it cannot be had).
 [[nodiscard]] std::unique_ptr<runtime::ModelExecutor> make_executor(const AnalogSetup& setup);
 /// The stimulus of each model input, in model input order.
 [[nodiscard]] std::vector<const numeric::SourceFunction*> input_stimuli(const AnalogSetup& setup);

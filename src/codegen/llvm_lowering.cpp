@@ -5,20 +5,36 @@
 #include <mutex>
 #include <vector>
 
+#include <llvm/Analysis/AliasAnalysis.h>
+#include <llvm/Analysis/AssumptionCache.h>
+#include <llvm/Analysis/BasicAliasAnalysis.h>
+#include <llvm/Analysis/LoopInfo.h>
+#include <llvm/Analysis/MemorySSA.h>
+#include <llvm/Analysis/OptimizationRemarkEmitter.h>
+#include <llvm/Analysis/PhiValues.h>
+#include <llvm/Analysis/ProfileSummaryInfo.h>
+#include <llvm/Analysis/ScopedNoAliasAA.h>
+#include <llvm/Analysis/TargetLibraryInfo.h>
+#include <llvm/Analysis/TargetTransformInfo.h>
+#include <llvm/Analysis/TypeBasedAliasAnalysis.h>
 #include <llvm/ExecutionEngine/Orc/JITTargetMachineBuilder.h>
 #include <llvm/IR/BasicBlock.h>
 #include <llvm/IR/Constants.h>
 #include <llvm/IR/DerivedTypes.h>
+#include <llvm/IR/Dominators.h>
 #include <llvm/IR/Function.h>
 #include <llvm/IR/IRBuilder.h>
 #include <llvm/IR/Intrinsics.h>
+#include <llvm/IR/PassManager.h>
 #include <llvm/IR/Verifier.h>
-#include <llvm/Passes/PassBuilder.h>
 #include <llvm/Support/DynamicLibrary.h>
 #include <llvm/Support/Error.h>
 #include <llvm/Support/TargetSelect.h>
 #include <llvm/Support/raw_ostream.h>
 #include <llvm/Target/TargetMachine.h>
+#include <llvm/Transforms/InstCombine/InstCombine.h>
+#include <llvm/Transforms/Scalar/EarlyCSE.h>
+#include <llvm/Transforms/Scalar/SimplifyCFG.h>
 
 #include "codegen/llvm_lowering_internal.hpp"
 #include "runtime/lane_layout.hpp"
@@ -35,7 +51,6 @@ void ensure_native_target() {
     std::call_once(once, [] {
         llvm::InitializeNativeTarget();
         llvm::InitializeNativeTargetAsmPrinter();
-        llvm::InitializeNativeTargetAsmParser();
         // Open this process's symbol table here, once: every ORC compile
         // resolves libm through it, and LLVM builds that registry lazily on
         // first use, guarded only by LLVM's own (uninstrumented) code — so
@@ -452,38 +467,65 @@ private:
     std::vector<llvm::Value*> row_values_;
 };
 
-/// The fixed compile-latency-tuned new-pass-manager pipeline, in place.
+/// The fixed compile-latency-tuned mid-end pipeline, in place.
 /// The lowering already emits the final vector shape (explicit
 /// <kVectorRow x double> rows over every padded row, each upward-exposed
 /// row loaded once), so there is no loop-rotate/loop-vectorize stage:
-/// early-cse shares the repeated GEP arithmetic, instcombine folds the
-/// splat/extract/insert traffic around scalarized libm calls, and
-/// simplifycfg tidies the loop skeleton. This is the subset of O2 that pays
-/// for itself on straight-line step kernels — the full default<O2>
+/// early-cse (over MemorySSA) shares the repeated GEP arithmetic,
+/// instcombine folds the splat/extract/insert traffic around scalarized
+/// libm calls, and simplifycfg tidies the loop skeleton. This is the subset
+/// of O2 that pays for itself on straight-line step kernels — the full O2
 /// pipeline costs ~4x the walltime here for no measurable steady-state
 /// gain. None of these passes contract FP (the lowering emits no
-/// `contract`/`fast` flags for them to act on). `tm` supplies the target
-/// analyses.
+/// `contract`/`fast` flags for them to act on).
+///
+/// The pipeline is built by hand, as LLVM's Kaleidoscope tutorial builds
+/// its function pass manager: one FunctionPassManager of the three passes,
+/// and only the analyses they request (directly, or as the cached results
+/// instcombine and BasicAA look up) registered, with the function-level
+/// alias analyses of LLVM's default AA stack (BasicAA, ScopedNoAliasAA,
+/// TypeBasedAA, then the target's own). That stack's module-level GlobalsAA
+/// is left out: it only ever reads a cached GlobalsAA result, and no pass
+/// here computes one. No llvm::PassBuilder is involved: it references every
+/// pass LLVM has, and linking it puts megabytes of IPO, vectorizer and
+/// scalar-pass code into every binary that links the library. `tm`
+/// supplies the target analyses.
 void run_opt_pipeline(llvm::Module& module, llvm::TargetMachine* tm) {
-    llvm::LoopAnalysisManager lam;
-    llvm::FunctionAnalysisManager fam;
-    llvm::CGSCCAnalysisManager cgam;
     llvm::ModuleAnalysisManager mam;
-    llvm::PassBuilder pb(tm);
-    pb.registerModuleAnalyses(mam);
-    pb.registerCGSCCAnalyses(cgam);
-    pb.registerFunctionAnalyses(fam);
-    pb.registerLoopAnalyses(lam);
-    pb.crossRegisterProxies(lam, fam, cgam, mam);
-    llvm::ModulePassManager mpm;
-    const char* pipeline = "function(early-cse<memssa>,instcombine,simplifycfg)";
-    if (llvm::Error err = pb.parsePassPipeline(mpm, pipeline)) {
-        // Unreachable with a healthy LLVM, but a typo in the string must
-        // degrade to a working (if slower) compile, not a lost kernel.
-        llvm::consumeError(std::move(err));
-        mpm = pb.buildPerModuleDefaultPipeline(llvm::OptimizationLevel::O2);
+    mam.registerPass([] { return llvm::ProfileSummaryAnalysis(); });
+
+    llvm::FunctionAnalysisManager fam;
+    fam.registerPass([] { return llvm::PassInstrumentationAnalysis(); });
+    fam.registerPass([&mam] { return llvm::ModuleAnalysisManagerFunctionProxy(mam); });
+    fam.registerPass([tm] { return tm->getTargetIRAnalysis(); });
+    fam.registerPass([] { return llvm::TargetLibraryAnalysis(); });
+    fam.registerPass([] { return llvm::AssumptionAnalysis(); });
+    fam.registerPass([] { return llvm::DominatorTreeAnalysis(); });
+    fam.registerPass([] { return llvm::MemorySSAAnalysis(); });
+    fam.registerPass([] { return llvm::OptimizationRemarkEmitterAnalysis(); });
+    fam.registerPass([] { return llvm::LoopAnalysis(); });
+    fam.registerPass([] { return llvm::PhiValuesAnalysis(); });
+    fam.registerPass([] { return llvm::BasicAA(); });
+    fam.registerPass([] { return llvm::ScopedNoAliasAA(); });
+    fam.registerPass([] { return llvm::TypeBasedAA(); });
+    fam.registerPass([tm] {
+        llvm::AAManager aa;
+        aa.registerFunctionAnalysis<llvm::BasicAA>();
+        aa.registerFunctionAnalysis<llvm::ScopedNoAliasAA>();
+        aa.registerFunctionAnalysis<llvm::TypeBasedAA>();
+        tm->registerDefaultAliasAnalyses(aa);
+        return aa;
+    });
+
+    llvm::FunctionPassManager fpm;
+    fpm.addPass(llvm::EarlyCSEPass(/*UseMemorySSA=*/true));
+    fpm.addPass(llvm::InstCombinePass());
+    fpm.addPass(llvm::SimplifyCFGPass());
+    for (llvm::Function& function : module) {
+        if (!function.isDeclaration()) {
+            fpm.run(function, fam);
+        }
     }
-    mpm.run(module, mam);
 }
 
 /// print() the module to a string (pre/post-pipeline dumps).
@@ -506,13 +548,14 @@ std::optional<PreparedModule> prepare_module(const runtime::ModelLayout& layout,
         set_error(error, "cannot detect host target: " + llvm::toString(jtmb.takeError()));
         return std::nullopt;
     }
-    // Batch kernels use FastISel: the mid-end pipeline has already CSE'd
+    // Both kernels use FastISel: the mid-end pipeline has already CSE'd
     // the kernel, and SelectionDAG costs ~10x the materialize time on these
-    // straight-line bodies, which a cold sweep waits for. A scalar kernel is
-    // stepped for a whole run per compile, so it takes SelectionDAG at -O1:
-    // on the paper circuits it steps up to 1.3x faster for 2-20 ms more
-    // compile. Neither level forms FMAs without `contract` flags.
-    jtmb->setCodeGenOptLevel(row_width == 1 ? llvm::CodeGenOpt::Less : llvm::CodeGenOpt::None);
+    // straight-line bodies. A scalar kernel steps a whole run per compile,
+    // but on the Table III platform (OA as an SC-DE module) SelectionDAG at
+    // -O1 bought no measurable step time and faulted more of LLVM's code
+    // into every process that compiles one. Neither forms FMAs without
+    // `contract` flags.
+    jtmb->setCodeGenOptLevel(llvm::CodeGenOpt::None);
     auto tm = jtmb->createTargetMachine();
     if (!tm) {
         set_error(error, "cannot create target machine: " + llvm::toString(tm.takeError()));

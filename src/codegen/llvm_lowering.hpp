@@ -66,7 +66,7 @@ struct LoweredIrText {
 /// Lower `layout`'s fused program at `row_width` (runtime::LaneLayout::
 /// kVectorRow: the batch kernel; 1: the scalar kernel) and run the pass
 /// pipeline — the same prelude OrcJitProgram::compile and
-/// OrcModel::compile materialize — returning both IR printouts. Returns
+/// OrcScalarProgram::compile materialize — returning both IR printouts. Returns
 /// nullopt with `error` set when built without LLVM or when
 /// lowering/verification fails.
 [[nodiscard]] std::optional<LoweredIrText> lower_to_ir_text(

@@ -1,9 +1,7 @@
 #include "codegen/orc_jit.hpp"
 
 #include <atomic>
-#include <cstdio>
 
-#include "analysis/verifier.hpp"
 #include "runtime/lane_layout.hpp"
 #include "support/check.hpp"
 #include "support/fault.hpp"
@@ -96,38 +94,24 @@ void OrcCompileTicket::resolve(State state) {
     resolved_.notify_all();
 }
 
+OrcModel::OrcModel(std::shared_ptr<const OrcScalarProgram> program)
+    : CompiledModel(program->layout()),
+      program_(std::move(program)),
+      step_fn_(program_->step_fn()) {}
+
+std::unique_ptr<OrcModel> OrcModel::compile(std::shared_ptr<const runtime::ModelLayout> layout,
+                                            std::string* error) {
+    auto program = OrcScalarProgram::compile(std::move(layout), error);
+    if (program == nullptr) {
+        return nullptr;
+    }
+    return std::make_unique<OrcModel>(std::move(program));
+}
+
 void OrcModel::step(double time_seconds) {
     double* slots = slot_data();
     slots[layout()->time_slot()] = time_seconds;
     step_fn_(slots);
-}
-
-
-runtime::ExecutorFactory orc_executor_factory() {
-    return [](const abstraction::SignalFlowModel& model)
-               -> std::unique_ptr<runtime::ModelExecutor> {
-        std::shared_ptr<const runtime::ModelLayout> layout =
-            runtime::ModelLayout::compile(model);
-#ifdef NDEBUG
-        // As at ModelCache admission: Release builds verify once, before the
-        // layout is lowered. (Debug builds already verified inside
-        // ModelLayout::compile.)
-        analysis::verify_layout_or_abort(*layout, "codegen::orc_executor_factory");
-#endif
-        std::string error;
-        if (auto orc = OrcModel::compile(layout, &error)) {
-            return orc;
-        }
-        // atomic: executor factories run from worker threads too.
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true)) {
-            std::fprintf(stderr,
-                         "amsvp: native model execution unavailable (%s); "
-                         "falling back to the fused interpreter\n",
-                         error.c_str());
-        }
-        return std::make_unique<runtime::CompiledModel>(std::move(layout));
-    };
 }
 
 TieredOrcBatchModel::TieredOrcBatchModel(std::shared_ptr<const runtime::ModelLayout> layout,
@@ -267,29 +251,27 @@ std::shared_ptr<const OrcJitProgram> OrcJitProgram::compile(
     return program;
 }
 
-std::unique_ptr<OrcModel> OrcModel::compile(std::shared_ptr<const runtime::ModelLayout> layout,
-                                            std::string* error) {
+std::shared_ptr<const OrcScalarProgram> OrcScalarProgram::compile(
+    std::shared_ptr<const runtime::ModelLayout> layout, std::string* error) {
     auto engine = materialize(*layout, /*row_width=*/1, orc_detail::kStepSymbol, error);
     if (engine == nullptr) {
         return nullptr;
     }
-    return std::unique_ptr<OrcModel>(new OrcModel(std::move(layout), std::move(engine)));
+    auto program = std::shared_ptr<OrcScalarProgram>(new OrcScalarProgram());
+    program->step_fn_ = reinterpret_cast<StepFn>(engine->kernel);
+    program->engine_ = std::move(engine);
+    program->layout_ = std::move(layout);
+    return program;
 }
 
-OrcModel::OrcModel(std::shared_ptr<const runtime::ModelLayout> layout,
-                   std::unique_ptr<orc_detail::Engine> engine)
-    : CompiledModel(std::move(layout)),
-      engine_(std::move(engine)),
-      step_fn_(reinterpret_cast<StepFn>(engine_->kernel)) {}
-
-OrcModel::~OrcModel() = default;
+OrcScalarProgram::~OrcScalarProgram() = default;
 
 #else  // !AMSVP_HAS_LLVM
 
 // ---------------------------------------------------------------------------
 // Stub build (AMSVP_WITH_LLVM=OFF): both compile()s report unavailability;
-// sweeps that asked for kNativeOrc and orc_executor_factory() executors run
-// on the fused interpreter.
+// sweeps that asked for kNativeOrc and ModelCache::scalar_executor
+// executors run on the fused interpreter.
 
 namespace orc_detail {
 class Engine {};
@@ -304,7 +286,7 @@ void set_unavailable(std::string* error) {
 }  // namespace
 
 OrcJitProgram::~OrcJitProgram() = default;
-OrcModel::~OrcModel() = default;
+OrcScalarProgram::~OrcScalarProgram() = default;
 
 bool orc_available() { return false; }
 
@@ -314,7 +296,7 @@ std::shared_ptr<const OrcJitProgram> OrcJitProgram::compile(
     return nullptr;
 }
 
-std::unique_ptr<OrcModel> OrcModel::compile(
+std::shared_ptr<const OrcScalarProgram> OrcScalarProgram::compile(
     std::shared_ptr<const runtime::ModelLayout> /*layout*/, std::string* error) {
     set_unavailable(error);
     return nullptr;

@@ -4,20 +4,27 @@
 //
 // A model's fused instruction stream lowers to one of two kernels in LLVM
 // IR (llvm_lowering.hpp), runs the fixed pass pipeline and materializes
-// through one LLJIT path — all inside this process, no compiler on PATH, no
-// temp files, no dlopen. A cold compile costs milliseconds (3–4 ms even for
-// a two-instruction model, about 20 ms for RC20's batch kernel). Results
-// are bit-identical to the fused interpreter: the lowering never enables
-// fast-math or FP contraction, and libm calls resolve to this very
-// process's libm. Sweeps run OrcJitProgram's batch kernel at every width,
-// width 1 included (one padded row, three ghost lanes); per-instance
-// executors (the Tables' "C++" rows) run OrcModel's scalar kernel.
+// through one LLJIT path, code-generated by FastISel — all inside this
+// process, no compiler on PATH, no temp files, no dlopen. A cold compile
+// costs milliseconds (3–4 ms even for a two-instruction model, about 20 ms
+// for RC20's batch kernel). Results are bit-identical to the fused
+// interpreter: the lowering never enables fast-math or FP contraction, and
+// libm calls resolve to this very process's libm. Sweeps run
+// OrcJitProgram's batch kernel at every width, width 1 included (one padded
+// row, three ghost lanes); per-instance executors (the Tables' generated
+// rows) run OrcScalarProgram's scalar kernel through OrcModel.
+//
+// Both programs are immutable after compile() and shared: one materialized
+// program serves any number of executors, shards and threads concurrently —
+// a kernel is a pure function of the slot file it is handed.
+// runtime::ModelCache keeps one of each per model: the batch program,
+// compiled on the cache's compile thread, and the scalar program, compiled
+// by the first runtime::ModelCache::scalar_executor request on the
+// requesting thread.
 //
 // OrcBatchModel is a BatchCompiledModel whose step() drives the JITed
 // kernel over the same padded slot file, slotting into the make_shard /
-// fallback-shard / quarantine machinery unchanged. One
-// materialized program serves any number of shards and threads
-// concurrently — the kernel is a pure function of the slot file.
+// fallback-shard / quarantine machinery unchanged.
 //
 // TieredOrcBatchModel is the executor that can start before its program
 // exists. It holds an OrcCompileTicket — the handle of a compile queued or
@@ -26,11 +33,11 @@
 // the next step boundary. The switch is exact: both engines leave the
 // padded slot file bit-identical after every step.
 //
-// Built with AMSVP_WITH_LLVM=OFF, orc_available() is false and both
-// compile()s return nullptr with an explanatory error; a kNativeOrc sweep
+// Built with AMSVP_WITH_LLVM=OFF, orc_available() is false and every
+// compile() returns nullptr with an explanatory error; a kNativeOrc sweep
 // then runs on the fused interpreter and says so in
-// SweepResult::diagnostics, and orc_executor_factory() hands out the
-// interpreter.
+// SweepResult::diagnostics, and runtime::ModelCache::scalar_executor hands
+// out the interpreter.
 //
 // Fault site "jit.orc_materialize" (support/fault.hpp) models a
 // materialization failure of either kernel so tests can exercise the
@@ -136,6 +143,39 @@ private:
     std::shared_ptr<const OrcJitProgram> program_;
 };
 
+/// The shared, immutable scalar counterpart of OrcJitProgram: a
+/// materialized LLJIT instance plus the resolved scalar kernel and the
+/// layout it was lowered against. The kernel runs the program once over an
+/// unpadded slot file of doubles and rotates history.
+class OrcScalarProgram {
+public:
+    /// Lower, optimize and materialize the scalar kernel for a compiled
+    /// layout. Returns nullptr (with `error` set) when built without LLVM,
+    /// or when lowering/verification/materialization fails.
+    [[nodiscard]] static std::shared_ptr<const OrcScalarProgram> compile(
+        std::shared_ptr<const runtime::ModelLayout> layout, std::string* error = nullptr);
+
+    ~OrcScalarProgram();
+    OrcScalarProgram(const OrcScalarProgram&) = delete;
+    OrcScalarProgram& operator=(const OrcScalarProgram&) = delete;
+
+    using StepFn = void (*)(double*);
+
+    /// The kernel: the caller writes inputs and the $abstime slot first.
+    [[nodiscard]] StepFn step_fn() const { return step_fn_; }
+
+    [[nodiscard]] const std::shared_ptr<const runtime::ModelLayout>& layout() const {
+        return layout_;
+    }
+
+private:
+    OrcScalarProgram() = default;
+
+    std::unique_ptr<orc_detail::Engine> engine_;
+    StepFn step_fn_ = nullptr;
+    std::shared_ptr<const runtime::ModelLayout> layout_;
+};
+
 /// A CompiledModel stepped by the ORC-JITed scalar kernel. It keeps the
 /// interpreter's slot file with its reset, set_input and output; step()
 /// writes the $abstime slot and calls the kernel, which runs the program
@@ -143,32 +183,26 @@ private:
 /// is bit-identical to the interpreter's.
 class OrcModel final : public runtime::CompiledModel {
 public:
-    /// Lower, optimize and materialize the scalar kernel for a compiled
-    /// layout. Returns nullptr (with `error` set) when built without LLVM,
-    /// or when lowering/verification/materialization fails.
+    /// An instance over a shared program (runtime::ModelCache hands out
+    /// one per model).
+    explicit OrcModel(std::shared_ptr<const OrcScalarProgram> program);
+
+    /// An instance over a program of its own, compiled for `layout` and not
+    /// cached. Returns nullptr (with `error` set) when the program cannot be
+    /// compiled (OrcScalarProgram::compile).
     [[nodiscard]] static std::unique_ptr<OrcModel> compile(
         std::shared_ptr<const runtime::ModelLayout> layout, std::string* error = nullptr);
 
-    ~OrcModel() override;
-
     void step(double time_seconds) override;
 
+    [[nodiscard]] const std::shared_ptr<const OrcScalarProgram>& program() const {
+        return program_;
+    }
+
 private:
-    using StepFn = void (*)(double*);
-
-    OrcModel(std::shared_ptr<const runtime::ModelLayout> layout,
-             std::unique_ptr<orc_detail::Engine> engine);
-
-    std::unique_ptr<orc_detail::Engine> engine_;
-    StepFn step_fn_ = nullptr;
+    std::shared_ptr<const OrcScalarProgram> program_;
+    OrcScalarProgram::StepFn step_fn_ = nullptr;
 };
-
-/// Executor factory for per-instance runs (the Tables' "C++" rows): the
-/// model's layout, verified as at runtime::ModelCache admission, stepped by
-/// an OrcModel; when the kernel cannot be had (a failed compile, or a build
-/// without LLVM) a runtime::CompiledModel on the fused interpreter instead —
-/// bit-identical, just slower — with a note on stderr the first time.
-[[nodiscard]] runtime::ExecutorFactory orc_executor_factory();
 
 /// The handle of one ORC compile that may not have finished: a program
 /// that can be waited for or polled. Resolved exactly once — landed with a

@@ -7,9 +7,11 @@
 //    generated program as machine code: the scalar kernel the in-process
 //    ORC JIT lowers from the same fused program (the paper's "C++" rows).
 //
-// Backends accept a factory so benchmarks can swap the execution strategy
-// without touching the MoC wrappers; an empty factory means the fused
-// interpreter, codegen::orc_executor_factory() the scalar ORC kernel.
+// Backends accept a factory so callers can swap the execution strategy
+// without touching the MoC wrappers. An empty factory means the model's
+// cached scalar ORC kernel (runtime::ModelCache::scalar_executor), or the
+// interpreter when the kernel cannot be had; a factory returning a
+// CompiledModel pins the interpreter.
 #pragma once
 
 #include <functional>

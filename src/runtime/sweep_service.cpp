@@ -347,6 +347,54 @@ void ModelCache::stop_compiler() {
 
 void ModelCache::stop_global_compiler() { global().stop_compiler(); }
 
+std::unique_ptr<ModelExecutor> ModelCache::scalar_executor(
+    const abstraction::SignalFlowModel& model) {
+    const std::string fingerprint = model_fingerprint(model);
+    std::unique_lock<std::mutex> lock(mutex_);
+    Entry& entry = locked_touch_entry(fingerprint);
+    std::shared_ptr<const codegen::OrcScalarProgram> program = entry.scalar_program;
+    if (program != nullptr) {
+        ++stats_.scalar_hits;
+        lock.unlock();
+        return std::make_unique<codegen::OrcModel>(std::move(program));
+    }
+    std::shared_ptr<const ModelLayout> layout = locked_layout_for(model, fingerprint);
+    std::shared_ptr<ScalarCompile> compile = entry.scalar_compile;
+    const bool compiles_here = compile == nullptr;
+    if (compiles_here) {
+        compile = std::make_shared<ScalarCompile>();
+        entry.scalar_compile = compile;
+        lock.unlock();
+        const auto start = std::chrono::steady_clock::now();
+        program = codegen::OrcScalarProgram::compile(layout);
+        const double seconds =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+        lock.lock();
+        stats_.orc_compile_seconds += seconds;
+        compile->done = true;
+        compile->program = program;
+        // Cache only a kernel, and only in the entry that still holds this
+        // compile: after clear() or eviction the entry is gone or newer.
+        const auto it = entries_.find(fingerprint);
+        if (it != entries_.end() && it->second.scalar_compile == compile) {
+            it->second.scalar_compile.reset();
+            it->second.scalar_program = program;
+        }
+        scalar_landed_.notify_all();
+    } else {
+        scalar_landed_.wait(lock, [&compile] { return compile->done; });
+        program = compile->program;
+    }
+    if (program == nullptr) {
+        ++stats_.scalar_fallbacks;
+        lock.unlock();
+        return std::make_unique<CompiledModel>(std::move(layout));
+    }
+    ++(compiles_here ? stats_.scalar_misses : stats_.scalar_hits);
+    lock.unlock();
+    return std::make_unique<codegen::OrcModel>(std::move(program));
+}
+
 ModelCache::Stats ModelCache::stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;

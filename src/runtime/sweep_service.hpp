@@ -12,12 +12,13 @@
 //  * model_fingerprint(): a deterministic canonical text of a
 //    SignalFlowModel — same program, same fingerprint — used as the cache
 //    key everywhere below;
-//  * ModelCache: a thread-safe fingerprint-keyed cache of the two shared,
-//    immutable compile artifacts (runtime::ModelLayout and
-//    codegen::OrcJitProgram), with the thread that compiles the latter.
-//    The model-compiling simulate_sweep overload serves from
+//  * ModelCache: a thread-safe fingerprint-keyed cache of the shared,
+//    immutable compile artifacts (runtime::ModelLayout and the batch and
+//    scalar ORC kernels), with the thread that compiles the batch kernel.
+//    The model-compiling simulate_sweep overload and the default executor
+//    of the MoC wrappers and Tables (backends::AnalogSetup) serve from
 //    ModelCache::global(), so even service-less callers skip recompiles
-//    after the first sweep of a model;
+//    after the first use of a model;
 //  * SweepService: a long-lived object owning a ModelCache, one
 //    persistent support::ThreadPool shared across jobs, and an async job
 //    queue — submit(SweepJob) -> std::future — accepting concurrent sweep
@@ -53,6 +54,7 @@
 namespace amsvp::codegen {
 class OrcCompileTicket;
 class OrcJitProgram;
+class OrcScalarProgram;
 }  // namespace amsvp::codegen
 
 namespace amsvp::runtime {
@@ -65,10 +67,11 @@ namespace amsvp::runtime {
 [[nodiscard]] std::string model_fingerprint(const abstraction::SignalFlowModel& model);
 
 /// Thread-safe fingerprint-keyed cache of the per-model compile artifacts:
-/// the kFused ModelLayout and (kNativeOrc jobs) the materialized
-/// OrcJitProgram. Both are immutable and shared by any number of executors
-/// and threads, so one cache entry serves every width, shard and job of a
-/// model.
+/// the kFused ModelLayout, the materialized batch kernel (OrcJitProgram,
+/// kNativeOrc jobs) and the materialized scalar kernel (OrcScalarProgram,
+/// per-instance executors from scalar_executor). All three are immutable
+/// and shared by any number of executors and threads, so one cache entry
+/// serves every width, shard, job and instance of a model.
 ///
 /// simulate_sweep's kNativeOrc jobs buy the compile by the rent-or-buy
 /// ("ski rental") rule: each entry counts the lane-steps its jobs have
@@ -98,6 +101,13 @@ namespace amsvp::runtime {
 /// budget: the next request or job retries, so a transient failure (or an
 /// injected jit.orc_materialize fault) cannot permanently poison the entry.
 ///
+/// Scalar kernels compile on the thread that first asks for them
+/// (scalar_executor), never on the compile thread: an executor is built
+/// outside any timed region and steps for a whole run, so its caller waits
+/// for the compile instead of starting on the interpreter, and a process
+/// that only builds executors starts no thread (death tests fork). Threads
+/// asking while that compile runs wait for it and share its kernel.
+///
 /// Destruction drops queued compiles and joins the thread. The global()
 /// cache is never destroyed, so it joins its thread from an atexit handler
 /// registered when the thread starts, before static destructors (LLVM's
@@ -125,7 +135,15 @@ public:
         std::uint64_t orc_discarded = 0;
         /// Entries dropped by the LRU capacity bound (set_capacity).
         std::uint64_t evictions = 0;
-        /// Wall-clock seconds spent in ORC compiles (every compile that ran).
+        /// scalar_executor calls, each counted once: served by the cached
+        /// scalar kernel (a waiter on another thread's compile included),
+        /// served by a kernel the call compiled and cached, or handed the
+        /// interpreter (no LLVM, or a failed compile, which is not cached).
+        std::uint64_t scalar_hits = 0;
+        std::uint64_t scalar_misses = 0;
+        std::uint64_t scalar_fallbacks = 0;
+        /// Wall-clock seconds spent in ORC compiles (every compile that ran,
+        /// batch and scalar).
         double orc_compile_seconds = 0.0;
         /// Estimated seconds NOT spent: each ORC hit credits the model's
         /// measured compile cost.
@@ -192,6 +210,18 @@ public:
         const abstraction::SignalFlowModel& model, const std::string& fingerprint,
         std::string* error = nullptr);
 
+    /// A per-instance executor of `model`, what an empty
+    /// backends::AnalogSetup::executor_factory runs: a codegen::OrcModel
+    /// over the model's scalar kernel, compiled by the first request (see
+    /// above) and shared by every later one, so a model costs one scalar
+    /// compile however many executors and threads ask. When the kernel
+    /// cannot be had (built without LLVM, or the compile failed, which is
+    /// not cached) a runtime::CompiledModel on the fused interpreter over
+    /// the cached layout: bit-identical, slower. Counts one of
+    /// Stats::scalar_hits, scalar_misses and scalar_fallbacks.
+    [[nodiscard]] std::unique_ptr<ModelExecutor> scalar_executor(
+        const abstraction::SignalFlowModel& model);
+
     [[nodiscard]] Stats stats() const;
 
     /// Bound the entry count: every artifact request refreshes its model's
@@ -216,9 +246,19 @@ public:
     [[nodiscard]] std::size_t size() const;
 
 private:
+    /// One scalar compile running on a requesting thread; `done` and
+    /// `program` are guarded by mutex_ and signalled on scalar_landed_.
+    struct ScalarCompile {
+        bool done = false;
+        std::shared_ptr<const codegen::OrcScalarProgram> program;  ///< null: failed
+    };
+
     struct Entry {
         std::shared_ptr<const ModelLayout> layout;
         std::shared_ptr<const codegen::OrcJitProgram> orc_program;
+        std::shared_ptr<const codegen::OrcScalarProgram> scalar_program;
+        /// The model's scalar compile while one runs; reset when it ends.
+        std::shared_ptr<ScalarCompile> scalar_compile;
         /// The model's queued or running compile; reset when it resolves.
         std::shared_ptr<codegen::OrcCompileTicket> orc_ticket;
         /// Lane-steps that kNativeOrc jobs planned while the program was
@@ -270,6 +310,9 @@ private:
     std::list<std::string> lru_;
     std::size_t capacity_ = kDefaultCapacity;
     Stats stats_;
+
+    /// Wakes the threads waiting for a scalar compile to end.
+    std::condition_variable scalar_landed_;
 
     std::deque<CompileJob> compile_queue_;
     std::condition_variable compile_wake_;

@@ -16,7 +16,8 @@
 // Known sites (keep this list in sync with the code and README):
 //   jit.orc_materialize  the in-process ORC JIT fails to materialize a
 //                     kernel (codegen::OrcJitProgram::compile for the batch
-//                     kernel, codegen::OrcModel::compile for the scalar one)
+//                     kernel, codegen::OrcScalarProgram::compile for the
+//                     scalar one)
 //   pool.worker       a ThreadPool task throws (context = task index)
 //   sweep.lane_nan    a sweep lane's input goes NaN (context = global lane)
 //   sweep.shard_alloc building a per-worker sweep shard fails

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "abstraction/abstraction.hpp"
 #include "expr/printer.hpp"
@@ -208,6 +210,58 @@ TEST(Abstraction, MultipleOutputsShareOneModel) {
     // Both outputs settle to 1 V at DC.
     EXPECT_NEAR(result.outputs[0].samples().back(), 1.0, 1e-3);
     EXPECT_NEAR(result.outputs[1].samples().back(), 1.0, 1e-3);
+}
+
+// Two specs naming one branch voltage share one assembled root: the repeat
+// is an alias of the first output, negated when its orientation is
+// reversed, and the model equals the single-spec model otherwise.
+TEST(Abstraction, RepeatedOutputSpecIsAnAlias) {
+    const netlist::Circuit c = netlist::make_rc_ladder(3);
+    std::string error;
+    AbstractionReport single_report;
+    const auto single = abstract_circuit(c, {{"out", "gnd"}}, {}, &error, &single_report);
+    ASSERT_TRUE(single.has_value()) << error;
+    const std::map<std::string, numeric::SourceFunction> stimuli{
+        {"u0", numeric::square_wave(1e-3)}};
+    const auto want = runtime::simulate_transient(*single, stimuli, 2e-3);
+
+    struct Shape {
+        OutputSpec repeat;
+        double sign;
+    };
+    for (const Shape& shape : {Shape{{"out", "gnd"}, 1.0}, Shape{{"gnd", "out"}, -1.0}}) {
+        SCOPED_TRACE(shape.repeat.display());
+        AbstractionReport report;
+        const auto model =
+            abstract_circuit(c, {{"out", "gnd"}, shape.repeat}, {}, &error, &report);
+        ASSERT_TRUE(model.has_value()) << error;
+        ASSERT_EQ(model->outputs.size(), 2u);
+        EXPECT_EQ(model->outputs[0], single->outputs[0]);
+        EXPECT_NE(model->outputs[1], model->outputs[0]);
+        EXPECT_EQ(report.roots, single_report.roots);
+        EXPECT_EQ(report.equations_consumed, single_report.equations_consumed);
+        const auto got = runtime::simulate_transient(*model, stimuli, 2e-3);
+        ASSERT_EQ(got.outputs[0].size(), want.outputs[0].size());
+        for (std::size_t k = 0; k < want.outputs[0].size(); ++k) {
+            ASSERT_EQ(got.outputs[0].value(k), want.outputs[0].value(k)) << "sample " << k;
+            ASSERT_EQ(got.outputs[1].value(k), shape.sign * want.outputs[0].value(k))
+                << "sample " << k;
+        }
+    }
+}
+
+// Every repeat of a reversed spec gets a name of its own.
+TEST(Abstraction, RepeatedReversedOutputSpecsGetDistinctAliases) {
+    const netlist::Circuit c = netlist::make_rc_ladder(3);
+    std::string error;
+    const auto model = abstract_circuit(c, {{"gnd", "out"}, {"gnd", "out"}}, {}, &error);
+    ASSERT_TRUE(model.has_value()) << error;
+    ASSERT_EQ(model->outputs.size(), 2u);
+    EXPECT_NE(model->outputs[0], model->outputs[1]);
+    const auto result =
+        runtime::simulate_transient(*model, {{"u0", numeric::constant(1.0)}}, 5e-3);
+    EXPECT_NEAR(result.outputs[0].samples().back(), -1.0, 1e-3);
+    EXPECT_EQ(result.outputs[1].samples().back(), result.outputs[0].samples().back());
 }
 
 TEST(Abstraction, ErrorForUnknownOutputNode) {

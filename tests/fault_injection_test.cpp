@@ -19,6 +19,7 @@
 #include "codegen/orc_jit.hpp"
 #include "netlist/builder.hpp"
 #include "runtime/simulate.hpp"
+#include "runtime/sweep_service.hpp"
 #include "support/fault.hpp"
 #include "support/thread_pool.hpp"
 
@@ -141,8 +142,8 @@ bool diagnostics_mention(const SweepResult& result, const std::string& needle) {
 }
 
 // --- jit.orc_materialize, per-instance executors ---------------------------
-// The scalar ORC kernel: a compile that cannot materialize leaves the
-// executor factory on the interpreter. (The batch kernel's leg is
+// The scalar ORC kernel: a compile that cannot materialize leaves
+// ModelCache::scalar_executor on the interpreter. (The batch kernel's leg is
 // FaultInjectionOrc in orc_jit_test.)
 
 TEST_F(FaultInjectionJit, PersistentLoadFailureFallsBackToInterpreter) {
@@ -152,13 +153,13 @@ TEST_F(FaultInjectionJit, PersistentLoadFailureFallsBackToInterpreter) {
     const double duration = 100 * model.timestep;
 
     fault::arm("jit.orc_materialize", fault::Trigger::kAlways);
-    const auto executor = codegen::orc_executor_factory()(model);
+    const auto executor = ModelCache().scalar_executor(model);
     fault::disarm("jit.orc_materialize");
     // One attempt, no retry: the site fires once in a build with LLVM; a
     // build without it never reaches the site.
     EXPECT_EQ(fault::fire_count("jit.orc_materialize"), codegen::orc_available() ? 1 : 0);
 
-    // The factory still handed back a working executor — the fused
+    // The cache still handed back a working executor — the fused
     // interpreter — and it runs bit-identically to a direct one.
     ASSERT_NE(dynamic_cast<CompiledModel*>(executor.get()), nullptr);
     EXPECT_EQ(dynamic_cast<codegen::OrcModel*>(executor.get()), nullptr);

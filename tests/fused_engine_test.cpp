@@ -187,9 +187,10 @@ INSTANTIATE_TEST_SUITE_P(PaperCircuits, FusedPaperCircuit,
                          ::testing::Values("2IN", "RC1", "RC20", "OA"));
 
 TEST(FusedExecutorFactory, BackendRunnerTracksReferenceFactory) {
-    // The executor factory is how benches swap executors into the MoC
-    // wrappers; a run with no factory (the fused interpreter) must track one
-    // whose factory builds the tree-walk reference.
+    // The executor factory is how callers swap executors into the MoC
+    // wrappers; a run with no factory (the cached scalar ORC kernel, or the
+    // fused interpreter without LLVM) must track one whose factory builds
+    // the tree-walk reference.
     const netlist::Circuit circuit = netlist::make_rc_ladder(3);
     std::string error;
     auto model = abstraction::abstract_circuit(circuit, {{"out", "gnd"}}, {}, &error);

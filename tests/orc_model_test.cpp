@@ -2,11 +2,12 @@
 // interpreter's own slot file, so after every step the whole file, scratch
 // slots included, must equal the fused interpreter's bit for bit (the
 // lowering never enables fast-math or FP contraction, and libm resolves to
-// this process's own functions). Also covers orc_executor_factory()'s
-// interpreter fallback and concurrent scalar compiles (suite name
-// ThreadedSweepNativeCompile feeds the `threads` ctest label for the
-// -DAMSVP_TSAN=ON config). Every ORC test skips gracefully in an
-// AMSVP_WITH_LLVM=OFF build, where the factory hands out the interpreter.
+// this process's own functions). Also covers runtime::ModelCache::
+// scalar_executor's interpreter fallback and concurrent scalar compiles
+// (suite name ThreadedSweepNativeCompile feeds the `threads` ctest label for
+// the -DAMSVP_TSAN=ON config). Every ORC test skips gracefully in an
+// AMSVP_WITH_LLVM=OFF build, where scalar_executor hands out the
+// interpreter.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,6 +23,7 @@
 #include "netlist/builder.hpp"
 #include "random_models.hpp"
 #include "runtime/simulate.hpp"
+#include "runtime/sweep_service.hpp"
 #include "support/fault.hpp"
 #include "support/thread_pool.hpp"
 
@@ -249,15 +251,15 @@ TEST(OrcJitScalar, FactoryFallsBackGracefully) {
     };
 
     // The kernel when the build has one, the interpreter otherwise.
-    const auto executor = orc_executor_factory()(model);
+    const auto executor = runtime::ModelCache().scalar_executor(model);
     ASSERT_NE(executor, nullptr);
     EXPECT_EQ(dynamic_cast<OrcModel*>(executor.get()) != nullptr, orc_available());
     expect_matches_reference(*executor);
 
-    // Every compile fails: the factory must still hand back a working
+    // Every compile fails: the cache must still hand back a working
     // executor, the fused interpreter, even on a build with LLVM.
     support::fault::arm("jit.orc_materialize", support::fault::Trigger::kAlways);
-    const auto fallback = orc_executor_factory()(model);
+    const auto fallback = runtime::ModelCache().scalar_executor(model);
     support::fault::disarm("jit.orc_materialize");
     ASSERT_NE(fallback, nullptr);
     EXPECT_EQ(dynamic_cast<OrcModel*>(fallback.get()), nullptr);
@@ -268,7 +270,7 @@ TEST(OrcJitScalar, FactoryFallsBackGracefully) {
 // The Tables' executors keep a throw for a bad index after the swap: the
 // scalar kernel's executor shares the interpreter's checks.
 TEST(OrcJitScalar, BadIndexThrowsOutOfRange) {
-    const auto executor = orc_executor_factory()(ladder_model(1));
+    const auto executor = runtime::ModelCache().scalar_executor(ladder_model(1));
     EXPECT_THROW(executor->set_input(1, 0.0), std::out_of_range);
     EXPECT_THROW((void)executor->output(1), std::out_of_range);
 }

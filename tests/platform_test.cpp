@@ -6,8 +6,8 @@
 #include <string>
 
 #include "abstraction/abstraction.hpp"
-#include "codegen/orc_jit.hpp"
 #include "netlist/builder.hpp"
+#include "runtime/compiled_model.hpp"
 #include "vp/platform.hpp"
 
 namespace amsvp::vp {
@@ -176,8 +176,11 @@ TEST(Platform, OrcScalarKernelRowsMatchTheInterpreter) {
         config.circuit = &circuit;
         config.model = &*model;
         config.stimuli = {{"u0", numeric::square_wave(1e-4, -1.0, 1.0)}};
+        config.executor_factory = [](const abstraction::SignalFlowModel& m) {
+            return std::make_unique<runtime::CompiledModel>(m);
+        };
         const PlatformResult interpreted = run_platform(config, 2e-4);
-        config.executor_factory = codegen::orc_executor_factory();
+        config.executor_factory = nullptr;  // the default: the cached scalar kernel
         const PlatformResult compiled = run_platform(config, 2e-4);
         EXPECT_EQ(compiled.instructions, interpreted.instructions);
         EXPECT_EQ(compiled.adc_conversions, interpreted.adc_conversions);
